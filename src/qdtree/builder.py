@@ -33,8 +33,7 @@ class BuildConfig:
     max_height bounds node depth (0 forces a single leaf). min_split is the
     smallest subset still worth scanning. repeats overrides the quantum
     searcher's repetition count; verify asks the quantum builder to also
-    record each node's classically best attribute; report asks the CLI to
-    write the per-node search report.
+    record each node's classically best attribute.
     """
 
     max_height: int = 10
@@ -43,7 +42,6 @@ class BuildConfig:
     repeats: int | None = None
     seed: int | None = None
     verify: bool = False
-    report: bool = False
 
     def __post_init__(self):
         if self.max_height < 0:
@@ -251,18 +249,49 @@ def tree_to_document(tree):
 
 
 def _node_from_document(doc, schema):
+    """Rebuilds one node, checking it against the schema so that a loaded
+    tree can route every in-domain row to a leaf class in 1..M."""
+    m = schema.class_count
+    if len(doc["support"]) != m:
+        raise DataFormatError(
+            "node support has %d entries for %d classes" % (len(doc["support"]), m)
+        )
     support = ClassHistogram(
         {j: c for j, c in enumerate(doc["support"], start=1) if c}
     )
     if doc["kind"] == "leaf":
-        return Leaf(int(doc["class"]), support)
+        class_index = int(doc["class"])
+        if not 1 <= class_index <= m:
+            raise DataFormatError("leaf class %d outside 1..%d" % (class_index, m))
+        return Leaf(class_index, support)
     if doc["kind"] != "internal":
         raise DataFormatError("unknown node kind %r" % (doc.get("kind"),))
     attr = int(doc["attr"])
+    if not 0 <= attr < schema.attribute_count:
+        raise DataFormatError(
+            "node attribute %d outside 0..%d" % (attr, schema.attribute_count - 1)
+        )
+    if schema.is_real(attr) != ("theta" in doc):
+        raise DataFormatError(
+            "node test does not match the kind of attribute %d (%s)"
+            % (attr, schema.attributes[attr].kind)
+        )
     if "theta" in doc:
         test = SplitTest(attr, REAL, theta=float(doc["theta"]))
+        arity = 2
     else:
-        test = SplitTest(attr, DISCRETE, branch_count=int(doc["branch_count"]))
+        arity = int(doc["branch_count"])
+        if arity != schema.domain_size(attr):
+            raise DataFormatError(
+                "node branch count %d differs from the domain size %d of attribute %d"
+                % (arity, schema.domain_size(attr), attr)
+            )
+        test = SplitTest(attr, DISCRETE, branch_count=arity)
+    if len(doc["children"]) != arity:
+        raise DataFormatError(
+            "node on attribute %d has %d children, expected %d"
+            % (attr, len(doc["children"]), arity)
+        )
     children = [_node_from_document(child, schema) for child in doc["children"]]
     return Internal(test, children, support)
 

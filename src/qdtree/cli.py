@@ -109,7 +109,6 @@ def cmd_train(args):
             repeats=args.repeats,
             seed=args.seed,
             verify=args.verify,
-            report=args.report is not None,
         )
     except (DataFormatError, OSError, ValueError) as exc:
         print("error: %s" % (exc,), file=sys.stderr)

@@ -3,9 +3,12 @@
 The baseline backend uses dense arrays sized by the schema's class count, so
 allocation, clearing and iteration all touch every slot whether or not the
 class is present. The treemap backend uses the sparse ordered-map counter,
-whose structure-sized costs scale with the keys actually stored. Both record
-their work in a shared OpTally; the scanners are backend-agnostic, so the
-backend changes operation counts but never the produced scores.
+whose structure-sized costs scale with the keys actually stored. A
+class-branch table for a T-way attribute is keyed by the flat slot
+(j - 1) * T + w on both backends: one dense counter of M * T slots, or one
+sparse map over the same integers. Both record their work in a shared
+OpTally; the scanners are backend-agnostic, so the backend changes operation
+counts but never the produced scores.
 """
 
 from .criteria import OpTally, SparseClassCounter
@@ -25,12 +28,8 @@ class DenseCounter:
     def __init__(self, size, tally):
         self._size = size
         self._slots = [0] * (size + 1)
-        self._nonzero = 0
         self.tally = tally
         tally.maintenance(size)
-
-    def __len__(self):
-        return self._nonzero
 
     def _check(self, key):
         if not 1 <= key <= self._size:
@@ -44,15 +43,10 @@ class DenseCounter:
     def add(self, key, delta=1):
         self.tally.element()
         self._check(key)
-        old = self._slots[key]
-        new = old + delta
+        new = self._slots[key] + delta
         if new < 0:
             raise ValueError("count for key %r would become negative" % (key,))
         self._slots[key] = new
-        if old == 0 and new != 0:
-            self._nonzero += 1
-        elif old != 0 and new == 0:
-            self._nonzero -= 1
         return new
 
     def items(self):
@@ -62,62 +56,6 @@ class DenseCounter:
     def clear(self):
         self.tally.maintenance(self._size)
         self._slots = [0] * (self._size + 1)
-        self._nonzero = 0
-
-
-class DensePairCounter:
-    """Dense (class, branch) table with classes 1..M and branches 1..T.
-
-    Structure-sized operations touch all M*T slots.
-    """
-
-    def __init__(self, class_count, branch_count, tally):
-        self._m = class_count
-        self._t = branch_count
-        self._slots = [0] * (class_count * branch_count)
-        self._nonzero = 0
-        self.tally = tally
-        tally.maintenance(class_count * branch_count)
-
-    def __len__(self):
-        return self._nonzero
-
-    def _index(self, key):
-        j, w = key
-        if not (1 <= j <= self._m and 1 <= w <= self._t):
-            raise KeyError("pair %r outside 1..%d x 1..%d" % (key, self._m, self._t))
-        return (j - 1) * self._t + (w - 1)
-
-    def get(self, key):
-        self.tally.element()
-        return self._slots[self._index(key)]
-
-    def add(self, key, delta=1):
-        self.tally.element()
-        i = self._index(key)
-        old = self._slots[i]
-        new = old + delta
-        if new < 0:
-            raise ValueError("count for pair %r would become negative" % (key,))
-        self._slots[i] = new
-        if old == 0 and new != 0:
-            self._nonzero += 1
-        elif old != 0 and new == 0:
-            self._nonzero -= 1
-        return new
-
-    def items(self):
-        self.tally.maintenance(self._m * self._t)
-        out = []
-        for i, v in enumerate(self._slots):
-            if v:
-                out.append(((i // self._t + 1, i % self._t + 1), v))
-        return out
-
-    def clear(self):
-        self.tally.maintenance(self._m * self._t)
-        self._slots = [0] * (self._m * self._t)
-        self._nonzero = 0
 
 
 class DenseBackend:
@@ -133,7 +71,7 @@ class DenseBackend:
         return DenseCounter(self.class_count, self.tally)
 
     def pair_counter(self, branch_count):
-        return DensePairCounter(self.class_count, branch_count, self.tally)
+        return DenseCounter(self.class_count * branch_count, self.tally)
 
 
 class TreeMapBackend:

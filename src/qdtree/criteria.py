@@ -7,6 +7,7 @@ branches contribute nothing.
 
 import math
 from dataclasses import dataclass, field
+from functools import total_ordering
 
 #: Partitions whose potential information falls at or below this bound are
 #: trivial (essentially every sample on one branch) and must never win the
@@ -146,6 +147,7 @@ def potential_information(sizes):
     return max(0.0, acc)
 
 
+@total_ordering
 @dataclass(frozen=True, eq=False)
 class SplitScore:
     """Gain, potential information and their ratio for one candidate test.
@@ -168,23 +170,10 @@ class SplitScore:
     def __lt__(self, other):
         return self.sort_key < other.sort_key
 
-    def __le__(self, other):
-        return self.sort_key <= other.sort_key
-
-    def __gt__(self, other):
-        return self.sort_key > other.sort_key
-
-    def __ge__(self, other):
-        return self.sort_key >= other.sort_key
-
     def __eq__(self, other):
         if not isinstance(other, SplitScore):
             return NotImplemented
         return self.sort_key == other.sort_key
-
-    def __ne__(self, other):
-        eq = self.__eq__(other)
-        return NotImplemented if eq is NotImplemented else not eq
 
     __hash__ = object.__hash__
 
@@ -237,7 +226,7 @@ class SparseClassCounter:
     iteration or clearing visits exactly s nodes, where s is the number of
     stored keys. Every node visit is recorded in the attached OpTally, which
     is what the complexity probes measure. Keys may be any mutually ordered
-    values (class indices, (class, branch) pairs).
+    values (class indices, flat class-branch slots).
     """
 
     def __init__(self, tally=None):

@@ -57,14 +57,6 @@ class AttributeSchema:
     def attribute_count(self):
         return len(self.attributes)
 
-    @property
-    def real_indices(self):
-        return tuple(j for j, a in enumerate(self.attributes) if a.kind == REAL)
-
-    @property
-    def discrete_indices(self):
-        return tuple(j for j, a in enumerate(self.attributes) if a.kind == DISCRETE)
-
     def is_real(self, attr):
         return self.attributes[attr].kind == REAL
 
@@ -150,14 +142,6 @@ class SubsetView:
 
     def values(self, attr):
         return self.base.column(attr)[self.indices]
-
-    def label_counts(self):
-        keys, counts = np.unique(self.labels(), return_counts=True)
-        return {int(k): int(c) for k, c in zip(keys, counts)}
-
-    def is_pure(self):
-        labels = self.labels()
-        return len(labels) > 0 and bool(np.all(labels == labels[0]))
 
 
 def partition(view, test):

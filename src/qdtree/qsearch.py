@@ -38,7 +38,6 @@ class SearchStats:
 
     oracle_queries: int = 0
     grover_iterations: int = 0
-    improvements: int = 0
     succeeded: bool = False
 
 
@@ -162,7 +161,6 @@ def durr_hoyer_max(oracle, rng):
         score = oracle.evaluate(measured)
         if best_score < score:
             best_index, best_score = measured, score
-            stats.improvements += 1
             m_max = 1.0
         else:
             m_max = min(m_max * GROWTH, m_cap)
@@ -194,7 +192,6 @@ def repeated_max(oracle, repeats, rng):
         index, stats = durr_hoyer_max(oracle, rng)
         total.oracle_queries += stats.oracle_queries
         total.grover_iterations += stats.grover_iterations
-        total.improvements += stats.improvements
         score = oracle.peek(index)
         if best_score is None or best_score < score:
             best_index, best_score = index, score

@@ -140,8 +140,8 @@ class DiscreteScanState:
     """Running tallies for the one-pass evaluation of a discrete attribute.
 
     Each pushed sample updates the branch-size array, the class counter and
-    the (class, branch) counter, replacing one c*log2(c) term in each of the
-    three entropy sums. The entropy-valued properties divide by the final
+    the class-branch counter (keyed by the flat slot (j - 1) * T + w),
+    replacing one c*log2(c) term in each of the three entropy sums. The entropy-valued properties divide by the final
     subset size, so they reach their definitions exactly when the last sample
     has been pushed (and track the partially filled table before that).
     """
@@ -173,7 +173,7 @@ class DiscreteScanState:
         )
 
     def push(self, class_index, value):
-        pair_count = self.pair_counts.add((class_index, value), 1)
+        pair_count = self.pair_counts.add((class_index - 1) * self.branch_count + value, 1)
         dpair = xlog2x(pair_count) - xlog2x(pair_count - 1)
         self.pair_entropy_sum += dpair
         self.branch_entropy_sums[value] += dpair

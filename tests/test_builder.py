@@ -282,6 +282,18 @@ def test_document_to_tree_rejects_garbage():
         document_to_tree({"root": {"kind": "real"}})
 
 
+def test_document_to_tree_rejects_branch_count_off_domain():
+    schema = AttributeSchema((Attribute("c1", DISCRETE, 2),), 2)
+    data = Dataset(schema, [[1, 1, 2, 2]], [1, 1, 2, 2], ("a", "b"))
+    doc = tree_to_document(train(data))
+    assert document_to_tree(doc).root.test.branch_count == 2
+    root = doc["root"]
+    root["branch_count"] = 3
+    root["children"].append(dict(root["children"][0]))
+    with pytest.raises(DataFormatError):
+        document_to_tree(doc)
+
+
 def test_serialized_model_is_byte_stable():
     data = xor_data()
     a = serialize_model(train(data, BuildConfig(max_height=2)))

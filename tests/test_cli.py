@@ -1,5 +1,6 @@
 """Command-line entry points: train, predict, bench, verify."""
 
+import json
 import subprocess
 import sys
 
@@ -129,6 +130,54 @@ def test_predict_rejects_out_of_domain_value(tmp_path, capsys):
     code = run(["predict", "--model", model, "--data", bad])
     assert code == 2
     assert "line 3" in capsys.readouterr().err
+
+
+def _attr_out_of_range(doc):
+    doc["root"]["attr"] = 7
+
+
+def _child_dropped(doc):
+    doc["root"]["children"].pop()
+
+
+def _leaf_class_out_of_range(doc):
+    doc["root"]["children"][0]["class"] = 9
+
+
+def _real_node_made_discrete(doc):
+    root = doc["root"]
+    del root["theta"]
+    root["branch_count"] = 5
+    root["children"] += [dict(root["children"][0]) for _ in range(3)]
+
+
+def _support_too_short(doc):
+    doc["root"]["support"].pop()
+
+
+@pytest.mark.parametrize(
+    "mutate",
+    [
+        _attr_out_of_range,
+        _child_dropped,
+        _leaf_class_out_of_range,
+        _real_node_made_discrete,
+        _support_too_short,
+    ],
+)
+def test_predict_rejects_malformed_model(tmp_path, capsys, mutate):
+    csv, sch = write_planted(tmp_path, n=60, d=3, depth=1, seed=2)
+    model = tmp_path / "m.json"
+    assert run(["train", "--data", csv, "--schema", sch, "--out", model]) == 0
+    doc = json.loads(model.read_text())
+    assert doc["root"]["kind"] == "internal" and "theta" in doc["root"]
+    mutate(doc)
+    model.write_text(json.dumps(doc))
+    capsys.readouterr()
+    assert run(["predict", "--model", model, "--data", csv]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ")
+    assert "Traceback" not in err
 
 
 def test_bench_emits_stable_table(tmp_path, capsys):

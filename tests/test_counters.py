@@ -9,7 +9,6 @@ from qdtree.counters import (
     TREEMAP,
     DenseBackend,
     DenseCounter,
-    DensePairCounter,
     TreeMapBackend,
     make_backend,
 )
@@ -55,31 +54,23 @@ def test_dense_counter_charges_size_for_sweeps():
     assert tally.maintenance_ops == 24
 
 
-def test_pair_counter_indexes_all_pairs_distinctly():
-    c = DensePairCounter(3, 4, OpTally())
-    for j in range(1, 4):
-        for w in range(1, 5):
-            c.add((j, w), j * 10 + w)
-    for j in range(1, 4):
-        for w in range(1, 5):
-            assert c.get((j, w)) == j * 10 + w
-    assert len(c.items()) == 12
-
-
 def test_pair_counter_charges_product_size():
     tally = OpTally()
-    c = DensePairCounter(3, 4, tally)
+    c = make_backend(BASELINE, 3, tally).pair_counter(4)
     assert tally.maintenance_ops == 12
     c.items()
     assert tally.maintenance_ops == 24
+    c.clear()
+    assert tally.maintenance_ops == 36
 
 
 def test_pair_counter_rejects_out_of_range():
-    c = DensePairCounter(2, 2, OpTally())
+    c = make_backend(BASELINE, 2).pair_counter(2)
+    c.add(4, 1)  # the last flat slot, (2 - 1) * 2 + 2
     with pytest.raises(KeyError):
-        c.get((3, 1))
+        c.get(5)
     with pytest.raises(KeyError):
-        c.add((1, 0), 1)
+        c.add(0, 1)
 
 
 def test_make_backend_names():
@@ -92,7 +83,7 @@ def test_make_backend_names():
 def test_backend_counter_types():
     dense = make_backend(BASELINE, 3)
     assert isinstance(dense.class_counter(), DenseCounter)
-    assert isinstance(dense.pair_counter(2), DensePairCounter)
+    assert isinstance(dense.pair_counter(2), DenseCounter)
     sparse = make_backend(TREEMAP, 3)
     assert isinstance(sparse.class_counter(), SparseClassCounter)
     assert isinstance(sparse.pair_counter(2), SparseClassCounter)
@@ -118,21 +109,24 @@ def test_backends_agree_on_random_histories():
 
 
 def test_pair_backends_agree_on_random_histories():
+    # both backends take the flat slot (j - 1) * T + w, which gives every
+    # (class, branch) pair of a 5 x 3 table its own key
     rng = random.Random("pair-hist")
     dense = make_backend(BASELINE, 5)
     sparse = make_backend(TREEMAP, 5)
     a, b = dense.pair_counter(3), sparse.pair_counter(3)
     seen = {}
     for _ in range(300):
-        key = (rng.randint(1, 5), rng.randint(1, 3))
+        pair = (rng.randint(1, 5), rng.randint(1, 3))
+        key = (pair[0] - 1) * 3 + pair[1]
         a.add(key, 1)
         b.add(key, 1)
-        seen[key] = seen.get(key, 0) + 1
-        assert a.get(key) == b.get(key) == seen[key]
-    # dense items are keyed by flat slot index, sparse by the key it was
-    # given; compare contents through get instead
-    for key, want in seen.items():
-        assert a.get(key) == want and b.get(key) == want
+        seen[pair] = seen.get(pair, 0) + 1
+        assert a.get(key) == b.get(key) == seen[pair]
+    assert len(seen) == 15
+    assert a.items() == b.items() == [
+        ((j - 1) * 3 + w, seen[j, w]) for j in range(1, 6) for w in range(1, 4)
+    ]
 
 
 def test_sparse_costs_independent_of_class_count():

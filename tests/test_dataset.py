@@ -97,9 +97,6 @@ def test_subset_view_basics():
     assert len(v) == 2
     assert list(v.labels()) == [2, 1]
     assert list(v.values(0)) == [2.5, 0.5]
-    assert v.label_counts() == {1: 1, 2: 1}
-    assert not v.is_pure()
-    assert SubsetView(data, [0, 1]).is_pure()
 
 
 def test_subset_view_rejects_bad_indices():

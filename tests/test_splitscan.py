@@ -307,3 +307,19 @@ def test_fresh_state_charges_structure_setup():
     spent = tally.maintenance_ops - before
     assert spent >= 2 * 3  # size table + pair table at least
     state.release()
+
+
+@pytest.mark.parametrize(
+    "name, element_ops, maintenance_ops",
+    [(BASELINE, 36, 38), (TREEMAP, 162, 23)],
+)
+def test_discrete_scan_tallies_are_pinned(name, element_ops, maintenance_ops):
+    # 3 classes over a 4-way attribute: baseline maintenance is the 2*T
+    # branch arrays plus allocating and clearing M and M*T dense slots
+    values = [1, 3, 2, 4, 1, 2, 3, 3, 4, 1, 2, 4, 3, 1, 2, 2, 4, 3]
+    labels = [1, 2, 3, 1, 3, 2, 1, 3, 2, 2, 1, 3, 3, 1, 2, 3, 1, 2]
+    data = disc_data(values, labels, 4)
+    tally = OpTally()
+    score, _ = process_discrete_attribute(data.full_view(), 0, make_backend(name, 3, tally))
+    assert (tally.element_ops, tally.maintenance_ops) == (element_ops, maintenance_ops)
+    assert score.ratio == 0.036553212231202885
