@@ -5,6 +5,7 @@ search with faithful success-probability and query accounting.
 """
 
 from .builder import (
+    QUANTUM,
     BuildConfig,
     BuildStats,
     DecisionTree,
@@ -52,7 +53,6 @@ from .qsearch import (
     repeated_max,
 )
 from .splitscan import SplitTest, process_attribute
-from .builder import QUANTUM
 
 __version__ = "0.1.0"
 

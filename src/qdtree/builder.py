@@ -1,12 +1,14 @@
-"""Classical decision-tree construction.
+"""Decision-tree construction.
 
-Trees are grown depth-first by recursive partitioning: each node scores
-every attribute with the split scanners, takes the gain-ratio argmax, and
-recurses into the partition. Two interchangeable counter backends (dense
-arrays, sparse ordered maps) feed the scanners; they produce byte-identical
-trees and differ only in their operation tallies.
+`form_tree` is the one growth loop: depth-first recursive partitioning that
+asks a split chooser for each node's test. The classical chooser here scores
+every attribute with the split scanners and takes the gain-ratio argmax; the
+quantum builder passes a chooser that searches instead. Two interchangeable
+counter backends (dense arrays, sparse ordered maps) feed the scanners; they
+produce byte-identical trees and differ only in their operation tallies.
 """
 
+import math
 from dataclasses import dataclass, field
 
 from . import jsonio
@@ -93,7 +95,6 @@ class DecisionTree:
     root: object
     schema: AttributeSchema
     class_labels: tuple
-    height_limit: int
     stats: BuildStats
 
 
@@ -119,33 +120,33 @@ def choose_split(view, backend, stats=None):
     return best
 
 
-def form_tree(view, level, config, backend, stats):
-    """Recursive growth: leaf on purity, height, or exhausted candidates."""
+def form_tree(view, level, config, stats, choose):
+    """Recursive growth: leaf on purity, height, size, or no split found.
+
+    choose(view) returns the node's SplitTest or None. A branch no training
+    sample takes becomes a leaf labeled with the parent majority; its
+    recorded support is the parent distribution the label came from.
+    """
     hist = ClassHistogram.from_labels(view.labels())
+    test = None
     if (
-        len(hist.counts) == 1
-        or level >= config.max_height
-        or len(view) < config.min_split
+        len(hist.counts) > 1
+        and level < config.max_height
+        and len(view) >= config.min_split
     ):
+        stats.tally.level = level
+        test = choose(view)
+    if test is None:
         stats.leaves += 1
         return Leaf(hist.majority(), hist)
-    backend.tally.level = level
-    choice = choose_split(view, backend, stats)
-    if choice is None:
-        stats.leaves += 1
-        return Leaf(hist.majority(), hist)
-    attr, test, score = choice
     stats.internal_nodes += 1
     children = []
     for part in partition(view, test):
         if len(part) == 0:
-            # a branch no training sample takes: label it with the parent
-            # majority; the recorded support is the parent distribution the
-            # label came from
             stats.leaves += 1
             children.append(Leaf(hist.majority(), hist))
         else:
-            children.append(form_tree(part, level + 1, config, backend, stats))
+            children.append(form_tree(part, level + 1, config, stats, choose))
     return Internal(test, children, hist)
 
 
@@ -160,8 +161,13 @@ def train(data, config=None):
         raise ValueError("use the quantum builder for quantum-searched trees")
     stats = BuildStats()
     backend = make_backend(config.backend, data.schema.class_count, stats.tally)
-    root = form_tree(data.full_view(), 0, config, backend, stats)
-    return DecisionTree(root, data.schema, data.class_labels, config.max_height, stats)
+
+    def choose(view):
+        choice = choose_split(view, backend, stats)
+        return None if choice is None else choice[1]
+
+    root = form_tree(data.full_view(), 0, config, stats, choose)
+    return DecisionTree(root, data.schema, data.class_labels, stats)
 
 
 def classify(tree, x):
@@ -277,7 +283,10 @@ def _node_from_document(doc, schema):
             % (attr, schema.attributes[attr].kind)
         )
     if "theta" in doc:
-        test = SplitTest(attr, REAL, theta=float(doc["theta"]))
+        theta = float(doc["theta"])
+        if not math.isfinite(theta):
+            raise DataFormatError("node threshold %r is not finite" % (theta,))
+        test = SplitTest(attr, REAL, theta=theta)
         arity = 2
     else:
         arity = int(doc["branch_count"])
@@ -297,20 +306,29 @@ def _node_from_document(doc, schema):
 
 
 def document_to_tree(doc):
-    attrs = []
-    for entry in doc["schema"]["attributes"]:
-        attrs.append(
+    """Rebuilds a tree from its plain-data form.
+
+    A document that is not a model over its own schema raises
+    DataFormatError, also when a field is missing or of the wrong JSON type;
+    a field that does not parse as a number raises ValueError.
+    """
+    try:
+        attrs = [
             Attribute(entry["name"], entry["kind"], entry.get("domain_size"))
-        )
-    schema = AttributeSchema(tuple(attrs), int(doc["schema"]["class_count"]))
-    root = _node_from_document(doc["root"], schema)
-    return DecisionTree(
-        root=root,
-        schema=schema,
-        class_labels=tuple(doc["class_label_mapping"]),
-        height_limit=tree_height(root),
-        stats=BuildStats(),
-    )
+            for entry in doc["schema"]["attributes"]
+        ]
+        schema = AttributeSchema(tuple(attrs), int(doc["schema"]["class_count"]))
+        class_labels = tuple(doc["class_label_mapping"])
+        if len(class_labels) != schema.class_count:
+            raise DataFormatError(
+                "%d class labels for %d classes" % (len(class_labels), schema.class_count)
+            )
+        root = _node_from_document(doc["root"], schema)
+    except (AttributeError, KeyError, TypeError) as exc:
+        raise DataFormatError(
+            "malformed model document (%s: %s)" % (type(exc).__name__, exc)
+        ) from None
+    return DecisionTree(root, schema, class_labels, BuildStats())
 
 
 def serialize_model(tree):

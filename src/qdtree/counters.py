@@ -61,8 +61,6 @@ class DenseCounter:
 class DenseBackend:
     """Counter factory paying structure costs proportional to the class count."""
 
-    name = BASELINE
-
     def __init__(self, class_count, tally=None):
         self.class_count = class_count
         self.tally = tally if tally is not None else OpTally()
@@ -76,8 +74,6 @@ class DenseBackend:
 
 class TreeMapBackend:
     """Counter factory whose structure costs follow the stored keys only."""
-
-    name = TREEMAP
 
     def __init__(self, tally=None):
         self.tally = tally if tally is not None else OpTally()

@@ -1,10 +1,11 @@
 """Tree growth with quantum-searched split selection.
 
-Control flow is the classical builder's; the only change is that each node's
-attribute argmax runs through repeated simulated quantum maximum finding
-instead of a full sweep. When the search returns a suboptimal attribute the
-build keeps it and proceeds: the per-node report records the divergence, and
-the whole-tree success claim is about exactly this behavior.
+Growth is `builder.form_tree`; this module supplies the search chooser and
+the per-node report. Each node's attribute argmax runs through repeated
+simulated quantum maximum finding instead of a full sweep. When the search
+returns a suboptimal attribute the build keeps it and proceeds: the per-node
+report records the divergence, and the whole-tree success claim is about
+exactly this behavior.
 
 One oracle query = one scoring pass over (view, attribute), so per-node
 query counts are comparable to the classical builder's d evaluations. The
@@ -17,10 +18,9 @@ import random
 from dataclasses import dataclass, field
 
 from . import jsonio
-from .builder import QUANTUM, BuildStats, DecisionTree, Internal, Leaf
+from .builder import QUANTUM, BuildStats, DecisionTree, form_tree
 from .counters import TREEMAP, make_backend
-from .criteria import ClassHistogram, INVALID_SPLIT
-from .dataset import partition
+from .criteria import INVALID_SPLIT
 from .qsearch import ScoringOracle, default_repeats, repeated_max
 from .splitscan import process_attribute
 
@@ -65,7 +65,6 @@ class QBuildReport:
 class _QChoice:
     attr: int | None
     test: object
-    score: object
     oracle_queries: int
     repeats: int
     true_best_attr: int | None
@@ -120,7 +119,6 @@ def q_choose_split(view, backend, rng, repeats=None, stats=None, verify=False):
     return _QChoice(
         attr=winner,
         test=tests.get(winner),
-        score=score,
         oracle_queries=sstats.oracle_queries,
         repeats=reps,
         true_best_attr=true_best,
@@ -128,44 +126,32 @@ def q_choose_split(view, backend, rng, repeats=None, stats=None, verify=False):
     )
 
 
-def q_form_tree(view, level, config, backend, rng, stats, report, repeats):
-    hist = ClassHistogram.from_labels(view.labels())
-    if (
-        len(hist.counts) == 1
-        or level >= config.max_height
-        or len(view) < config.min_split
-    ):
-        stats.leaves += 1
-        return Leaf(hist.majority(), hist)
-    backend.tally.level = level
-    choice = q_choose_split(view, backend, rng, repeats, stats, config.verify)
-    report.total_oracle_queries += choice.oracle_queries
-    report.per_node.append(
-        NodeRecord(
-            node_id=len(report.per_node),
-            chosen_attr=choice.attr,
-            true_best_attr=choice.true_best_attr,
-            oracle_queries=choice.oracle_queries,
-            repeats=choice.repeats,
-            correct=choice.correct,
-        )
-    )
-    if choice.attr is None:
-        stats.leaves += 1
-        return Leaf(hist.majority(), hist)
-    stats.internal_nodes += 1
-    if choice.correct:
-        report.nodes_correct += 1
-    children = []
-    for part in partition(view, choice.test):
-        if len(part) == 0:
-            stats.leaves += 1
-            children.append(Leaf(hist.majority(), hist))
-        else:
-            children.append(
-                q_form_tree(part, level + 1, config, backend, rng, stats, report, repeats)
+def q_form_tree(view, config, backend, rng, stats, report, repeats):
+    """Grows the tree under view with q_choose_split as the chooser.
+
+    Every search attempt, including one that ends in no-split, gets a
+    per_node row; nodes_correct counts only the verified-correct attempts
+    that realized an internal node.
+    """
+
+    def choose(node_view):
+        choice = q_choose_split(node_view, backend, rng, repeats, stats, config.verify)
+        report.total_oracle_queries += choice.oracle_queries
+        report.per_node.append(
+            NodeRecord(
+                node_id=len(report.per_node),
+                chosen_attr=choice.attr,
+                true_best_attr=choice.true_best_attr,
+                oracle_queries=choice.oracle_queries,
+                repeats=choice.repeats,
+                correct=choice.correct,
             )
-    return Internal(choice.test, children, hist)
+        )
+        if choice.attr is not None and choice.correct:
+            report.nodes_correct += 1
+        return choice.test
+
+    return form_tree(view, 0, config, stats, choose)
 
 
 def q_train(data, config, rng=None):
@@ -189,12 +175,8 @@ def q_train(data, config, rng=None):
         if config.repeats is not None
         else default_repeats(data.schema.attribute_count)
     )
-    root = q_form_tree(
-        data.full_view(), 0, config, backend, rng, stats, report, repeats
-    )
-    report.tree = DecisionTree(
-        root, data.schema, data.class_labels, config.max_height, stats
-    )
+    root = q_form_tree(data.full_view(), config, backend, rng, stats, report, repeats)
+    report.tree = DecisionTree(root, data.schema, data.class_labels, stats)
     return report
 
 

@@ -156,7 +156,6 @@ class DiscreteScanState:
     class_entropy_sum: float = 0.0
     pair_entropy_sum: float = 0.0
     nonzero_branches: int = 0
-    pushed: int = 0
 
     @classmethod
     def fresh(cls, backend, subset_size, branch_count):
@@ -186,7 +185,6 @@ class DiscreteScanState:
         if nw == 1:
             self.nonzero_branches += 1
         self.size_entropy_sum += xlog2x(nw) - xlog2x(nw - 1)
-        self.pushed += 1
 
     @property
     def parent_information(self):
@@ -197,12 +195,6 @@ class DiscreteScanState:
     def potential(self):
         z = self.subset_size
         return max(0.0, math.log2(z) - self.size_entropy_sum / z)
-
-    def branch_information(self, value):
-        nw = self.branch_sizes[value]
-        if nw == 0:
-            return 0.0
-        return max(0.0, math.log2(nw) - self.branch_entropy_sums[value] / nw)
 
     @property
     def branch_info_sum(self):

@@ -367,37 +367,34 @@ def whole_tree_match(builds=1000, d=16, n=64, depth=2, seed=0, slack=0.05):
     }
 
 
-#: CLI suite groups. Values are (function, kwargs-overridable names).
+#: CLI suite groups. Each suite comes with the parameter that each CLI size
+#: flag (instances, trials, builds, d) sets on it; flags it lacks leave it be.
 SUITES = {
-    "oracle": (oracle_equivalence, prefix_consistency, incremental_discrete),
-    "backend": (backend_identity, counter_scaling),
-    "quantum": (search_success, repetition_success, query_scaling, whole_tree_match),
+    "oracle": (
+        (oracle_equivalence, {"instances": "instances"}),
+        (prefix_consistency, {"instances": "subsets"}),
+        (incremental_discrete, {"instances": "instances"}),
+    ),
+    "backend": (
+        (backend_identity, {"instances": "datasets"}),
+        (counter_scaling, {}),
+    ),
+    "quantum": (
+        (search_success, {"trials": "trials"}),
+        (repetition_success, {"trials": "trials", "d": "d"}),
+        (query_scaling, {"trials": "trials"}),
+        (whole_tree_match, {"builds": "builds", "d": "d"}),
+    ),
 }
 
 
 def run_suite(group, seed=0, instances=None, trials=None, builds=None, d=None):
     """Runs one named suite group with optional size overrides."""
+    sizes = {"instances": instances, "trials": trials, "builds": builds, "d": d}
     results = []
-    for fn in SUITES[group]:
-        kwargs = {"seed": seed}
-        if instances is not None and fn in (
-            oracle_equivalence,
-            incremental_discrete,
-        ):
-            kwargs["instances"] = instances
-        if instances is not None and fn is prefix_consistency:
-            kwargs["subsets"] = instances
-        if instances is not None and fn is backend_identity:
-            kwargs["datasets"] = instances
-        if trials is not None and fn in (
-            search_success,
-            repetition_success,
-            query_scaling,
-        ):
-            kwargs["trials"] = trials
-        if builds is not None and fn is whole_tree_match:
-            kwargs["builds"] = builds
-        if d is not None and fn in (repetition_success, whole_tree_match):
-            kwargs["d"] = d
-        results.append(fn(**kwargs))
+    for fn, params in SUITES[group]:
+        kwargs = {
+            param: sizes[flag] for flag, param in params.items() if sizes[flag] is not None
+        }
+        results.append(fn(seed=seed, **kwargs))
     return results

@@ -155,6 +155,34 @@ def _support_too_short(doc):
     doc["root"]["support"].pop()
 
 
+def _support_not_a_list(doc):
+    doc["root"]["support"] = 5
+
+
+def _children_a_string(doc):
+    doc["root"]["children"] = "ab"
+
+
+def _child_not_an_object(doc):
+    doc["root"]["children"][1] = 7
+
+
+def _root_a_list(doc):
+    doc["root"] = []
+
+
+def _attributes_not_a_list(doc):
+    doc["schema"] = {"attributes": 3}
+
+
+def _theta_not_finite(doc):
+    doc["root"]["theta"] = float("nan")
+
+
+def _class_label_missing(doc):
+    doc["class_label_mapping"].pop()
+
+
 @pytest.mark.parametrize(
     "mutate",
     [
@@ -163,6 +191,13 @@ def _support_too_short(doc):
         _leaf_class_out_of_range,
         _real_node_made_discrete,
         _support_too_short,
+        _support_not_a_list,
+        _children_a_string,
+        _child_not_an_object,
+        _root_a_list,
+        _attributes_not_a_list,
+        _theta_not_finite,
+        _class_label_missing,
     ],
 )
 def test_predict_rejects_malformed_model(tmp_path, capsys, mutate):

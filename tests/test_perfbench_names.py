@@ -10,6 +10,10 @@ import importlib
 import importlib.util
 from pathlib import Path
 
+from qdtree.builder import BuildConfig, train
+from qdtree.qbuilder import q_train
+from qdtree.synth import random_dataset, random_schema
+
 TRACER = Path(__file__).resolve().parents[1] / "perfbench" / "tracer.py"
 
 
@@ -33,3 +37,23 @@ def test_traced_and_captured_functions_resolve():
     for mod_name, fn_name in names:
         module = importlib.import_module("qdtree." + mod_name)
         assert callable(getattr(module, fn_name, None)), "qdtree.%s.%s" % (mod_name, fn_name)
+
+
+def test_one_traced_growth_node_per_split_attempt():
+    # builder.node_ms_* are read from growth spans that have a chooser child;
+    # every split attempt scores all d attributes, so a grower that stops
+    # giving each node its own growth span shows up as a count mismatch
+    tracer = load_tracer()
+    d = 4
+    data = random_dataset(
+        random_schema(d, 3, "trace-nodes", kinds="discrete", max_domain=4), 60, "trace-nodes"
+    )
+    builds = (
+        lambda: train(data, BuildConfig(backend="baseline")).stats,
+        lambda: q_train(data, BuildConfig(backend="quantum", seed=0)).tree.stats,
+    )
+    for build in builds:
+        with tracer.Tracer(spans=True) as traced:
+            stats = build()
+        assert stats.evaluations % d == 0
+        assert len(tracer.node_times(traced.recorder)) == stats.evaluations // d > 1

@@ -19,7 +19,7 @@ from qdtree.qbuilder import (
     serialize_report,
 )
 from qdtree.qsearch import query_budget
-from qdtree.synth import planted_dataset
+from qdtree.synth import planted_dataset, random_dataset, random_schema
 
 
 def qconfig(**kw):
@@ -73,12 +73,38 @@ def test_report_invariants_on_planted_data():
         assert row.oracle_queries <= cap
 
 
+def _has_empty_branch(node):
+    """True when some internal node has a branch no training row takes.
+
+    Such a branch's leaf carries the parent's support, so the children's
+    totals add up to more than the parent's.
+    """
+    if isinstance(node, Leaf):
+        return False
+    if sum(child.support.total for child in node.children) > node.support.total:
+        return True
+    return any(_has_empty_branch(child) for child in node.children)
+
+
 def test_fully_correct_run_reproduces_classical_tree():
-    data = planted_dataset(64, 16, 2, seed=0)
-    classical = train(data, BuildConfig(max_height=4, backend=TREEMAP))
-    report = q_train(data, qconfig(seed=7, verify=True))
-    assert all(r.correct for r in report.per_node)
-    assert serialize_model(report.tree) == serialize_model(classical)
+    discrete = random_dataset(
+        random_schema(5, 3, "q-empty", kinds="discrete", max_domain=4), 40, "q-empty"
+    )
+    for data in (planted_dataset(64, 16, 2, seed=0), discrete):
+        classical = train(data, BuildConfig(max_height=4, backend=TREEMAP))
+        # a correct search may return any member of a tied argmax set, while
+        # the classical sweep keeps the lowest index; walk the seeds until
+        # every search returned exactly the classical attribute
+        for seed in range(64):
+            report = q_train(data, qconfig(seed=seed, verify=True))
+            if all(r.chosen_attr == r.true_best_attr for r in report.per_node):
+                break
+        else:
+            pytest.fail("no seed reproduced every classical choice")
+        assert all(r.correct for r in report.per_node)
+        assert serialize_model(report.tree) == serialize_model(classical)
+        assert report.tree.stats == classical.stats
+    assert _has_empty_branch(classical.root)
 
 
 def test_qtrain_is_deterministic_per_seed():
