@@ -48,17 +48,23 @@ class NodeRecord:
 class QBuildReport:
     """Per-attempt search log for one quantum build.
 
-    Every query the build spends appears in exactly one per_node row, so
-    total_oracle_queries equals the row sum. nodes_correct counts only
+    Every query the build spends appears in exactly one per_node row, and
+    both totals are derived from those rows. nodes_correct counts only
     verified-correct rows that realized an internal node, which keeps it
     bounded by the internal node count.
     """
 
     tree: DecisionTree = None
     per_node: list = field(default_factory=list)
-    total_oracle_queries: int = 0
-    nodes_correct: int = 0
     verified: bool = False
+
+    @property
+    def total_oracle_queries(self):
+        return sum(r.oracle_queries for r in self.per_node)
+
+    @property
+    def nodes_correct(self):
+        return sum(1 for r in self.per_node if r.chosen_attr is not None and r.correct)
 
 
 @dataclass
@@ -130,13 +136,11 @@ def q_form_tree(view, config, backend, rng, stats, report, repeats):
     """Grows the tree under view with q_choose_split as the chooser.
 
     Every search attempt, including one that ends in no-split, gets a
-    per_node row; nodes_correct counts only the verified-correct attempts
-    that realized an internal node.
+    per_node row.
     """
 
     def choose(node_view):
         choice = q_choose_split(node_view, backend, rng, repeats, stats, config.verify)
-        report.total_oracle_queries += choice.oracle_queries
         report.per_node.append(
             NodeRecord(
                 node_id=len(report.per_node),
@@ -147,8 +151,6 @@ def q_form_tree(view, config, backend, rng, stats, report, repeats):
                 correct=choice.correct,
             )
         )
-        if choice.attr is not None and choice.correct:
-            report.nodes_correct += 1
         return choice.test
 
     return form_tree(view, 0, config, stats, choose)

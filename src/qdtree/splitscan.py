@@ -2,12 +2,16 @@
 
 Real attributes are scanned in sorted order with prefix and suffix entropy
 tables; discrete attributes are evaluated in one incremental pass. Both
-scanners keep running class counters plus unnormalized entropy sums (the sum
-of c * log2(c) over stored keys), so each sample replaces exactly one term
-per sum, and entropies are assembled on demand as log2(n) - H/n. Counter
-structures come from a pluggable backend, which changes operation tallies
-but never the arithmetic: the stream of floating-point operations is
-identical for every backend.
+scanners keep running counters plus unnormalized entropy sums H (the sum of
+c * log2(c) over stored counts), so each sample replaces exactly one term
+per sum, and an entropy over n samples is log2(n) - H/n. The discrete pass
+keeps three such sums over the z samples: one over class counts, one over
+branch sizes N_w and one over class-branch pair counts. The first gives the
+parent entropy, the second the split potential, and their weighted branch
+entropy sum_w (N_w/z) * I_w is (H_sizes - H_pairs) / z. Counter structures
+come from a pluggable backend, which changes operation tallies but never the
+arithmetic: the stream of floating-point operations is identical for every
+backend.
 """
 
 import math
@@ -46,56 +50,40 @@ class SplitTest:
 class RealScanState:
     """Sorted view of one real attribute plus prefix/suffix entropy tables.
 
-    prefix_info[u] is the class entropy of the first u sorted samples and
-    suffix_info[u] the entropy of samples u..z (both 1-based), so
-    prefix_info[z] and suffix_info[1] describe the whole subset. class_totals
-    ends up holding the class counts of the entire subset.
+    labels is the class column in the stable sort order of values. With z
+    samples, prefix_info[u] is the class entropy of the first u sorted
+    samples and suffix_info[u] the entropy of samples u..z (both 1-based), so
+    prefix_info[z] and suffix_info[1] describe the whole subset.
     """
 
-    order: np.ndarray
     values: np.ndarray
-    labels: np.ndarray
+    labels: list
     prefix_info: list
     suffix_info: list
-    class_totals: object
-    z: int
+
+
+def _information_table(labels, counter):
+    """info[u] is the class entropy of labels[:u]; clears the counter."""
+    info = [0.0] * (len(labels) + 1)
+    h = 0.0
+    for u, y in enumerate(labels, 1):
+        c = counter.add(y, 1)
+        h += xlog2x(c) - xlog2x(c - 1)
+        info[u] = max(0.0, math.log2(u) - h / u)
+    counter.clear()
+    return info
 
 
 def build_real_scan(view, attr, backend):
     """Sorts the view by one real attribute and fills the entropy tables."""
     values = view.values(attr)
-    labels = view.labels()
     order = np.argsort(values, kind="stable")
-    sorted_values = values[order]
-    sorted_labels = labels[order].tolist()
-    z = int(len(order))
-
-    prefix = backend.class_counter()
-    prefix_info = [0.0] * (z + 1)
-    h = 0.0
-    for u in range(1, z + 1):
-        c = prefix.add(int(sorted_labels[u - 1]), 1)
-        h += xlog2x(c) - xlog2x(c - 1)
-        prefix_info[u] = max(0.0, math.log2(u) - h / u)
-
-    suffix = backend.class_counter()
-    suffix_info = [0.0] * (z + 2)
-    h = 0.0
-    for u in range(z, 0, -1):
-        c = suffix.add(int(sorted_labels[u - 1]), 1)
-        h += xlog2x(c) - xlog2x(c - 1)
-        m = z - u + 1
-        suffix_info[u] = max(0.0, math.log2(m) - h / m)
-    suffix.clear()
-
+    labels = view.labels()[order].tolist()
     return RealScanState(
-        order=np.asarray(view.indices)[order],
-        values=sorted_values,
-        labels=np.asarray(sorted_labels),
-        prefix_info=prefix_info,
-        suffix_info=suffix_info,
-        class_totals=prefix,
-        z=z,
+        values=values[order],
+        labels=labels,
+        prefix_info=_information_table(labels, backend.class_counter()),
+        suffix_info=[0.0] + _information_table(labels[::-1], backend.class_counter())[::-1],
     )
 
 
@@ -106,9 +94,9 @@ def real_split_candidates(view, attr, backend):
     ascending threshold order. Returns a list of (theta, SplitScore).
     """
     state = build_real_scan(view, attr, backend)
-    z = state.z
-    full_info = state.prefix_info[z]
     values = state.values
+    z = len(values)
+    full_info = state.prefix_info[z]
     out = []
     for u in range(1, z):
         if values[u - 1] == values[u]:
@@ -119,7 +107,6 @@ def real_split_candidates(view, attr, backend):
         p = -(left * math.log2(left) + right * math.log2(right))
         theta = float((values[u - 1] + values[u]) / 2.0)
         out.append((theta, gain_ratio(g, p)))
-    state.class_totals.clear()
     return out
 
 
@@ -135,96 +122,39 @@ def scan_real_attribute(view, attr, backend):
     return best[0], SplitTest(attr, REAL, theta=best[1])
 
 
-@dataclass
-class DiscreteScanState:
-    """Running tallies for the one-pass evaluation of a discrete attribute.
-
-    Each pushed sample updates the branch-size array, the class counter and
-    the class-branch counter (keyed by the flat slot (j - 1) * T + w),
-    replacing one c*log2(c) term in each of the three entropy sums. The entropy-valued properties divide by the final
-    subset size, so they reach their definitions exactly when the last sample
-    has been pushed (and track the partially filled table before that).
-    """
-
-    subset_size: int
-    branch_count: int
-    class_counts: object
-    pair_counts: object
-    branch_sizes: list
-    branch_entropy_sums: list
-    size_entropy_sum: float = 0.0
-    class_entropy_sum: float = 0.0
-    pair_entropy_sum: float = 0.0
-    nonzero_branches: int = 0
-
-    @classmethod
-    def fresh(cls, backend, subset_size, branch_count):
-        # the two branch-indexed arrays below are plain dense arrays in every
-        # backend; their structure cost scales with the domain size only
-        backend.tally.maintenance(2 * branch_count)
-        return cls(
-            subset_size=subset_size,
-            branch_count=branch_count,
-            class_counts=backend.class_counter(),
-            pair_counts=backend.pair_counter(branch_count),
-            branch_sizes=[0] * (branch_count + 1),
-            branch_entropy_sums=[0.0] * (branch_count + 1),
-        )
-
-    def push(self, class_index, value):
-        pair_count = self.pair_counts.add((class_index - 1) * self.branch_count + value, 1)
-        dpair = xlog2x(pair_count) - xlog2x(pair_count - 1)
-        self.pair_entropy_sum += dpair
-        self.branch_entropy_sums[value] += dpair
-
-        class_count = self.class_counts.add(class_index, 1)
-        self.class_entropy_sum += xlog2x(class_count) - xlog2x(class_count - 1)
-
-        nw = self.branch_sizes[value] + 1
-        self.branch_sizes[value] = nw
-        if nw == 1:
-            self.nonzero_branches += 1
-        self.size_entropy_sum += xlog2x(nw) - xlog2x(nw - 1)
-
-    @property
-    def parent_information(self):
-        z = self.subset_size
-        return max(0.0, math.log2(z) - self.class_entropy_sum / z)
-
-    @property
-    def potential(self):
-        z = self.subset_size
-        return max(0.0, math.log2(z) - self.size_entropy_sum / z)
-
-    @property
-    def branch_info_sum(self):
-        """Size-weighted sum of branch entropies, sum_w (N_w/z) * I_w."""
-        return (self.size_entropy_sum - self.pair_entropy_sum) / self.subset_size
-
-    def final_score(self):
-        g = self.parent_information - self.branch_info_sum
-        return gain_ratio(g, self.potential)
-
-    def release(self):
-        self.class_counts.clear()
-        self.pair_counts.clear()
-
-
 def process_discrete_attribute(view, attr, backend):
     """One-pass multiway evaluation of a discrete attribute, or None when
     every sample carries the same value (a trivial partition)."""
-    branch_count = view.base.schema.domain_size(attr)
+    t = view.base.schema.domain_size(attr)
     values = view.values(attr).tolist()
     labels = view.labels().tolist()
-    state = DiscreteScanState.fresh(backend, len(values), branch_count)
+    z = len(values)
+    # the branch-size array is a plain dense array on every backend: its
+    # allocation and release cost T slots each, as a DenseCounter's would
+    backend.tally.maintenance(2 * t)
+    class_counts = backend.class_counter()
+    pair_counts = backend.pair_counter(t)
+    sizes = [0] * (t + 1)
+    size_h = class_h = pair_h = 0.0
+    branches = 0
     for v, y in zip(values, labels):
-        state.push(int(y), int(v))
-    if state.nonzero_branches <= 1:
-        state.release()
+        c = pair_counts.add((y - 1) * t + v, 1)
+        pair_h += xlog2x(c) - xlog2x(c - 1)
+        c = class_counts.add(y, 1)
+        class_h += xlog2x(c) - xlog2x(c - 1)
+        nw = sizes[v] + 1
+        sizes[v] = nw
+        if nw == 1:
+            branches += 1
+        size_h += xlog2x(nw) - xlog2x(nw - 1)
+    class_counts.clear()
+    pair_counts.clear()
+    if branches <= 1:
         return None
-    score = state.final_score()
-    state.release()
-    return score, SplitTest(attr, DISCRETE, branch_count=branch_count)
+    parent = max(0.0, math.log2(z) - class_h / z)
+    potential = max(0.0, math.log2(z) - size_h / z)
+    score = gain_ratio(parent - (size_h - pair_h) / z, potential)
+    return score, SplitTest(attr, DISCRETE, branch_count=t)
 
 
 def process_attribute(view, attr, backend):

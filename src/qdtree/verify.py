@@ -7,7 +7,6 @@ match the package's advertised guarantees. All suites are deterministic for
 a fixed seed.
 """
 
-import math
 import random
 
 import numpy as np
@@ -38,6 +37,15 @@ def _random_view(data, rng):
     return data.full_view()
 
 
+def _score_delta(score, ref):
+    """Largest absolute difference over (gain, potential, ratio)."""
+    return max(
+        abs(score.gain - ref.gain),
+        abs(score.potential - ref.potential),
+        abs(score.ratio - ref.ratio),
+    )
+
+
 def oracle_equivalence(instances=200, seed=0):
     """Every candidate's (G, P, ratio) against the reference, plus argmax."""
     rng = random.Random("oracle-suite-%s" % (seed,))
@@ -62,12 +70,7 @@ def oracle_equivalence(instances=200, seed=0):
                     assert theta == cand.theta, "threshold mismatch"
                     assert score.valid == cand.valid, "validity mismatch"
                     if score.valid:
-                        delta = max(
-                            abs(score.gain - cand.gain),
-                            abs(score.potential - cand.potential),
-                            abs(score.ratio - cand.ratio),
-                        )
-                        max_delta = max(max_delta, delta)
+                        max_delta = max(max_delta, _score_delta(score, cand))
                     candidates += 1
             else:
                 got = process_discrete_attribute(view, attr, backend)
@@ -79,12 +82,7 @@ def oracle_equivalence(instances=200, seed=0):
                 cand = expected[0]
                 assert score.valid == cand.valid
                 if score.valid:
-                    delta = max(
-                        abs(score.gain - cand.gain),
-                        abs(score.potential - cand.potential),
-                        abs(score.ratio - cand.ratio),
-                    )
-                    max_delta = max(max_delta, delta)
+                    max_delta = max(max_delta, _score_delta(score, cand))
                 candidates += 1
         best = reference.brute_force_best_split(view).best
         chosen = choose_split(view, backend)
@@ -125,15 +123,13 @@ def prefix_consistency(subsets=100, seed=0):
         attr = rng.randrange(3)
         backend = make_backend(TREEMAP, m, OpTally())
         state = build_real_scan(view, attr, backend)
-        labels = state.labels.tolist()
-        z = state.z
-        for u in range(1, z + 1):
+        labels = state.labels
+        for u in range(1, len(labels) + 1):
             delta = abs(state.prefix_info[u] - reference.label_entropy(labels[:u]))
             max_delta = max(max_delta, delta)
             delta = abs(state.suffix_info[u] - reference.label_entropy(labels[u - 1:]))
             max_delta = max(max_delta, delta)
             points += 2
-        state.class_totals.clear()
     passed = max_delta <= SCORE_TOL
     return {
         "name": "prefix-consistency",
@@ -177,12 +173,7 @@ def incremental_discrete(instances=200, seed=0):
         score = got[0]
         assert score.valid == batch.valid
         if score.valid:
-            delta = max(
-                abs(score.gain - batch.gain),
-                abs(score.potential - batch.potential),
-                abs(score.ratio - batch.ratio),
-            )
-            max_delta = max(max_delta, delta)
+            max_delta = max(max_delta, _score_delta(score, batch))
         scored += 1
     passed = max_delta <= SCORE_TOL
     return {
@@ -344,7 +335,7 @@ def whole_tree_match(builds=1000, d=16, n=64, depth=2, seed=0, slack=0.05):
     k = classical.stats.internal_nodes
     bound = (1.0 - 1.0 / d) ** k - slack
     config = BuildConfig(max_height=2 * depth, backend=QUANTUM, seed=0, verify=False)
-    per_node_cap = query_budget(d) * max(1, math.ceil(math.log2(d)))
+    per_node_cap = query_budget(d) * default_repeats(d)
     matches = 0
     cap_violations = 0
     for b in range(builds):

@@ -1,0 +1,75 @@
+"""Whole-build ledger pins: counted work, tree shape and output bytes.
+
+The counted quantities (evaluations, element and maintenance ops, oracle
+queries) are the paper's cost model, so a refactor of the scanners or the
+growth loop must leave every one of them, and the model/report bytes, as
+they are.
+"""
+
+import hashlib
+
+import pytest
+
+from qdtree.builder import QUANTUM, BuildConfig, serialize_model, train
+from qdtree.counters import BASELINE, TREEMAP
+from qdtree.qbuilder import q_train, serialize_report
+from qdtree.synth import planted_dataset, random_dataset, random_schema
+
+DISCRETE_MODEL = "577cfafb287f0bdfd838b47e4ae1cabe57c8070799e7b614222b33d6da6cdf51"
+
+
+def sha256(text):
+    return hashlib.sha256(text.encode("utf-8")).hexdigest()
+
+
+def ledger(tree):
+    s = tree.stats
+    return (
+        s.internal_nodes,
+        s.leaves,
+        s.evaluations,
+        s.tally.element_ops,
+        s.tally.maintenance_ops,
+        s.tally.by_level,
+        sha256(serialize_model(tree)),
+    )
+
+
+def discrete_data():
+    schema = random_schema(6, 5, "pin", kinds="discrete", max_domain=4)
+    return random_dataset(schema, 300, "pin")
+
+
+@pytest.mark.parametrize(
+    "backend, element_ops, maintenance_ops, by_level",
+    [
+        (BASELINE, 14208, 23088, {0: 312, 1: 1248, 2: 4992, 3: 16536}),
+        (TREEMAP, 68862, 7161, {0: 177, 1: 645, 2: 1995, 3: 4344}),
+    ],
+)
+def test_discrete_build_ledger_is_pinned(backend, element_ops, maintenance_ops, by_level):
+    tree = train(discrete_data(), BuildConfig(max_height=4, backend=backend))
+    assert ledger(tree) == (
+        74, 187, 444, element_ops, maintenance_ops, by_level, DISCRETE_MODEL
+    )
+
+
+def test_real_build_ledger_is_pinned():
+    tree = train(planted_dataset(400, 4, 2, 0), BuildConfig(max_height=4, backend=TREEMAP))
+    assert ledger(tree) == (
+        3, 4, 12, 21584, 64, {0: 32, 1: 32},
+        "7bc7e3daa750849b5aa26b37940d95bdb4ceab9978e7cb57756cb2e83723a539",
+    )
+
+
+def test_quantum_build_ledger_is_pinned():
+    data = random_dataset(random_schema(5, 4, "pin-mixed"), 200, "pin-mixed")
+    report = q_train(data, BuildConfig(max_height=4, backend=QUANTUM, seed=0, verify=True))
+    assert ledger(report.tree) == (
+        4, 5, 20, 39744, 448, {0: 112, 1: 112, 2: 112, 3: 112},
+        "3ebd1e448df19b5e653fe89d2180f94b92d0e0f3ba52a34e77f46ccc59b98b97",
+    )
+    assert (report.total_oracle_queries, report.nodes_correct) == (684, 4)
+    assert sha256(serialize_report(report)) == (
+        "913a8ed2c805cbad4a8c37171ea00b4a40ffbd1c22c46044f44652d838c94717"
+    )

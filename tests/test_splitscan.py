@@ -1,6 +1,5 @@
-"""Fast split scanners vs the brute-force reference, plus state invariants."""
+"""Fast split scanners vs the brute-force reference, plus pinned tallies."""
 
-import math
 import random
 
 import pytest
@@ -23,7 +22,6 @@ from qdtree.dataset import (
     SubsetView,
 )
 from qdtree.splitscan import (
-    DiscreteScanState,
     SplitTest,
     build_real_scan,
     process_attribute,
@@ -124,8 +122,9 @@ def test_prefix_and_suffix_tables_match_from_scratch():
         labels[0] = m  # pin class_count
         data = real_data(values, labels)
         state = build_real_scan(data.full_view(), 0, backend_for(data))
-        order = list(state.order)
+        order = sorted(range(n), key=lambda i: values[i])  # stable
         sorted_labels = [labels[i] for i in order]
+        assert state.labels == sorted_labels
         for u in range(1, n + 1):
             want = oracle.label_entropy(sorted_labels[:u])
             assert state.prefix_info[u] == pytest.approx(want, abs=1e-9)
@@ -135,10 +134,11 @@ def test_prefix_and_suffix_tables_match_from_scratch():
 
 
 def test_real_scan_uses_stable_order():
-    # equal values keep their row order in the scan permutation
+    # equal values keep their row order: rows 1, 3, 0, 2 in that order
     data = real_data([2.0, 1.0, 2.0, 1.0], [1, 1, 2, 2])
     state = build_real_scan(data.full_view(), 0, backend_for(data))
-    assert list(state.order) == [1, 3, 0, 2]
+    assert state.labels == [1, 2, 1, 2]
+    assert list(state.values) == [1.0, 1.0, 2.0, 2.0]
 
 
 def test_discrete_two_blocks_scores_one():
@@ -169,32 +169,9 @@ def test_discrete_single_value_returns_nothing():
     assert process_discrete_attribute(data.full_view(), 0, backend_for(data)) is None
 
 
-def test_discrete_state_tracks_push_invariants():
-    values = [1, 2, 2, 3, 1, 2]
-    labels = [1, 1, 2, 2, 1, 2]
-    backend = make_backend(TREEMAP, 2, OpTally())
-    state = DiscreteScanState.fresh(backend, len(values), 3)
-    for step, (c, w) in enumerate(zip(labels, values), start=1):
-        state.push(c, w)
-        # running entropy sums match their definitions at every step
-        sizes = [values[:step].count(v) for v in (1, 2, 3)]
-        assert state.nonzero_branches == sum(1 for s in sizes if s)
-        want_size = sum(s * math.log2(s) for s in sizes if s)
-        assert state.size_entropy_sum == pytest.approx(want_size, abs=1e-9)
-    hist = ClassHistogram.from_labels(labels)
-    parts = [
-        [c for c, w in zip(labels, values) if w == v] for v in (1, 2, 3)
-    ]
-    want_gain = gain(hist, [ClassHistogram.from_labels(p) for p in parts if p])
-    want_pot = potential_information([len(p) for p in parts])
-    score = state.final_score()
-    assert score.gain == pytest.approx(want_gain, abs=1e-12)
-    assert score.potential == pytest.approx(want_pot, abs=1e-12)
-    state.release()
-
-
 def test_incremental_matches_batch_on_random_instances():
     rng = random.Random("inc-batch")
+    cases = [([1, 2, 2, 3, 1, 2], [1, 1, 2, 2, 1, 2], 3)]
     for _ in range(60):
         n = rng.randint(2, 48)
         t = rng.randint(2, 5)
@@ -202,6 +179,8 @@ def test_incremental_matches_batch_on_random_instances():
         values = [rng.randint(1, t) for _ in range(n)]
         labels = [rng.randint(1, m) for _ in range(n)]
         labels[0] = m
+        cases.append((values, labels, t))
+    for values, labels, t in cases:
         data = disc_data(values, labels, t)
         got = process_discrete_attribute(data.full_view(), 0, backend_for(data))
         parts = [[c for c, w in zip(labels, values) if w == v] for v in range(1, t + 1)]
@@ -298,23 +277,14 @@ def test_backends_score_identically():
             assert a[1] == b[1]
 
 
-def test_fresh_state_charges_structure_setup():
-    tally = OpTally()
-    backend = make_backend(BASELINE, 4, tally)
-    before = tally.maintenance_ops
-    state = DiscreteScanState.fresh(backend, 6, 3)
-    spent = tally.maintenance_ops - before
-    assert spent >= 2 * 3  # size table + pair table at least
-    state.release()
-
-
 @pytest.mark.parametrize(
     "name, element_ops, maintenance_ops",
     [(BASELINE, 36, 38), (TREEMAP, 162, 23)],
 )
 def test_discrete_scan_tallies_are_pinned(name, element_ops, maintenance_ops):
-    # 3 classes over a 4-way attribute: baseline maintenance is the 2*T
-    # branch arrays plus allocating and clearing M and M*T dense slots
+    # 3 classes over a 4-way attribute: baseline maintenance is allocating
+    # and releasing the T-slot branch-size array plus allocating and clearing
+    # the M and M*T dense counters: 2*4 + 2*3 + 2*12 = 38
     values = [1, 3, 2, 4, 1, 2, 3, 3, 4, 1, 2, 4, 3, 1, 2, 2, 4, 3]
     labels = [1, 2, 3, 1, 3, 2, 1, 3, 2, 2, 1, 3, 3, 1, 2, 3, 1, 2]
     data = disc_data(values, labels, 4)
@@ -322,3 +292,20 @@ def test_discrete_scan_tallies_are_pinned(name, element_ops, maintenance_ops):
     score, _ = process_discrete_attribute(data.full_view(), 0, make_backend(name, 3, tally))
     assert (tally.element_ops, tally.maintenance_ops) == (element_ops, maintenance_ops)
     assert score.ratio == 0.036553212231202885
+
+
+@pytest.mark.parametrize(
+    "name, element_ops, maintenance_ops",
+    [(BASELINE, 24, 12), (TREEMAP, 77, 6)],
+)
+def test_real_scan_tallies_are_pinned(name, element_ops, maintenance_ops):
+    # 12 rows, 3 classes, with ties: baseline maintenance is allocating and
+    # clearing the prefix and suffix class counters (4 * M dense slots)
+    values = [0.5, 2.0, 1.5, 2.0, 0.25, 3.0, 1.5, 0.75, 2.5, 1.0, 3.0, 0.5]
+    labels = [1, 2, 3, 1, 3, 2, 1, 3, 2, 2, 1, 3]
+    data = real_data(values, labels)
+    tally = OpTally()
+    score, test = scan_real_attribute(data.full_view(), 0, make_backend(name, 3, tally))
+    assert (tally.element_ops, tally.maintenance_ops) == (element_ops, maintenance_ops)
+    assert score.ratio == 0.4110263131819211
+    assert test.theta == 0.875
