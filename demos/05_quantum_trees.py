@@ -22,10 +22,10 @@ report = q_train(data, config)
 print("planted depth-2 data, 16 attributes, 96 samples, seed 11")
 print()
 print("%6s %8s %8s %9s %8s" % ("node", "chosen", "truth", "queries", "correct"))
-for row in report.per_node:
+for node, row in enumerate(report.per_node):
     print(
         "%6d %8s %8s %9d %8s"
-        % (row.node_id, row.chosen_attr, row.true_best_attr, row.oracle_queries, row.correct)
+        % (node, row.chosen_attr, row.true_best_attr, row.oracle_queries, row.correct)
     )
 print()
 k = report.tree.stats.internal_nodes

@@ -341,8 +341,14 @@ def save_model(tree, path):
 
 
 def load_model(path):
+    """Reads a model file; a document nested past the interpreter's
+    recursion limit raises DataFormatError like any other malformed one."""
     with open(path, "r", encoding="utf-8") as fh:
-        return document_to_tree(jsonio.loads(fh.read()))
+        text = fh.read()
+    try:
+        return document_to_tree(jsonio.loads(text))
+    except RecursionError:
+        raise DataFormatError("model document nested too deeply") from None
 
 
 def format_tree(tree):

@@ -43,6 +43,16 @@ def _int_list(text):
     return values
 
 
+def _at_least(low):
+    def integer(text):
+        value = int(text)
+        if value < low:
+            raise argparse.ArgumentTypeError("expected an integer >= %d" % (low,))
+        return value
+
+    return integer
+
+
 def build_parser():
     parser = argparse.ArgumentParser(
         prog="qdtree",
@@ -80,7 +90,7 @@ def build_parser():
     p.add_argument("--d", type=_int_list, default=[4], metavar="LIST")
     p.add_argument("--m", type=_int_list, default=[4, 64, 256], metavar="LIST")
     p.add_argument("--seeds", type=_int_list, default=[0], metavar="LIST")
-    p.add_argument("--max-height", type=int, default=4)
+    p.add_argument("--max-height", type=_at_least(0), default=4)
     p.add_argument("--out", default=None, help="write the CSV here instead of stdout")
     p.add_argument("--timing", action="store_true",
                    help="fill wall_ms with real timings (breaks byte-stability)")
@@ -89,10 +99,10 @@ def build_parser():
     p = sub.add_parser("verify", help="run randomized self-check suites")
     p.add_argument("--suite", default="all", choices=["all", "oracle", "backend", "quantum"])
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--instances", type=int, default=None)
-    p.add_argument("--trials", type=int, default=None)
-    p.add_argument("--builds", type=int, default=None)
-    p.add_argument("--d", type=int, default=None)
+    p.add_argument("--instances", type=_at_least(1), default=None)
+    p.add_argument("--trials", type=_at_least(1), default=None)
+    p.add_argument("--builds", type=_at_least(1), default=None)
+    p.add_argument("--d", type=_at_least(2), default=None)
     p.set_defaults(func=cmd_verify)
 
     return parser

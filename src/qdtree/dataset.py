@@ -144,6 +144,18 @@ class SubsetView:
         return self.base.column(attr)[self.indices]
 
 
+def _subview(view, mask):
+    """The rows of a checked view that mask selects, in order.
+
+    A boolean-mask subset cannot repeat a row or leave the range, so it
+    skips the bounds and duplicate checks of SubsetView.__init__.
+    """
+    child = object.__new__(SubsetView)
+    child.base = view.base
+    child.indices = view.indices[mask]
+    return child
+
+
 def partition(view, test):
     """Splits a view by a node test, preserving row order.
 
@@ -153,14 +165,8 @@ def partition(view, test):
     values = view.values(test.attr)
     if test.kind == REAL:
         mask = values <= test.theta
-        return [
-            SubsetView(view.base, view.indices[mask]),
-            SubsetView(view.base, view.indices[~mask]),
-        ]
-    out = []
-    for w in range(1, test.branch_count + 1):
-        out.append(SubsetView(view.base, view.indices[values == w]))
-    return out
+        return [_subview(view, mask), _subview(view, ~mask)]
+    return [_subview(view, values == w) for w in range(1, test.branch_count + 1)]
 
 
 def read_schema(path):

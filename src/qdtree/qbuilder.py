@@ -27,17 +27,18 @@ from .splitscan import process_attribute
 
 @dataclass
 class NodeRecord:
-    """One split-search attempt.
+    """One split-search attempt; QBuildReport.per_node lists them in the
+    order the build ran them (preorder).
 
-    node_id numbers attempts in the order the build ran them (preorder).
-    chosen_attr is None when the search ended in no-split (the view became a
-    leaf). true_best_attr and correct are filled only under config.verify;
-    correct means the outcome's score order-equals the classical optimum, so
-    any member of the argmax set counts as a success.
+    chosen_attr and its split test are None when the search ended in
+    no-split (the view became a leaf). true_best_attr and correct are filled
+    only under config.verify; correct means the outcome's score order-equals
+    the classical optimum, so any member of the argmax set counts as a
+    success.
     """
 
-    node_id: int
     chosen_attr: int | None
+    test: object
     true_best_attr: int | None
     oracle_queries: int
     repeats: int
@@ -67,14 +68,14 @@ class QBuildReport:
         return sum(1 for r in self.per_node if r.chosen_attr is not None and r.correct)
 
 
-@dataclass
-class _QChoice:
-    attr: int | None
-    test: object
-    oracle_queries: int
-    repeats: int
-    true_best_attr: int | None
-    correct: bool | None
+def _first_best(attrs, score_of):
+    """The first of attrs with the greatest valid score, or None."""
+    best = None
+    for attr in attrs:
+        score = score_of(attr)
+        if score.valid and (best is None or score_of(best) < score):
+            best = attr
+    return best
 
 
 def q_choose_split(view, backend, rng, repeats=None, stats=None, verify=False):
@@ -83,8 +84,9 @@ def q_choose_split(view, backend, rng, repeats=None, stats=None, verify=False):
     Attributes with no candidate split score as the invalid sentinel and
     lose every comparison. If the batch winner is itself invalid, a
     classical sweep over the scores the search already paid for looks for
-    any valid candidate; finding none means no-split (attr None). The sweep
-    inspects only algorithm-visible knowledge and charges nothing.
+    any valid candidate; finding none means no-split (chosen_attr None). The
+    sweep inspects only algorithm-visible knowledge and charges nothing.
+    Returns the attempt's NodeRecord, which carries the chosen SplitTest.
     """
     d = view.base.schema.attribute_count
     tests = {}
@@ -102,37 +104,22 @@ def q_choose_split(view, backend, rng, repeats=None, stats=None, verify=False):
     reps = default_repeats(d) if repeats is None else repeats
     winner, sstats = repeated_max(oracle, reps, rng)
     known = oracle.known()
-    score = known[winner]
-    if not score.valid:
-        winner = None
-        for attr in sorted(known):
-            if known[attr].valid and (winner is None or known[winner] < known[attr]):
-                winner = attr
-        score = known[winner] if winner is not None else None
+    if not known[winner].valid:
+        winner = _first_best(sorted(known), known.__getitem__)
 
-    true_best = None
-    correct = None
+    true_best = correct = None
     if verify:
-        for attr in range(d):
-            cand = oracle.peek(attr)
-            if cand.valid and (true_best is None or oracle.peek(true_best) < cand):
-                true_best = attr
+        true_best = _first_best(range(d), oracle.peek)
         if winner is None:
             correct = true_best is None
         else:
-            correct = true_best is not None and not (score < oracle.peek(true_best))
-
-    return _QChoice(
-        attr=winner,
-        test=tests.get(winner),
-        oracle_queries=sstats.oracle_queries,
-        repeats=reps,
-        true_best_attr=true_best,
-        correct=correct,
+            correct = not (known[winner] < oracle.peek(true_best))
+    return NodeRecord(
+        winner, tests.get(winner), true_best, sstats.oracle_queries, reps, correct
     )
 
 
-def q_form_tree(view, config, backend, rng, stats, report, repeats):
+def q_form_tree(view, config, backend, rng, stats, report):
     """Grows the tree under view with q_choose_split as the chooser.
 
     Every search attempt, including one that ends in no-split, gets a
@@ -140,18 +127,11 @@ def q_form_tree(view, config, backend, rng, stats, report, repeats):
     """
 
     def choose(node_view):
-        choice = q_choose_split(node_view, backend, rng, repeats, stats, config.verify)
-        report.per_node.append(
-            NodeRecord(
-                node_id=len(report.per_node),
-                chosen_attr=choice.attr,
-                true_best_attr=choice.true_best_attr,
-                oracle_queries=choice.oracle_queries,
-                repeats=choice.repeats,
-                correct=choice.correct,
-            )
+        record = q_choose_split(
+            node_view, backend, rng, config.repeats, stats, config.verify
         )
-        return choice.test
+        report.per_node.append(record)
+        return record.test
 
     return form_tree(view, 0, config, stats, choose)
 
@@ -172,30 +152,24 @@ def q_train(data, config, rng=None):
     stats = BuildStats()
     backend = make_backend(TREEMAP, data.schema.class_count, stats.tally)
     report = QBuildReport(verified=config.verify)
-    repeats = (
-        config.repeats
-        if config.repeats is not None
-        else default_repeats(data.schema.attribute_count)
-    )
-    root = q_form_tree(data.full_view(), config, backend, rng, stats, report, repeats)
+    root = q_form_tree(data.full_view(), config, backend, rng, stats, report)
     report.tree = DecisionTree(root, data.schema, data.class_labels, stats)
     return report
 
 
 def report_to_document(report):
     """Plain-data form of a QBuildReport, stable field order."""
-    rows = []
-    for r in report.per_node:
-        rows.append(
-            {
-                "node": r.node_id,
-                "chosen_attr": r.chosen_attr,
-                "true_best_attr": r.true_best_attr,
-                "oracle_queries": r.oracle_queries,
-                "repeats": r.repeats,
-                "correct": r.correct,
-            }
-        )
+    rows = [
+        {
+            "node": node,
+            "chosen_attr": r.chosen_attr,
+            "true_best_attr": r.true_best_attr,
+            "oracle_queries": r.oracle_queries,
+            "repeats": r.repeats,
+            "correct": r.correct,
+        }
+        for node, r in enumerate(report.per_node)
+    ]
     return {
         "internal_nodes": report.tree.stats.internal_nodes,
         "total_oracle_queries": report.total_oracle_queries,

@@ -4,10 +4,12 @@ The threshold search is simulated at the success-probability level, not the
 state-vector level. Each amplified inner search for "an index scoring above
 the current threshold" draws an iteration count m, is charged 2m+1 oracle
 queries, and succeeds with probability sin^2((2m+1)*asin(sqrt(t/K))) where t
-is the number of indices strictly above the threshold. The harness computes
-t and performs the uniform measurement draws; the algorithm itself sees only
-counted evaluate() results. This reproduces the observable contract of the
-search (success odds, query counts, budget) at classical cost.
+is the number of indices strictly above the threshold. The harness's
+measure() computes t, draws the hit and then draws the measured index
+uniformly from the marked set on a hit or from the rest otherwise; the
+algorithm itself sees only counted evaluate() results. This reproduces the
+observable contract of the search (success odds, query counts, budget) at
+classical cost.
 
 Indices run 0..K-1 throughout.
 """
@@ -52,7 +54,7 @@ class ScoringOracle:
     scoring passes while the query counter counts algorithmic work.
 
     Everything below the marked line is harness bookkeeping (ground truth,
-    marked-set sizes, measurement draws) and never touches the counter.
+    measurement draws) and never touches the counter.
     """
 
     def __init__(self, func, size):
@@ -102,19 +104,18 @@ class ScoringOracle:
             self._sorted_indices = [i for _, i in pairs]
         return self._sorted_keys, self._sorted_indices
 
-    def count_above(self, score):
-        """|{i : f(i) > score}| under the score order."""
-        keys, _ = self._truth()
-        return self.size - bisect_right(keys, score)
+    def measure(self, score, m, rng):
+        """Index read out after m amplification iterations marking f(i) > score.
 
-    def sample_above(self, score, rng):
+        A hit (probability sin^2((2m+1)*asin(sqrt(t/K))), t the marked-set
+        size) yields a uniform marked index, a miss a uniform unmarked one.
+        """
         keys, order = self._truth()
         pos = bisect_right(keys, score)
-        return order[pos + rng.randrange(self.size - pos)]
-
-    def sample_not_above(self, score, rng):
-        keys, order = self._truth()
-        pos = bisect_right(keys, score)
+        marked = self.size - pos
+        angle = math.asin(math.sqrt(marked / self.size))
+        if rng.random() < math.sin((2 * m + 1) * angle) ** 2:
+            return order[pos + rng.randrange(marked)]
         return order[rng.randrange(pos)]
 
     def is_max_score(self, score):
@@ -146,18 +147,10 @@ def durr_hoyer_max(oracle, rng):
         affordable = int((remaining - 1) // 2)
         if affordable < 0:
             break
-        m = rng.randrange(max(1, int(m_max)))
-        if m > affordable:
-            m = affordable
-        marked = oracle.count_above(best_score)
-        angle = math.asin(math.sqrt(marked / size))
-        hit = rng.random() < math.sin((2 * m + 1) * angle) ** 2
+        m = min(rng.randrange(max(1, int(m_max))), affordable)
         oracle.charge(2 * m)
         stats.grover_iterations += m
-        if hit and marked:
-            measured = oracle.sample_above(best_score, rng)
-        else:
-            measured = oracle.sample_not_above(best_score, rng)
+        measured = oracle.measure(best_score, m, rng)
         score = oracle.evaluate(measured)
         if best_score < score:
             best_index, best_score = measured, score

@@ -215,6 +215,28 @@ def test_predict_rejects_malformed_model(tmp_path, capsys, mutate):
     assert "Traceback" not in err
 
 
+def test_predict_rejects_deeply_nested_model(tmp_path, capsys):
+    leaf = '{"kind": "leaf", "class": 1, "support": [1, 0]}'
+    internal = (
+        '{"kind": "internal", "attr": 0, "theta": 0.5, "support": [1, 0], "children": ['
+    )
+    depth = 1000
+    root = (internal + leaf + ", ") * depth + leaf + "]}" * depth
+    head = json.dumps(
+        {
+            "schema": {"class_count": 2, "attributes": [{"name": "x", "kind": "real"}]},
+            "class_label_mapping": ["A", "B"],
+        }
+    )
+    model = tmp_path / "deep.json"
+    model.write_text(head[:-1] + ', "root": ' + root + "}")
+    rows = tmp_path / "rows.csv"
+    rows.write_text("x\n0.25\n")
+    assert run(["predict", "--model", model, "--data", rows]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "nested" in err
+
+
 def test_bench_emits_stable_table(tmp_path, capsys):
     args = ["bench", "--n", 64, "--d", "4", "--m", "4,16", "--seeds", "0",
             "--max-height", 3]
@@ -286,6 +308,26 @@ def test_verify_quantum_suite_small_sizes(capsys):
     out = capsys.readouterr().out
     assert out.count("[PASS]") >= 4
     assert "[FAIL]" not in out
+
+
+@pytest.mark.parametrize(
+    "args",
+    [
+        ["bench", "--max-height", -1],
+        ["verify", "--suite", "quantum", "--trials", 0],
+        ["verify", "--suite", "quantum", "--trials", 1, "--builds", 0],
+        ["verify", "--suite", "quantum", "--trials", 1, "--d", 1],
+        ["verify", "--suite", "oracle", "--instances", 0],
+    ],
+    ids=["bench-max-height", "verify-trials", "verify-builds", "verify-d", "verify-instances"],
+)
+def test_out_of_range_size_flags_exit_two(capsys, args):
+    try:
+        code = run(args)
+    except SystemExit as exc:
+        code = exc.code
+    assert code == 2
+    assert "error:" in capsys.readouterr().err
 
 
 def test_module_entry_point_runs(tmp_path):

@@ -105,6 +105,8 @@ def test_subset_view_rejects_bad_indices():
         SubsetView(data, [0, 4])
     with pytest.raises(IndexError):
         SubsetView(data, [-1])
+    with pytest.raises(ValueError, match="duplicate"):
+        SubsetView(data, [1, 3, 1])
 
 
 def test_partition_real_keeps_row_order():

@@ -1,6 +1,5 @@
 """Quantum-searched tree growth: reports, determinism, and success rates."""
 
-import math
 import random
 
 import pytest
@@ -66,7 +65,12 @@ def test_report_invariants_on_planted_data():
     assert report.total_oracle_queries == sum(
         r.oracle_queries for r in report.per_node
     )
-    assert [r.node_id for r in report.per_node] == list(range(len(report.per_node)))
+    rows = report_to_document(report)["per_node"]
+    assert [row["node"] for row in rows] == list(range(len(report.per_node)))
+    # each row carries the test its node was built with
+    made = [r for r in report.per_node if r.chosen_attr is not None]
+    assert len(made) == k
+    assert all(r.test.attr == r.chosen_attr for r in made)
     cap = 4 * query_budget(16)  # default repeats for d=16 is 4
     for row in report.per_node:
         assert row.repeats == 4
@@ -153,7 +157,7 @@ def test_choose_split_fallback_sweep_spends_nothing_extra():
     choice = q_choose_split(
         data.full_view(), backend, random.Random("fallback"), stats=stats
     )
-    assert choice.attr is None and choice.test is None
+    assert choice.chosen_attr is None and choice.test is None
     assert choice.oracle_queries <= 2 * query_budget(2)
 
 
@@ -186,7 +190,7 @@ def test_verify_records_truth_against_reference():
             view, backend, random.Random("truth-%d" % t), verify=True
         )
         assert choice.true_best_attr in best
-        assert choice.correct == (choice.attr in best)
+        assert choice.correct == (choice.chosen_attr in best)
 
 
 def test_evaluations_track_scoring_passes():

@@ -79,28 +79,80 @@ def test_oracle_peek_is_free():
     assert o.queries == 0
 
 
+def replayed_hit(rng, m, marked, size):
+    """The hit draw measure() is about to make, read from a copy of rng."""
+    probe = random.Random()
+    probe.setstate(rng.getstate())
+    angle = math.asin(math.sqrt(marked / size))
+    return probe.random() < math.sin((2 * m + 1) * angle) ** 2
+
+
 def test_oracle_marked_set_queries():
     vals = [5.0, 1.0, 3.0, 3.0, 8.0]
     o = make_oracle(vals)
-    assert o.count_above(3.0) == 2  # strictly above
-    assert o.count_above(0.0) == 5
-    assert o.count_above(8.0) == 0
     assert o.is_max_score(8.0)
     assert not o.is_max_score(5.0)
     rng = random.Random("marked")
-    for _ in range(50):
-        i = o.sample_above(3.0, rng)
-        assert vals[i] > 3.0
-        j = o.sample_not_above(3.0, rng)
-        assert vals[j] <= 3.0
+    outcomes = set()
+    for m in range(4):
+        for _ in range(50):
+            hit = replayed_hit(rng, m, 2, len(vals))  # 5.0 and 8.0 are above 3.0
+            i = o.measure(3.0, m, rng)
+            assert (vals[i] > 3.0) == hit  # strictly above on a hit only
+            outcomes.add(hit)
+            assert vals[o.measure(8.0, m, rng)] <= 8.0  # nothing is marked
+    assert outcomes == {True, False}
     assert o.queries == 0  # the harness side never spends queries
 
 
 def test_oracle_handles_comparable_nonnumeric_scores():
     # the search only ever compares scores, so tuples work too
     o = ScoringOracle(lambda i: (i % 2, i), 5)
-    assert o.count_above((1, 3)) == 0
     assert o.is_max_score((1, 3))
+    rng = random.Random("tuples")
+    for m in range(3):
+        assert o.measure((1, 3), m, rng) in range(5)
+        hit = replayed_hit(rng, m, 2, 5)  # (1, 1) and (1, 3) are above (0, 4)
+        i = o.measure((0, 4), m, rng)
+        assert (i in (1, 3)) == hit
+    assert o.queries == 0
+
+
+#: 16 scores with the top one tied at indices 1 and 4, and the
+#: (best, oracle_queries, grover_iterations) of seeds "pin-0".."pin-19",
+#: recorded before the harness's marked-set lookups became one measure()
+#: call. Any change to the order or number of rng draws moves these.
+PIN_SCORES = [
+    0.3, 0.9, 0.1, 0.5, 0.9, 0.2, 0.7, 0.05, 0.6, 0.4, 0.8, 0.15, 0.35, 0.55, 0.25, 0.45,
+]
+PIN_SINGLE = [
+    (1, 112, 38), (4, 112, 37), (1, 112, 33), (1, 112, 36), (4, 112, 37),
+    (1, 112, 35), (4, 112, 33), (4, 112, 37), (4, 112, 36), (1, 112, 37),
+    (4, 112, 39), (1, 112, 32), (1, 112, 37), (1, 112, 38), (4, 112, 37),
+    (4, 112, 33), (1, 112, 35), (4, 112, 36), (1, 112, 39), (4, 112, 37),
+]
+PIN_REPEATED = [
+    (1, 336, 114), (4, 336, 108), (1, 336, 100), (1, 336, 109), (4, 336, 112),
+    (1, 336, 110), (4, 336, 97), (4, 336, 107), (4, 336, 113), (1, 336, 113),
+    (4, 336, 112), (1, 336, 101), (1, 336, 110), (1, 336, 113), (4, 336, 108),
+    (4, 336, 106), (1, 336, 104), (4, 336, 114), (1, 336, 108), (4, 336, 112),
+]
+
+
+@pytest.mark.parametrize(
+    "search, pinned",
+    [
+        (durr_hoyer_max, PIN_SINGLE),
+        (lambda o, rng: repeated_max(o, 3, rng), PIN_REPEATED),
+    ],
+    ids=["durr_hoyer_max", "repeated_max"],
+)
+def test_search_draws_are_pinned(search, pinned):
+    runs = []
+    for seed in range(20):
+        best, stats = search(make_oracle(PIN_SCORES), random.Random("pin-%d" % seed))
+        runs.append((best, stats.oracle_queries, stats.grover_iterations))
+    assert runs == pinned
 
 
 def test_single_item_search():
