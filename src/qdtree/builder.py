@@ -8,7 +8,9 @@ counter backends (dense arrays, sparse ordered maps) feed the scanners; they
 produce byte-identical trees and differ only in their operation tallies.
 """
 
+import contextlib
 import math
+import os
 from dataclasses import dataclass, field
 
 from . import jsonio
@@ -202,15 +204,28 @@ def training_accuracy(tree, data):
 
 
 def tree_height(node):
-    if isinstance(node, Leaf):
-        return 0
-    return 1 + max(tree_height(child) for child in node.children)
+    """Edges on the longest root-to-leaf path, walked without recursion."""
+    height = 0
+    stack = [(node, 0)]
+    while stack:
+        node, depth = stack.pop()
+        if isinstance(node, Leaf):
+            height = max(height, depth)
+        else:
+            stack.extend((child, depth + 1) for child in node.children)
+    return height
 
 
 def count_internal(node):
-    if isinstance(node, Leaf):
-        return 0
-    return 1 + sum(count_internal(child) for child in node.children)
+    """Internal nodes under and including node, walked without recursion."""
+    count = 0
+    stack = [node]
+    while stack:
+        node = stack.pop()
+        if not isinstance(node, Leaf):
+            count += 1
+            stack.extend(node.children)
+    return count
 
 
 def _support_list(hist, class_count):
@@ -336,8 +351,19 @@ def serialize_model(tree):
 
 
 def save_model(tree, path):
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write(serialize_model(tree))
+    """Writes the model to a temporary file in path's directory and renames
+    it into place, so a save that fails leaves no partial model at path."""
+    text = serialize_model(tree)
+    head, tail = os.path.split(os.fspath(path))
+    partial = os.path.join(head, ".%s.%d.tmp" % (tail, os.getpid()))
+    try:
+        with open(partial, "w", encoding="utf-8") as fh:
+            fh.write(text)
+        os.replace(partial, path)
+    except BaseException:
+        with contextlib.suppress(FileNotFoundError):
+            os.remove(partial)
+        raise
 
 
 def load_model(path):

@@ -123,19 +123,23 @@ def cmd_train(args):
     except (DataFormatError, OSError, ValueError) as exc:
         print("error: %s" % (exc,), file=sys.stderr)
         return 2
-    if args.backend == QUANTUM:
-        report = q_train(data, config)
-        tree = report.tree
+    try:
+        if args.backend == QUANTUM:
+            report = q_train(data, config)
+            tree = report.tree
+        else:
+            report = None
+            tree = train(data, config)
         save_model(tree, args.out)
-        if args.report:
+        if report is not None and args.report:
             save_report(report, args.report)
-        extra = " queries=%d" % (report.total_oracle_queries,)
-    else:
-        tree = train(data, config)
-        save_model(tree, args.out)
-        if args.report:
-            print("warning: only the quantum backend produces a report", file=sys.stderr)
-        extra = ""
+    except RecursionError:
+        # the grower and the model writer still recurse once per tree level
+        print("error: the tree is too deep to grow or serialize", file=sys.stderr)
+        return 2
+    extra = "" if report is None else " queries=%d" % (report.total_oracle_queries,)
+    if report is None and args.report:
+        print("warning: only the quantum backend produces a report", file=sys.stderr)
     print(
         "wrote %s: internal nodes=%d leaves=%d height=%d train_acc=%.4f%s"
         % (

@@ -9,9 +9,16 @@ class-branch table for a T-way attribute is keyed by the flat slot
 sparse map over the same integers. Both record their work in a shared
 OpTally; the scanners are backend-agnostic, so the backend changes operation
 counts but never the produced scores.
+
+Both counters offer add_all(keys): it adds 1 to each key in order, returns
+an array of each key's count right after its add, and books exactly the
+operations that `for k in keys: add(k, 1)` books, so array code can stand in
+for the per-sample loop without touching the ledger.
 """
 
-from .criteria import OpTally, SparseClassCounter
+import numpy as np
+
+from .criteria import OpTally, SparseClassCounter, running_counts
 
 BASELINE = "baseline"
 TREEMAP = "treemap"
@@ -48,6 +55,22 @@ class DenseCounter:
             raise ValueError("count for key %r would become negative" % (key,))
         self._slots[key] = new
         return new
+
+    def add_all(self, keys):
+        """Adds 1 to each key in order and returns each key's running count
+        after its add, booking one element touch per key as a loop of
+        add(key, 1) would. Raises KeyError before adding anything when a key
+        is outside 1..size."""
+        keys = np.asarray(keys, dtype=np.int64)
+        outside = keys[(keys < 1) | (keys > self._size)]
+        if len(outside):
+            raise KeyError("key %r outside 1..%d" % (int(outside[0]), self._size))
+        self.tally.element(len(keys))
+        slots = np.array(self._slots, dtype=np.int64)
+        counts = slots[keys] + running_counts(keys)
+        slots += np.bincount(keys, minlength=self._size + 1)
+        self._slots = slots.tolist()
+        return counts
 
     def items(self):
         self.tally.maintenance(self._size)

@@ -9,6 +9,8 @@ import math
 from dataclasses import dataclass, field
 from functools import total_ordering
 
+import numpy as np
+
 #: Partitions whose potential information falls at or below this bound are
 #: trivial (essentially every sample on one branch) and must never win the
 #: split argmax.
@@ -41,6 +43,24 @@ class OpTally:
     def maintenance(self, n=1):
         self.maintenance_ops += n
         self.by_level[self.level] = self.by_level.get(self.level, 0) + n
+
+
+def running_counts(keys):
+    """counts[i] is the number of times keys[i] occurs in keys[:i + 1].
+
+    A stable sort groups equal keys in their original order, so each
+    position's count is its rank within its group.
+    """
+    keys = np.asarray(keys)
+    n = len(keys)
+    order = np.argsort(keys, kind="stable")
+    grouped = keys[order]
+    starts = np.ones(n, dtype=bool)
+    starts[1:] = grouped[1:] != grouped[:-1]
+    ranks = np.arange(n, dtype=np.int64)
+    counts = np.empty(n, dtype=np.int64)
+    counts[order] = ranks - np.maximum.accumulate(np.where(starts, ranks, 0)) + 1
+    return counts
 
 
 class ClassHistogram:
@@ -226,7 +246,9 @@ class SparseClassCounter:
     iteration or clearing visits exactly s nodes, where s is the number of
     stored keys. Every node visit is recorded in the attached OpTally, which
     is what the complexity probes measure. Keys may be any mutually ordered
-    values (class indices, flat class-branch slots).
+    values (class indices, flat class-branch slots). add_all(keys) adds 1 to
+    each key in order, returns each key's running count and books the same
+    visits as a loop of add(key, 1).
     """
 
     def __init__(self, tally=None):
@@ -268,6 +290,55 @@ class SparseClassCounter:
             self._overwrite(key, new)
         return new
 
+    def add_all(self, keys):
+        """Adds 1 to each key in order and returns each key's running count
+        after its add, booking exactly the visits `for k in keys: add(k, 1)`
+        would book.
+
+        Only a key's first appearance changes the tree's shape, so those adds
+        are replayed through the counted get walk and insert, which book the
+        visits and rotations. Between two inserts the shape is fixed, and
+        every other add of a key at depth k costs 2(k + 1) visits: one walk
+        for get and one for the overwrite. So each distinct (epoch, key) pair
+        that is re-added needs one depth lookup, made without booking.
+        """
+        keys = np.asarray(keys)
+        if not len(keys):
+            return np.zeros(0, dtype=np.int64)
+        uniq, first, inverse, totals = np.unique(
+            keys, return_index=True, return_inverse=True, return_counts=True
+        )
+        inverse = inverse.reshape(-1)
+        uniq, totals = uniq.tolist(), totals.tolist()
+        stored = [self._find(key)[0] for key in uniq]
+        prior = np.array([0 if node is None else node.value for node in stored], dtype=np.int64)
+        counts = prior[inverse] + running_counts(keys)
+        for node, total in zip(stored, totals):
+            if node is not None:
+                node.value += total
+        inserts = np.sort(first[prior == 0])
+        readds = np.ones(len(keys), dtype=bool)
+        readds[inserts] = False
+        readds = np.flatnonzero(readds)
+        # one integer per (epoch, key) pair, where the epoch of a re-add is
+        # the number of inserts before it
+        pairs, times = np.unique(
+            np.searchsorted(inserts, readds) * len(uniq) + inverse[readds], return_counts=True
+        )
+        pairs = iter(zip((pairs // len(uniq)).tolist(), (pairs % len(uniq)).tolist(), times.tolist()))
+        pair = next(pairs, None)
+        visits = 0
+        for epoch, at in enumerate(inverse[inserts].tolist() + [None]):
+            while pair is not None and pair[0] == epoch:
+                visits += 2 * (self._find(uniq[pair[1]])[1] + 1) * pair[2]
+                pair = next(pairs, None)
+            if at is not None:
+                self.get(uniq[at])
+                self._root = self._insert(self._root, uniq[at], totals[at])
+                self._size += 1
+        self.tally.element(visits)
+        return counts
+
     def items(self):
         """All (key, count) pairs in ascending key order."""
         self.tally.maintenance(self._size)
@@ -287,6 +358,16 @@ class SparseClassCounter:
         self.tally.maintenance(self._size)
         self._root = None
         self._size = 0
+
+    def _find(self, key):
+        """(node, depth) of a stored key, or (None, depth of the empty slot
+        it would fill); books nothing. The root has depth 0."""
+        node = self._root
+        depth = 0
+        while node is not None and key != node.key:
+            node = node.left if key < node.key else node.right
+            depth += 1
+        return node, depth
 
     def _overwrite(self, key, value):
         node = self._root

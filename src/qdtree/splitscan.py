@@ -12,14 +12,23 @@ entropy sum_w (N_w/z) * I_w is (H_sizes - H_pairs) / z. Counter structures
 come from a pluggable backend, which changes operation tallies but never the
 arithmetic: the stream of floating-point operations is identical for every
 backend.
+
+The real scan is array code. The counter's add_all returns every sample's
+running class count and books the same operations a per-sample add loop
+would, so the tallies stay exact. The c * log2(c), log2(u) and split
+potential tables are built with math.log2, because np.log2 differs from it
+in the last bit for some inputs. The H differences are accumulated with
+cumsum, which adds left to right as the loop did, so every score is
+bit-identical to the per-sample arithmetic.
 """
 
 import math
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 
-from .criteria import gain_ratio, xlog2x
+from .criteria import POTENTIAL_EPSILON, gain_ratio, xlog2x
 from .dataset import DISCRETE, REAL
 
 
@@ -57,69 +66,97 @@ class RealScanState:
     """
 
     values: np.ndarray
-    labels: list
-    prefix_info: list
-    suffix_info: list
+    labels: np.ndarray
+    prefix_info: np.ndarray
+    suffix_info: np.ndarray
+
+
+@lru_cache(maxsize=1)
+def _scan_tables(z):
+    """Tables shared by every real scan over z samples, built with math.log2
+    (np.log2 is not bit-identical to it): c * log2(c) and log2(c) for c in
+    0..z, and for each cut u in 1..z-1 the fractions u/z and 1 - u/z with the
+    split potential -(u/z log2(u/z) + (1 - u/z) log2(1 - u/z))."""
+    xlog2c = [xlog2x(c) for c in range(z + 1)]
+    log2c = [0.0] + [math.log2(c) for c in range(1, z + 1)]
+    left = [u / z for u in range(1, z)]
+    right = [1.0 - f for f in left]
+    potential = [-(f * math.log2(f) + r * math.log2(r)) for f, r in zip(left, right)]
+    tables = tuple(np.array(t, dtype=np.float64) for t in (xlog2c, log2c, left, right, potential))
+    for t in tables:
+        t.flags.writeable = False
+    return tables
 
 
 def _information_table(labels, counter):
-    """info[u] is the class entropy of labels[:u]; clears the counter."""
-    info = [0.0] * (len(labels) + 1)
-    h = 0.0
-    for u, y in enumerate(labels, 1):
-        c = counter.add(y, 1)
-        h += xlog2x(c) - xlog2x(c - 1)
-        info[u] = max(0.0, math.log2(u) - h / u)
+    """info[u] is the class entropy of labels[:u]; clears the counter.
+
+    Each sample replaces one c * log2(c) term of the running sum h, and
+    cumsum adds the differences left to right as a loop would.
+    """
+    counts = counter.add_all(labels)
     counter.clear()
-    return info
+    xlog2c, log2c = _scan_tables(len(labels))[:2]
+    h = np.cumsum(xlog2c[counts] - xlog2c[counts - 1])
+    info = log2c[1:] - h / np.arange(1, len(labels) + 1)
+    return np.concatenate(([0.0], np.where(info > 0.0, info, 0.0)))
 
 
 def build_real_scan(view, attr, backend):
     """Sorts the view by one real attribute and fills the entropy tables."""
     values = view.values(attr)
     order = np.argsort(values, kind="stable")
-    labels = view.labels()[order].tolist()
+    labels = view.labels()[order]
     return RealScanState(
         values=values[order],
         labels=labels,
         prefix_info=_information_table(labels, backend.class_counter()),
-        suffix_info=[0.0] + _information_table(labels[::-1], backend.class_counter())[::-1],
+        suffix_info=np.concatenate(
+            ([0.0], _information_table(labels[::-1], backend.class_counter())[::-1])
+        ),
     )
+
+
+def _candidate_arrays(view, attr, backend):
+    """Thresholds, gains and potentials of every legal cut, in ascending
+    threshold order: the midpoints between adjacent distinct sorted values."""
+    state = build_real_scan(view, attr, backend)
+    values = state.values
+    z = len(values)
+    _, _, left, right, potential = _scan_tables(z)
+    cut = np.flatnonzero(values[:-1] != values[1:])
+    gains = (
+        state.prefix_info[z]
+        - left[cut] * state.prefix_info[cut + 1]
+        - right[cut] * state.suffix_info[cut + 2]
+    )
+    thetas = (values[cut] + values[cut + 1]) / 2.0
+    return thetas, gains, potential[cut]
 
 
 def real_split_candidates(view, attr, backend):
     """Scores every legal threshold for one real attribute.
 
-    Candidates are the midpoints between adjacent distinct sorted values, in
-    ascending threshold order. Returns a list of (theta, SplitScore).
+    Returns a list of (theta, SplitScore) in ascending threshold order.
     """
-    state = build_real_scan(view, attr, backend)
-    values = state.values
-    z = len(values)
-    full_info = state.prefix_info[z]
-    out = []
-    for u in range(1, z):
-        if values[u - 1] == values[u]:
-            continue
-        left = u / z
-        right = 1.0 - left
-        g = full_info - left * state.prefix_info[u] - right * state.suffix_info[u + 1]
-        p = -(left * math.log2(left) + right * math.log2(right))
-        theta = float((values[u - 1] + values[u]) / 2.0)
-        out.append((theta, gain_ratio(g, p)))
-    return out
+    thetas, gains, potentials = _candidate_arrays(view, attr, backend)
+    return [
+        (theta, gain_ratio(g, p))
+        for theta, g, p in zip(thetas.tolist(), gains.tolist(), potentials.tolist())
+    ]
 
 
 def scan_real_attribute(view, attr, backend):
     """Best threshold split of one real attribute, or None when every value
-    is identical. Ties keep the smallest threshold."""
-    best = None
-    for theta, score in real_split_candidates(view, attr, backend):
-        if best is None or best[0] < score:
-            best = (score, theta)
-    if best is None:
+    is identical. Ties keep the smallest threshold, and when no cut is valid
+    the first one stands."""
+    thetas, gains, potentials = _candidate_arrays(view, attr, backend)
+    if not len(thetas):
         return None
-    return best[0], SplitTest(attr, REAL, theta=best[1])
+    valid = potentials > POTENTIAL_EPSILON
+    best = int(np.argmax(np.where(valid, gains / potentials, -np.inf)))
+    score = gain_ratio(float(gains[best]), float(potentials[best]))
+    return score, SplitTest(attr, REAL, theta=float(thetas[best]))
 
 
 def process_discrete_attribute(view, attr, backend):

@@ -123,7 +123,7 @@ def prefix_consistency(subsets=100, seed=0):
         attr = rng.randrange(3)
         backend = make_backend(TREEMAP, m, OpTally())
         state = build_real_scan(view, attr, backend)
-        labels = state.labels
+        labels = state.labels.tolist()
         for u in range(1, len(labels) + 1):
             delta = abs(state.prefix_info[u] - reference.label_entropy(labels[:u]))
             max_delta = max(max_delta, delta)

@@ -346,3 +346,38 @@ def test_module_entry_point_runs(tmp_path):
 def test_unknown_subcommand_fails():
     with pytest.raises(SystemExit):
         main(["explain"])
+
+
+def write_staircase(tmp_path, n):
+    # one real attribute whose class flips every two rows, so each split
+    # peels two rows off the end and the tree is about n / 2 levels deep
+    schema = AttributeSchema((Attribute("x1", "real"),), 2)
+    labels = [(i // 2) % 2 + 1 for i in range(n)]
+    data = Dataset(schema, [[float(i) for i in range(n)]], labels, ("x", "y"))
+    csv = tmp_path / "stairs.csv"
+    sch = tmp_path / "stairs.schema"
+    save_csv(data, csv)
+    write_schema(schema.attributes, sch)
+    return csv, sch, ["xy"[y - 1] for y in labels]
+
+
+def test_deep_staircase_trains_and_predicts(tmp_path, capsys):
+    csv, sch, names = write_staircase(tmp_path, 800)
+    out = tmp_path / "model.json"
+    assert run(
+        ["train", "--data", csv, "--schema", sch, "--out", out, "--max-height", 5000]
+    ) == 0
+    assert "height=399 train_acc=1.0000" in capsys.readouterr().out
+    assert run(["predict", "--model", out, "--data", csv]) == 0
+    assert capsys.readouterr().out.split() == names
+
+
+@pytest.mark.parametrize("rows", [1000, 2000])  # too deep for the writer, for the grower
+def test_too_deep_tree_exits_two_and_writes_nothing(tmp_path, capsys, rows):
+    csv, sch, _ = write_staircase(tmp_path, rows)
+    out = tmp_path / "model.json"
+    assert run(
+        ["train", "--data", csv, "--schema", sch, "--out", out, "--max-height", 5000]
+    ) == 2
+    assert capsys.readouterr().err.startswith("error: ")
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["stairs.csv", "stairs.schema"]

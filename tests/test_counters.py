@@ -3,6 +3,8 @@
 import random
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from qdtree.counters import (
     BASELINE,
@@ -157,3 +159,61 @@ def test_dense_costs_grow_with_class_count():
         totals.append(tally.maintenance_ops)
     assert totals[0] < totals[1] < totals[2]
     assert totals[2] == totals[0] * 1024  # 3 sweeps of M slots each
+
+
+def _add_all_matches_loop(make, keys):
+    # add_all on one fresh counter against a loop of add(k, 1) on another
+    batch_tally, loop_tally = OpTally(level=2), OpTally(level=2)
+    batch, loop = make(batch_tally), make(loop_tally)
+    assert batch.add_all(keys).tolist() == [loop.add(k, 1) for k in keys]
+    assert batch.items() == loop.items()
+    assert (batch_tally.element_ops, batch_tally.maintenance_ops, batch_tally.by_level) == (
+        loop_tally.element_ops,
+        loop_tally.maintenance_ops,
+        loop_tally.by_level,
+    )
+
+
+ADD_ALL_EDGES = [
+    [],
+    [5] * 30,
+    list(range(1, 41)),
+    list(range(40, 0, -1)),
+]
+
+
+@pytest.mark.parametrize("keys", ADD_ALL_EDGES, ids=["empty", "repeated", "distinct", "descending"])
+def test_add_all_edge_cases_match_add_loop(keys):
+    _add_all_matches_loop(lambda tally: DenseCounter(40, tally), keys)
+    _add_all_matches_loop(SparseClassCounter, keys)
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.lists(st.integers(min_value=1, max_value=40), max_size=200))
+@example(sorted(range(1, 40), reverse=True) * 2)
+def test_add_all_matches_add_loop(keys):
+    _add_all_matches_loop(lambda tally: DenseCounter(40, tally), keys)
+    _add_all_matches_loop(SparseClassCounter, keys)
+
+
+def test_add_all_continues_from_stored_counts():
+    # keys already stored are re-adds, not inserts, and counts run on
+    for make in (lambda tally: DenseCounter(6, tally), SparseClassCounter):
+        batch_tally, loop_tally = OpTally(), OpTally()
+        batch, loop = make(batch_tally), make(loop_tally)
+        for k in (3, 1, 3):
+            batch.add(k, 1)
+            loop.add(k, 1)
+        keys = [3, 6, 1, 2, 3, 6, 5]
+        assert batch.add_all(keys).tolist() == [loop.add(k, 1) for k in keys] == [3, 1, 2, 1, 4, 2, 1]
+        assert batch.items() == loop.items()
+        assert batch_tally == loop_tally
+
+
+def test_dense_add_all_rejects_out_of_range_keys():
+    tally = OpTally()
+    c = DenseCounter(4, tally)
+    with pytest.raises(KeyError):
+        c.add_all([1, 5, 2])
+    assert c.items() == []
+    assert tally.element_ops == 0

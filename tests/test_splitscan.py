@@ -1,7 +1,9 @@
 """Fast split scanners vs the brute-force reference, plus pinned tallies."""
 
+import math
 import random
 
+import numpy as np
 import pytest
 
 from qdtree import oracle
@@ -12,6 +14,7 @@ from qdtree.criteria import (
     gain,
     gain_ratio,
     potential_information,
+    xlog2x,
 )
 from qdtree.dataset import (
     DISCRETE,
@@ -124,7 +127,7 @@ def test_prefix_and_suffix_tables_match_from_scratch():
         state = build_real_scan(data.full_view(), 0, backend_for(data))
         order = sorted(range(n), key=lambda i: values[i])  # stable
         sorted_labels = [labels[i] for i in order]
-        assert state.labels == sorted_labels
+        assert state.labels.tolist() == sorted_labels
         for u in range(1, n + 1):
             want = oracle.label_entropy(sorted_labels[:u])
             assert state.prefix_info[u] == pytest.approx(want, abs=1e-9)
@@ -137,7 +140,7 @@ def test_real_scan_uses_stable_order():
     # equal values keep their row order: rows 1, 3, 0, 2 in that order
     data = real_data([2.0, 1.0, 2.0, 1.0], [1, 1, 2, 2])
     state = build_real_scan(data.full_view(), 0, backend_for(data))
-    assert state.labels == [1, 2, 1, 2]
+    assert state.labels.tolist() == [1, 2, 1, 2]
     assert list(state.values) == [1.0, 1.0, 2.0, 2.0]
 
 
@@ -309,3 +312,84 @@ def test_real_scan_tallies_are_pinned(name, element_ops, maintenance_ops):
     assert (tally.element_ops, tally.maintenance_ops) == (element_ops, maintenance_ops)
     assert score.ratio == 0.4110263131819211
     assert test.theta == 0.875
+
+
+def _counted_information_table(labels, counter):
+    # the counted per-sample loop the numpy kernel replaced
+    info = [0.0] * (len(labels) + 1)
+    h = 0.0
+    for u, y in enumerate(labels, 1):
+        c = counter.add(y, 1)
+        h += xlog2x(c) - xlog2x(c - 1)
+        info[u] = max(0.0, math.log2(u) - h / u)
+    counter.clear()
+    return info
+
+
+def _counted_candidates(view, attr, backend):
+    values = view.values(attr)
+    order = np.argsort(values, kind="stable")
+    values = values[order]
+    labels = view.labels()[order].tolist()
+    prefix = _counted_information_table(labels, backend.class_counter())
+    suffix = [0.0] + _counted_information_table(labels[::-1], backend.class_counter())[::-1]
+    z = len(values)
+    out = []
+    for u in range(1, z):
+        if values[u - 1] == values[u]:
+            continue
+        left = u / z
+        right = 1.0 - left
+        g = prefix[z] - left * prefix[u] - right * suffix[u + 1]
+        p = -(left * math.log2(left) + right * math.log2(right))
+        out.append((float((values[u - 1] + values[u]) / 2.0), gain_ratio(g, p)))
+    return out
+
+
+def _counted_scan(view, attr, backend):
+    best = None
+    for theta, score in _counted_candidates(view, attr, backend):
+        if best is None or best[0] < score:
+            best = (score, theta)
+    return best
+
+
+def _exact(score):
+    return (score.gain.hex(), score.potential.hex(), score.ratio.hex(), score.valid)
+
+
+def _ledger(tally):
+    return (tally.element_ops, tally.maintenance_ops, tally.by_level)
+
+
+@pytest.mark.parametrize("name", [BASELINE, TREEMAP])
+def test_real_kernel_matches_counted_loop(name):
+    rng = random.Random("kernel-vs-loop-" + name)
+    for i in range(120):
+        m = rng.choice([2, 3, 5, 16, 64, 200])
+        # the first view reaches z = 1621, the smallest count whose np.log2
+        # differs from math.log2 in the last bit
+        n = 1800 if i == 0 else rng.randint(2, 160)
+        spread = 10**6 if i == 0 else rng.choice([1, 3, 12, 1000])  # few values, many ties
+        values = [rng.randint(0, spread) / 8.0 for _ in range(n)]
+        labels = [rng.randint(1, m) for _ in range(n)]
+        labels[0] = m
+        data = real_data(values, labels)
+        rows = sorted(rng.sample(range(n), n if i == 0 else rng.randint(2, n)))
+        view = SubsetView(data, rows)
+
+        got_tally, want_tally = OpTally(level=i % 4), OpTally(level=i % 4)
+        got = real_split_candidates(view, 0, make_backend(name, m, got_tally))
+        want = _counted_candidates(view, 0, make_backend(name, m, want_tally))
+        assert [(t.hex(), _exact(s)) for t, s in got] == [(t.hex(), _exact(s)) for t, s in want]
+        assert _ledger(got_tally) == _ledger(want_tally)
+
+        got_tally, want_tally = OpTally(level=i % 4), OpTally(level=i % 4)
+        got = scan_real_attribute(view, 0, make_backend(name, m, got_tally))
+        want = _counted_scan(view, 0, make_backend(name, m, want_tally))
+        if want is None:
+            assert got is None
+        else:
+            assert _exact(got[0]) == _exact(want[0])
+            assert got[1] == SplitTest(0, REAL, theta=want[1])
+        assert _ledger(got_tally) == _ledger(want_tally)
