@@ -13,6 +13,8 @@ import math
 import os
 from dataclasses import dataclass, field
 
+import numpy as np
+
 from . import jsonio
 from .counters import BASELINE, TREEMAP, make_backend
 from .criteria import ClassHistogram, OpTally
@@ -22,6 +24,7 @@ from .dataset import (
     Attribute,
     AttributeSchema,
     DataFormatError,
+    branch_masks,
     partition,
 )
 from .splitscan import SplitTest, process_attribute
@@ -172,35 +175,41 @@ def train(data, config=None):
     return DecisionTree(root, data.schema, data.class_labels, stats)
 
 
-def classify(tree, x):
-    """Routes one attribute vector from the root to a leaf class index.
+def route(tree, columns):
+    """Leaf class index of every row, given one value array per attribute.
 
-    Real tests send x left iff x[attr] <= theta; a discrete test sends x to
-    the child matching its value, which must lie in the attribute's domain.
+    Row-index arrays go down the tree on an explicit stack, split by
+    `branch_masks`; subtrees no row reaches are skipped. Discrete values
+    must lie in their domains, as the reader, Dataset and load_model ensure.
     """
-    node = tree.root
-    while isinstance(node, Internal):
-        test = node.test
-        value = x[test.attr]
-        if test.kind == REAL:
-            node = node.children[0] if float(value) <= test.theta else node.children[1]
-        else:
-            w = int(value)
-            if not 1 <= w <= test.branch_count:
-                raise DataFormatError(
-                    "value %r of attribute index %d outside 1..%d"
-                    % (value, test.attr, test.branch_count)
-                )
-            node = node.children[w - 1]
-    return node.class_index
+    classes = np.zeros(len(columns[0]), dtype=np.int64)
+    stack = [(tree.root, np.arange(len(classes)))]
+    while stack:
+        node, rows = stack.pop()
+        if isinstance(node, Leaf):
+            classes[rows] = node.class_index
+        elif len(rows):
+            masks = branch_masks(columns[node.test.attr][rows], node.test)
+            stack.extend(zip(node.children, (rows[mask] for mask in masks)))
+    return classes
+
+
+def classify(tree, x):
+    """Routes one attribute vector: real values go through float(), discrete
+    ones through int(), and one outside its domain raises DataFormatError."""
+    columns = []
+    for attr, a in enumerate(tree.schema.attributes):
+        value = float(x[attr]) if a.kind == REAL else int(x[attr])
+        if a.kind == DISCRETE and not 1 <= value <= a.domain_size:
+            raise DataFormatError(
+                "value %r of attribute index %d outside 1..%d" % (x[attr], attr, a.domain_size)
+            )
+        columns.append(np.array([value]))
+    return int(route(tree, columns)[0])
 
 
 def training_accuracy(tree, data):
-    hits = 0
-    for i in range(data.n_rows):
-        if classify(tree, data.row(i)) == int(data.labels[i]):
-            hits += 1
-    return hits / data.n_rows
+    return np.count_nonzero(route(tree, data.columns) == data.labels) / data.n_rows
 
 
 def tree_height(node):
@@ -350,20 +359,26 @@ def serialize_model(tree):
     return jsonio.dumps(tree_to_document(tree)) + "\n"
 
 
-def save_model(tree, path):
-    """Writes the model to a temporary file in path's directory and renames
-    it into place, so a save that fails leaves no partial model at path."""
-    text = serialize_model(tree)
+def write_atomically(path, text):
+    """Writes text to a temporary file in path's directory and renames it
+    into place, so a write that fails leaves no partial file at path; an
+    OSError names path rather than the temporary file."""
     head, tail = os.path.split(os.fspath(path))
     partial = os.path.join(head, ".%s.%d.tmp" % (tail, os.getpid()))
     try:
         with open(partial, "w", encoding="utf-8") as fh:
             fh.write(text)
         os.replace(partial, path)
-    except BaseException:
+    except BaseException as exc:
         with contextlib.suppress(FileNotFoundError):
             os.remove(partial)
+        if isinstance(exc, OSError):
+            raise OSError("cannot write %s: %s" % (path, exc.strerror)) from None
         raise
+
+
+def save_model(tree, path):
+    write_atomically(path, serialize_model(tree))
 
 
 def load_model(path):

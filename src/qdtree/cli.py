@@ -18,12 +18,13 @@ from . import verify as verify_suites
 from .builder import (
     QUANTUM,
     BuildConfig,
-    classify,
     load_model,
+    route,
     save_model,
     train,
     training_accuracy,
     tree_height,
+    write_atomically,
 )
 from .counters import BASELINE, TREEMAP
 from .dataset import DataFormatError, load_csv, load_feature_rows, read_schema
@@ -137,6 +138,9 @@ def cmd_train(args):
         # the grower and the model writer still recurse once per tree level
         print("error: the tree is too deep to grow or serialize", file=sys.stderr)
         return 2
+    except OSError as exc:
+        print("error: %s" % (exc,), file=sys.stderr)
+        return 2
     extra = "" if report is None else " queries=%d" % (report.total_oracle_queries,)
     if report is None and args.report:
         print("warning: only the quantum backend produces a report", file=sys.stderr)
@@ -157,12 +161,12 @@ def cmd_train(args):
 def cmd_predict(args):
     try:
         tree = load_model(args.model)
-        rows = load_feature_rows(args.data, tree.schema.attributes)
+        columns = load_feature_rows(args.data, tree.schema.attributes)
     except (DataFormatError, OSError, KeyError, ValueError) as exc:
         print("error: %s" % (exc,), file=sys.stderr)
         return 2
-    for row in rows:
-        print(tree.class_labels[classify(tree, row) - 1])
+    lines = ["%s\n" % (label,) for label in tree.class_labels]
+    sys.stdout.write("".join(lines[c - 1] for c in route(tree, columns).tolist()))
     return 0
 
 
@@ -224,8 +228,11 @@ def cmd_bench(args):
     lines.extend(_bench_rows(args, backends))
     text = "\n".join(lines) + "\n"
     if args.out:
-        with open(args.out, "w", encoding="utf-8") as fh:
-            fh.write(text)
+        try:
+            write_atomically(args.out, text)
+        except OSError as exc:
+            print("error: %s" % (exc,), file=sys.stderr)
+            return 2
     else:
         sys.stdout.write(text)
     return 0

@@ -156,17 +156,22 @@ def _subview(view, mask):
     return child
 
 
-def partition(view, test):
-    """Splits a view by a node test, preserving row order.
+def branch_masks(values, test):
+    """The branch rule: one boolean mask over values per child of a node test.
 
-    Real tests give two views (x <= theta first); discrete tests give one
-    view per domain value in value order, empty views permitted.
+    A real test sends x <= theta to its first child and the rest to its
+    second; a discrete test sends x == w to child w, for w in 1..T.
     """
-    values = view.values(test.attr)
     if test.kind == REAL:
-        mask = values <= test.theta
-        return [_subview(view, mask), _subview(view, ~mask)]
-    return [_subview(view, values == w) for w in range(1, test.branch_count + 1)]
+        left = values <= test.theta
+        return [left, ~left]
+    return [values == w for w in range(1, test.branch_count + 1)]
+
+
+def partition(view, test):
+    """Splits a view by a node test, preserving row order; discrete tests
+    give one view per domain value, empty views permitted."""
+    return [_subview(view, mask) for mask in branch_masks(view.values(test.attr), test)]
 
 
 def read_schema(path):
@@ -235,42 +240,50 @@ def _parse_value(token, attribute, path, lineno):
     return v
 
 
-def load_csv(path, attributes):
-    """Loads a labeled CSV whose header is the attribute names plus `class`."""
-    attributes = tuple(attributes)
-    d = len(attributes)
-    expected = [a.name for a in attributes] + ["class"]
-    cols = [[] for _ in range(d)]
+def _read_csv(path, attributes, labeled):
+    """The one CSV loop: returns a list of parsed values per attribute and,
+    when labeled, every row's stripped label. The header is the attribute
+    names plus `class`; an unlabeled read may also omit `class`."""
+    names = [a.name for a in attributes]
+    expected = names + ["class"] if labeled else names
+    cols = [[] for _ in attributes]
     labels = []
-    mapping = {}
-    names = []
     with open(path, newline="", encoding="utf-8") as fh:
         reader = csv.reader(fh)
         header = next(reader, None)
         if header is None:
             raise DataFormatError("%s: missing header row" % (path,))
-        if [h.strip() for h in header] != expected:
+        stripped = [h.strip() for h in header]
+        if stripped not in (expected, names + ["class"]):
             raise DataFormatError(
-                "%s: header %r does not match schema columns %r" % (path, header, expected)
+                "%s: header %r does not match schema columns %r"
+                % (path, header if labeled else stripped, expected)
             )
+        width = len(header)
         for lineno, row in enumerate(reader, start=2):
             if not row:
                 continue
-            if len(row) != d + 1:
+            if len(row) != width:
                 raise DataFormatError(
-                    "%s line %d: expected %d fields, got %d" % (path, lineno, d + 1, len(row))
+                    "%s line %d: expected %d fields, got %d" % (path, lineno, width, len(row))
                 )
-            for j, a in enumerate(attributes):
-                cols[j].append(_parse_value(row[j], a, path, lineno))
-            label = row[d].strip()
-            if label not in mapping:
-                mapping[label] = len(names) + 1
-                names.append(label)
-            labels.append(mapping[label])
+            for col, a, token in zip(cols, attributes, row):
+                col.append(_parse_value(token, a, path, lineno))
+            if labeled:
+                labels.append(row[-1].strip())
+    return cols, labels
+
+
+def load_csv(path, attributes):
+    """Loads a labeled CSV whose header is the attribute names plus `class`."""
+    attributes = tuple(attributes)
+    cols, labels = _read_csv(path, attributes, labeled=True)
     if not labels:
         raise DataFormatError("%s: empty training set" % (path,))
-    schema = AttributeSchema(attributes, class_count=len(names))
-    return Dataset(schema, cols, labels, tuple(names))
+    mapping = {}
+    indices = [mapping.setdefault(label, len(mapping) + 1) for label in labels]
+    schema = AttributeSchema(attributes, class_count=len(mapping))
+    return Dataset(schema, cols, indices, tuple(mapping))
 
 
 def save_csv(data, path):
@@ -288,36 +301,10 @@ def save_csv(data, path):
 
 
 def load_feature_rows(path, attributes):
-    """Reads feature rows for prediction.
+    """Reads feature columns for prediction, one array per attribute.
 
     The header must list the attribute names; a trailing `class` column is
     tolerated and ignored so training files can be fed back in.
     """
-    attributes = tuple(attributes)
-    d = len(attributes)
-    names = [a.name for a in attributes]
-    rows = []
-    with open(path, newline="", encoding="utf-8") as fh:
-        reader = csv.reader(fh)
-        header = next(reader, None)
-        if header is None:
-            raise DataFormatError("%s: missing header row" % (path,))
-        header = [h.strip() for h in header]
-        if header == names:
-            labeled = False
-        elif header == names + ["class"]:
-            labeled = True
-        else:
-            raise DataFormatError(
-                "%s: header %r does not match schema columns %r" % (path, header, names)
-            )
-        width = d + 1 if labeled else d
-        for lineno, row in enumerate(reader, start=2):
-            if not row:
-                continue
-            if len(row) != width:
-                raise DataFormatError(
-                    "%s line %d: expected %d fields, got %d" % (path, lineno, width, len(row))
-                )
-            rows.append(tuple(_parse_value(row[j], a, path, lineno) for j, a in enumerate(attributes)))
-    return rows
+    cols, _ = _read_csv(path, tuple(attributes), labeled=False)
+    return [np.asarray(col) for col in cols]

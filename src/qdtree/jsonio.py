@@ -8,6 +8,8 @@ bytes. Loading goes through the standard json module.
 import json
 import math
 
+INDENT = 2
+
 
 def format_float(x):
     if not math.isfinite(x):
@@ -18,13 +20,13 @@ def format_float(x):
     return s
 
 
-def dumps(value, indent=2):
+def dumps(value):
     out = []
-    _write(value, out, indent, 0)
+    _write(value, out, 0)
     return "".join(out)
 
 
-def _write(value, out, indent, depth):
+def _write(value, out, depth):
     if value is None:
         out.append("null")
     elif value is True:
@@ -41,27 +43,27 @@ def _write(value, out, indent, depth):
         if not value:
             out.append("[]")
             return
-        pad = " " * (indent * depth)
-        inner = " " * (indent * (depth + 1))
+        pad = " " * (INDENT * depth)
+        inner = " " * (INDENT * (depth + 1))
         out.append("[\n")
         for i, item in enumerate(value):
             out.append(inner)
-            _write(item, out, indent, depth + 1)
+            _write(item, out, depth + 1)
             out.append(",\n" if i + 1 < len(value) else "\n")
         out.append(pad + "]")
     elif isinstance(value, dict):
         if not value:
             out.append("{}")
             return
-        pad = " " * (indent * depth)
-        inner = " " * (indent * (depth + 1))
+        pad = " " * (INDENT * depth)
+        inner = " " * (INDENT * (depth + 1))
         out.append("{\n")
         items = list(value.items())
         for i, (key, item) in enumerate(items):
             if not isinstance(key, str):
                 raise TypeError("JSON object keys must be strings, got %r" % (key,))
             out.append(inner + json.dumps(key) + ": ")
-            _write(item, out, indent, depth + 1)
+            _write(item, out, depth + 1)
             out.append(",\n" if i + 1 < len(items) else "\n")
         out.append(pad + "}")
     else:

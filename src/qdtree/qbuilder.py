@@ -18,7 +18,7 @@ import random
 from dataclasses import dataclass, field
 
 from . import jsonio
-from .builder import QUANTUM, BuildStats, DecisionTree, form_tree
+from .builder import QUANTUM, BuildStats, DecisionTree, form_tree, write_atomically
 from .counters import TREEMAP, make_backend
 from .criteria import INVALID_SPLIT
 from .qsearch import ScoringOracle, default_repeats, repeated_max
@@ -184,5 +184,4 @@ def serialize_report(report):
 
 
 def save_report(report, path):
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write(serialize_report(report))
+    write_atomically(path, serialize_report(report))

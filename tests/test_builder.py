@@ -18,6 +18,7 @@ from qdtree.builder import (
     document_to_tree,
     format_tree,
     load_model,
+    route,
     save_model,
     serialize_model,
     train,
@@ -35,6 +36,7 @@ from qdtree.dataset import (
     DataFormatError,
     Dataset,
 )
+from qdtree.qbuilder import q_train
 from qdtree.synth import grid_dataset, planted_dataset, random_dataset, random_schema
 
 
@@ -191,8 +193,10 @@ def test_classify_rejects_out_of_domain_discrete():
     schema = AttributeSchema((Attribute("c1", DISCRETE, 2),), 2)
     data = Dataset(schema, [[1, 1, 2, 2]], [1, 1, 2, 2], ("a", "b"))
     tree = train(data)
-    with pytest.raises(DataFormatError):
-        classify(tree, (3,))
+    for value in (3, 0, 7.0):
+        with pytest.raises(DataFormatError) as e:
+            classify(tree, (value,))
+        assert str(e.value) == "value %r of attribute index 0 outside 1..2" % (value,)
 
 
 def test_classify_xor_exactly():
@@ -315,3 +319,58 @@ def test_stats_report_leaf_and_node_counts():
     tree = train(data, BuildConfig(max_height=2))
     assert tree.stats.internal_nodes == 3
     assert tree.stats.leaves == 4
+
+
+def reference_classify(tree, x):
+    """The per-row walk that route replaced, kept as its reference."""
+    node = tree.root
+    while isinstance(node, Internal):
+        test = node.test
+        value = x[test.attr]
+        if test.kind == REAL:
+            node = node.children[0] if float(value) <= test.theta else node.children[1]
+        else:
+            w = int(value)
+            if not 1 <= w <= test.branch_count:
+                raise DataFormatError(
+                    "value %r of attribute index %d outside 1..%d"
+                    % (value, test.attr, test.branch_count)
+                )
+            node = node.children[w - 1]
+    return node.class_index
+
+
+def _has_empty_branch(node):
+    stack = [node]
+    while stack:
+        node = stack.pop()
+        if isinstance(node, Internal):
+            if any(isinstance(c, Leaf) and c.support is node.support for c in node.children):
+                return True
+            stack.extend(node.children)
+    return False
+
+
+def _equivalence_trees():
+    for i in range(24):
+        schema = random_schema(4, 3, seed=700 + i, kinds=("mixed", "discrete")[i % 2])
+        data = random_dataset(schema, 40 + 5 * i, seed=700 + i)
+        fresh = random_dataset(schema, 60, seed=900 + i)
+        for backend in (BASELINE, TREEMAP):
+            yield train(data, BuildConfig(max_height=4, backend=backend)), data, fresh
+        if i % 3 == 0:
+            config = BuildConfig(max_height=4, backend="quantum", seed=i)
+            yield q_train(data, config).tree, data, fresh
+
+
+def test_route_matches_per_row_walk():
+    empty_branches = 0
+    for tree, data, fresh in _equivalence_trees():
+        empty_branches += _has_empty_branch(tree.root)
+        for rows in (data, fresh):
+            expected = [reference_classify(tree, rows.row(i)) for i in range(rows.n_rows)]
+            assert route(tree, rows.columns).tolist() == expected
+            assert [classify(tree, rows.row(i)) for i in range(rows.n_rows)] == expected
+        hits = sum(reference_classify(tree, data.row(i)) == y for i, y in enumerate(data.labels))
+        assert training_accuracy(tree, data) == hits / data.n_rows
+    assert empty_branches >= 10

@@ -381,3 +381,45 @@ def test_too_deep_tree_exits_two_and_writes_nothing(tmp_path, capsys, rows):
     ) == 2
     assert capsys.readouterr().err.startswith("error: ")
     assert sorted(p.name for p in tmp_path.iterdir()) == ["stairs.csv", "stairs.schema"]
+
+
+def test_predict_header_only_file_prints_nothing(tmp_path, capsys):
+    csv, sch = write_xor(tmp_path)
+    model = tmp_path / "m.json"
+    run(["train", "--data", csv, "--schema", sch, "--out", model])
+    capsys.readouterr()
+    rows = tmp_path / "rows.csv"
+    rows.write_text("x1,x2\n")
+    assert run(["predict", "--model", model, "--data", rows]) == 0
+    assert capsys.readouterr().out == ""
+
+
+def _unwritable_model(tmp_path, csv, sch):
+    return ["train", "--data", csv, "--schema", sch, "--out", tmp_path / "no" / "m.json"]
+
+
+def _unwritable_report(tmp_path, csv, sch):
+    return ["train", "--data", csv, "--schema", sch, "--out", tmp_path / "m.json",
+            "--backend", "quantum", "--seed", 0, "--report", tmp_path / "no" / "r.json"]
+
+
+def _unwritable_bench(tmp_path, csv, sch):
+    return ["bench", "--n", 16, "--m", "4", "--d", "2", "--max-height", 1,
+            "--out", tmp_path / "no" / "b.csv"]
+
+
+def _model_onto_directory(tmp_path, csv, sch):
+    return ["train", "--data", csv, "--schema", sch, "--out", "."]
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [_unwritable_model, _unwritable_report, _unwritable_bench, _model_onto_directory],
+    ids=["train-out", "train-report", "bench-out", "train-out-directory"],
+)
+def test_unwritable_output_exits_two(tmp_path, capsys, monkeypatch, argv):
+    csv, sch = write_xor(tmp_path)
+    monkeypatch.chdir(tmp_path)
+    assert run(argv(tmp_path, csv, sch)) == 2
+    assert capsys.readouterr().err.startswith("error: cannot write ")
+    assert not [p for p in tmp_path.rglob("*") if p.name.endswith(".tmp")]

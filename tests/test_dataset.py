@@ -178,7 +178,7 @@ def test_csv_roundtrip(tmp_path):
 
 def test_load_csv_label_order_is_first_appearance(tmp_path):
     path = tmp_path / "train.csv"
-    path.write_text("x1,class\n1.0,zebra\n2.0,ant\n3.0,zebra\n")
+    path.write_text("x1,class\n1.0,zebra\n2.0, ant\n3.0,zebra \n")
     data = load_csv(path, (Attribute("x1", REAL),))
     assert data.class_labels == ("zebra", "ant")
     assert list(data.labels) == [1, 2, 1]
@@ -211,8 +211,9 @@ def test_load_feature_rows_tolerates_label_column(tmp_path):
     bare.write_text("x1,color\n1.5,2\n2.5,3\n")
     labeled = tmp_path / "labeled.csv"
     labeled.write_text("x1,color,class\n1.5,2,a\n2.5,3,b\n")
-    assert load_feature_rows(bare, attrs) == load_feature_rows(labeled, attrs)
-    assert load_feature_rows(bare, attrs) == [(1.5, 2), (2.5, 3)]
+    columns = [col.tolist() for col in load_feature_rows(bare, attrs)]
+    assert columns == [col.tolist() for col in load_feature_rows(labeled, attrs)]
+    assert columns == [[1.5, 2.5], [2, 3]]
 
 
 def test_load_feature_rows_rejects_unknown_header(tmp_path):
@@ -221,3 +222,82 @@ def test_load_feature_rows_rejects_unknown_header(tmp_path):
     path.write_text("x1,extra\n1.0,2\n")
     with pytest.raises(DataFormatError):
         load_feature_rows(path, attrs)
+
+
+# Every reader message, pinned byte for byte for both entry points. A
+# whitespace-padded header shows the two header-mismatch forms: load_csv
+# prints the raw header and the columns with `class`, load_feature_rows the
+# stripped header and the attribute names only.
+READER_ATTRS = (Attribute("x1", REAL), Attribute("color", DISCRETE, 3))
+READER_CASES = [
+    ("missing-header", "", "%(p)s: missing header row", "%(p)s: missing header row"),
+    (
+        "header-mismatch",
+        " x1 , extra \n1.0,2\n",
+        "%(p)s: header [' x1 ', ' extra '] does not match schema columns"
+        " ['x1', 'color', 'class']",
+        "%(p)s: header ['x1', 'extra'] does not match schema columns ['x1', 'color']",
+    ),
+    (
+        "wrong-width",
+        "%(h)s\n1.0,2%(c)s\n1.0%(c)s\n",
+        "%(p)s line 3: expected %(want)d fields, got %(got)d",
+        "%(p)s line 3: expected %(want)d fields, got %(got)d",
+    ),
+    (
+        "not-a-number",
+        "%(h)s\n oops ,2%(c)s\n",
+        "%(p)s line 2, column 'x1': 'oops' is not a number",
+        "%(p)s line 2, column 'x1': 'oops' is not a number",
+    ),
+    (
+        "non-finite",
+        "%(h)s\n1.0,2%(c)s\ninf,1%(c)s\n",
+        "%(p)s line 3, column 'x1': values must be finite",
+        "%(p)s line 3, column 'x1': values must be finite",
+    ),
+    (
+        "not-an-integer",
+        "%(h)s\n1.0, 2.5 %(c)s\n",
+        "%(p)s line 2, column 'color': '2.5' is not an integer",
+        "%(p)s line 2, column 'color': '2.5' is not an integer",
+    ),
+    (
+        "out-of-domain",
+        "%(h)s\n1.0,7%(c)s\n",
+        "%(p)s line 2, column 'color': value 7 outside 1..3",
+        "%(p)s line 2, column 'color': value 7 outside 1..3",
+    ),
+    (
+        "first-error-wins",
+        "%(h)s\nnan,1%(c)s\n\n2.0,1%(c)s\n1.0\n",
+        "%(p)s line 2, column 'x1': values must be finite",
+        "%(p)s line 2, column 'x1': values must be finite",
+    ),
+]
+
+
+@pytest.mark.parametrize(
+    "content,csv_message,rows_message",
+    [case[1:] for case in READER_CASES],
+    ids=[case[0] for case in READER_CASES],
+)
+def test_reader_messages_are_pinned(tmp_path, content, csv_message, rows_message):
+    path = tmp_path / "in.csv"
+    path.write_text(content % {"h": "x1,color,class", "c": ",a"})
+    with pytest.raises(DataFormatError) as e:
+        load_csv(path, READER_ATTRS)
+    assert str(e.value) == csv_message % {"p": path, "want": 3, "got": 2}
+    for header, tail, want in (("x1,color", "", 2), ("x1,color,class", ",a", 3)):
+        path.write_text(content % {"h": header, "c": tail})
+        with pytest.raises(DataFormatError) as e:
+            load_feature_rows(path, READER_ATTRS)
+        assert str(e.value) == rows_message % {"p": path, "want": want, "got": want - 1}
+
+
+def test_empty_training_set_message_is_pinned(tmp_path):
+    path = tmp_path / "in.csv"
+    path.write_text("x1,color,class\n\n")
+    with pytest.raises(DataFormatError) as e:
+        load_csv(path, READER_ATTRS)
+    assert str(e.value) == "%s: empty training set" % (path,)
