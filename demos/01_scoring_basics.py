@@ -5,28 +5,35 @@ Walks one tiny table through class entropy, information gain, potential
 scanner in this package maximizes.
 """
 
-from qdtree.criteria import ClassHistogram, gain, gain_ratio, information, potential_information
+from qdtree.criteria import gain, gain_ratio, information, potential_information
 
 # four samples, one real attribute, labels A A A B
 values = [1.0, 2.0, 3.0, 4.0]
 labels = [1, 1, 1, 2]
 
-parent = ClassHistogram.from_labels(labels)
-print("parent counts:", parent.counts)
+
+
+def class_counts(classes):
+    """Counts of classes 1 and 2, in that order."""
+    return [classes.count(j) for j in (1, 2)]
+
+
+parent = class_counts(labels)
+print("parent counts:", parent)
 print("parent information: %.10f bits" % information(parent))
 print()
 
 # a real threshold sends x <= theta left and the rest right; the useful
 # thetas sit halfway between consecutive distinct values
 for theta in (1.5, 2.5, 3.5):
-    left = ClassHistogram.from_labels([c for v, c in zip(values, labels) if v <= theta])
-    right = ClassHistogram.from_labels([c for v, c in zip(values, labels) if v > theta])
-    g = gain(parent, [b for b in (left, right) if b.counts])
-    p = potential_information([sum(left.counts.values()), sum(right.counts.values())])
+    left = class_counts([c for v, c in zip(values, labels) if v <= theta])
+    right = class_counts([c for v, c in zip(values, labels) if v > theta])
+    g = gain(parent, [left, right])
+    p = potential_information([sum(left), sum(right)])
     score = gain_ratio(g, p)
     print(
         "theta=%.1f  left=%s right=%s  gain=%.7f  potential=%.7f  ratio=%.7f"
-        % (theta, dict(left.counts), dict(right.counts), g, p, score.ratio)
+        % (theta, left, right, g, p, score.ratio)
     )
 
 print()

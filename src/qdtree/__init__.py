@@ -21,7 +21,6 @@ from .builder import (
 from .counters import BASELINE, TREEMAP, make_backend
 from .criteria import (
     INVALID_SPLIT,
-    ClassHistogram,
     OpTally,
     SparseClassCounter,
     SplitScore,
@@ -62,7 +61,6 @@ __all__ = [
     "BASELINE",
     "BuildConfig",
     "BuildStats",
-    "ClassHistogram",
     "DISCRETE",
     "DataFormatError",
     "Dataset",

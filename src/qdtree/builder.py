@@ -12,12 +12,13 @@ import contextlib
 import math
 import os
 from dataclasses import dataclass, field
+from operator import countOf
 
 import numpy as np
 
 from . import jsonio
 from .counters import BASELINE, TREEMAP, make_backend
-from .criteria import ClassHistogram, OpTally
+from .criteria import INVALID_SPLIT, OpTally
 from .dataset import (
     DISCRETE,
     REAL,
@@ -84,15 +85,17 @@ class BuildStats:
 
 @dataclass
 class Leaf:
+    """support holds the node's M class counts, class 1 first."""
+
     class_index: int
-    support: ClassHistogram
+    support: tuple
 
 
 @dataclass
 class Internal:
     test: SplitTest
     children: list
-    support: ClassHistogram
+    support: tuple
 
 
 @dataclass
@@ -103,6 +106,18 @@ class DecisionTree:
     stats: BuildStats
 
 
+def first_best(attrs, score_of):
+    """The first of attrs with the greatest valid score, or None. This is
+    the one tie rule: the classical sweep, the quantum fallback and the
+    verified optimum all pick with it."""
+    best = None
+    for attr in attrs:
+        score = score_of(attr)
+        if score.valid and (best is None or score_of(best) < score):
+            best = attr
+    return best
+
+
 def choose_split(view, backend, stats=None):
     """Gain-ratio argmax over all attributes of a view.
 
@@ -110,19 +125,13 @@ def choose_split(view, backend, stats=None):
     valid candidate. Ties keep the lowest attribute index; threshold ties
     within an attribute were already resolved toward the lowest threshold.
     """
-    best = None
+    results = []
     for attr in range(view.base.schema.attribute_count):
         if stats is not None:
             stats.evaluations += 1
-        result = process_attribute(view, attr, backend)
-        if result is None:
-            continue
-        score, test = result
-        if not score.valid:
-            continue
-        if best is None or best[2] < score:
-            best = (attr, test, score)
-    return best
+        results.append(process_attribute(view, attr, backend) or (INVALID_SPLIT, None))
+    attr = first_best(range(len(results)), lambda a: results[a][0])
+    return None if attr is None else (attr, results[attr][1], results[attr][0])
 
 
 def form_tree(view, level, config, stats, choose):
@@ -132,10 +141,13 @@ def form_tree(view, level, config, stats, choose):
     sample takes becomes a leaf labeled with the parent majority; its
     recorded support is the parent distribution the label came from.
     """
-    hist = ClassHistogram.from_labels(view.labels())
+    m = view.base.schema.class_count
+    support = tuple(np.bincount(view.labels(), minlength=m + 1)[1:].tolist())
+    # the lowest class wins a tie
+    majority = support.index(max(support)) + 1
     test = None
     if (
-        len(hist.counts) > 1
+        m - support.count(0) > 1
         and level < config.max_height
         and len(view) >= config.min_split
     ):
@@ -143,16 +155,16 @@ def form_tree(view, level, config, stats, choose):
         test = choose(view)
     if test is None:
         stats.leaves += 1
-        return Leaf(hist.majority(), hist)
+        return Leaf(majority, support)
     stats.internal_nodes += 1
     children = []
     for part in partition(view, test):
         if len(part) == 0:
             stats.leaves += 1
-            children.append(Leaf(hist.majority(), hist))
+            children.append(Leaf(majority, support))
         else:
             children.append(form_tree(part, level + 1, config, stats, choose))
-    return Internal(test, children, hist)
+    return Internal(test, children, support)
 
 
 def train(data, config=None):
@@ -225,36 +237,16 @@ def tree_height(node):
     return height
 
 
-def count_internal(node):
-    """Internal nodes under and including node, walked without recursion."""
-    count = 0
-    stack = [node]
-    while stack:
-        node = stack.pop()
-        if not isinstance(node, Leaf):
-            count += 1
-            stack.extend(node.children)
-    return count
-
-
-def _support_list(hist, class_count):
-    return [hist.counts.get(j, 0) for j in range(1, class_count + 1)]
-
-
-def _node_document(node, class_count):
+def _node_document(node):
     if isinstance(node, Leaf):
-        return {
-            "kind": "leaf",
-            "class": node.class_index,
-            "support": _support_list(node.support, class_count),
-        }
+        return {"kind": "leaf", "class": node.class_index, "support": node.support}
     doc = {"kind": "internal", "attr": node.test.attr}
     if node.test.kind == REAL:
         doc["theta"] = node.test.theta
     else:
         doc["branch_count"] = node.test.branch_count
-    doc["support"] = _support_list(node.support, class_count)
-    doc["children"] = [_node_document(child, class_count) for child in node.children]
+    doc["support"] = node.support
+    doc["children"] = [_node_document(child) for child in node.children]
     return doc
 
 
@@ -263,7 +255,9 @@ def tree_to_document(tree):
 
     Attribute indices in the document are 0-based positions in the schema's
     attribute list; class indices are the 1-based internal ones, with
-    class_label_mapping[c-1] giving the original label string.
+    class_label_mapping[c-1] giving the original label string. Each node's
+    support is the node's own count tuple, not a copy; it emits as a JSON
+    array.
     """
     attrs = []
     for a in tree.schema.attributes:
@@ -274,7 +268,7 @@ def tree_to_document(tree):
     return {
         "schema": {"class_count": tree.schema.class_count, "attributes": attrs},
         "class_label_mapping": list(tree.class_labels),
-        "root": _node_document(tree.root, tree.schema.class_count),
+        "root": _node_document(tree.root),
     }
 
 
@@ -282,13 +276,13 @@ def _node_from_document(doc, schema):
     """Rebuilds one node, checking it against the schema so that a loaded
     tree can route every in-domain row to a leaf class in 1..M."""
     m = schema.class_count
-    if len(doc["support"]) != m:
-        raise DataFormatError(
-            "node support has %d entries for %d classes" % (len(doc["support"]), m)
-        )
-    support = ClassHistogram(
-        {j: c for j, c in enumerate(doc["support"], start=1) if c}
-    )
+    support = doc["support"]
+    if len(support) != m:
+        raise DataFormatError("node support has %d entries for %d classes" % (len(support), m))
+    # type(), not isinstance, so that a JSON true or false is rejected
+    if countOf(map(type, support), int) != m or min(support) < 0:
+        raise DataFormatError("node support entries must be non-negative integers")
+    support = tuple(support)
     if doc["kind"] == "leaf":
         class_index = int(doc["class"])
         if not 1 <= class_index <= m:
@@ -398,7 +392,7 @@ def format_tree(tree):
     lines = []
 
     def leaf_text(node):
-        return "=> %s  (n=%d)" % (tree.class_labels[node.class_index - 1], node.support.total)
+        return "=> %s  (n=%d)" % (tree.class_labels[node.class_index - 1], sum(node.support))
 
     def walk(node, pad):
         if isinstance(node, Leaf):

@@ -20,7 +20,7 @@ from .builder import (
     BuildConfig,
     load_model,
     route,
-    save_model,
+    serialize_model,
     train,
     training_accuracy,
     tree_height,
@@ -28,7 +28,7 @@ from .builder import (
 )
 from .counters import BASELINE, TREEMAP
 from .dataset import DataFormatError, load_csv, load_feature_rows, read_schema
-from .qbuilder import q_train, save_report
+from .qbuilder import q_train, serialize_report
 from .synth import grid_dataset
 
 BENCH_HEADER = "backend,N,d,M,seed,evals,counter_ops,queries,success,wall_ms"
@@ -131,9 +131,11 @@ def cmd_train(args):
         else:
             report = None
             tree = train(data, config)
-        save_model(tree, args.out)
+        # the model goes last, so a failed write leaves no new model behind
+        model_text = serialize_model(tree)
         if report is not None and args.report:
-            save_report(report, args.report)
+            write_atomically(args.report, serialize_report(report))
+        write_atomically(args.out, model_text)
     except RecursionError:
         # the grower and the model writer still recurse once per tree level
         print("error: the tree is too deep to grow or serialize", file=sys.stderr)

@@ -48,13 +48,13 @@ class DenseCounter:
         return self._slots[key]
 
     def add(self, key, delta=1):
+        """Adds delta >= 1 to key's count and returns the new count."""
+        if delta < 1:
+            raise ValueError("counts only grow: delta must be >= 1, got %r" % (delta,))
         self.tally.element()
         self._check(key)
-        new = self._slots[key] + delta
-        if new < 0:
-            raise ValueError("count for key %r would become negative" % (key,))
-        self._slots[key] = new
-        return new
+        self._slots[key] += delta
+        return self._slots[key]
 
     def add_all(self, keys):
         """Adds 1 to each key in order and returns each key's running count

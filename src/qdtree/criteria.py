@@ -63,108 +63,54 @@ def running_counts(keys):
     return counts
 
 
-class ClassHistogram:
-    """Non-negative class counts plus their total."""
+def information(counts):
+    """Entropy in bits of a vector of non-negative counts:
+    -sum_j p_j * log2(p_j) over the non-zero entries.
 
-    __slots__ = ("counts", "total")
-
-    def __init__(self, counts=None):
-        self.counts = {}
-        self.total = 0
-        if counts:
-            for key, value in counts.items():
-                key, value = int(key), int(value)
-                if value < 0:
-                    raise ValueError("negative count %d for class %d" % (value, key))
-                if value:
-                    self.counts[key] = value
-                    self.total += value
-
-    @classmethod
-    def from_labels(cls, labels):
-        hist = cls()
-        counts = hist.counts
-        for y in labels:
-            y = int(y)
-            counts[y] = counts.get(y, 0) + 1
-        hist.total = sum(counts.values())
-        return hist
-
-    def majority(self):
-        """Most frequent class; the lowest class index wins ties."""
-        if not self.counts:
-            raise ValueError("empty histogram has no majority class")
-        best = None
-        best_count = -1
-        for key in sorted(self.counts):
-            if self.counts[key] > best_count:
-                best, best_count = key, self.counts[key]
-        return best
-
-    def __eq__(self, other):
-        if not isinstance(other, ClassHistogram):
-            return NotImplemented
-        return self.counts == other.counts
-
-    def __repr__(self):
-        return "ClassHistogram(%r)" % (self.counts,)
-
-
-def information(hist):
-    """Class entropy of a histogram in bits: -sum_j p_j * log2(p_j).
-
-    Always in [0, log2(number of distinct classes)]. Raises on an empty
-    histogram, which has no defined entropy.
+    Class counts give the class entropy, always in [0, log2(number of
+    non-zero classes)]. Raises on a negative entry and on an all-zero
+    vector, which has no defined entropy.
     """
-    if hist.total <= 0:
+    n = 0
+    for c in counts:
+        if c < 0:
+            raise ValueError("counts cannot be negative")
+        n += c
+    if n <= 0:
         raise ValueError("cannot take the information of an empty set")
-    n = hist.total
     acc = 0.0
-    for c in hist.counts.values():
-        p = c / n
-        acc -= p * math.log2(p)
+    for c in counts:
+        if c:
+            p = c / n
+            acc -= p * math.log2(p)
     return max(0.0, acc)
+
+
+#: Entropy of the branch-size distribution, -sum_i (n_i/n) log2(n_i/n).
+potential_information = information
 
 
 def gain(parent, branches):
-    """Information gain of partitioning `parent` into `branches`.
+    """Information gain of partitioning the class counts `parent` into the
+    class-count vectors `branches`.
 
-    Branch histograms must sum, class by class, to the parent histogram;
-    empty branches are legal and contribute nothing.
+    Every vector has one entry per class and the branches must sum, class
+    by class, to the parent; all-zero branches are legal and contribute
+    nothing.
     """
-    total = sum(b.total for b in branches)
-    if total != parent.total:
-        raise ValueError(
-            "branch sizes sum to %d but the parent holds %d samples" % (total, parent.total)
-        )
-    merged = {}
-    for b in branches:
-        for key, value in b.counts.items():
-            merged[key] = merged.get(key, 0) + value
-    if merged != parent.counts:
+    total = sum(sum(b) for b in branches)
+    n = sum(parent)
+    if total != n:
+        raise ValueError("branch sizes sum to %d but the parent holds %d samples" % (total, n))
+    merged = [sum(column) for column in zip(*branches)]
+    if any(len(b) != len(parent) for b in branches) or merged != list(parent):
         raise ValueError("branch class counts do not sum to the parent's counts")
     g = information(parent)
     for b in branches:
-        if b.total:
-            g -= (b.total / parent.total) * information(b)
+        size = sum(b)
+        if size:
+            g -= (size / n) * information(b)
     return g
-
-
-def potential_information(sizes):
-    """Entropy of the branch-size distribution: -sum_i (n_i/n) log2(n_i/n)."""
-    n = 0
-    for s in sizes:
-        if s < 0:
-            raise ValueError("branch sizes cannot be negative")
-        n += s
-    if n <= 0:
-        raise ValueError("all branch sizes are zero")
-    acc = 0.0
-    for s in sizes:
-        if s:
-            f = s / n
-            acc -= f * math.log2(f)
-    return max(0.0, acc)
 
 
 @total_ordering
@@ -242,7 +188,7 @@ def _balance(node):
 class SparseClassCounter:
     """Ordered counter that stores only keys with non-zero counts.
 
-    Backed by an AVL tree, so add/get/remove visit O(log s) nodes and full
+    Backed by an AVL tree, so add and get visit O(log s) nodes and full
     iteration or clearing visits exactly s nodes, where s is the number of
     stored keys. Every node visit is recorded in the attached OpTally, which
     is what the complexity probes measure. Keys may be any mutually ordered
@@ -269,23 +215,14 @@ class SparseClassCounter:
         return 0
 
     def add(self, key, delta=1):
-        """Adds delta to key's count and returns the new count.
-
-        Keys whose count reaches zero are removed; a count may never go
-        negative.
-        """
-        if delta == 0:
-            return self.get(key)
+        """Adds delta >= 1 to key's count and returns the new count."""
+        if delta < 1:
+            raise ValueError("counts only grow: delta must be >= 1, got %r" % (delta,))
         current = self.get(key)
         new = current + delta
-        if new < 0:
-            raise ValueError("count for key %r would become negative" % (key,))
         if current == 0:
             self._root = self._insert(self._root, key, new)
             self._size += 1
-        elif new == 0:
-            self._root = self._delete(self._root, key)
-            self._size -= 1
         else:
             self._overwrite(key, new)
         return new
@@ -386,27 +323,6 @@ class SparseClassCounter:
             node.left = self._insert(node.left, key, value)
         else:
             node.right = self._insert(node.right, key, value)
-        return self._rebalance(node)
-
-    def _delete(self, node, key):
-        if node is None:
-            return None
-        self.tally.element()
-        if key < node.key:
-            node.left = self._delete(node.left, key)
-        elif key > node.key:
-            node.right = self._delete(node.right, key)
-        else:
-            if node.left is None:
-                return node.right
-            if node.right is None:
-                return node.left
-            succ = node.right
-            while succ.left is not None:
-                self.tally.element()
-                succ = succ.left
-            node.key, node.value = succ.key, succ.value
-            node.right = self._delete(node.right, succ.key)
         return self._rebalance(node)
 
     def _rebalance(self, node):

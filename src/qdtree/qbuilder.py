@@ -18,7 +18,7 @@ import random
 from dataclasses import dataclass, field
 
 from . import jsonio
-from .builder import QUANTUM, BuildStats, DecisionTree, form_tree, write_atomically
+from .builder import QUANTUM, BuildStats, DecisionTree, first_best, form_tree, write_atomically
 from .counters import TREEMAP, make_backend
 from .criteria import INVALID_SPLIT
 from .qsearch import ScoringOracle, default_repeats, repeated_max
@@ -68,16 +68,6 @@ class QBuildReport:
         return sum(1 for r in self.per_node if r.chosen_attr is not None and r.correct)
 
 
-def _first_best(attrs, score_of):
-    """The first of attrs with the greatest valid score, or None."""
-    best = None
-    for attr in attrs:
-        score = score_of(attr)
-        if score.valid and (best is None or score_of(best) < score):
-            best = attr
-    return best
-
-
 def q_choose_split(view, backend, rng, repeats=None, stats=None, verify=False):
     """Attribute selection by repeated quantum maximum search.
 
@@ -105,11 +95,11 @@ def q_choose_split(view, backend, rng, repeats=None, stats=None, verify=False):
     winner, sstats = repeated_max(oracle, reps, rng)
     known = oracle.known()
     if not known[winner].valid:
-        winner = _first_best(sorted(known), known.__getitem__)
+        winner = first_best(sorted(known), known.__getitem__)
 
     true_best = correct = None
     if verify:
-        true_best = _first_best(range(d), oracle.peek)
+        true_best = first_best(range(d), oracle.peek)
         if winner is None:
             correct = true_best is None
         else:

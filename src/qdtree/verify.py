@@ -14,7 +14,7 @@ import numpy as np
 from . import oracle as reference
 from .builder import QUANTUM, BuildConfig, choose_split, serialize_model, train
 from .counters import BASELINE, TREEMAP, make_backend
-from .criteria import OpTally, gain, gain_ratio, potential_information, ClassHistogram
+from .criteria import OpTally, gain, gain_ratio, potential_information
 from .dataset import SubsetView
 from .qbuilder import q_choose_split, q_train
 from .qsearch import ScoringOracle, default_repeats, durr_hoyer_max, query_budget
@@ -161,15 +161,13 @@ def incremental_discrete(instances=200, seed=0):
             assert len(set(values)) <= 1 or len(view) < 2
             continue
         domain_size = schema.domain_size(0)
-        parent = ClassHistogram.from_labels(labels)
+        pairs = list(zip(values, labels))
+        parent = [labels.count(j) for j in range(1, m + 1)]
         branches = [
-            ClassHistogram.from_labels([y for v, y in zip(values, labels) if v == w])
-            for w in range(1, domain_size + 1)
+            [pairs.count((w, j)) for j in range(1, m + 1)] for w in range(1, domain_size + 1)
         ]
-        batch = gain_ratio(
-            gain(parent, branches),
-            potential_information([b.total for b in branches]),
-        )
+        potential = potential_information([sum(b) for b in branches])
+        batch = gain_ratio(gain(parent, branches), potential)
         score = got[0]
         assert score.valid == batch.valid
         if score.valid:

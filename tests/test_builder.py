@@ -14,7 +14,6 @@ from qdtree.builder import (
     Leaf,
     choose_split,
     classify,
-    count_internal,
     document_to_tree,
     format_tree,
     load_model,
@@ -132,13 +131,30 @@ def test_train_height_zero_forces_majority_leaf():
     assert training_accuracy(tree, data) == 0.5
 
 
+def test_leaf_support_counts_and_majority():
+    schema = AttributeSchema((Attribute("x1", REAL),), 3)
+    data = Dataset(schema, [[1.0, 2.0, 3.0, 4.0, 5.0]], [2, 1, 2, 3, 2], ("a", "b", "c"))
+    tree = train(data, BuildConfig(max_height=0))
+    assert tree.root.support == (1, 3, 1)
+    assert all(type(c) is int for c in tree.root.support)
+    assert tree.root.class_index == 2
+
+
+def test_leaf_majority_tie_takes_lowest_class():
+    schema = AttributeSchema((Attribute("x1", REAL),), 3)
+    data = Dataset(schema, [[1.0, 2.0, 3.0, 4.0]], [3, 1, 1, 3], ("a", "b", "c"))
+    tree = train(data, BuildConfig(max_height=0))
+    assert tree.root.support == (2, 0, 2)
+    assert tree.root.class_index == 1
+
+
 def test_train_xor_needs_two_levels():
     data = xor_data()
     assert oracle.exhaustive_depth1_accuracy(data.full_view()) == 0.5
     tree = train(data, BuildConfig(max_height=2))
     assert tree_height(tree.root) == 2
     assert training_accuracy(tree, data) == 1.0
-    assert count_internal(tree.root) == 3
+    assert tree.stats.internal_nodes == 3
 
 
 def test_train_respects_height_limit():
@@ -164,16 +180,16 @@ def test_node_supports_are_consistent():
     def walk(node):
         if isinstance(node, Leaf):
             return
-        total = sum(node.support.counts.values())
+        total = sum(node.support)
         child_sum = 0
         for ch in node.children:
-            # empty branches inherit the parent histogram, skip those
+            # empty branches inherit the parent support, skip those
             if ch.support is not node.support:
-                child_sum += sum(ch.support.counts.values())
+                child_sum += sum(ch.support)
             walk(ch)
         assert child_sum <= total
 
-    assert sum(tree.root.support.counts.values()) == 80
+    assert sum(tree.root.support) == 80
     walk(tree.root)
 
 
@@ -231,7 +247,7 @@ def test_backends_build_identical_trees():
 def test_evaluations_count_attribute_visits():
     data = planted_dataset(64, 16, 2, seed=0)
     tree = train(data, BuildConfig(max_height=4))
-    k = count_internal(tree.root)
+    k = tree.stats.internal_nodes
     assert k >= 3
     # choose_split scores every attribute once per realized or attempted node
     assert tree.stats.evaluations % data.schema.attribute_count == 0

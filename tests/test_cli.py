@@ -183,6 +183,14 @@ def _class_label_missing(doc):
     doc["class_label_mapping"].pop()
 
 
+def _support_entry(kind, value):
+    def mutate(doc):
+        doc["root"]["support"][0] = value
+
+    mutate.__name__ = "_support_entry_" + kind
+    return mutate
+
+
 @pytest.mark.parametrize(
     "mutate",
     [
@@ -198,6 +206,11 @@ def _class_label_missing(doc):
         _attributes_not_a_list,
         _theta_not_finite,
         _class_label_missing,
+        _support_entry("negative", -1),
+        _support_entry("float", 2.5),
+        _support_entry("string", "3"),
+        _support_entry("bool", True),
+        _support_entry("null", None),
     ],
 )
 def test_predict_rejects_malformed_model(tmp_path, capsys, mutate):
@@ -330,7 +343,7 @@ def test_out_of_range_size_flags_exit_two(capsys, args):
     assert "error:" in capsys.readouterr().err
 
 
-def test_module_entry_point_runs(tmp_path):
+def test_module_entry_point_runs(tmp_path, src_env):
     csv, sch = write_xor(tmp_path)
     model = tmp_path / "m.json"
     proc = subprocess.run(
@@ -338,6 +351,7 @@ def test_module_entry_point_runs(tmp_path):
          "--schema", str(sch), "--out", str(model)],
         capture_output=True,
         text=True,
+        env=src_env,
     )
     assert proc.returncode == 0
     assert model.exists()
@@ -423,3 +437,5 @@ def test_unwritable_output_exits_two(tmp_path, capsys, monkeypatch, argv):
     assert run(argv(tmp_path, csv, sch)) == 2
     assert capsys.readouterr().err.startswith("error: cannot write ")
     assert not [p for p in tmp_path.rglob("*") if p.name.endswith(".tmp")]
+    # a failed report write leaves no new model behind either
+    assert not (tmp_path / "m.json").exists()

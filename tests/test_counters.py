@@ -41,6 +41,9 @@ def test_dense_counter_rejects_negative_totals():
     c.add(2, 1)
     with pytest.raises(ValueError):
         c.add(2, -2)
+    with pytest.raises(ValueError):
+        c.add(2, 0)
+    assert c.get(2) == 1
 
 
 def test_dense_counter_charges_size_for_sweeps():

@@ -9,7 +9,6 @@ from hypothesis import strategies as st
 
 from qdtree.criteria import (
     INVALID_SPLIT,
-    ClassHistogram,
     OpTally,
     SparseClassCounter,
     SplitScore,
@@ -26,9 +25,13 @@ ENTROPY_2_1 = 0.9182958340544896
 GAIN_3_1_SPLIT = 0.3112781244591328
 
 
-def hist(**counts):
-    # a=.., b=.. name classes 1, 2, ... so branch histograms line up
-    return ClassHistogram({ord(k) - ord("a") + 1: c for k, c in counts.items()})
+def hist(a=0, b=0):
+    # class counts of classes 1 and 2, so branch vectors line up
+    return (a, b)
+
+
+def class_counts(labels, m=3):
+    return [labels.count(j) for j in range(1, m + 1)]
 
 
 def test_xlog2x_edge_cases():
@@ -57,15 +60,17 @@ def test_information_two_one():
 
 def test_information_empty_rejected():
     with pytest.raises(ValueError):
-        information(ClassHistogram())
+        information(hist())
+    with pytest.raises(ValueError):
+        information([3, -1])
 
 
 def test_information_bounds_random():
     rng = random.Random("info-bounds")
     for _ in range(200):
         m = rng.randint(1, 6)
-        counts = {j + 1: rng.randint(1, 9) for j in range(m)}
-        v = information(ClassHistogram(counts))
+        counts = [rng.randint(1, 9) for _ in range(m)]
+        v = information(counts)
         assert -1e-12 <= v <= math.log2(m) + 1e-12
 
 
@@ -89,6 +94,8 @@ def test_gain_three_one():
 def test_gain_requires_matching_totals():
     with pytest.raises(ValueError):
         gain(hist(a=3), [hist(a=1)])
+    with pytest.raises(ValueError):
+        gain(hist(a=1, b=1), [hist(a=2)])
 
 
 def test_gain_never_negative_random():
@@ -96,16 +103,9 @@ def test_gain_never_negative_random():
     rng = random.Random("gain-nonneg")
     for _ in range(200):
         labels = [rng.randint(1, 3) for _ in range(rng.randint(2, 20))]
-        parent = ClassHistogram.from_labels(labels)
         cut = rng.randint(0, len(labels))
-        left = ClassHistogram.from_labels(labels[:cut]) if cut else ClassHistogram()
-        right = (
-            ClassHistogram.from_labels(labels[cut:])
-            if cut < len(labels)
-            else ClassHistogram()
-        )
-        branches = [b for b in (left, right) if b.counts]
-        assert gain(parent, branches) >= -1e-9
+        branches = [class_counts(labels[:cut]), class_counts(labels[cut:])]
+        assert gain(class_counts(labels), branches) >= -1e-9
 
 
 def test_potential_information_values():
@@ -195,16 +195,6 @@ def test_argmax_invariant_under_log_base():
         assert by_ratio == by_nat
 
 
-def test_histogram_from_labels_and_majority():
-    h = ClassHistogram.from_labels([2, 1, 2, 3, 2])
-    assert h.counts == {1: 1, 2: 3, 3: 1}
-    assert h.majority() == 2
-
-
-def test_histogram_majority_tie_takes_lowest_class():
-    assert ClassHistogram.from_labels([3, 1, 1, 3]).majority() == 1
-
-
 # --- ordered sparse counter ---
 
 
@@ -221,26 +211,20 @@ def test_sparse_counter_basic_ops():
     assert c.get(1) == 0
 
 
-def test_sparse_counter_removes_zeroed_keys():
-    c = SparseClassCounter(OpTally())
-    c.add(2, 2)
-    c.add(2, -2)
-    assert c.items() == []
-    c.add(2, 1)
-    assert c.items() == [(2, 1)]
-
-
 def test_sparse_counter_rejects_negative_count():
     c = SparseClassCounter(OpTally())
     c.add(1, 1)
     with pytest.raises(ValueError):
         c.add(1, -2)
+    with pytest.raises(ValueError):
+        c.add(1, 0)
+    assert c.items() == [(1, 1)]
 
 
 @settings(max_examples=60, deadline=None)
 @given(
     st.lists(
-        st.tuples(st.integers(min_value=1, max_value=40), st.integers(-2, 3)),
+        st.tuples(st.integers(min_value=1, max_value=40), st.integers(1, 3)),
         max_size=120,
     )
 )
@@ -248,17 +232,9 @@ def test_sparse_counter_matches_dict(ops):
     c = SparseClassCounter(OpTally())
     shadow = {}
     for key, delta in ops:
-        want = shadow.get(key, 0) + delta
-        if want < 0:
-            with pytest.raises(ValueError):
-                c.add(key, delta)
-            continue
-        c.add(key, delta)
-        if want:
-            shadow[key] = want
-        else:
-            shadow.pop(key, None)
-        assert c.get(key) == shadow.get(key, 0)
+        shadow[key] = shadow.get(key, 0) + delta
+        assert c.add(key, delta) == shadow[key]
+        assert c.get(key) == shadow[key]
     assert c.items() == sorted(shadow.items())
 
 

@@ -1,6 +1,5 @@
 """Every demo script runs to completion against the package in src."""
 
-import os
 import subprocess
 import sys
 from pathlib import Path
@@ -12,11 +11,8 @@ DEMOS = sorted((ROOT / "demos").glob("*.py"))
 
 
 @pytest.mark.parametrize("script", DEMOS, ids=[p.name for p in DEMOS])
-def test_demo_exits_zero(script):
-    env = dict(os.environ)
-    src = str(ROOT / "src")
-    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+def test_demo_exits_zero(script, src_env):
     proc = subprocess.run(
-        [sys.executable, str(script)], capture_output=True, text=True, env=env, timeout=300
+        [sys.executable, str(script)], capture_output=True, text=True, env=src_env, timeout=300
     )
     assert proc.returncode == 0, proc.stderr

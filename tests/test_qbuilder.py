@@ -85,7 +85,7 @@ def _has_empty_branch(node):
     """
     if isinstance(node, Leaf):
         return False
-    if sum(child.support.total for child in node.children) > node.support.total:
+    if sum(sum(child.support) for child in node.children) > sum(node.support):
         return True
     return any(_has_empty_branch(child) for child in node.children)
 
