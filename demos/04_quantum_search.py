@@ -23,7 +23,7 @@ for k in (4, 16, 64, 256):
     for t in range(TRIALS):
         rng = random.Random("demo-%d-%d" % (k, t))
         scores = [rng.random() for _ in range(k)]
-        oracle = ScoringOracle(lambda i, s=scores: s[i], k)
+        oracle = ScoringOracle(scores)
         best, stats = durr_hoyer_max(oracle, rng)
         hits += stats.succeeded
         queries += stats.oracle_queries
@@ -48,7 +48,7 @@ for repeats in (1, 2, 4):
     for t in range(TRIALS):
         rng = random.Random("rep-demo-%d-%d" % (repeats, t))
         scores = [rng.random() for _ in range(k)]
-        oracle = ScoringOracle(lambda i, s=scores: s[i], k)
+        oracle = ScoringOracle(scores)
         best, stats = repeated_max(oracle, repeats, rng)
         hits += stats.succeeded
     floor = 1.0 - 0.5 ** repeats

@@ -106,14 +106,23 @@ class DecisionTree:
     stats: BuildStats
 
 
-def first_best(attrs, score_of):
-    """The first of attrs with the greatest valid score, or None. This is
-    the one tie rule: the classical sweep, the quantum fallback and the
-    verified optimum all pick with it."""
+def score_attributes(view, backend, stats=None):
+    """One scoring pass per attribute of a view: [(SplitScore, SplitTest)]
+    for attributes 0..d-1, with (INVALID_SPLIT, None) for an attribute that
+    has no candidate split. Both choosers read this list, and it is the only
+    place where stats.evaluations grows."""
+    d = view.base.schema.attribute_count
+    if stats is not None:
+        stats.evaluations += d
+    return [process_attribute(view, attr, backend) or (INVALID_SPLIT, None) for attr in range(d)]
+
+
+def first_best(scores):
+    """Index of the first greatest valid score, or None. This is the one tie
+    rule: the classical argmax and the verified optimum both pick with it."""
     best = None
-    for attr in attrs:
-        score = score_of(attr)
-        if score.valid and (best is None or score_of(best) < score):
+    for attr, score in enumerate(scores):
+        if score.valid and (best is None or scores[best] < score):
             best = attr
     return best
 
@@ -125,12 +134,8 @@ def choose_split(view, backend, stats=None):
     valid candidate. Ties keep the lowest attribute index; threshold ties
     within an attribute were already resolved toward the lowest threshold.
     """
-    results = []
-    for attr in range(view.base.schema.attribute_count):
-        if stats is not None:
-            stats.evaluations += 1
-        results.append(process_attribute(view, attr, backend) or (INVALID_SPLIT, None))
-    attr = first_best(range(len(results)), lambda a: results[a][0])
+    results = score_attributes(view, backend, stats)
+    attr = first_best([score for score, _ in results])
     return None if attr is None else (attr, results[attr][1], results[attr][0])
 
 
@@ -272,28 +277,39 @@ def tree_to_document(tree):
     }
 
 
+def _typed(value, types, field):
+    """value itself if its type is one of types, else DataFormatError."""
+    if type(value) not in types:
+        raise DataFormatError("model field %s has the wrong type: %r" % (field, value))
+    return value
+
+
 def _node_from_document(doc, schema):
     """Rebuilds one node, checking it against the schema so that a loaded
-    tree can route every in-domain row to a leaf class in 1..M."""
+    tree can route every in-domain row to a leaf class in 1..M.
+
+    Integer fields must be JSON integers and a threshold a JSON number;
+    the checks use type(), not isinstance, so that a JSON true or false is
+    rejected, and run inline because every node of a model passes them.
+    """
     m = schema.class_count
     support = doc["support"]
     if len(support) != m:
         raise DataFormatError("node support has %d entries for %d classes" % (len(support), m))
-    # type(), not isinstance, so that a JSON true or false is rejected
     if countOf(map(type, support), int) != m or min(support) < 0:
         raise DataFormatError("node support entries must be non-negative integers")
     support = tuple(support)
     if doc["kind"] == "leaf":
-        class_index = int(doc["class"])
-        if not 1 <= class_index <= m:
-            raise DataFormatError("leaf class %d outside 1..%d" % (class_index, m))
+        class_index = doc["class"]
+        if type(class_index) is not int or not 1 <= class_index <= m:
+            raise DataFormatError("leaf class %r is not an integer in 1..%d" % (class_index, m))
         return Leaf(class_index, support)
     if doc["kind"] != "internal":
         raise DataFormatError("unknown node kind %r" % (doc.get("kind"),))
-    attr = int(doc["attr"])
-    if not 0 <= attr < schema.attribute_count:
+    attr = doc["attr"]
+    if type(attr) is not int or not 0 <= attr < schema.attribute_count:
         raise DataFormatError(
-            "node attribute %d outside 0..%d" % (attr, schema.attribute_count - 1)
+            "node attribute %r is not an integer in 0..%d" % (attr, schema.attribute_count - 1)
         )
     if schema.is_real(attr) != ("theta" in doc):
         raise DataFormatError(
@@ -301,16 +317,16 @@ def _node_from_document(doc, schema):
             % (attr, schema.attributes[attr].kind)
         )
     if "theta" in doc:
-        theta = float(doc["theta"])
-        if not math.isfinite(theta):
-            raise DataFormatError("node threshold %r is not finite" % (theta,))
-        test = SplitTest(attr, REAL, theta=theta)
+        theta = doc["theta"]
+        if type(theta) not in (int, float) or not math.isfinite(theta):
+            raise DataFormatError("node threshold %r is not a finite number" % (theta,))
+        test = SplitTest(attr, REAL, theta=float(theta))
         arity = 2
     else:
-        arity = int(doc["branch_count"])
-        if arity != schema.domain_size(attr):
+        arity = doc["branch_count"]
+        if type(arity) is not int or arity != schema.domain_size(attr):
             raise DataFormatError(
-                "node branch count %d differs from the domain size %d of attribute %d"
+                "node branch count %r is not the domain size %d of attribute %d"
                 % (arity, schema.domain_size(attr), attr)
             )
         test = SplitTest(attr, DISCRETE, branch_count=arity)
@@ -328,21 +344,30 @@ def document_to_tree(doc):
 
     A document that is not a model over its own schema raises
     DataFormatError, also when a field is missing or of the wrong JSON type;
-    a field that does not parse as a number raises ValueError.
+    a schema that `Attribute` or `AttributeSchema` rejects raises their
+    ValueError.
     """
     try:
         attrs = [
-            Attribute(entry["name"], entry["kind"], entry.get("domain_size"))
+            Attribute(
+                _typed(entry["name"], (str,), "name"),
+                _typed(entry["kind"], (str,), "kind"),
+                _typed(entry.get("domain_size"), (int, type(None)), "domain_size"),
+            )
             for entry in doc["schema"]["attributes"]
         ]
-        schema = AttributeSchema(tuple(attrs), int(doc["schema"]["class_count"]))
+        schema = AttributeSchema(
+            tuple(attrs), _typed(doc["schema"]["class_count"], (int,), "class_count")
+        )
         class_labels = tuple(doc["class_label_mapping"])
         if len(class_labels) != schema.class_count:
             raise DataFormatError(
                 "%d class labels for %d classes" % (len(class_labels), schema.class_count)
             )
+        if countOf(map(type, class_labels), str) != len(class_labels):
+            raise DataFormatError("class labels must be strings")
         root = _node_from_document(doc["root"], schema)
-    except (AttributeError, KeyError, TypeError) as exc:
+    except (AttributeError, KeyError, OverflowError, TypeError) as exc:
         raise DataFormatError(
             "malformed model document (%s: %s)" % (type(exc).__name__, exc)
         ) from None

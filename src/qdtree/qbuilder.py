@@ -10,19 +10,21 @@ exactly this behavior.
 One oracle query = one scoring pass over (view, attribute), so per-node
 query counts are comparable to the classical builder's d evaluations. The
 probability-level simulation needs every attribute's true score to size the
-marked set, so each attribute is still scored once per node on the harness
-side; query accounting, not wall time, is the quantum-observable ledger.
+marked set, so each attempt scores every attribute exactly once with
+`builder.score_attributes`, the pass the classical chooser makes, and the
+search reads that list through a counted `ScoringOracle`; query accounting,
+not wall time, is the quantum-observable ledger.
 """
 
 import random
 from dataclasses import dataclass, field
 
 from . import jsonio
-from .builder import QUANTUM, BuildStats, DecisionTree, first_best, form_tree, write_atomically
+from .builder import (
+    QUANTUM, BuildStats, DecisionTree, first_best, form_tree, score_attributes, write_atomically
+)
 from .counters import TREEMAP, make_backend
-from .criteria import INVALID_SPLIT
 from .qsearch import ScoringOracle, default_repeats, repeated_max
-from .splitscan import process_attribute
 
 
 @dataclass
@@ -71,42 +73,28 @@ class QBuildReport:
 def q_choose_split(view, backend, rng, repeats=None, stats=None, verify=False):
     """Attribute selection by repeated quantum maximum search.
 
-    Attributes with no candidate split score as the invalid sentinel and
-    lose every comparison. If the batch winner is itself invalid, a
-    classical sweep over the scores the search already paid for looks for
-    any valid candidate; finding none means no-split (chosen_attr None). The
-    sweep inspects only algorithm-visible knowledge and charges nothing.
-    Returns the attempt's NodeRecord, which carries the chosen SplitTest.
+    Attributes with no candidate split score as the invalid sentinel, which
+    sorts below every valid score. The batch winner is the best score the
+    searches evaluated, so an invalid winner means every evaluated score is
+    invalid, and the attempt ends in no-split (chosen_attr None). Returns
+    the attempt's NodeRecord, which carries the chosen SplitTest.
     """
-    d = view.base.schema.attribute_count
-    tests = {}
-
-    def score_attribute(attr):
-        if stats is not None:
-            stats.evaluations += 1
-        result = process_attribute(view, attr, backend)
-        if result is None:
-            return INVALID_SPLIT
-        tests[attr] = result[1]
-        return result[0]
-
-    oracle = ScoringOracle(score_attribute, d)
-    reps = default_repeats(d) if repeats is None else repeats
-    winner, sstats = repeated_max(oracle, reps, rng)
-    known = oracle.known()
-    if not known[winner].valid:
-        winner = first_best(sorted(known), known.__getitem__)
+    results = score_attributes(view, backend, stats)
+    scores = [score for score, _ in results]
+    reps = default_repeats(len(scores)) if repeats is None else repeats
+    winner, sstats = repeated_max(ScoringOracle(scores), reps, rng)
+    score, test = results[winner]
+    if not score.valid:
+        winner = None
 
     true_best = correct = None
     if verify:
-        true_best = first_best(range(d), oracle.peek)
+        true_best = first_best(scores)
         if winner is None:
             correct = true_best is None
         else:
-            correct = not (known[winner] < oracle.peek(true_best))
-    return NodeRecord(
-        winner, tests.get(winner), true_best, sstats.oracle_queries, reps, correct
-    )
+            correct = not (score < scores[true_best])
+    return NodeRecord(winner, test, true_best, sstats.oracle_queries, reps, correct)
 
 
 def q_form_tree(view, config, backend, rng, stats, report):

@@ -9,7 +9,9 @@ measure() computes t, draws the hit and then draws the measured index
 uniformly from the marked set on a hit or from the rest otherwise; the
 algorithm itself sees only counted evaluate() results. This reproduces the
 observable contract of the search (success odds, query counts, budget) at
-classical cost.
+classical cost. Sizing the marked set needs every score, so the oracle is a
+counted view over a score list fixed before the search: the caller scores
+each index exactly once, however many queries the search then spends.
 
 Indices run 0..K-1 throughout.
 """
@@ -44,84 +46,57 @@ class SearchStats:
 
 
 class ScoringOracle:
-    """Counted access to a scoring function over indices 0..size-1.
+    """Counted access to a fixed list of scores over indices 0..K-1.
 
     evaluate() is the algorithm's only read channel and always charges one
     query, repeat lookups included; charge() books the per-iteration cost of
     the amplified search. Scores may be any totally ordered values. The
-    underlying function runs at most once per index however often the index
-    is queried, so instrumentation on the scoring side counts distinct
-    scoring passes while the query counter counts algorithmic work.
+    caller scores every index once before the search starts, so scoring-side
+    instrumentation counts K scoring passes while the query counter counts
+    algorithmic work.
 
     Everything below the marked line is harness bookkeeping (ground truth,
-    measurement draws) and never touches the counter.
+    measurement draws) and never touches the counter; reading `scores`
+    directly charges nothing either.
     """
 
-    def __init__(self, func, size):
-        if size < 1:
+    def __init__(self, scores):
+        self.size = len(scores)
+        if self.size < 1:
             raise ValueError("need at least one candidate")
-        self._func = func
-        self.size = size
+        self.scores = scores
         self.queries = 0
-        self._scores = {}
-        self._known = {}
-        self._sorted_keys = None
-        self._sorted_indices = None
-
-    def _score(self, index):
-        if index not in self._scores:
-            self._scores[index] = self._func(index)
-        return self._scores[index]
+        # stable, so equal scores keep index order
+        self._order = sorted(range(self.size), key=scores.__getitem__)
+        self._keys = [scores[i] for i in self._order]
 
     def evaluate(self, index):
         """One counted oracle query."""
         self.queries += 1
-        score = self._score(index)
-        self._known[index] = score
-        return score
+        return self.scores[index]
 
     def charge(self, n):
         """Books n uninspected queries (2 per amplification iteration)."""
         self.queries += n
 
-    def known(self):
-        """The scores the algorithm has actually paid to see."""
-        return dict(self._known)
-
     # ---- harness side ----
 
-    def peek(self, index):
-        """Uncounted score access for harnesses, reports and tie sweeps."""
-        return self._score(index)
-
-    def _truth(self):
-        if self._sorted_keys is None:
-            pairs = sorted(
-                ((self._score(i), i) for i in range(self.size)),
-                key=lambda pair: pair[0],
-            )
-            self._sorted_keys = [score for score, _ in pairs]
-            self._sorted_indices = [i for _, i in pairs]
-        return self._sorted_keys, self._sorted_indices
-
     def measure(self, score, m, rng):
-        """Index read out after m amplification iterations marking f(i) > score.
+        """Index read out after m amplification iterations marking scores[i] > score.
 
         A hit (probability sin^2((2m+1)*asin(sqrt(t/K))), t the marked-set
         size) yields a uniform marked index, a miss a uniform unmarked one.
         """
-        keys, order = self._truth()
-        pos = bisect_right(keys, score)
+        pos = bisect_right(self._keys, score)
         marked = self.size - pos
         angle = math.asin(math.sqrt(marked / self.size))
         if rng.random() < math.sin((2 * m + 1) * angle) ** 2:
-            return order[pos + rng.randrange(marked)]
-        return order[rng.randrange(pos)]
+            return self._order[pos + rng.randrange(marked)]
+        return self._order[rng.randrange(pos)]
 
     def is_max_score(self, score):
         """Whether score order-equals the true maximum."""
-        keys, _ = self._truth()
-        return not (score < keys[-1])
+        return not (score < self._keys[-1])
 
 
 def durr_hoyer_max(oracle, rng):
@@ -130,9 +105,12 @@ def durr_hoyer_max(oracle, rng):
     Starts from a uniform random index, repeatedly runs the amplified
     above-threshold search with the exponential m_max schedule (reset to 1 on
     every improvement, grown by 8/7 on failure, capped at sqrt(K)), and stops
-    when the next round no longer fits the query budget. Returns
-    (best index seen, SearchStats); only strict improvements move the
-    threshold, so the result is never worse than the starting index.
+    when the next round no longer fits the query budget. A round costs at
+    most what is left and the walk stops only with less than one query
+    left, so every search spends exactly floor(query_budget(K)) queries,
+    whatever the draws. Returns (best index seen, SearchStats); only strict
+    improvements move the threshold, so the result is the best score the
+    search evaluated and never worse than the starting index.
     """
     size = oracle.size
     budget = query_budget(size)
@@ -172,7 +150,9 @@ def default_repeats(size):
 def repeated_max(oracle, repeats, rng):
     """Best result of `repeats` independent searches.
 
-    The winners' cached scores are compared classically at no query cost.
+    The winners' scores are read from oracle.scores and compared
+    classically at no query cost, so the result is the best score any of
+    the searches evaluated.
     For a unique maximum each search succeeds with probability >= 1/2, so the
     batch succeeds with probability >= 1 - (1/2)**repeats.
     """
@@ -185,7 +165,7 @@ def repeated_max(oracle, repeats, rng):
         index, stats = durr_hoyer_max(oracle, rng)
         total.oracle_queries += stats.oracle_queries
         total.grover_iterations += stats.grover_iterations
-        score = oracle.peek(index)
+        score = oracle.scores[index]
         if best_score is None or best_score < score:
             best_index, best_score = index, score
     total.succeeded = oracle.is_max_score(best_score)

@@ -243,7 +243,7 @@ def search_success(trials=2000, sizes=(8, 32, 128), seed=0, threshold=0.48):
         for t in range(trials):
             rng = random.Random("dh-%s-%d-%d" % (seed, size, t))
             scores = [rng.random() for _ in range(size)]
-            oracle = ScoringOracle(lambda i, s=scores: s[i], size)
+            oracle = ScoringOracle(scores)
             _, stats = durr_hoyer_max(oracle, rng)
             if stats.succeeded:
                 hits += 1
@@ -301,7 +301,7 @@ def query_scaling(sizes=(4, 16, 64, 256, 1024), trials=200, seed=0,
         for t in range(trials):
             rng = random.Random("scale-%s-%d-%d" % (seed, size, t))
             scores = [rng.random() for _ in range(size)]
-            oracle = ScoringOracle(lambda i, s=scores: s[i], size)
+            oracle = ScoringOracle(scores)
             _, stats = durr_hoyer_max(oracle, rng)
             total += stats.oracle_queries
             if stats.oracle_queries > budget:

@@ -302,14 +302,38 @@ def test_document_to_tree_rejects_garbage():
         document_to_tree({"root": {"kind": "real"}})
 
 
-def test_document_to_tree_rejects_branch_count_off_domain():
+def discrete_document():
     schema = AttributeSchema((Attribute("c1", DISCRETE, 2),), 2)
     data = Dataset(schema, [[1, 1, 2, 2]], [1, 1, 2, 2], ("a", "b"))
-    doc = tree_to_document(train(data))
+    return tree_to_document(train(data))
+
+
+def test_document_to_tree_rejects_branch_count_off_domain():
+    doc = discrete_document()
     assert document_to_tree(doc).root.test.branch_count == 2
     root = doc["root"]
     root["branch_count"] = 3
     root["children"].append(dict(root["children"][0]))
+    with pytest.raises(DataFormatError):
+        document_to_tree(doc)
+
+
+@pytest.mark.parametrize(
+    "field, value",
+    [
+        ("branch_count", 2.0),  # equal to the domain size, but no JSON integer
+        ("branch_count", True),
+        ("domain_size", 2.0),
+        ("name", 5),
+        ("kind", ["discrete"]),
+    ],
+)
+def test_document_to_tree_rejects_wrong_json_types(field, value):
+    doc = discrete_document()
+    if field == "branch_count":
+        doc["root"][field] = value
+    else:
+        doc["schema"]["attributes"][0][field] = value
     with pytest.raises(DataFormatError):
         document_to_tree(doc)
 

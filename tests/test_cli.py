@@ -191,6 +191,25 @@ def _support_entry(kind, value):
     return mutate
 
 
+def _set(name, value, *path):
+    def mutate(doc):
+        target = doc
+        for key in path[:-1]:
+            target = target[key]
+        target[path[-1]] = value
+
+    mutate.__name__ = "_set_" + name
+    return mutate
+
+
+def _class_count_a_float(doc):
+    doc["schema"]["class_count"] = float(doc["schema"]["class_count"])
+
+
+def _theta_a_string(doc):
+    doc["root"]["theta"] = str(doc["root"]["theta"])
+
+
 @pytest.mark.parametrize(
     "mutate",
     [
@@ -211,6 +230,15 @@ def _support_entry(kind, value):
         _support_entry("string", "3"),
         _support_entry("bool", True),
         _support_entry("null", None),
+        _set("leaf_class_float", 1.7, "root", "children", 0, "class"),
+        _set("leaf_class_string", "2", "root", "children", 0, "class"),
+        _set("leaf_class_bool", True, "root", "children", 0, "class"),
+        _set("attr_bool", True, "root", "attr"),
+        _class_count_a_float,
+        _theta_a_string,
+        _set("theta_bool", True, "root", "theta"),
+        _set("theta_huge_int", 10**400, "root", "theta"),
+        _set("class_label_null", None, "class_label_mapping", 0),
     ],
 )
 def test_predict_rejects_malformed_model(tmp_path, capsys, mutate):

@@ -73,3 +73,21 @@ def test_quantum_build_ledger_is_pinned():
     assert sha256(serialize_report(report)) == (
         "913a8ed2c805cbad4a8c37171ea00b4a40ffbd1c22c46044f44652d838c94717"
     )
+
+
+def test_quantum_no_split_build_ledger_is_pinned():
+    # three binary attributes, so deep views run out of valid splits: 8 of
+    # the 15 search attempts end in no-split
+    schema = random_schema(3, 4, "pin-nosplit", kinds="discrete", max_domain=2)
+    data = random_dataset(schema, 200, "pin-nosplit")
+    report = q_train(data, BuildConfig(max_height=6, backend=QUANTUM, seed=0, verify=True))
+    assert ledger(report.tree) == (
+        7, 8, 45, 21389, 584, {0: 48, 1: 88, 2: 160, 3: 288},
+        "c159385d1689dc2388b6db2ec398a0e5c0c2f978c9c82a71513c61ea0368bbde",
+    )
+    assert len(report.per_node) == 15
+    assert sum(r.chosen_attr is None for r in report.per_node) == 8
+    assert (report.total_oracle_queries, report.nodes_correct) == (1260, 7)
+    assert sha256(serialize_report(report)) == (
+        "2733b15530939d07d56f5ae9821bd2b83237087a23284352d332cfc7418d28d6"
+    )

@@ -8,6 +8,7 @@ importing perfbench as a package.
 
 import importlib
 import importlib.util
+from collections import Counter
 from pathlib import Path
 
 from qdtree.builder import BuildConfig, train
@@ -57,3 +58,29 @@ def test_one_traced_growth_node_per_split_attempt():
             stats = build()
         assert stats.evaluations % d == 0
         assert len(tracer.node_times(traced.recorder)) == stats.evaluations // d > 1
+
+
+def test_each_chooser_span_holds_d_scoring_spans():
+    # perfbench checks evals against the number of scoring spans, so every
+    # split attempt must score each attribute exactly once under its chooser
+    tracer = load_tracer()
+    d = 4
+    data = random_dataset(random_schema(d, 3, "trace-scans"), 60, "trace-scans")
+    builds = (
+        lambda: train(data, BuildConfig(backend="baseline")),
+        lambda: q_train(data, BuildConfig(backend="quantum", seed=0)),
+    )
+    for build in builds:
+        with tracer.Tracer(spans=True) as traced:
+            build()
+        rec = traced.recorder
+        scans = Counter()
+        for sid, name in enumerate(rec.names):
+            if name == "splitscan.process_attribute":
+                parent = rec.parents[sid]
+                while parent >= 0 and rec.names[parent] not in tracer.CHOOSERS:
+                    parent = rec.parents[parent]
+                scans[parent] += 1
+        choosers = [sid for sid, name in enumerate(rec.names) if name in tracer.CHOOSERS]
+        assert len(choosers) > 1
+        assert scans == dict.fromkeys(choosers, d)

@@ -5,7 +5,10 @@ import random
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from qdtree.criteria import INVALID_SPLIT, SplitScore
 from qdtree.qsearch import (
     ScoringOracle,
     default_repeats,
@@ -15,19 +18,15 @@ from qdtree.qsearch import (
 )
 
 
-def make_oracle(values):
-    return ScoringOracle(lambda i: values[i], len(values))
-
-
 class CountingOracle(ScoringOracle):
-    """Probe that counts evaluate() calls independently of the ledger."""
+    """Probe that records evaluate() calls independently of the ledger."""
 
-    def __init__(self, func, size):
-        super().__init__(func, size)
-        self.evaluate_calls = 0
+    def __init__(self, scores):
+        super().__init__(scores)
+        self.evaluated = []
 
     def evaluate(self, index):
-        self.evaluate_calls += 1
+        self.evaluated.append(index)
         return super().evaluate(index)
 
 
@@ -40,7 +39,7 @@ def test_query_budget_values():
 
 
 def test_oracle_charges_every_evaluate():
-    o = make_oracle([3.0, 1.0, 2.0])
+    o = ScoringOracle([3.0, 1.0, 2.0])
     assert o.queries == 0
     o.evaluate(0)
     assert o.queries == 1
@@ -50,33 +49,16 @@ def test_oracle_charges_every_evaluate():
     assert o.queries == 7
 
 
-def test_oracle_underlying_function_runs_once_per_index():
-    calls = []
-
-    def f(i):
-        calls.append(i)
-        return float(i)
-
-    o = ScoringOracle(f, 4)
-    o.evaluate(2)
-    o.evaluate(2)
-    o.evaluate(1)
-    assert calls == [2, 1]
-
-
-def test_oracle_known_is_algorithm_visible_only():
-    o = make_oracle([3.0, 1.0, 2.0])
-    o.evaluate(1)
-    assert o.known() == {1: 1.0}
-    o.peek(0)  # harness-side look, not knowledge
-    assert o.known() == {1: 1.0}
-
-
-def test_oracle_peek_is_free():
-    o = make_oracle([3.0, 1.0, 2.0])
-    assert o.peek(0) == 3.0
-    assert o.peek(2) == 2.0
+def test_oracle_reading_scores_is_free():
+    o = ScoringOracle([3.0, 1.0, 2.0])
+    assert o.scores[0] == 3.0
+    assert o.scores[2] == 2.0
     assert o.queries == 0
+
+
+def test_oracle_needs_a_candidate():
+    with pytest.raises(ValueError):
+        ScoringOracle([])
 
 
 def replayed_hit(rng, m, marked, size):
@@ -89,7 +71,7 @@ def replayed_hit(rng, m, marked, size):
 
 def test_oracle_marked_set_queries():
     vals = [5.0, 1.0, 3.0, 3.0, 8.0]
-    o = make_oracle(vals)
+    o = ScoringOracle(vals)
     assert o.is_max_score(8.0)
     assert not o.is_max_score(5.0)
     rng = random.Random("marked")
@@ -107,7 +89,7 @@ def test_oracle_marked_set_queries():
 
 def test_oracle_handles_comparable_nonnumeric_scores():
     # the search only ever compares scores, so tuples work too
-    o = ScoringOracle(lambda i: (i % 2, i), 5)
+    o = ScoringOracle([(i % 2, i) for i in range(5)])
     assert o.is_max_score((1, 3))
     rng = random.Random("tuples")
     for m in range(3):
@@ -150,13 +132,13 @@ PIN_REPEATED = [
 def test_search_draws_are_pinned(search, pinned):
     runs = []
     for seed in range(20):
-        best, stats = search(make_oracle(PIN_SCORES), random.Random("pin-%d" % seed))
+        best, stats = search(ScoringOracle(PIN_SCORES), random.Random("pin-%d" % seed))
         runs.append((best, stats.oracle_queries, stats.grover_iterations))
     assert runs == pinned
 
 
 def test_single_item_search():
-    o = make_oracle([7.0])
+    o = ScoringOracle([7.0])
     rng = random.Random("k1")
     best, stats = durr_hoyer_max(o, rng)
     assert best == 0
@@ -169,20 +151,23 @@ def test_search_is_deterministic_for_fixed_seed():
     vals = [random.Random("det").uniform(0, 1) for _ in range(32)]
     runs = []
     for _ in range(2):
-        o = make_oracle(vals)
+        o = ScoringOracle(vals)
         best, stats = durr_hoyer_max(o, random.Random("same-seed"))
         runs.append((best, stats.oracle_queries, stats.grover_iterations))
     assert runs[0] == runs[1]
 
 
 def test_search_never_exceeds_budget():
+    # a search stops only with less than one query of budget left, and no
+    # round overdraws it, so the spend is exact whatever the draws
     rng = random.Random("budget")
     for _ in range(300):
-        k = rng.choice([2, 4, 8, 16, 64])
-        vals = [rng.uniform(0, 1) for _ in range(k)]
-        o = make_oracle(vals)
+        k = rng.choice([*range(1, 70), 128, 256])
+        draw = rng.choice((rng.random, lambda: rng.randrange(3), lambda: 1.0))
+        vals = [draw() for _ in range(k)]
+        o = ScoringOracle(vals)
         _, stats = durr_hoyer_max(o, rng)
-        assert stats.oracle_queries <= query_budget(k)
+        assert stats.oracle_queries == math.floor(query_budget(k))
         assert o.queries == stats.oracle_queries
 
 
@@ -191,18 +176,9 @@ def test_search_result_never_worse_than_first_draw():
     for _ in range(200):
         k = rng.choice([4, 8, 32])
         vals = [rng.uniform(0, 1) for _ in range(k)]
-        o = CountingOracle(lambda i, v=vals: v[i], k)
-        first_holder = []
-        orig = o.evaluate
-
-        def tap(index):
-            if not first_holder:
-                first_holder.append(index)
-            return orig(index)
-
-        o.evaluate = tap
+        o = CountingOracle(vals)
         best, _ = durr_hoyer_max(o, rng)
-        assert vals[best] >= vals[first_holder[0]]
+        assert vals[best] >= vals[o.evaluated[0]]
 
 
 def test_query_ledger_is_coherent():
@@ -212,10 +188,10 @@ def test_query_ledger_is_coherent():
     for _ in range(100):
         k = rng.choice([4, 16, 64])
         vals = [rng.uniform(0, 1) for _ in range(k)]
-        o = CountingOracle(lambda i, v=vals: v[i], k)
+        o = CountingOracle(vals)
         _, stats = durr_hoyer_max(o, rng)
         assert o.queries == stats.oracle_queries
-        assert o.evaluate_calls == stats.oracle_queries - 2 * stats.grover_iterations
+        assert len(o.evaluated) == stats.oracle_queries - 2 * stats.grover_iterations
 
 
 def test_search_finds_unique_max_often():
@@ -223,7 +199,7 @@ def test_search_finds_unique_max_often():
     hits = 0
     trials = 1000
     for t in range(trials):
-        o = make_oracle([0.1, 0.2, 0.3, 0.9])
+        o = ScoringOracle([0.1, 0.2, 0.3, 0.9])
         best, stats = durr_hoyer_max(o, random.Random("unique-%d" % t))
         hits += best == 3
         assert stats.succeeded == (best == 3)
@@ -232,7 +208,7 @@ def test_search_finds_unique_max_often():
 
 def test_search_on_constant_scores_always_succeeds():
     for t in range(50):
-        o = make_oracle([1.0] * 8)
+        o = ScoringOracle([1.0] * 8)
         best, stats = durr_hoyer_max(o, random.Random("const-%d" % t))
         assert 0 <= best < 8
         assert stats.succeeded
@@ -249,8 +225,8 @@ def test_default_repeats_is_log_of_size():
 
 def test_repeated_max_single_repeat_matches_plain_search():
     vals = [0.3, 0.9, 0.1, 0.5]
-    a_best, a_stats = durr_hoyer_max(make_oracle(vals), random.Random("rep-eq"))
-    o = make_oracle(vals)
+    a_best, a_stats = durr_hoyer_max(ScoringOracle(vals), random.Random("rep-eq"))
+    o = ScoringOracle(vals)
     b_best, b_stats = repeated_max(o, 1, random.Random("rep-eq"))
     assert a_best == b_best
     assert a_stats.oracle_queries == b_stats.oracle_queries
@@ -258,10 +234,10 @@ def test_repeated_max_single_repeat_matches_plain_search():
 
 def test_repeated_max_aggregates_queries():
     vals = [random.Random("agg").uniform(0, 1) for _ in range(16)]
-    o = make_oracle(vals)
+    o = ScoringOracle(vals)
     _, stats = repeated_max(o, 3, random.Random("agg-run"))
     assert o.queries == stats.oracle_queries
-    assert stats.oracle_queries <= 3 * query_budget(16)
+    assert stats.oracle_queries == 3 * math.floor(query_budget(16))
 
 
 def test_repeated_max_drives_failure_rate_down():
@@ -270,7 +246,7 @@ def test_repeated_max_drives_failure_rate_down():
     hits = 0
     trials = 400
     for t in range(trials):
-        o = make_oracle([1.0, 0.0])
+        o = ScoringOracle([1.0, 0.0])
         best, stats = repeated_max(o, 10, random.Random("drive-%d" % t))
         hits += best == 0
     assert hits == trials
@@ -278,7 +254,7 @@ def test_repeated_max_drives_failure_rate_down():
 
 def test_repeated_max_success_flag_tracks_truth():
     for t in range(100):
-        o = make_oracle([0.2, 0.8, 0.4, 0.6])
+        o = ScoringOracle([0.2, 0.8, 0.4, 0.6])
         best, stats = repeated_max(o, 2, random.Random("flag-%d" % t))
         assert stats.succeeded == (best == 1)
 
@@ -292,9 +268,32 @@ def test_mean_queries_scale_like_sqrt():
         trials = 60
         for t in range(trials):
             vals = [rng.uniform(0, 1) for _ in range(k)]
-            o = make_oracle(vals)
+            o = ScoringOracle(vals)
             _, stats = durr_hoyer_max(o, rng)
             total += stats.oracle_queries
         means.append(total / trials)
     slope = np.polyfit(np.log2(sizes), np.log2(means), 1)[0]
     assert 0.3 <= slope <= 0.7
+
+
+#: Score lists drawn from three ratios, so ties are common, with invalid
+#: entries mixed in; an all-invalid list is possible too.
+SCORE_LISTS = st.lists(
+    st.one_of(
+        st.just(INVALID_SPLIT),
+        st.sampled_from((0.25, 0.5, 0.75)).map(lambda r: SplitScore(r, 1.0, r)),
+    ),
+    min_size=1,
+    max_size=64,
+)
+
+
+@settings(max_examples=200, deadline=None)
+@given(scores=SCORE_LISTS, seed=st.integers(0, 2**32), repeats=st.integers(1, 4))
+def test_repeated_max_wins_with_the_best_evaluated_score(scores, seed, repeats):
+    # why q_choose_split needs no fallback: an invalid winner means every
+    # score the searches paid to see was invalid
+    o = CountingOracle(scores)
+    best, _ = repeated_max(o, repeats, random.Random(seed))
+    seen = max((scores[i] for i in o.evaluated), key=lambda score: score.sort_key)
+    assert not (scores[best] < seen or seen < scores[best])
