@@ -46,4 +46,4 @@ print("many-way splits from buying gain with sheer branch count.")
 degenerate = gain_ratio(0.0, 0.0)
 print()
 print("an everything-left candidate reports valid=%s" % degenerate.valid)
-print("and loses every comparison:", degenerate < gain_ratio(1e-12, 1.0))
+print("and loses every comparison:", degenerate.ratio < gain_ratio(1e-12, 1.0).ratio)

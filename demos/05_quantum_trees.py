@@ -2,8 +2,8 @@
 
 Each internal node's attribute is picked by the repeated maximum search
 instead of a classical sweep. The build logs every search attempt: queries
-spent, the attribute chosen, and (when asked to verify) whether that choice
-order-equals the classical optimum. A run whose every node verifies
+spent, the attribute chosen, and (when asked to verify) whether that choice's
+gain ratio equals the classical optimum's. A run whose every node verifies
 reproduces the classical tree byte for byte.
 """
 

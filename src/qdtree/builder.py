@@ -117,14 +117,12 @@ def score_attributes(view, backend, stats=None):
     return [process_attribute(view, attr, backend) or (INVALID_SPLIT, None) for attr in range(d)]
 
 
-def first_best(scores):
-    """Index of the first greatest valid score, or None. This is the one tie
-    rule: the classical argmax and the verified optimum both pick with it."""
-    best = None
-    for attr, score in enumerate(scores):
-        if score.valid and (best is None or scores[best] < score):
-            best = attr
-    return best
+def first_best(ratios):
+    """Index of the first greatest ratio, or None when every ratio is -inf
+    (no valid split). This is the one tie rule: the classical argmax and the
+    verified optimum both pick with it."""
+    best = max(range(len(ratios)), key=ratios.__getitem__)
+    return None if ratios[best] == -math.inf else best
 
 
 def choose_split(view, backend, stats=None):
@@ -135,7 +133,7 @@ def choose_split(view, backend, stats=None):
     within an attribute were already resolved toward the lowest threshold.
     """
     results = score_attributes(view, backend, stats)
-    attr = first_best([score for score, _ in results])
+    attr = first_best([score.ratio for score, _ in results])
     return None if attr is None else (attr, results[attr][1], results[attr][0])
 
 
@@ -213,10 +211,13 @@ def route(tree, columns):
 
 def classify(tree, x):
     """Routes one attribute vector: real values go through float(), discrete
-    ones through int(), and one outside its domain raises DataFormatError."""
+    ones through int(). A non-finite real value, like the CSV reader's, and
+    a discrete one outside its domain raise DataFormatError."""
     columns = []
     for attr, a in enumerate(tree.schema.attributes):
         value = float(x[attr]) if a.kind == REAL else int(x[attr])
+        if a.kind == REAL and not math.isfinite(value):
+            raise DataFormatError("value %r of attribute index %d is not finite" % (x[attr], attr))
         if a.kind == DISCRETE and not 1 <= value <= a.domain_size:
             raise DataFormatError(
                 "value %r of attribute index %d outside 1..%d" % (x[attr], attr, a.domain_size)

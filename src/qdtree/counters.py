@@ -12,7 +12,7 @@ counts but never the produced scores.
 
 Both counters offer add_all(keys): it adds 1 to each key in order, returns
 an array of each key's count right after its add, and books exactly the
-operations that `for k in keys: add(k, 1)` books, so array code can stand in
+operations that `for k in keys: add(k)` books, so array code can stand in
 for the per-sample loop without touching the ledger.
 """
 
@@ -47,19 +47,17 @@ class DenseCounter:
         self._check(key)
         return self._slots[key]
 
-    def add(self, key, delta=1):
-        """Adds delta >= 1 to key's count and returns the new count."""
-        if delta < 1:
-            raise ValueError("counts only grow: delta must be >= 1, got %r" % (delta,))
+    def add(self, key):
+        """Adds 1 to key's count and returns the new count."""
         self.tally.element()
         self._check(key)
-        self._slots[key] += delta
+        self._slots[key] += 1
         return self._slots[key]
 
     def add_all(self, keys):
         """Adds 1 to each key in order and returns each key's running count
         after its add, booking one element touch per key as a loop of
-        add(key, 1) would. Raises KeyError before adding anything when a key
+        add(key) would. Raises KeyError before adding anything when a key
         is outside 1..size."""
         keys = np.asarray(keys, dtype=np.int64)
         outside = keys[(keys < 1) | (keys > self._size)]

@@ -7,7 +7,6 @@ branches contribute nothing.
 
 import math
 from dataclasses import dataclass, field
-from functools import total_ordering
 
 import numpy as np
 
@@ -113,53 +112,36 @@ def gain(parent, branches):
     return g
 
 
-@total_ordering
-@dataclass(frozen=True, eq=False)
+@dataclass(frozen=True)
 class SplitScore:
     """Gain, potential information and their ratio for one candidate test.
 
-    The ordering is total: invalid scores (trivial partitions) compare below
-    every valid score, and valid scores compare by ratio alone. Two scores
-    are order-equal when neither beats the other, which is what argmax-set
-    membership checks use.
+    The ratio is the split's only rank: a trivial split carries -inf, so it
+    ranks below every valid split and choosers compare plain floats.
     """
 
     gain: float
     potential: float
     ratio: float
-    valid: bool = True
 
     @property
-    def sort_key(self):
-        return (1, self.ratio) if self.valid else (0, 0.0)
-
-    def __lt__(self, other):
-        return self.sort_key < other.sort_key
-
-    def __eq__(self, other):
-        if not isinstance(other, SplitScore):
-            return NotImplemented
-        return self.sort_key == other.sort_key
-
-    __hash__ = object.__hash__
+    def valid(self):
+        return self.ratio > -math.inf
 
 
-#: The score every trivial split carries; loses every comparison against a
-#: valid score. An explicit state, not a NaN or -inf marker.
-INVALID_SPLIT = SplitScore(0.0, 0.0, 0.0, valid=False)
+#: The score every trivial split carries.
+INVALID_SPLIT = SplitScore(0.0, 0.0, -math.inf)
 
 
 def gain_ratio(g, p):
-    """Combines gain and potential information into an ordered SplitScore.
+    """Combines gain and potential information into a SplitScore.
 
-    A potential at or below POTENTIAL_EPSILON marks the split invalid instead
-    of dividing by (almost) zero.
+    A potential at or below POTENTIAL_EPSILON marks the split invalid (ratio
+    -inf) instead of dividing by (almost) zero.
     """
     if p < 0:
         raise ValueError("potential information cannot be negative")
-    if p <= POTENTIAL_EPSILON:
-        return SplitScore(g, p, 0.0, valid=False)
-    return SplitScore(g, p, g / p, valid=True)
+    return SplitScore(g, p, g / p if p > POTENTIAL_EPSILON else -math.inf)
 
 
 class _AvlNode:
@@ -194,7 +176,7 @@ class SparseClassCounter:
     is what the complexity probes measure. Keys may be any mutually ordered
     values (class indices, flat class-branch slots). add_all(keys) adds 1 to
     each key in order, returns each key's running count and books the same
-    visits as a loop of add(key, 1).
+    visits as a loop of add(key).
     """
 
     def __init__(self, tally=None):
@@ -214,13 +196,10 @@ class SparseClassCounter:
             node = node.left if key < node.key else node.right
         return 0
 
-    def add(self, key, delta=1):
-        """Adds delta >= 1 to key's count and returns the new count."""
-        if delta < 1:
-            raise ValueError("counts only grow: delta must be >= 1, got %r" % (delta,))
-        current = self.get(key)
-        new = current + delta
-        if current == 0:
+    def add(self, key):
+        """Adds 1 to key's count and returns the new count."""
+        new = self.get(key) + 1
+        if new == 1:
             self._root = self._insert(self._root, key, new)
             self._size += 1
         else:
@@ -229,7 +208,7 @@ class SparseClassCounter:
 
     def add_all(self, keys):
         """Adds 1 to each key in order and returns each key's running count
-        after its add, booking exactly the visits `for k in keys: add(k, 1)`
+        after its add, booking exactly the visits `for k in keys: add(k)`
         would book.
 
         Only a key's first appearance changes the tree's shape, so those adds

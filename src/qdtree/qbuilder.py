@@ -12,8 +12,8 @@ query counts are comparable to the classical builder's d evaluations. The
 probability-level simulation needs every attribute's true score to size the
 marked set, so each attempt scores every attribute exactly once with
 `builder.score_attributes`, the pass the classical chooser makes, and the
-search reads that list through a counted `ScoringOracle`; query accounting,
-not wall time, is the quantum-observable ledger.
+search reads their gain ratios through a counted `ScoringOracle`; query
+accounting, not wall time, is the quantum-observable ledger.
 """
 
 import random
@@ -34,8 +34,8 @@ class NodeRecord:
 
     chosen_attr and its split test are None when the search ended in
     no-split (the view became a leaf). true_best_attr and correct are filled
-    only under config.verify; correct means the outcome's score order-equals
-    the classical optimum, so any member of the argmax set counts as a
+    only under config.verify; correct means the outcome's gain ratio equals
+    the classical optimum's, so any member of the argmax set counts as a
     success.
     """
 
@@ -71,29 +71,30 @@ class QBuildReport:
 
 
 def q_choose_split(view, backend, rng, repeats=None, stats=None, verify=False):
-    """Attribute selection by repeated quantum maximum search.
+    """Attribute selection by repeated quantum maximum search over the
+    attributes' gain ratios.
 
-    Attributes with no candidate split score as the invalid sentinel, which
-    sorts below every valid score. The batch winner is the best score the
-    searches evaluated, so an invalid winner means every evaluated score is
-    invalid, and the attempt ends in no-split (chosen_attr None). Returns
-    the attempt's NodeRecord, which carries the chosen SplitTest.
+    An attribute with no candidate split ranks -inf, below every valid
+    ratio. The batch winner is the best ratio the searches evaluated, so a
+    -inf winner means every evaluated attribute is invalid, and the attempt
+    ends in no-split (chosen_attr None). Returns the attempt's NodeRecord,
+    which carries the chosen SplitTest.
     """
     results = score_attributes(view, backend, stats)
-    scores = [score for score, _ in results]
-    reps = default_repeats(len(scores)) if repeats is None else repeats
-    winner, sstats = repeated_max(ScoringOracle(scores), reps, rng)
+    ratios = [score.ratio for score, _ in results]
+    reps = default_repeats(len(ratios)) if repeats is None else repeats
+    winner, sstats = repeated_max(ScoringOracle(ratios), reps, rng)
     score, test = results[winner]
     if not score.valid:
         winner = None
 
     true_best = correct = None
     if verify:
-        true_best = first_best(scores)
+        true_best = first_best(ratios)
         if winner is None:
             correct = true_best is None
         else:
-            correct = not (score < scores[true_best])
+            correct = ratios[winner] == ratios[true_best]
     return NodeRecord(winner, test, true_best, sstats.oracle_queries, reps, correct)
 
 

@@ -175,9 +175,9 @@ def process_discrete_attribute(view, attr, backend):
     size_h = class_h = pair_h = 0.0
     branches = 0
     for v, y in zip(values, labels):
-        c = pair_counts.add((y - 1) * t + v, 1)
+        c = pair_counts.add((y - 1) * t + v)
         pair_h += xlog2x(c) - xlog2x(c - 1)
-        c = class_counts.add(y, 1)
+        c = class_counts.add(y)
         class_h += xlog2x(c) - xlog2x(c - 1)
         nw = sizes[v] + 1
         sizes[v] = nw

@@ -1,5 +1,6 @@
 """Classical tree growth, prediction, serialization, and cost accounting."""
 
+import math
 import random
 
 import pytest
@@ -213,6 +214,18 @@ def test_classify_rejects_out_of_domain_discrete():
         with pytest.raises(DataFormatError) as e:
             classify(tree, (value,))
         assert str(e.value) == "value %r of attribute index 0 outside 1..2" % (value,)
+
+
+def test_classify_rejects_non_finite_real():
+    # the CSV reader and load_model refuse these too; none may reach a leaf
+    schema = AttributeSchema((Attribute("x1", REAL),), 2)
+    data = Dataset(schema, [[1.0, 2.0]], [1, 2], ("a", "b"))
+    tree = train(data)
+    for value in (math.nan, math.inf, -math.inf, "nan", "inf", "-inf", "1e400"):
+        with pytest.raises(DataFormatError) as e:
+            classify(tree, (value,))
+        assert str(e.value) == "value %r of attribute index 0 is not finite" % (value,)
+    assert classify(tree, ("1e300",)) == 2
 
 
 def test_classify_xor_exactly():

@@ -20,8 +20,9 @@ from qdtree.criteria import OpTally, SparseClassCounter
 def test_dense_counter_get_add_clear():
     c = DenseCounter(4, OpTally())
     assert c.get(3) == 0
-    c.add(3, 2)
-    c.add(1, 1)
+    c.add(3)
+    c.add(1)
+    assert c.add(3) == 2
     assert c.get(3) == 2
     assert c.items() == [(1, 1), (3, 2)]
     c.clear()
@@ -33,24 +34,14 @@ def test_dense_counter_rejects_out_of_range_keys():
     with pytest.raises(KeyError):
         c.get(0)
     with pytest.raises(KeyError):
-        c.add(5, 1)
-
-
-def test_dense_counter_rejects_negative_totals():
-    c = DenseCounter(4, OpTally())
-    c.add(2, 1)
-    with pytest.raises(ValueError):
-        c.add(2, -2)
-    with pytest.raises(ValueError):
-        c.add(2, 0)
-    assert c.get(2) == 1
+        c.add(5)
 
 
 def test_dense_counter_charges_size_for_sweeps():
     tally = OpTally()
     c = DenseCounter(8, tally)  # construction zeroes all slots
     assert tally.maintenance_ops == 8
-    c.add(1, 1)
+    c.add(1)
     c.get(1)
     assert tally.element_ops == 2
     c.items()
@@ -71,11 +62,11 @@ def test_pair_counter_charges_product_size():
 
 def test_pair_counter_rejects_out_of_range():
     c = make_backend(BASELINE, 2).pair_counter(2)
-    c.add(4, 1)  # the last flat slot, (2 - 1) * 2 + 2
+    c.add(4)  # the last flat slot, (2 - 1) * 2 + 2
     with pytest.raises(KeyError):
         c.get(5)
     with pytest.raises(KeyError):
-        c.add(0, 1)
+        c.add(0)
 
 
 def test_make_backend_names():
@@ -102,9 +93,9 @@ def test_backends_agree_on_random_histories():
         a, b = dense.class_counter(), sparse.class_counter()
         for _ in range(200):
             key = rng.randint(1, 12)
-            delta = rng.choice([1, 1, 1, 2])
-            a.add(key, delta)
-            b.add(key, delta)
+            for _ in range(rng.choice([1, 1, 1, 2])):
+                a.add(key)
+                b.add(key)
             probe = rng.randint(1, 12)
             assert a.get(probe) == b.get(probe)
         assert a.items() == b.items()
@@ -124,8 +115,8 @@ def test_pair_backends_agree_on_random_histories():
     for _ in range(300):
         pair = (rng.randint(1, 5), rng.randint(1, 3))
         key = (pair[0] - 1) * 3 + pair[1]
-        a.add(key, 1)
-        b.add(key, 1)
+        a.add(key)
+        b.add(key)
         seen[pair] = seen.get(pair, 0) + 1
         assert a.get(key) == b.get(key) == seen[pair]
     assert len(seen) == 15
@@ -143,7 +134,7 @@ def test_sparse_costs_independent_of_class_count():
         backend = make_backend(TREEMAP, m, tally)
         c = backend.class_counter()
         for key in (1, 2, 3):
-            c.add(key, 1)
+            c.add(key)
         c.items()
         c.clear()
         costs.append((tally.element_ops, tally.maintenance_ops))
@@ -156,7 +147,7 @@ def test_dense_costs_grow_with_class_count():
         tally = OpTally()
         backend = make_backend(BASELINE, m, tally)
         c = backend.class_counter()
-        c.add(1, 1)
+        c.add(1)
         c.items()
         c.clear()
         totals.append(tally.maintenance_ops)
@@ -165,10 +156,10 @@ def test_dense_costs_grow_with_class_count():
 
 
 def _add_all_matches_loop(make, keys):
-    # add_all on one fresh counter against a loop of add(k, 1) on another
+    # add_all on one fresh counter against a loop of add(k) on another
     batch_tally, loop_tally = OpTally(level=2), OpTally(level=2)
     batch, loop = make(batch_tally), make(loop_tally)
-    assert batch.add_all(keys).tolist() == [loop.add(k, 1) for k in keys]
+    assert batch.add_all(keys).tolist() == [loop.add(k) for k in keys]
     assert batch.items() == loop.items()
     assert (batch_tally.element_ops, batch_tally.maintenance_ops, batch_tally.by_level) == (
         loop_tally.element_ops,
@@ -205,10 +196,10 @@ def test_add_all_continues_from_stored_counts():
         batch_tally, loop_tally = OpTally(), OpTally()
         batch, loop = make(batch_tally), make(loop_tally)
         for k in (3, 1, 3):
-            batch.add(k, 1)
-            loop.add(k, 1)
+            batch.add(k)
+            loop.add(k)
         keys = [3, 6, 1, 2, 3, 6, 5]
-        assert batch.add_all(keys).tolist() == [loop.add(k, 1) for k in keys] == [3, 1, 2, 1, 4, 2, 1]
+        assert batch.add_all(keys).tolist() == [loop.add(k) for k in keys] == [3, 1, 2, 1, 4, 2, 1]
         assert batch.items() == loop.items()
         assert batch_tally == loop_tally
 

@@ -1,6 +1,7 @@
 """Split-quality arithmetic: entropy, gain, potential, ratio ordering."""
 
 import math
+import operator
 import random
 
 import pytest
@@ -131,7 +132,7 @@ def test_gain_ratio_plain():
 def test_gain_ratio_zero_potential_is_invalid():
     s = gain_ratio(0.0, 0.0)
     assert not s.valid
-    assert s == INVALID_SPLIT or s.sort_key == INVALID_SPLIT.sort_key
+    assert s.ratio == INVALID_SPLIT.ratio == -math.inf
 
 
 def test_gain_ratio_negative_potential_rejected():
@@ -140,30 +141,29 @@ def test_gain_ratio_negative_potential_rejected():
 
 
 def test_invalid_split_loses_every_comparison():
-    tiny = gain_ratio(1e-15, 1.0)  # worst valid score still beats the sentinel
-    assert INVALID_SPLIT < tiny
-    assert not (tiny < INVALID_SPLIT)
-    assert INVALID_SPLIT <= INVALID_SPLIT
-    assert not (INVALID_SPLIT < INVALID_SPLIT)
+    tiny = gain_ratio(1e-15, 1.0)  # worst valid ratio still beats the sentinel
+    assert INVALID_SPLIT.ratio < tiny.ratio
+    assert not (tiny.ratio < INVALID_SPLIT.ratio)
+    assert INVALID_SPLIT.ratio <= INVALID_SPLIT.ratio
+    assert not (INVALID_SPLIT.ratio < INVALID_SPLIT.ratio)
 
 
 def test_score_ordering_is_by_ratio():
     a = gain_ratio(0.4, 0.8)
     b = gain_ratio(0.3, 0.4)
-    assert a < b  # 0.5 < 0.75
-    assert b > a
-    assert a != b
-    assert max([a, b, INVALID_SPLIT]) is b
+    assert a.ratio < b.ratio  # 0.5 < 0.75
+    assert b.ratio > a.ratio
+    assert a.ratio != b.ratio
+    assert max([a, b, INVALID_SPLIT], key=lambda s: s.ratio) is b
 
 
 def test_score_order_equality_vs_identity():
-    # equal ratios from different (gain, potential) pairs tie in the order;
-    # equality follows the order, not the raw fields
+    # equal ratios from different (gain, potential) pairs tie in the rank,
+    # while the scores themselves differ field by field
     a = gain_ratio(0.2, 0.4)
     b = gain_ratio(0.3, 0.6)
-    assert not (a < b) and not (b < a)
-    assert a <= b and b <= a
-    assert a == b
+    assert a.ratio == b.ratio
+    assert a != b
     assert (a.gain, a.potential) != (b.gain, b.potential)
 
 
@@ -173,10 +173,23 @@ def test_score_sorting_total_order():
     for _ in range(50):
         p = rng.uniform(0.1, 2.0)
         scores.append(gain_ratio(rng.uniform(0.0, 1.0) * p, p))
-    ordered = sorted(scores)
+    ordered = sorted(scores, key=lambda s: s.ratio)
     assert ordered[0] is INVALID_SPLIT
     for lo, hi in zip(ordered, ordered[1:]):
-        assert not (hi < lo)
+        assert lo.ratio <= hi.ratio
+
+
+def test_split_score_equality_and_hash_agree():
+    a = SplitScore(0.25, 0.5, 0.5)
+    b = SplitScore(0.25, 0.5, 0.5)
+    assert a is not b
+    assert a == b and hash(a) == hash(b)
+    assert len({a, b}) == 1
+    assert gain_ratio(0.0, 0.0) == INVALID_SPLIT
+    assert len({gain_ratio(0.0, 0.0), INVALID_SPLIT}) == 1
+    # scores rank by their ratios; the scores themselves have no order
+    with pytest.raises(TypeError):
+        operator.lt(a, b)
 
 
 def test_argmax_invariant_under_log_base():
@@ -201,24 +214,15 @@ def test_argmax_invariant_under_log_base():
 def test_sparse_counter_basic_ops():
     c = SparseClassCounter(OpTally())
     assert c.get(5) == 0
-    c.add(5, 2)
-    c.add(1, 1)
-    c.add(5, 1)
+    c.add(5)
+    c.add(5)
+    c.add(1)
+    assert c.add(5) == 3
     assert c.get(5) == 3
     assert c.items() == [(1, 1), (5, 3)]
     c.clear()
     assert c.items() == []
     assert c.get(1) == 0
-
-
-def test_sparse_counter_rejects_negative_count():
-    c = SparseClassCounter(OpTally())
-    c.add(1, 1)
-    with pytest.raises(ValueError):
-        c.add(1, -2)
-    with pytest.raises(ValueError):
-        c.add(1, 0)
-    assert c.items() == [(1, 1)]
 
 
 @settings(max_examples=60, deadline=None)
@@ -231,9 +235,10 @@ def test_sparse_counter_rejects_negative_count():
 def test_sparse_counter_matches_dict(ops):
     c = SparseClassCounter(OpTally())
     shadow = {}
-    for key, delta in ops:
-        shadow[key] = shadow.get(key, 0) + delta
-        assert c.add(key, delta) == shadow[key]
+    for key, times in ops:
+        for _ in range(times):
+            shadow[key] = shadow.get(key, 0) + 1
+            assert c.add(key) == shadow[key]
         assert c.get(key) == shadow[key]
     assert c.items() == sorted(shadow.items())
 
@@ -246,7 +251,7 @@ def test_sparse_counter_logarithmic_access_cost():
     n = 512
     for key in range(1, n + 1):  # ascending inserts are the classic worst case
         before = tally.element_ops
-        c.add(key, 1)
+        c.add(key)
         assert tally.element_ops - before <= 4 * (math.log2(key + 1) + 1)
     before = tally.element_ops
     c.get(n)
@@ -257,7 +262,7 @@ def test_sparse_counter_maintenance_charges_scale_with_size():
     tally = OpTally()
     c = SparseClassCounter(tally)
     for key in range(1, 9):
-        c.add(key, 1)
+        c.add(key)
     before = tally.maintenance_ops
     c.items()
     assert tally.maintenance_ops - before == 8
@@ -269,7 +274,7 @@ def test_sparse_counter_maintenance_charges_scale_with_size():
 def test_tally_levels_bucket_maintenance():
     tally = OpTally()
     c = SparseClassCounter(tally)
-    c.add(1, 1)
+    c.add(1)
     tally.level = 3
     c.items()
     assert tally.by_level.get(3) == 1

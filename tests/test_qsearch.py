@@ -8,7 +8,6 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from qdtree.criteria import INVALID_SPLIT, SplitScore
 from qdtree.qsearch import (
     ScoringOracle,
     default_repeats,
@@ -276,13 +275,10 @@ def test_mean_queries_scale_like_sqrt():
     assert 0.3 <= slope <= 0.7
 
 
-#: Score lists drawn from three ratios, so ties are common, with invalid
-#: entries mixed in; an all-invalid list is possible too.
+#: Ratio lists drawn from three values, so ties are common, with -inf (an
+#: invalid split) mixed in; an all-invalid list is possible too.
 SCORE_LISTS = st.lists(
-    st.one_of(
-        st.just(INVALID_SPLIT),
-        st.sampled_from((0.25, 0.5, 0.75)).map(lambda r: SplitScore(r, 1.0, r)),
-    ),
+    st.sampled_from((-math.inf, 0.25, 0.5, 0.75)),
     min_size=1,
     max_size=64,
 )
@@ -291,9 +287,8 @@ SCORE_LISTS = st.lists(
 @settings(max_examples=200, deadline=None)
 @given(scores=SCORE_LISTS, seed=st.integers(0, 2**32), repeats=st.integers(1, 4))
 def test_repeated_max_wins_with_the_best_evaluated_score(scores, seed, repeats):
-    # why q_choose_split needs no fallback: an invalid winner means every
-    # score the searches paid to see was invalid
+    # why q_choose_split needs no fallback: a -inf winner means every
+    # ratio the searches paid to see was -inf
     o = CountingOracle(scores)
     best, _ = repeated_max(o, repeats, random.Random(seed))
-    seen = max((scores[i] for i in o.evaluated), key=lambda score: score.sort_key)
-    assert not (scores[best] < seen or seen < scores[best])
+    assert scores[best] == max(scores[i] for i in o.evaluated)

@@ -319,7 +319,7 @@ def _counted_information_table(labels, counter):
     info = [0.0] * (len(labels) + 1)
     h = 0.0
     for u, y in enumerate(labels, 1):
-        c = counter.add(y, 1)
+        c = counter.add(y)
         h += xlog2x(c) - xlog2x(c - 1)
         info[u] = max(0.0, math.log2(u) - h / u)
     counter.clear()
@@ -349,7 +349,7 @@ def _counted_candidates(view, attr, backend):
 def _counted_scan(view, attr, backend):
     best = None
     for theta, score in _counted_candidates(view, attr, backend):
-        if best is None or best[0] < score:
+        if best is None or best[0].ratio < score.ratio:
             best = (score, theta)
     return best
 
