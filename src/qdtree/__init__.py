@@ -18,11 +18,9 @@ from .builder import (
     train,
     training_accuracy,
 )
-from .counters import BASELINE, TREEMAP, make_backend
+from .counters import BASELINE, TREEMAP, OpTally, SparseClassCounter, make_backend
 from .criteria import (
     INVALID_SPLIT,
-    OpTally,
-    SparseClassCounter,
     SplitScore,
     gain,
     gain_ratio,

@@ -17,8 +17,8 @@ from operator import countOf
 import numpy as np
 
 from . import jsonio
-from .counters import BASELINE, TREEMAP, make_backend
-from .criteria import INVALID_SPLIT, OpTally
+from .counters import BASELINE, TREEMAP, OpTally, make_backend
+from .criteria import INVALID_SPLIT
 from .dataset import (
     DISCRETE,
     REAL,
@@ -180,7 +180,7 @@ def train(data, config=None):
     if config.backend == QUANTUM:
         raise ValueError("use the quantum builder for quantum-searched trees")
     stats = BuildStats()
-    backend = make_backend(config.backend, data.schema.class_count, stats.tally)
+    backend = make_backend(config.backend, stats.tally)
 
     def choose(view):
         choice = choose_split(view, backend, stats)
@@ -210,19 +210,35 @@ def route(tree, columns):
 
 
 def classify(tree, x):
-    """Routes one attribute vector: real values go through float(), discrete
-    ones through int(). A non-finite real value, like the CSV reader's, and
-    a discrete one outside its domain raise DataFormatError."""
+    """Routes one attribute vector. Each value must convert to a finite
+    float, and a discrete one must also be a whole number inside its
+    domain; anything else raises DataFormatError, as the CSV reader would."""
     columns = []
     for attr, a in enumerate(tree.schema.attributes):
-        value = float(x[attr]) if a.kind == REAL else int(x[attr])
-        if a.kind == REAL and not math.isfinite(value):
-            raise DataFormatError("value %r of attribute index %d is not finite" % (x[attr], attr))
-        if a.kind == DISCRETE and not 1 <= value <= a.domain_size:
+        value = x[attr]
+        try:
+            if isinstance(value, (bool, np.bool_)):
+                raise TypeError
+            number = float(value)
+        except (TypeError, ValueError):
             raise DataFormatError(
-                "value %r of attribute index %d outside 1..%d" % (x[attr], attr, a.domain_size)
-            )
-        columns.append(np.array([value]))
+                "value %r of attribute index %d is not a number" % (value, attr)
+            ) from None
+        except OverflowError:
+            number = math.inf
+        if not math.isfinite(number):
+            raise DataFormatError("value %r of attribute index %d is not finite" % (value, attr))
+        if a.kind == DISCRETE:
+            if not number.is_integer():
+                raise DataFormatError(
+                    "value %r of attribute index %d is not a whole number" % (value, attr)
+                )
+            if not 1 <= number <= a.domain_size:
+                raise DataFormatError(
+                    "value %r of attribute index %d outside 1..%d" % (value, attr, a.domain_size)
+                )
+            number = int(number)
+        columns.append(np.array([number]))
     return int(route(tree, columns)[0])
 
 

@@ -119,17 +119,17 @@ def q_train(data, config, rng=None):
     """Grows a tree with quantum-searched splits and returns its report.
 
     Deterministic for a fixed config.seed (or a caller-supplied rng). The
-    sparse-counter backend feeds the scanners; counters only ever hold
-    integers, so scoring arithmetic is identical to the classical build and
-    a fully successful search sequence reproduces the classical tree byte
-    for byte.
+    scanners are the classical ones, with the treemap backend booking their
+    counter ops, so scoring arithmetic is identical to the classical build
+    and a fully successful search sequence reproduces the classical tree
+    byte for byte.
     """
     if config.backend != QUANTUM:
         raise ValueError("q_train grows quantum-searched trees only")
     if rng is None:
         rng = random.Random("qtree-%d" % (config.seed,))
     stats = BuildStats()
-    backend = make_backend(TREEMAP, data.schema.class_count, stats.tally)
+    backend = make_backend(TREEMAP, stats.tally)
     report = QBuildReport(verified=config.verify)
     root = q_form_tree(data.full_view(), config, backend, rng, stats, report)
     report.tree = DecisionTree(root, data.schema, data.class_labels, stats)

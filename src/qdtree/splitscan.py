@@ -2,24 +2,24 @@
 
 Real attributes are scanned in sorted order with prefix and suffix entropy
 tables; discrete attributes are evaluated in one incremental pass. Both
-scanners keep running counters plus unnormalized entropy sums H (the sum of
-c * log2(c) over stored counts), so each sample replaces exactly one term
-per sum, and an entropy over n samples is log2(n) - H/n. The discrete pass
-keeps three such sums over the z samples: one over class counts, one over
-branch sizes N_w and one over class-branch pair counts. The first gives the
-parent entropy, the second the split potential, and their weighted branch
-entropy sum_w (N_w/z) * I_w is (H_sizes - H_pairs) / z. Counter structures
-come from a pluggable backend, which changes operation tallies but never the
+scanners keep running counts in plain arrays plus unnormalized entropy sums
+H (the sum of c * log2(c) over the counts), so each sample replaces exactly
+one term per sum, and an entropy over n samples is log2(n) - H/n. The
+discrete pass keeps three such sums over the z samples: one over class
+counts, one over branch sizes N_w and one over class-branch pair counts. The
+first gives the parent entropy, the second the split potential, and their
+weighted branch entropy sum_w (N_w/z) * I_w is (H_sizes - H_pairs) / z. The
+backend only books what its counting structure would have cost for the keys
+of each scan (`book`), so it changes operation tallies but never the
 arithmetic: the stream of floating-point operations is identical for every
 backend.
 
-The real scan is array code. The counter's add_all returns every sample's
-running class count and books the same operations a per-sample add loop
-would, so the tallies stay exact. The c * log2(c), log2(u) and split
-potential tables are built with math.log2, because np.log2 differs from it
-in the last bit for some inputs. The H differences are accumulated with
-cumsum, which adds left to right as the loop did, so every score is
-bit-identical to the per-sample arithmetic.
+The real scan is array code. One stable sort gives every sample's running
+class count, and the suffix scan's counts are those mirrored. The
+c * log2(c), log2(u) and split potential tables are built with math.log2,
+because np.log2 differs from it in the last bit for some inputs. The H
+differences are accumulated with cumsum, which adds left to right as a
+per-sample loop does, so every score is bit-identical to that loop's.
 """
 
 import math
@@ -28,7 +28,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .criteria import POTENTIAL_EPSILON, gain_ratio, xlog2x
+from .criteria import POTENTIAL_EPSILON, gain_ratio, running_counts, xlog2x
 from .dataset import DISCRETE, REAL
 
 
@@ -88,32 +88,39 @@ def _scan_tables(z):
     return tables
 
 
-def _information_table(labels, counter):
-    """info[u] is the class entropy of labels[:u]; clears the counter.
+def _information_table(counts):
+    """info[u] is the class entropy of the first u samples, given each
+    sample's running class count.
 
     Each sample replaces one c * log2(c) term of the running sum h, and
     cumsum adds the differences left to right as a loop would.
     """
-    counts = counter.add_all(labels)
-    counter.clear()
-    xlog2c, log2c = _scan_tables(len(labels))[:2]
+    xlog2c, log2c = _scan_tables(len(counts))[:2]
     h = np.cumsum(xlog2c[counts] - xlog2c[counts - 1])
-    info = log2c[1:] - h / np.arange(1, len(labels) + 1)
+    info = log2c[1:] - h / np.arange(1, len(counts) + 1)
     return np.concatenate(([0.0], np.where(info > 0.0, info, 0.0)))
 
 
 def build_real_scan(view, attr, backend):
-    """Sorts the view by one real attribute and fills the entropy tables."""
+    """Sorts the view by one real attribute and fills the entropy tables.
+
+    The suffix table reads the labels backwards, and the running count of
+    a sample seen from the end is its class total minus its count from the
+    front, plus one.
+    """
     values = view.values(attr)
     order = np.argsort(values, kind="stable")
     labels = view.labels()[order]
+    m = view.base.schema.class_count
+    backend.book(labels, m)
+    backend.book(labels[::-1], m)
+    counts = running_counts(labels)
+    backwards = (np.bincount(labels)[labels] - counts + 1)[::-1]
     return RealScanState(
         values=values[order],
         labels=labels,
-        prefix_info=_information_table(labels, backend.class_counter()),
-        suffix_info=np.concatenate(
-            ([0.0], _information_table(labels[::-1], backend.class_counter())[::-1])
-        ),
+        prefix_info=_information_table(counts),
+        suffix_info=np.concatenate(([0.0], _information_table(backwards)[::-1])),
     )
 
 
@@ -163,29 +170,33 @@ def process_discrete_attribute(view, attr, backend):
     """One-pass multiway evaluation of a discrete attribute, or None when
     every sample carries the same value (a trivial partition)."""
     t = view.base.schema.domain_size(attr)
+    m = view.base.schema.class_count
     values = view.values(attr).tolist()
     labels = view.labels().tolist()
     z = len(values)
+    pairs = [(y - 1) * t + v for v, y in zip(values, labels)]
     # the branch-size array is a plain dense array on every backend: its
-    # allocation and release cost T slots each, as a DenseCounter's would
+    # allocation and release cost T slots each
     backend.tally.maintenance(2 * t)
-    class_counts = backend.class_counter()
-    pair_counts = backend.pair_counter(t)
+    backend.book(pairs, m * t)
+    backend.book(labels, m)
+    pair_counts = [0] * (m * t + 1)
+    class_counts = [0] * (m + 1)
     sizes = [0] * (t + 1)
     size_h = class_h = pair_h = 0.0
     branches = 0
-    for v, y in zip(values, labels):
-        c = pair_counts.add((y - 1) * t + v)
+    for v, y, k in zip(values, labels, pairs):
+        c = pair_counts[k] + 1
+        pair_counts[k] = c
         pair_h += xlog2x(c) - xlog2x(c - 1)
-        c = class_counts.add(y)
+        c = class_counts[y] + 1
+        class_counts[y] = c
         class_h += xlog2x(c) - xlog2x(c - 1)
         nw = sizes[v] + 1
         sizes[v] = nw
         if nw == 1:
             branches += 1
         size_h += xlog2x(nw) - xlog2x(nw - 1)
-    class_counts.clear()
-    pair_counts.clear()
     if branches <= 1:
         return None
     parent = max(0.0, math.log2(z) - class_h / z)

@@ -14,7 +14,7 @@ import numpy as np
 from . import oracle as reference
 from .builder import QUANTUM, BuildConfig, choose_split, serialize_model, train
 from .counters import BASELINE, TREEMAP, make_backend
-from .criteria import OpTally, gain, gain_ratio, potential_information
+from .criteria import gain, gain_ratio, potential_information
 from .dataset import SubsetView
 from .qbuilder import q_choose_split, q_train
 from .qsearch import ScoringOracle, default_repeats, durr_hoyer_max, query_budget
@@ -60,7 +60,7 @@ def oracle_equivalence(instances=200, seed=0):
         data = random_dataset(schema, n, "%s-%d" % (seed, i))
         view = _random_view(data, rng)
         backend_name = BASELINE if i % 2 == 0 else TREEMAP
-        backend = make_backend(backend_name, m, OpTally())
+        backend = make_backend(backend_name)
         for attr in range(d):
             expected = reference.candidates_for_attribute(view, attr)
             if schema.is_real(attr):
@@ -121,7 +121,7 @@ def prefix_consistency(subsets=100, seed=0):
         data = random_dataset(schema, n, "p%s-%d" % (seed, i))
         view = _random_view(data, rng)
         attr = rng.randrange(3)
-        backend = make_backend(TREEMAP, m, OpTally())
+        backend = make_backend(TREEMAP)
         state = build_real_scan(view, attr, backend)
         labels = state.labels.tolist()
         for u in range(1, len(labels) + 1):
@@ -153,7 +153,7 @@ def incremental_discrete(instances=200, seed=0):
         schema = random_schema(1, m, "d%s-%d" % (seed, i), kinds="discrete", max_domain=domain)
         data = random_dataset(schema, n, "d%s-%d" % (seed, i))
         view = _random_view(data, rng)
-        backend = make_backend(TREEMAP if i % 2 else BASELINE, m, OpTally())
+        backend = make_backend(TREEMAP if i % 2 else BASELINE)
         got = process_discrete_attribute(view, 0, backend)
         values = view.values(0).tolist()
         labels = view.labels().tolist()
@@ -270,7 +270,7 @@ def repetition_success(trials=5000, d=16, n=64, repeats=None, seed=0, threshold=
         if len(reference.argmax_attributes(view, tol=SCORE_TOL)) == 1:
             strict = True
             break
-    backend = make_backend(TREEMAP, data.schema.class_count, OpTally())
+    backend = make_backend(TREEMAP)
     hits = 0
     for t in range(trials):
         rng = random.Random("rep-%s-%d" % (seed, t))

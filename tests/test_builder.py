@@ -3,6 +3,7 @@
 import math
 import random
 
+import numpy as np
 import pytest
 
 from qdtree import oracle
@@ -27,7 +28,6 @@ from qdtree.builder import (
     tree_to_document,
 )
 from qdtree.counters import BASELINE, TREEMAP, make_backend
-from qdtree.criteria import OpTally
 from qdtree.dataset import (
     DISCRETE,
     REAL,
@@ -73,7 +73,7 @@ def test_choose_split_takes_best_ratio():
         [1, 1, 2, 2],
         ("a", "b"),
     )
-    backend = make_backend(TREEMAP, 2, OpTally())
+    backend = make_backend(TREEMAP)
     attr, test, score = choose_split(data.full_view(), backend)
     assert attr == 1 and test.theta == 2.5
 
@@ -81,7 +81,7 @@ def test_choose_split_takes_best_ratio():
 def test_choose_split_tie_takes_lowest_attribute():
     schema = AttributeSchema((Attribute("x1", REAL), Attribute("x2", REAL)), 2)
     data = Dataset(schema, [[1.0, 2.0], [1.0, 2.0]], [1, 2], ("a", "b"))
-    backend = make_backend(TREEMAP, 2, OpTally())
+    backend = make_backend(TREEMAP)
     attr, test, score = choose_split(data.full_view(), backend)
     assert attr == 0
 
@@ -89,7 +89,7 @@ def test_choose_split_tie_takes_lowest_attribute():
 def test_choose_split_no_candidates():
     schema = AttributeSchema((Attribute("x1", REAL),), 2)
     data = Dataset(schema, [[3.0, 3.0]], [1, 2], ("a", "b"))
-    backend = make_backend(TREEMAP, 2, OpTally())
+    backend = make_backend(TREEMAP)
     assert choose_split(data.full_view(), backend) is None
 
 
@@ -99,7 +99,7 @@ def test_choose_split_agrees_with_reference_argmax():
         schema = random_schema(rng.randint(1, 5), rng.randint(2, 4), seed=200 + i)
         data = random_dataset(schema, rng.randint(2, 32), seed=200 + i)
         view = data.full_view()
-        backend = make_backend(TREEMAP, schema.class_count, OpTally())
+        backend = make_backend(TREEMAP)
         got = choose_split(view, backend)
         best_set = oracle.argmax_attributes(view, tol=1e-9)
         if got is None:
@@ -216,6 +216,27 @@ def test_classify_rejects_out_of_domain_discrete():
         assert str(e.value) == "value %r of attribute index 0 outside 1..2" % (value,)
 
 
+def test_classify_rejects_non_integral_discrete():
+    # int() used to truncate 1.5 to 1 and fail on inf and nan with bare
+    # OverflowError and ValueError; whole floats and numeric strings route
+    schema = AttributeSchema((Attribute("c1", DISCRETE, 2),), 2)
+    data = Dataset(schema, [[1, 1, 2, 2]], [1, 1, 2, 2], ("a", "b"))
+    tree = train(data)
+    for value in (1.5, 0.5, "1.5"):
+        with pytest.raises(DataFormatError) as e:
+            classify(tree, (value,))
+        assert str(e.value) == "value %r of attribute index 0 is not a whole number" % (value,)
+    for value in (math.inf, -math.inf, math.nan, "nan", 10**400):
+        with pytest.raises(DataFormatError) as e:
+            classify(tree, (value,))
+        assert str(e.value) == "value %r of attribute index 0 is not finite" % (value,)
+    for value in (True, None, "two", np.bool_(False)):
+        with pytest.raises(DataFormatError) as e:
+            classify(tree, (value,))
+        assert str(e.value) == "value %r of attribute index 0 is not a number" % (value,)
+    assert [classify(tree, (v,)) for v in (2.0, 1.0, 2, np.int64(1), "2")] == [2, 1, 2, 1, 2]
+
+
 def test_classify_rejects_non_finite_real():
     # the CSV reader and load_model refuse these too; none may reach a leaf
     schema = AttributeSchema((Attribute("x1", REAL),), 2)
@@ -226,6 +247,10 @@ def test_classify_rejects_non_finite_real():
             classify(tree, (value,))
         assert str(e.value) == "value %r of attribute index 0 is not finite" % (value,)
     assert classify(tree, ("1e300",)) == 2
+    for value in ("abc", None, False):
+        with pytest.raises(DataFormatError) as e:
+            classify(tree, (value,))
+        assert str(e.value) == "value %r of attribute index 0 is not a number" % (value,)
 
 
 def test_classify_xor_exactly():

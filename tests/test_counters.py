@@ -1,4 +1,4 @@
-"""Counter backends: dense arrays vs the ordered sparse map, and their costs."""
+"""Counter backends: what the dense and ordered-map ledgers book for a scan."""
 
 import random
 
@@ -8,121 +8,77 @@ from hypothesis import strategies as st
 
 from qdtree.counters import (
     BASELINE,
+    REPLAY_CUTOFF,
     TREEMAP,
     DenseBackend,
-    DenseCounter,
+    OpTally,
+    SparseClassCounter,
     TreeMapBackend,
     make_backend,
 )
-from qdtree.criteria import OpTally, SparseClassCounter
 
 
-def test_dense_counter_get_add_clear():
-    c = DenseCounter(4, OpTally())
-    assert c.get(3) == 0
-    c.add(3)
-    c.add(1)
-    assert c.add(3) == 2
-    assert c.get(3) == 2
-    assert c.items() == [(1, 1), (3, 2)]
-    c.clear()
-    assert c.items() == []
+def _ledger(tally):
+    return (tally.element_ops, tally.maintenance_ops, tally.by_level)
 
 
-def test_dense_counter_rejects_out_of_range_keys():
-    c = DenseCounter(4, OpTally())
-    with pytest.raises(KeyError):
-        c.get(0)
-    with pytest.raises(KeyError):
-        c.add(5)
+def _sparse_loop_ledger(keys, level):
+    # a fresh ordered map fed one add per key, then cleared
+    tally = OpTally(level=level)
+    counter = SparseClassCounter(tally)
+    for key in keys:
+        counter.add(key)
+    counter.clear()
+    return _ledger(tally)
 
 
 def test_dense_counter_charges_size_for_sweeps():
+    # allocating and clearing 8 slots, one touch per key
     tally = OpTally()
-    c = DenseCounter(8, tally)  # construction zeroes all slots
-    assert tally.maintenance_ops == 8
-    c.add(1)
-    c.get(1)
-    assert tally.element_ops == 2
-    c.items()
-    assert tally.maintenance_ops == 16
-    c.clear()
-    assert tally.maintenance_ops == 24
+    make_backend(BASELINE, tally).book([1, 3, 1], 8)
+    assert (tally.element_ops, tally.maintenance_ops) == (3, 16)
 
 
 def test_pair_counter_charges_product_size():
+    # a 3-class, 4-way class-branch table has 12 dense slots
     tally = OpTally()
-    c = make_backend(BASELINE, 3, tally).pair_counter(4)
-    assert tally.maintenance_ops == 12
-    c.items()
-    assert tally.maintenance_ops == 24
-    c.clear()
-    assert tally.maintenance_ops == 36
-
-
-def test_pair_counter_rejects_out_of_range():
-    c = make_backend(BASELINE, 2).pair_counter(2)
-    c.add(4)  # the last flat slot, (2 - 1) * 2 + 2
-    with pytest.raises(KeyError):
-        c.get(5)
-    with pytest.raises(KeyError):
-        c.add(0)
+    make_backend(BASELINE, tally).book([(3 - 1) * 4 + 2, 4], 3 * 4)
+    assert (tally.element_ops, tally.maintenance_ops) == (2, 24)
 
 
 def test_make_backend_names():
-    assert isinstance(make_backend(BASELINE, 4), DenseBackend)
-    assert isinstance(make_backend(TREEMAP, 4), TreeMapBackend)
+    assert isinstance(make_backend(BASELINE), DenseBackend)
+    assert isinstance(make_backend(TREEMAP), TreeMapBackend)
     with pytest.raises(ValueError):
-        make_backend("btree", 4)
-
-
-def test_backend_counter_types():
-    dense = make_backend(BASELINE, 3)
-    assert isinstance(dense.class_counter(), DenseCounter)
-    assert isinstance(dense.pair_counter(2), DenseCounter)
-    sparse = make_backend(TREEMAP, 3)
-    assert isinstance(sparse.class_counter(), SparseClassCounter)
-    assert isinstance(sparse.pair_counter(2), SparseClassCounter)
+        make_backend("btree")
 
 
 def test_backends_agree_on_random_histories():
+    # each backend books what its counting structure would: the dense array
+    # in closed form, the ordered map by replaying the adds
     rng = random.Random("counter-hist")
-    dense = make_backend(BASELINE, 12)
-    sparse = make_backend(TREEMAP, 12)
-    for _ in range(20):
-        a, b = dense.class_counter(), sparse.class_counter()
-        for _ in range(200):
-            key = rng.randint(1, 12)
-            for _ in range(rng.choice([1, 1, 1, 2])):
-                a.add(key)
-                b.add(key)
-            probe = rng.randint(1, 12)
-            assert a.get(probe) == b.get(probe)
-        assert a.items() == b.items()
-        a.clear()
-        b.clear()
-        assert a.items() == b.items() == []
+    for i in range(20):
+        keys = [rng.randint(1, 12) for _ in range(rng.randint(0, 300))]
+        dense, sparse = OpTally(level=i % 3), OpTally(level=i % 3)
+        make_backend(BASELINE, dense).book(keys, 12)
+        make_backend(TREEMAP, sparse).book(keys, 12)
+        assert _ledger(dense) == (len(keys), 24, {i % 3: 24})
+        assert _ledger(sparse) == _sparse_loop_ledger(keys, i % 3)
 
 
 def test_pair_backends_agree_on_random_histories():
     # both backends take the flat slot (j - 1) * T + w, which gives every
     # (class, branch) pair of a 5 x 3 table its own key
     rng = random.Random("pair-hist")
-    dense = make_backend(BASELINE, 5)
-    sparse = make_backend(TREEMAP, 5)
-    a, b = dense.pair_counter(3), sparse.pair_counter(3)
-    seen = {}
-    for _ in range(300):
-        pair = (rng.randint(1, 5), rng.randint(1, 3))
-        key = (pair[0] - 1) * 3 + pair[1]
-        a.add(key)
-        b.add(key)
-        seen[pair] = seen.get(pair, 0) + 1
-        assert a.get(key) == b.get(key) == seen[pair]
-    assert len(seen) == 15
-    assert a.items() == b.items() == [
-        ((j - 1) * 3 + w, seen[j, w]) for j in range(1, 6) for w in range(1, 4)
-    ]
+    pairs = [(rng.randint(1, 5), rng.randint(1, 3)) for _ in range(300)]
+    keys = [(j - 1) * 3 + w for j, w in pairs]
+    assert sorted(set(keys)) == list(range(1, 16))
+    dense, sparse = OpTally(), OpTally()
+    make_backend(BASELINE, dense).book(keys, 5 * 3)
+    make_backend(TREEMAP, sparse).book(keys, 5 * 3)
+    assert _ledger(dense) == (300, 30, {0: 30})
+    assert _ledger(sparse) == _sparse_loop_ledger(keys, 0)
+    assert sparse.maintenance_ops == 15  # clearing the 15 stored pairs
 
 
 def test_sparse_costs_independent_of_class_count():
@@ -131,12 +87,7 @@ def test_sparse_costs_independent_of_class_count():
     costs = []
     for m in (4, 64, 4096):
         tally = OpTally()
-        backend = make_backend(TREEMAP, m, tally)
-        c = backend.class_counter()
-        for key in (1, 2, 3):
-            c.add(key)
-        c.items()
-        c.clear()
+        make_backend(TREEMAP, tally).book([1, 2, 3], m)
         costs.append((tally.element_ops, tally.maintenance_ops))
     assert costs[0] == costs[1] == costs[2]
 
@@ -145,69 +96,64 @@ def test_dense_costs_grow_with_class_count():
     totals = []
     for m in (4, 64, 4096):
         tally = OpTally()
-        backend = make_backend(BASELINE, m, tally)
-        c = backend.class_counter()
-        c.add(1)
-        c.items()
-        c.clear()
+        make_backend(BASELINE, tally).book([1], m)
         totals.append(tally.maintenance_ops)
     assert totals[0] < totals[1] < totals[2]
-    assert totals[2] == totals[0] * 1024  # 3 sweeps of M slots each
+    assert totals[2] == totals[0] * 1024  # 2 sweeps of M slots each
 
 
-def _add_all_matches_loop(make, keys):
+def _add_all_matches_loop(keys):
     # add_all on one fresh counter against a loop of add(k) on another
     batch_tally, loop_tally = OpTally(level=2), OpTally(level=2)
-    batch, loop = make(batch_tally), make(loop_tally)
-    assert batch.add_all(keys).tolist() == [loop.add(k) for k in keys]
+    batch, loop = SparseClassCounter(batch_tally), SparseClassCounter(loop_tally)
+    batch.add_all(keys)
+    for k in keys:
+        loop.add(k)
     assert batch.items() == loop.items()
-    assert (batch_tally.element_ops, batch_tally.maintenance_ops, batch_tally.by_level) == (
-        loop_tally.element_ops,
-        loop_tally.maintenance_ops,
-        loop_tally.by_level,
-    )
+    assert _ledger(batch_tally) == _ledger(loop_tally)
 
 
+# all but the empty batch are long enough for the grouped replay
 ADD_ALL_EDGES = [
     [],
-    [5] * 30,
-    list(range(1, 41)),
-    list(range(40, 0, -1)),
+    [5] * (2 * REPLAY_CUTOFF),
+    list(range(1, 2 * REPLAY_CUTOFF + 1)),
+    list(range(2 * REPLAY_CUTOFF, 0, -1)),
 ]
 
 
 @pytest.mark.parametrize("keys", ADD_ALL_EDGES, ids=["empty", "repeated", "distinct", "descending"])
 def test_add_all_edge_cases_match_add_loop(keys):
-    _add_all_matches_loop(lambda tally: DenseCounter(40, tally), keys)
-    _add_all_matches_loop(SparseClassCounter, keys)
+    _add_all_matches_loop(keys)
 
 
 @settings(max_examples=150, deadline=None)
-@given(st.lists(st.integers(min_value=1, max_value=40), max_size=200))
-@example(sorted(range(1, 40), reverse=True) * 2)
+@given(st.lists(st.integers(min_value=1, max_value=40), max_size=2 * REPLAY_CUTOFF))
+@example(sorted(range(1, 40), reverse=True) * 4)
 def test_add_all_matches_add_loop(keys):
-    _add_all_matches_loop(lambda tally: DenseCounter(40, tally), keys)
-    _add_all_matches_loop(SparseClassCounter, keys)
+    _add_all_matches_loop(keys)
+
+
+@pytest.mark.parametrize("size", [REPLAY_CUTOFF - 1, REPLAY_CUTOFF, REPLAY_CUTOFF + 1])
+def test_add_all_books_the_add_loop_around_the_cutoff(size):
+    # the grouped replay takes over at REPLAY_CUTOFF keys; on either side it
+    # books what the plain add loop books, for few and for many distinct keys
+    rng = random.Random("cutoff-%d" % (size,))
+    for spread in (2, 16, 1000):
+        _add_all_matches_loop([rng.randint(1, spread) for _ in range(size)])
 
 
 def test_add_all_continues_from_stored_counts():
     # keys already stored are re-adds, not inserts, and counts run on
-    for make in (lambda tally: DenseCounter(6, tally), SparseClassCounter):
+    for keys in ([3, 6, 1, 2, 3, 6, 5], [3, 6, 1, 2, 3, 6, 5] * REPLAY_CUTOFF):
         batch_tally, loop_tally = OpTally(), OpTally()
-        batch, loop = make(batch_tally), make(loop_tally)
+        batch, loop = SparseClassCounter(batch_tally), SparseClassCounter(loop_tally)
         for k in (3, 1, 3):
             batch.add(k)
             loop.add(k)
-        keys = [3, 6, 1, 2, 3, 6, 5]
-        assert batch.add_all(keys).tolist() == [loop.add(k) for k in keys] == [3, 1, 2, 1, 4, 2, 1]
+        batch.add_all(keys)
+        for k in keys:
+            loop.add(k)
         assert batch.items() == loop.items()
         assert batch_tally == loop_tally
-
-
-def test_dense_add_all_rejects_out_of_range_keys():
-    tally = OpTally()
-    c = DenseCounter(4, tally)
-    with pytest.raises(KeyError):
-        c.add_all([1, 5, 2])
-    assert c.items() == []
-    assert tally.element_ops == 0
+    assert batch.items() == [(k, keys.count(k) + (3, 1, 3).count(k)) for k in (1, 2, 3, 5, 6)]

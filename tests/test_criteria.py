@@ -8,10 +8,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from qdtree.counters import OpTally, SparseClassCounter
 from qdtree.criteria import (
     INVALID_SPLIT,
-    OpTally,
-    SparseClassCounter,
     SplitScore,
     gain,
     gain_ratio,

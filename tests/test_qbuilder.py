@@ -7,7 +7,6 @@ import pytest
 from qdtree import jsonio
 from qdtree.builder import BuildConfig, BuildStats, Leaf, serialize_model, train
 from qdtree.counters import TREEMAP, make_backend
-from qdtree.criteria import OpTally
 from qdtree.dataset import REAL, Attribute, AttributeSchema, Dataset
 from qdtree.oracle import argmax_attributes
 from qdtree.qbuilder import (
@@ -152,7 +151,7 @@ def test_choose_split_fallback_sweep_spends_nothing_extra():
     # all-constant columns: every score is invalid, the sweep finds nothing
     schema = AttributeSchema((Attribute("x1", REAL), Attribute("x2", REAL)), 2)
     data = Dataset(schema, [[1.0, 1.0], [2.0, 2.0]], [1, 2], ("a", "b"))
-    backend = make_backend(TREEMAP, 2, OpTally())
+    backend = make_backend(TREEMAP)
     stats = BuildStats()
     choice = q_choose_split(
         data.full_view(), backend, random.Random("fallback"), stats=stats
@@ -167,7 +166,7 @@ def test_per_node_success_rate_on_unique_best():
     view = data.full_view()
     best = argmax_attributes(view, tol=1e-9)
     assert len(best) == 1
-    backend = make_backend(TREEMAP, data.schema.class_count, OpTally())
+    backend = make_backend(TREEMAP)
     hits = 0
     trials = 800
     for t in range(trials):
@@ -184,7 +183,7 @@ def test_verify_records_truth_against_reference():
     data = planted_dataset(48, 4, 1, seed=11)
     view = data.full_view()
     best = argmax_attributes(view, tol=1e-9)
-    backend = make_backend(TREEMAP, data.schema.class_count, OpTally())
+    backend = make_backend(TREEMAP)
     for t in range(20):
         choice = q_choose_split(
             view, backend, random.Random("truth-%d" % t), verify=True
@@ -209,7 +208,7 @@ def test_per_node_queries_grow_like_sqrt_of_attribute_count():
     for d in grid:
         data = planted_dataset(32, d, 1, seed=21)
         view = data.full_view()
-        backend = make_backend(TREEMAP, data.schema.class_count, OpTally())
+        backend = make_backend(TREEMAP)
         total = 0
         trials = 40
         for t in range(trials):

@@ -5,11 +5,19 @@ import random
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from qdtree import oracle
-from qdtree.counters import BASELINE, TREEMAP, make_backend
-from qdtree.criteria import (
+from qdtree.counters import (
+    BASELINE,
+    REPLAY_CUTOFF,
+    TREEMAP,
     OpTally,
+    SparseClassCounter,
+    make_backend,
+)
+from qdtree.criteria import (
     gain,
     gain_ratio,
     potential_information,
@@ -51,7 +59,7 @@ def disc_data(values, labels, t):
 
 
 def backend_for(data, name=TREEMAP):
-    return make_backend(name, data.schema.class_count, OpTally())
+    return make_backend(name)
 
 
 def test_split_test_validation():
@@ -292,7 +300,7 @@ def test_discrete_scan_tallies_are_pinned(name, element_ops, maintenance_ops):
     labels = [1, 2, 3, 1, 3, 2, 1, 3, 2, 2, 1, 3, 3, 1, 2, 3, 1, 2]
     data = disc_data(values, labels, 4)
     tally = OpTally()
-    score, _ = process_discrete_attribute(data.full_view(), 0, make_backend(name, 3, tally))
+    score, _ = process_discrete_attribute(data.full_view(), 0, make_backend(name, tally))
     assert (tally.element_ops, tally.maintenance_ops) == (element_ops, maintenance_ops)
     assert score.ratio == 0.036553212231202885
 
@@ -308,10 +316,33 @@ def test_real_scan_tallies_are_pinned(name, element_ops, maintenance_ops):
     labels = [1, 2, 3, 1, 3, 2, 1, 3, 2, 2, 1, 3]
     data = real_data(values, labels)
     tally = OpTally()
-    score, test = scan_real_attribute(data.full_view(), 0, make_backend(name, 3, tally))
+    score, test = scan_real_attribute(data.full_view(), 0, make_backend(name, tally))
     assert (tally.element_ops, tally.maintenance_ops) == (element_ops, maintenance_ops)
     assert score.ratio == 0.4110263131819211
     assert test.theta == 0.875
+
+
+class _DenseReference:
+    """A dense array of `size` counters, as the baseline backend books it:
+    allocation and clearing touch every slot, each add one slot."""
+
+    def __init__(self, size, tally):
+        self.slots = [0] * (size + 1)
+        self.tally = tally
+        tally.maintenance(size)
+
+    def add(self, key):
+        self.tally.element()
+        self.slots[key] += 1
+        return self.slots[key]
+
+    def clear(self):
+        self.tally.maintenance(len(self.slots) - 1)
+
+
+def _counter(name, size, tally):
+    # the counting structure each backend's ledger stands for
+    return _DenseReference(size, tally) if name == BASELINE else SparseClassCounter(tally)
 
 
 def _counted_information_table(labels, counter):
@@ -326,13 +357,14 @@ def _counted_information_table(labels, counter):
     return info
 
 
-def _counted_candidates(view, attr, backend):
+def _counted_candidates(view, attr, name, tally):
     values = view.values(attr)
     order = np.argsort(values, kind="stable")
     values = values[order]
     labels = view.labels()[order].tolist()
-    prefix = _counted_information_table(labels, backend.class_counter())
-    suffix = [0.0] + _counted_information_table(labels[::-1], backend.class_counter())[::-1]
+    m = view.base.schema.class_count
+    prefix = _counted_information_table(labels, _counter(name, m, tally))
+    suffix = [0.0] + _counted_information_table(labels[::-1], _counter(name, m, tally))[::-1]
     z = len(values)
     out = []
     for u in range(1, z):
@@ -346,12 +378,53 @@ def _counted_candidates(view, attr, backend):
     return out
 
 
-def _counted_scan(view, attr, backend):
+def _counted_scan(view, attr, name, tally):
     best = None
-    for theta, score in _counted_candidates(view, attr, backend):
+    for theta, score in _counted_candidates(view, attr, name, tally):
         if best is None or best[0].ratio < score.ratio:
             best = (score, theta)
     return best
+
+
+def _counted_discrete(view, attr, name, tally):
+    # the counted per-sample loop the discrete kernel replaced
+    t = view.base.schema.domain_size(attr)
+    m = view.base.schema.class_count
+    values = view.values(attr).tolist()
+    labels = view.labels().tolist()
+    z = len(values)
+    tally.maintenance(2 * t)
+    class_counts = _counter(name, m, tally)
+    pair_counts = _counter(name, m * t, tally)
+    sizes = [0] * (t + 1)
+    size_h = class_h = pair_h = 0.0
+    branches = 0
+    for v, y in zip(values, labels):
+        c = pair_counts.add((y - 1) * t + v)
+        pair_h += xlog2x(c) - xlog2x(c - 1)
+        c = class_counts.add(y)
+        class_h += xlog2x(c) - xlog2x(c - 1)
+        sizes[v] += 1
+        if sizes[v] == 1:
+            branches += 1
+        size_h += xlog2x(sizes[v]) - xlog2x(sizes[v] - 1)
+    class_counts.clear()
+    pair_counts.clear()
+    if branches <= 1:
+        return None
+    parent = max(0.0, math.log2(z) - class_h / z)
+    potential = max(0.0, math.log2(z) - size_h / z)
+    score = gain_ratio(parent - (size_h - pair_h) / z, potential)
+    return score, SplitTest(attr, DISCRETE, branch_count=t)
+
+
+def _counted_attribute(view, attr, name, tally):
+    if len(view) < 2:
+        return None
+    if not view.base.schema.is_real(attr):
+        return _counted_discrete(view, attr, name, tally)
+    best = _counted_scan(view, attr, name, tally)
+    return None if best is None else (best[0], SplitTest(attr, REAL, theta=best[1]))
 
 
 def _exact(score):
@@ -379,17 +452,58 @@ def test_real_kernel_matches_counted_loop(name):
         view = SubsetView(data, rows)
 
         got_tally, want_tally = OpTally(level=i % 4), OpTally(level=i % 4)
-        got = real_split_candidates(view, 0, make_backend(name, m, got_tally))
-        want = _counted_candidates(view, 0, make_backend(name, m, want_tally))
+        got = real_split_candidates(view, 0, make_backend(name, got_tally))
+        want = _counted_candidates(view, 0, name, want_tally)
         assert [(t.hex(), _exact(s)) for t, s in got] == [(t.hex(), _exact(s)) for t, s in want]
         assert _ledger(got_tally) == _ledger(want_tally)
 
         got_tally, want_tally = OpTally(level=i % 4), OpTally(level=i % 4)
-        got = scan_real_attribute(view, 0, make_backend(name, m, got_tally))
-        want = _counted_scan(view, 0, make_backend(name, m, want_tally))
+        got = scan_real_attribute(view, 0, make_backend(name, got_tally))
+        want = _counted_scan(view, 0, name, want_tally)
         if want is None:
             assert got is None
         else:
             assert _exact(got[0]) == _exact(want[0])
             assert got[1] == SplitTest(0, REAL, theta=want[1])
         assert _ledger(got_tally) == _ledger(want_tally)
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    seed=st.integers(0, 2**32),
+    m=st.sampled_from([2, 3, 5, 16, 200]),
+    n=st.integers(1, 1200),
+    level=st.integers(0, 3),
+)
+@example(seed=0, m=5, n=1200, level=2)  # 881 rows over discrete, real, discrete, real
+@example(seed=1, m=200, n=1200, level=1)  # 819 rows over two discrete attributes
+def test_kernels_match_counted_loops_on_random_views(seed, m, n, level):
+    # mixed real and discrete attributes on a random subset view; views of
+    # REPLAY_CUTOFF rows or more take the sparse counter's grouped replay
+    rng = random.Random(seed)
+    attributes, columns = [], []
+    for a in range(rng.randint(1, 4)):
+        if rng.random() < 0.5:
+            spread = rng.choice([1, 3, 12, 1000])  # few values, many ties
+            attributes.append(Attribute("x%d" % a, REAL))
+            columns.append([rng.randint(0, spread) / 8.0 for _ in range(n)])
+        else:
+            t = rng.randint(2, 6)
+            attributes.append(Attribute("c%d" % a, DISCRETE, t))
+            columns.append([rng.randint(1, t) for _ in range(n)])
+    labels = [rng.randint(1, m) for _ in range(n)]
+    data = Dataset(
+        AttributeSchema(tuple(attributes), m), columns, labels,
+        tuple("k%d" % (j + 1) for j in range(m)),
+    )
+    view = SubsetView(data, sorted(rng.sample(range(n), rng.randint(0, n))))
+    for attr in range(len(attributes)):
+        for name in (BASELINE, TREEMAP):
+            got_tally, want_tally = OpTally(level=level), OpTally(level=level)
+            got = process_attribute(view, attr, make_backend(name, got_tally))
+            want = _counted_attribute(view, attr, name, want_tally)
+            if want is None:
+                assert got is None
+            else:
+                assert (_exact(got[0]), got[1]) == (_exact(want[0]), want[1])
+            assert _ledger(got_tally) == _ledger(want_tally)
