@@ -11,6 +11,7 @@ produce byte-identical trees and differ only in their operation tallies.
 import contextlib
 import math
 import os
+from collections.abc import Sequence
 from dataclasses import dataclass, field
 from operator import countOf
 
@@ -210,9 +211,19 @@ def route(tree, columns):
 
 
 def classify(tree, x):
-    """Routes one attribute vector. Each value must convert to a finite
-    float, and a discrete one must also be a whole number inside its
-    domain; anything else raises DataFormatError, as the CSV reader would."""
+    """Routes one attribute vector: a sequence (not a string) or 1-D array
+    of exactly d values. Each value must convert to a finite float, and a
+    discrete one must also be a whole number inside its domain; anything
+    else raises DataFormatError, as the CSV reader would."""
+    d = tree.schema.attribute_count
+    if isinstance(x, (str, bytes, bytearray)) or not (
+        isinstance(x, Sequence) or (isinstance(x, np.ndarray) and x.ndim == 1)
+    ):
+        raise DataFormatError(
+            "expected a sequence of %d attribute values, got %s" % (d, type(x).__name__)
+        )
+    if len(x) != d:
+        raise DataFormatError("expected %d attribute values, got %d" % (d, len(x)))
     columns = []
     for attr, a in enumerate(tree.schema.attributes):
         value = x[attr]

@@ -8,8 +8,8 @@ range: M for a class counter, M * T for the class-branch table of a T-way
 attribute (keyed by the flat slot (j - 1) * T + w). The baseline policy is
 a dense array, so allocation and clearing touch every slot and each add one:
 2 * slots maintenance and len(keys) element ops. The treemap policy replays
-the keys through a SparseClassCounter, an AVL map whose costs follow the
-keys actually stored. These are the paper's two classical bounds,
+the keys, in one pass, through a SparseClassCounter, an AVL map whose costs
+follow the keys actually stored. These are the paper's two classical bounds,
 O(h·d·(NM + N log N)) and O(h·d·N log N). The backend changes operation
 counts but never the produced scores.
 """
@@ -20,11 +20,6 @@ import numpy as np
 
 BASELINE = "baseline"
 TREEMAP = "treemap"
-
-#: Batches shorter than this are replayed key by key: the grouped numpy
-#: replay has a fixed cost of tens of microseconds that short batches do not
-#: repay. Both paths book the same visits.
-REPLAY_CUTOFF = 512
 
 
 @dataclass
@@ -69,9 +64,31 @@ class TreeMapBackend:
         self.tally = tally if tally is not None else OpTally()
 
     def book(self, keys, slots):
-        """Add every key to a fresh SparseClassCounter, then clear it."""
+        """Books what adding every key to a fresh SparseClassCounter and
+        clearing it would, visit for visit.
+
+        Only a key's first appearance changes the tree's shape: its get walk
+        visits the nodes above the empty slot, and the counted insert books
+        its own visits and rotations. Every other add of a key at depth k
+        costs 2(k + 1) visits, one walk for get and one for the overwrite;
+        that cost holds until the next insert, so it is cached till then.
+        """
         counter = SparseClassCounter(self.tally)
-        counter.add_all(keys)
+        costs = {}
+        visits = 0
+        for key in keys.tolist() if isinstance(keys, np.ndarray) else keys:
+            cost = costs.get(key)
+            if cost is None:
+                node, depth = counter._find(key)
+                if node is None:
+                    visits += depth
+                    counter._root = counter._insert(counter._root, key, 1)
+                    counter._size += 1
+                    costs.clear()
+                    continue
+                cost = costs[key] = 2 * (depth + 1)
+            visits += cost
+        self.tally.element(visits)
         counter.clear()
 
 
@@ -113,8 +130,9 @@ class SparseClassCounter:
     iteration or clearing visits exactly s nodes, where s is the number of
     stored keys. Every node visit is recorded in the attached OpTally, which
     is what the complexity probes measure. Keys may be any mutually ordered
-    values (class indices, flat class-branch slots). add_all(keys) books the
-    same visits as a loop of add(key).
+    values (class indices, flat class-branch slots). This is the reference
+    map for the treemap ledger: TreeMapBackend.book replays a scan into a
+    fresh one in a single pass and books what a loop of add(key) would.
     """
 
     def __init__(self, tally=None):
@@ -140,62 +158,6 @@ class SparseClassCounter:
         else:
             self._overwrite(key, new)
         return new
-
-    def add_all(self, keys):
-        """Adds 1 to each key in order, booking exactly the visits
-        `for k in keys: add(k)` would book.
-
-        Only a key's first appearance changes the tree's shape: its get walk
-        visits the nodes above the empty slot, and the counted insert books
-        its own visits and rotations. Every other add of a key at depth k
-        costs 2(k + 1) visits, one walk for get and one for the overwrite.
-        Batches shorter than REPLAY_CUTOFF apply this key by key. Longer
-        ones use that between two inserts the shape is fixed, so each
-        distinct (epoch, key) pair that is re-added needs one depth lookup.
-        """
-        visits = 0
-        if len(keys) < REPLAY_CUTOFF:
-            for key in keys.tolist() if isinstance(keys, np.ndarray) else keys:
-                node, depth = self._find(key)
-                if node is None:
-                    visits += depth
-                    self._root = self._insert(self._root, key, 1)
-                    self._size += 1
-                else:
-                    node.value += 1
-                    visits += 2 * (depth + 1)
-            self.tally.element(visits)
-            return
-        keys = np.asarray(keys)
-        uniq, first, inverse, totals = np.unique(
-            keys, return_index=True, return_inverse=True, return_counts=True
-        )
-        inverse = inverse.reshape(-1)
-        uniq, totals = uniq.tolist(), totals.tolist()
-        stored = [self._find(key)[0] for key in uniq]
-        for node, total in zip(stored, totals):
-            if node is not None:
-                node.value += total
-        inserts = np.sort(first[np.array([node is None for node in stored])])
-        readds = np.ones(len(keys), dtype=bool)
-        readds[inserts] = False
-        readds = np.flatnonzero(readds)
-        # one integer per (epoch, key) pair, where the epoch of a re-add is
-        # the number of inserts before it
-        pairs, times = np.unique(
-            np.searchsorted(inserts, readds) * len(uniq) + inverse[readds], return_counts=True
-        )
-        pairs = iter(zip((pairs // len(uniq)).tolist(), (pairs % len(uniq)).tolist(), times.tolist()))
-        pair = next(pairs, None)
-        for epoch, at in enumerate(inverse[inserts].tolist() + [None]):
-            while pair is not None and pair[0] == epoch:
-                visits += 2 * (self._find(uniq[pair[1]])[1] + 1) * pair[2]
-                pair = next(pairs, None)
-            if at is not None:
-                visits += self._find(uniq[at])[1]
-                self._root = self._insert(self._root, uniq[at], totals[at])
-                self._size += 1
-        self.tally.element(visits)
 
     def items(self):
         """All (key, count) pairs in ascending key order."""

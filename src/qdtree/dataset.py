@@ -174,11 +174,20 @@ def partition(view, test):
     return [_subview(view, mask) for mask in branch_masks(view.values(test.attr), test)]
 
 
+def _records(reader, path):
+    """The rows of a csv.reader; a record the csv module rejects, such as a
+    field over its size limit, raises DataFormatError naming the line."""
+    try:
+        yield from reader
+    except csv.Error as e:
+        raise DataFormatError("%s line %d: %s" % (path, reader.line_num, e)) from None
+
+
 def read_schema(path):
     """Parses the sidecar schema: one `name,real` or `name,discrete,T` line per attribute."""
     attrs = []
     with open(path, newline="", encoding="utf-8") as fh:
-        for lineno, row in enumerate(csv.reader(fh), start=1):
+        for lineno, row in enumerate(_records(csv.reader(fh), path), start=1):
             if not row or (len(row) == 1 and not row[0].strip()):
                 continue
             name = row[0].strip()
@@ -249,7 +258,7 @@ def _read_csv(path, attributes, labeled):
     cols = [[] for _ in attributes]
     labels = []
     with open(path, newline="", encoding="utf-8") as fh:
-        reader = csv.reader(fh)
+        reader = _records(csv.reader(fh), path)
         header = next(reader, None)
         if header is None:
             raise DataFormatError("%s: missing header row" % (path,))

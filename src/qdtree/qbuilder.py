@@ -34,9 +34,10 @@ class NodeRecord:
 
     chosen_attr and its split test are None when the search ended in
     no-split (the view became a leaf). true_best_attr and correct are filled
-    only under config.verify; correct means the outcome's gain ratio equals
-    the classical optimum's, so any member of the argmax set counts as a
-    success.
+    only under config.verify; correct is the search's own success flag: the
+    outcome's gain ratio equals the classical optimum's, so any member of
+    the argmax set counts as a success, and a no-split is correct exactly
+    when no attribute has a valid split.
     """
 
     chosen_attr: int | None
@@ -91,10 +92,7 @@ def q_choose_split(view, backend, rng, repeats=None, stats=None, verify=False):
     true_best = correct = None
     if verify:
         true_best = first_best(ratios)
-        if winner is None:
-            correct = true_best is None
-        else:
-            correct = ratios[winner] == ratios[true_best]
+        correct = sstats.succeeded
     return NodeRecord(winner, test, true_best, sstats.oracle_queries, reps, correct)
 
 

@@ -253,6 +253,25 @@ def test_classify_rejects_non_finite_real():
         assert str(e.value) == "value %r of attribute index 0 is not a number" % (value,)
 
 
+def test_classify_rejects_malformed_vectors():
+    # a vector of the wrong length, a string or a non-sequence must never
+    # reach a leaf, nor end in a bare IndexError or TypeError
+    schema = AttributeSchema((Attribute("x1", REAL), Attribute("c1", DISCRETE, 2)), 2)
+    data = Dataset(schema, [[1.0, 2.0, 1.0, 2.0], [1, 1, 2, 2]], [1, 2, 1, 2], ("a", "b"))
+    tree = train(data, BuildConfig(max_height=3))
+    for x, n in (((1,), 1), ((1, 0.5, 9), 3), ([], 0), (np.array([1.0, 1, 1]), 3)):
+        with pytest.raises(DataFormatError) as e:
+            classify(tree, x)
+        assert str(e.value) == "expected 2 attribute values, got %d" % (n,)
+    for x in (5, "12", b"12", {1, 2}, None, np.array(1.0), np.array([[1.0, 1]])):
+        with pytest.raises(DataFormatError) as e:
+            classify(tree, x)
+        assert str(e.value) == (
+            "expected a sequence of 2 attribute values, got %s" % (type(x).__name__,)
+        )
+    assert [classify(tree, x) for x in ((2.0, 1), [2.0, 1], np.array([2.0, 1]))] == [2, 2, 2]
+
+
 def test_classify_xor_exactly():
     data = xor_data()
     tree = train(data, BuildConfig(max_height=2))

@@ -436,6 +436,42 @@ def test_predict_header_only_file_prints_nothing(tmp_path, capsys):
     assert capsys.readouterr().out == ""
 
 
+HUGE_FIELD = "9" * 200_000  # over the csv module's 131072-character field limit
+
+
+def test_schema_field_over_csv_limit_exits_two(tmp_path, capsys):
+    csv, sch = write_xor(tmp_path)
+    sch.write_text("x1,real\nx2,%s\n" % (HUGE_FIELD,))
+    assert run(["train", "--data", csv, "--schema", sch, "--out", tmp_path / "m.json"]) == 2
+    assert capsys.readouterr().err == (
+        "error: %s line 2: field larger than field limit (131072)\n" % (sch,)
+    )
+
+
+def test_training_field_over_csv_limit_exits_two(tmp_path, capsys):
+    csv, sch = write_xor(tmp_path)
+    csv.write_text("x1,x2,class\n0,0,A\n1,%s,B\n" % (HUGE_FIELD,))
+    assert run(["train", "--data", csv, "--schema", sch, "--out", tmp_path / "m.json"]) == 2
+    assert capsys.readouterr().err == (
+        "error: %s line 3: field larger than field limit (131072)\n" % (csv,)
+    )
+    assert not (tmp_path / "m.json").exists()
+
+
+def test_predict_field_over_csv_limit_exits_two(tmp_path, capsys):
+    csv, sch = write_xor(tmp_path)
+    model = tmp_path / "m.json"
+    assert run(["train", "--data", csv, "--schema", sch, "--out", model]) == 0
+    capsys.readouterr()
+    rows = tmp_path / "rows.csv"
+    rows.write_text("x1,x2\n0,%s\n" % (HUGE_FIELD,))
+    assert run(["predict", "--model", model, "--data", rows]) == 2
+    captured = capsys.readouterr()
+    assert (captured.out, captured.err) == (
+        "", "error: %s line 2: field larger than field limit (131072)\n" % (rows,)
+    )
+
+
 def _unwritable_model(tmp_path, csv, sch):
     return ["train", "--data", csv, "--schema", sch, "--out", tmp_path / "no" / "m.json"]
 

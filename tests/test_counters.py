@@ -1,14 +1,16 @@
 """Counter backends: what the dense and ordered-map ledgers book for a scan."""
 
+import hashlib
 import random
 
+import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from qdtree.builder import BuildConfig, serialize_model, train
 from qdtree.counters import (
     BASELINE,
-    REPLAY_CUTOFF,
     TREEMAP,
     DenseBackend,
     OpTally,
@@ -16,6 +18,7 @@ from qdtree.counters import (
     TreeMapBackend,
     make_backend,
 )
+from qdtree.synth import planted_dataset
 
 
 def _ledger(tally):
@@ -102,58 +105,49 @@ def test_dense_costs_grow_with_class_count():
     assert totals[2] == totals[0] * 1024  # 2 sweeps of M slots each
 
 
-def _add_all_matches_loop(keys):
-    # add_all on one fresh counter against a loop of add(k) on another
-    batch_tally, loop_tally = OpTally(level=2), OpTally(level=2)
-    batch, loop = SparseClassCounter(batch_tally), SparseClassCounter(loop_tally)
-    batch.add_all(keys)
-    for k in keys:
-        loop.add(k)
-    assert batch.items() == loop.items()
-    assert _ledger(batch_tally) == _ledger(loop_tally)
+def _book_matches_loop(keys):
+    # one replay through the treemap ledger against a loop of add(k) on a
+    # fresh counter, for the keys as a list and as an array
+    for batch in (keys, np.array(keys, dtype=np.int64)):
+        tally = OpTally(level=2)
+        TreeMapBackend(tally).book(batch, 64)
+        assert _ledger(tally) == _sparse_loop_ledger(keys, 2)
 
 
-# all but the empty batch are long enough for the grouped replay
-ADD_ALL_EDGES = [
+# 8000 keys sorted by class: long runs of one key between few inserts
+SORTED_BY_CLASS = sorted(random.Random("sorted-by-class").randint(1, 40) for _ in range(8000))
+
+REPLAY_EDGES = [
     [],
-    [5] * (2 * REPLAY_CUTOFF),
-    list(range(1, 2 * REPLAY_CUTOFF + 1)),
-    list(range(2 * REPLAY_CUTOFF, 0, -1)),
+    [5] * 1024,
+    list(range(1, 1025)),
+    list(range(1024, 0, -1)),
+    SORTED_BY_CLASS,
 ]
 
 
-@pytest.mark.parametrize("keys", ADD_ALL_EDGES, ids=["empty", "repeated", "distinct", "descending"])
+@pytest.mark.parametrize(
+    "keys", REPLAY_EDGES, ids=["empty", "repeated", "distinct", "descending", "sorted-by-class"]
+)
 def test_add_all_edge_cases_match_add_loop(keys):
-    _add_all_matches_loop(keys)
+    _book_matches_loop(keys)
 
 
 @settings(max_examples=150, deadline=None)
-@given(st.lists(st.integers(min_value=1, max_value=40), max_size=2 * REPLAY_CUTOFF))
+@given(st.lists(st.integers(min_value=1, max_value=40), max_size=1500))
 @example(sorted(range(1, 40), reverse=True) * 4)
 def test_add_all_matches_add_loop(keys):
-    _add_all_matches_loop(keys)
+    _book_matches_loop(keys)
 
 
-@pytest.mark.parametrize("size", [REPLAY_CUTOFF - 1, REPLAY_CUTOFF, REPLAY_CUTOFF + 1])
-def test_add_all_books_the_add_loop_around_the_cutoff(size):
-    # the grouped replay takes over at REPLAY_CUTOFF keys; on either side it
-    # books what the plain add loop books, for few and for many distinct keys
-    rng = random.Random("cutoff-%d" % (size,))
-    for spread in (2, 16, 1000):
-        _add_all_matches_loop([rng.randint(1, spread) for _ in range(size)])
-
-
-def test_add_all_continues_from_stored_counts():
-    # keys already stored are re-adds, not inserts, and counts run on
-    for keys in ([3, 6, 1, 2, 3, 6, 5], [3, 6, 1, 2, 3, 6, 5] * REPLAY_CUTOFF):
-        batch_tally, loop_tally = OpTally(), OpTally()
-        batch, loop = SparseClassCounter(batch_tally), SparseClassCounter(loop_tally)
-        for k in (3, 1, 3):
-            batch.add(k)
-            loop.add(k)
-        batch.add_all(keys)
-        for k in keys:
-            loop.add(k)
-        assert batch.items() == loop.items()
-        assert batch_tally == loop_tally
-    assert batch.items() == [(k, keys.count(k) + (3, 1, 3).count(k)) for k in (1, 2, 3, 5, 6)]
+def test_treemap_build_with_long_scans_is_pinned():
+    # every scan of this build books 754 to 4000 keys, so the pinned
+    # ledgers and model bytes cover long treemap replays
+    tree = train(planted_dataset(4000, 8, 3, 0), BuildConfig(max_height=3, backend=TREEMAP))
+    tally = tree.stats.tally
+    assert (tally.element_ops, tally.maintenance_ops, tally.by_level) == (
+        777923, 384, {0: 128, 1: 128, 2: 128}
+    )
+    assert hashlib.sha256(serialize_model(tree).encode("utf-8")).hexdigest() == (
+        "c56f816da26fb7127bece3f9912065a5983a37c1c9c0268589c7a450a2b273a5"
+    )

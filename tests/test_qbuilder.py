@@ -192,6 +192,25 @@ def test_verify_records_truth_against_reference():
         assert choice.correct == (choice.chosen_attr in best)
 
 
+class _NeverHits(random.Random):
+    # every amplified measurement misses and every index draw is 0, so each
+    # search starts on attribute 0 and only ever measures the lowest-scored
+    # attribute, which never beats it
+    def random(self):
+        return 1 - 2**-53
+
+    def randrange(self, *args):
+        return 0
+
+
+def test_verify_records_a_failed_search():
+    data = planted_dataset(48, 4, 1, seed=11)
+    choice = q_choose_split(
+        data.full_view(), make_backend(TREEMAP), _NeverHits(), verify=True
+    )
+    assert (choice.chosen_attr, choice.true_best_attr, choice.correct) == (0, 2, False)
+
+
 def test_evaluations_track_scoring_passes():
     data = planted_dataset(64, 8, 2, seed=6)
     report = q_train(data, qconfig(seed=9))

@@ -11,7 +11,6 @@ from hypothesis import strategies as st
 from qdtree import oracle
 from qdtree.counters import (
     BASELINE,
-    REPLAY_CUTOFF,
     TREEMAP,
     OpTally,
     SparseClassCounter,
@@ -478,8 +477,8 @@ def test_real_kernel_matches_counted_loop(name):
 @example(seed=0, m=5, n=1200, level=2)  # 881 rows over discrete, real, discrete, real
 @example(seed=1, m=200, n=1200, level=1)  # 819 rows over two discrete attributes
 def test_kernels_match_counted_loops_on_random_views(seed, m, n, level):
-    # mixed real and discrete attributes on a random subset view; views of
-    # REPLAY_CUTOFF rows or more take the sparse counter's grouped replay
+    # mixed real and discrete attributes on a random subset view, up to
+    # 1200 rows, so the treemap ledger replays short and long scans alike
     rng = random.Random(seed)
     attributes, columns = [], []
     for a in range(rng.randint(1, 4)):
