@@ -3,11 +3,14 @@
 The scanners keep their own running counts in plain arrays; a backend only
 books, in a shared OpTally, what its counting structure would have cost.
 Every scan is a batch of +1 adds to a fresh counter that is cleared at the
-end, and book(keys, slots) charges that batch, where slots is the dense key
-range: M for a class counter, M * T for the class-branch table of a T-way
-attribute (keyed by the flat slot (j - 1) * T + w). The baseline policy is
-a dense array, so allocation and clearing touch every slot and each add one:
-2 * slots maintenance and len(keys) element ops. The treemap policy replays
+end. cost(keys, slots) is that batch's (element, maintenance) ops and
+book(keys, slots) charges them at the tally's current level; a scanner that
+adds one key stream several times computes its cost once and charges it
+each time. slots is the dense key range: M for a class counter, M * T for
+the class-branch table of a T-way attribute (keyed by the flat slot
+(j - 1) * T + w). The baseline policy is a dense array, so allocation and
+clearing touch every slot and each add one: 2 * slots maintenance and
+len(keys) element ops. The treemap policy replays
 the keys, in one pass, through a SparseClassCounter, an AVL map whose costs
 follow the keys actually stored. These are the paper's two classical bounds,
 O(h·d·(NM + N log N)) and O(h·d·N log N). The backend changes operation
@@ -45,27 +48,38 @@ class OpTally:
         self.by_level[self.level] = self.by_level.get(self.level, 0) + n
 
 
-class DenseBackend:
+class _LedgerPolicy:
+    """Charges the cost(keys, slots) a subclass defines to a shared tally."""
+
+    def __init__(self, tally=None):
+        self.tally = tally if tally is not None else OpTally()
+
+    def book(self, keys, slots):
+        """Books a scan's cost at the tally's current level."""
+        self.charge(*self.cost(keys, slots))
+
+    def charge(self, element, maintenance):
+        """Books a cost that cost() computed earlier, possibly for another
+        scan that added the same keys."""
+        self.tally.element(element)
+        self.tally.maintenance(maintenance)
+
+
+class DenseBackend(_LedgerPolicy):
     """Books a scan as a dense array of `slots` counters."""
 
-    def __init__(self, tally=None):
-        self.tally = tally if tally is not None else OpTally()
-
-    def book(self, keys, slots):
-        """Allocate and clear all slots, and touch one slot per key."""
-        self.tally.maintenance(2 * slots)
-        self.tally.element(len(keys))
+    def cost(self, keys, slots):
+        """(element, maintenance) ops: allocate and clear all slots, and
+        touch one slot per key."""
+        return len(keys), 2 * slots
 
 
-class TreeMapBackend:
+class TreeMapBackend(_LedgerPolicy):
     """Books a scan as an ordered map holding only the keys it saw."""
 
-    def __init__(self, tally=None):
-        self.tally = tally if tally is not None else OpTally()
-
-    def book(self, keys, slots):
-        """Books what adding every key to a fresh SparseClassCounter and
-        clearing it would, visit for visit.
+    def cost(self, keys, slots):
+        """(element, maintenance) ops of adding every key to a fresh
+        SparseClassCounter and clearing it, visit for visit.
 
         Only a key's first appearance changes the tree's shape: its get walk
         visits the nodes above the empty slot, and the counted insert books
@@ -73,7 +87,7 @@ class TreeMapBackend:
         costs 2(k + 1) visits, one walk for get and one for the overwrite;
         that cost holds until the next insert, so it is cached till then.
         """
-        counter = SparseClassCounter(self.tally)
+        counter = SparseClassCounter()
         costs = {}
         visits = 0
         for key in keys.tolist() if isinstance(keys, np.ndarray) else keys:
@@ -88,8 +102,8 @@ class TreeMapBackend:
                     continue
                 cost = costs[key] = 2 * (depth + 1)
             visits += cost
-        self.tally.element(visits)
         counter.clear()
+        return counter.tally.element_ops + visits, counter.tally.maintenance_ops
 
 
 def make_backend(name, tally=None):
@@ -131,8 +145,8 @@ class SparseClassCounter:
     stored keys. Every node visit is recorded in the attached OpTally, which
     is what the complexity probes measure. Keys may be any mutually ordered
     values (class indices, flat class-branch slots). This is the reference
-    map for the treemap ledger: TreeMapBackend.book replays a scan into a
-    fresh one in a single pass and books what a loop of add(key) would.
+    map for the treemap ledger: TreeMapBackend.cost replays a scan into a
+    fresh one in a single pass and counts what a loop of add(key) would.
     """
 
     def __init__(self, tally=None):

@@ -175,10 +175,14 @@ def partition(view, test):
 
 
 def _records(reader, path):
-    """The rows of a csv.reader; a record the csv module rejects, such as a
-    field over its size limit, raises DataFormatError naming the line."""
+    """(line, row) for the rows of a csv.reader, where line is the physical
+    line the record ends on, so a quoted field that spans lines does not
+    shift the numbers of later records. A record the csv module rejects,
+    such as a field over its size limit, raises DataFormatError naming the
+    line."""
     try:
-        yield from reader
+        for row in reader:
+            yield reader.line_num, row
     except csv.Error as e:
         raise DataFormatError("%s line %d: %s" % (path, reader.line_num, e)) from None
 
@@ -187,7 +191,7 @@ def read_schema(path):
     """Parses the sidecar schema: one `name,real` or `name,discrete,T` line per attribute."""
     attrs = []
     with open(path, newline="", encoding="utf-8") as fh:
-        for lineno, row in enumerate(_records(csv.reader(fh), path), start=1):
+        for lineno, row in _records(csv.reader(fh), path):
             if not row or (len(row) == 1 and not row[0].strip()):
                 continue
             name = row[0].strip()
@@ -259,7 +263,7 @@ def _read_csv(path, attributes, labeled):
     labels = []
     with open(path, newline="", encoding="utf-8") as fh:
         reader = _records(csv.reader(fh), path)
-        header = next(reader, None)
+        _, header = next(reader, (None, None))
         if header is None:
             raise DataFormatError("%s: missing header row" % (path,))
         stripped = [h.strip() for h in header]
@@ -269,7 +273,7 @@ def _read_csv(path, attributes, labeled):
                 % (path, header if labeled else stripped, expected)
             )
         width = len(header)
-        for lineno, row in enumerate(reader, start=2):
+        for lineno, row in reader:
             if not row:
                 continue
             if len(row) != width:

@@ -69,6 +69,8 @@ class ScoringOracle:
         # stable, so equal scores keep index order
         self._order = sorted(range(self.size), key=scores.__getitem__)
         self._keys = [scores[i] for i in self._order]
+        # asin(sqrt(t/K)) for every marked-set size t in 0..K
+        self._angles = [math.asin(math.sqrt(t / self.size)) for t in range(self.size + 1)]
 
     def evaluate(self, index):
         """One counted oracle query."""
@@ -89,8 +91,7 @@ class ScoringOracle:
         """
         pos = bisect_right(self._keys, score)
         marked = self.size - pos
-        angle = math.asin(math.sqrt(marked / self.size))
-        if rng.random() < math.sin((2 * m + 1) * angle) ** 2:
+        if rng.random() < math.sin((2 * m + 1) * self._angles[marked]) ** 2:
             return self._order[pos + rng.randrange(marked)]
         return self._order[rng.randrange(pos)]
 

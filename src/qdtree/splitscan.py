@@ -4,22 +4,28 @@ Real attributes are scanned in sorted order with prefix and suffix entropy
 tables; discrete attributes are evaluated in one incremental pass. Both
 scanners keep running counts in plain arrays plus unnormalized entropy sums
 H (the sum of c * log2(c) over the counts), so each sample replaces exactly
-one term per sum, and an entropy over n samples is log2(n) - H/n. The
-discrete pass keeps three such sums over the z samples: one over class
+one term per sum, and an entropy over n samples is log2(n) - H/n. A count
+that reaches c grows H by step[c] = c log2(c) - (c - 1) log2(c - 1), read
+from one grow-on-demand table that every scan shares (CountTables); it holds
+the very floats a loop computing both terms with math.log2 would subtract.
+The discrete pass keeps three such sums over the z samples: one over class
 counts, one over branch sizes N_w and one over class-branch pair counts. The
 first gives the parent entropy, the second the split potential, and their
-weighted branch entropy sum_w (N_w/z) * I_w is (H_sizes - H_pairs) / z. The
-backend only books what its counting structure would have cost for the keys
-of each scan (`book`), so it changes operation tallies but never the
+weighted branch entropy sum_w (N_w/z) * I_w is (H_sizes - H_pairs) / z.
+Every discrete attribute of a view adds the same label stream to its class
+counter, so the class sum and its booked cost are made once per view and
+backend and charged again for each attribute, at the tally's current level.
+The backend only books what its counting structure would have cost for the
+keys of each scan, so it changes operation tallies but never the
 arithmetic: the stream of floating-point operations is identical for every
 backend.
 
 The real scan is array code. One stable sort gives every sample's running
-class count, and the suffix scan's counts are those mirrored. The
-c * log2(c), log2(u) and split potential tables are built with math.log2,
-because np.log2 differs from it in the last bit for some inputs. The H
-differences are accumulated with cumsum, which adds left to right as a
-per-sample loop does, so every score is bit-identical to that loop's.
+class count, and the suffix scan's counts are those mirrored. The step,
+log2(u) and split potential tables are built with math.log2, because
+np.log2 differs from it in the last bit for some inputs. The steps are
+accumulated with cumsum, which adds left to right as a per-sample loop does,
+so every score is bit-identical to that loop's.
 """
 
 import math
@@ -71,33 +77,72 @@ class RealScanState:
     suffix_info: np.ndarray
 
 
+class CountTables:
+    """Per-count tables shared by every scan, grown on demand and never
+    shrunk: step_array[c] = c log2(c) - (c - 1) log2(c - 1), the amount a
+    running sum H grows by when a count reaches c, and log2c_array[c] =
+    log2(c), both for c in 1..n with 0.0 at c = 0. Every value is computed
+    with math.log2, exactly as a per-sample loop computing xlog2x(c) -
+    xlog2x(c - 1) would. `step` is the same table as a list, made only when
+    a per-sample loop first asks for it."""
+
+    def __init__(self):
+        self.step_array = self.log2c_array = _frozen([0.0])
+        self._step = None
+
+    def cover(self, n):
+        """Grows the tables, at least doubling them, until they cover counts
+        0..n, and returns them."""
+        size = len(self.step_array)
+        if n >= size:
+            counts = range(size, max(n + 1, 2 * size))
+            xlog2c = [xlog2x(c) for c in range(size - 1, counts.stop)]
+            steps = [cur - prev for prev, cur in zip(xlog2c, xlog2c[1:])]
+            logs = [math.log2(c) for c in counts]
+            self.step_array = _frozen(np.concatenate((self.step_array, steps)))
+            self.log2c_array = _frozen(np.concatenate((self.log2c_array, logs)))
+            self._step = None
+        return self
+
+    @property
+    def step(self):
+        if self._step is None:
+            self._step = self.step_array.tolist()
+        return self._step
+
+
+def _frozen(values):
+    array = np.array(values, dtype=np.float64)
+    array.flags.writeable = False
+    return array
+
+
+_TABLES = CountTables()
+
+
 @lru_cache(maxsize=1)
 def _scan_tables(z):
     """Tables shared by every real scan over z samples, built with math.log2
-    (np.log2 is not bit-identical to it): c * log2(c) and log2(c) for c in
-    0..z, and for each cut u in 1..z-1 the fractions u/z and 1 - u/z with the
-    split potential -(u/z log2(u/z) + (1 - u/z) log2(1 - u/z))."""
-    xlog2c = [xlog2x(c) for c in range(z + 1)]
-    log2c = [0.0] + [math.log2(c) for c in range(1, z + 1)]
+    (np.log2 is not bit-identical to it): for each cut u in 1..z-1 the
+    fractions u/z and 1 - u/z and the split potential
+    -(u/z log2(u/z) + (1 - u/z) log2(1 - u/z))."""
     left = [u / z for u in range(1, z)]
     right = [1.0 - f for f in left]
     potential = [-(f * math.log2(f) + r * math.log2(r)) for f, r in zip(left, right)]
-    tables = tuple(np.array(t, dtype=np.float64) for t in (xlog2c, log2c, left, right, potential))
-    for t in tables:
-        t.flags.writeable = False
-    return tables
+    return _frozen(left), _frozen(right), _frozen(potential)
 
 
 def _information_table(counts):
     """info[u] is the class entropy of the first u samples, given each
     sample's running class count.
 
-    Each sample replaces one c * log2(c) term of the running sum h, and
-    cumsum adds the differences left to right as a loop would.
+    Each sample adds the step of its count to the running sum h, and cumsum
+    adds them left to right as a loop would.
     """
-    xlog2c, log2c = _scan_tables(len(counts))[:2]
-    h = np.cumsum(xlog2c[counts] - xlog2c[counts - 1])
-    info = log2c[1:] - h / np.arange(1, len(counts) + 1)
+    z = len(counts)
+    tables = _TABLES.cover(z)
+    h = np.cumsum(tables.step_array[counts])
+    info = tables.log2c_array[1 : z + 1] - h / np.arange(1, z + 1)
     return np.concatenate(([0.0], np.where(info > 0.0, info, 0.0)))
 
 
@@ -130,7 +175,7 @@ def _candidate_arrays(view, attr, backend):
     state = build_real_scan(view, attr, backend)
     values = state.values
     z = len(values)
-    _, _, left, right, potential = _scan_tables(z)
+    left, right, potential = _scan_tables(z)
     cut = np.flatnonzero(values[:-1] != values[1:])
     gains = (
         state.prefix_info[z]
@@ -166,39 +211,57 @@ def scan_real_attribute(view, attr, backend):
     return score, SplitTest(attr, REAL, theta=float(thetas[best]))
 
 
+@lru_cache(maxsize=1)
+def _class_pass(view, backend):
+    """The labels of a view as a list, the H sum of their class counts and
+    the (element, maintenance) cost of adding them to a fresh class counter
+    on backend.
+
+    Every discrete attribute of a view adds this same label stream to its
+    class counter, so the scans of one view share one pass. The cost depends
+    on the backend's policy, so the pass is keyed on the backend as well.
+    """
+    labels = view.labels().tolist()
+    m = view.base.schema.class_count
+    step = _TABLES.cover(len(labels)).step
+    counts = [0] * (m + 1)
+    class_h = 0.0
+    for y in labels:
+        c = counts[y] = counts[y] + 1
+        class_h += step[c]
+    return labels, class_h, backend.cost(labels, m)
+
+
 def process_discrete_attribute(view, attr, backend):
     """One-pass multiway evaluation of a discrete attribute, or None when
     every sample carries the same value (a trivial partition)."""
     t = view.base.schema.domain_size(attr)
     m = view.base.schema.class_count
+    labels, class_h, class_cost = _class_pass(view, backend)
     values = view.values(attr).tolist()
-    labels = view.labels().tolist()
     z = len(values)
+    step = _TABLES.cover(z).step
     pairs = [(y - 1) * t + v for v, y in zip(values, labels)]
-    # the branch-size array is a plain dense array on every backend: its
-    # allocation and release cost T slots each
-    backend.tally.maintenance(2 * t)
-    backend.book(pairs, m * t)
-    backend.book(labels, m)
-    pair_counts = [0] * (m * t + 1)
-    class_counts = [0] * (m + 1)
+    # one charge for the scan's three structures: the class-branch counter,
+    # the class counter and the branch-size array, a plain dense array on
+    # every backend, whose allocation and release cost T slots each
+    pair_element, pair_maintenance = backend.cost(pairs, m * t)
+    backend.charge(
+        pair_element + class_cost[0], pair_maintenance + class_cost[1] + 2 * t
+    )
     sizes = [0] * (t + 1)
-    size_h = class_h = pair_h = 0.0
-    branches = 0
-    for v, y, k in zip(values, labels, pairs):
-        c = pair_counts[k] + 1
-        pair_counts[k] = c
-        pair_h += xlog2x(c) - xlog2x(c - 1)
-        c = class_counts[y] + 1
-        class_counts[y] = c
-        class_h += xlog2x(c) - xlog2x(c - 1)
-        nw = sizes[v] + 1
-        sizes[v] = nw
-        if nw == 1:
-            branches += 1
-        size_h += xlog2x(nw) - xlog2x(nw - 1)
-    if branches <= 1:
+    size_h = 0.0
+    for v in values:
+        c = sizes[v] = sizes[v] + 1
+        size_h += step[c]
+    # sizes[0] stays 0, so t + 1 - sizes.count(0) branches are non-empty
+    if t + 1 - sizes.count(0) <= 1:
         return None
+    pair_counts = [0] * (m * t + 1)
+    pair_h = 0.0
+    for k in pairs:
+        c = pair_counts[k] = pair_counts[k] + 1
+        pair_h += step[c]
     parent = max(0.0, math.log2(z) - class_h / z)
     potential = max(0.0, math.log2(z) - size_h / z)
     score = gain_ratio(parent - (size_h - pair_h) / z, potential)

@@ -205,6 +205,25 @@ def test_load_csv_names_bad_cell(tmp_path):
     assert "outside 1..3" in str(e.value)
 
 
+def test_errors_after_a_multiline_field_name_the_physical_line(tmp_path):
+    # the quoted label spans lines 2 and 3, so `zzz` sits on line 4
+    path = tmp_path / "train.csv"
+    path.write_text('x1,x2,class\n1,2,"a\nb"\n1,zzz,c\n')
+    attrs = (Attribute("x1", REAL), Attribute("x2", REAL))
+    with pytest.raises(DataFormatError) as e:
+        load_csv(path, attrs)
+    assert str(e.value) == "%s line 4, column 'x2': 'zzz' is not a number" % (path,)
+    path.write_text('x1,x2\n1,"2\n"\n1,zzz\n')
+    with pytest.raises(DataFormatError) as e:
+        load_feature_rows(path, attrs)
+    assert str(e.value) == "%s line 4, column 'x2': 'zzz' is not a number" % (path,)
+    path = tmp_path / "schema.csv"
+    path.write_text('"x\n1",real\nx2,discrete,many\n')
+    with pytest.raises(DataFormatError) as e:
+        read_schema(path)
+    assert str(e.value) == "%s line 3: 'many' is not a domain size" % (path,)
+
+
 def test_load_feature_rows_tolerates_label_column(tmp_path):
     attrs = (Attribute("x1", REAL), Attribute("color", DISCRETE, 3))
     bare = tmp_path / "bare.csv"

@@ -31,6 +31,7 @@ from qdtree.dataset import (
     SubsetView,
 )
 from qdtree.splitscan import (
+    CountTables,
     SplitTest,
     build_real_scan,
     process_attribute,
@@ -506,3 +507,66 @@ def test_kernels_match_counted_loops_on_random_views(seed, m, n, level):
             else:
                 assert (_exact(got[0]), got[1]) == (_exact(want[0]), want[1])
             assert _ledger(got_tally) == _ledger(want_tally)
+
+
+def test_step_table_matches_xlog2x_differences_as_it_grows():
+    tables = CountTables()
+    for n in (300, 20000):  # grown in two stages
+        tables.cover(n)
+        assert len(tables.step) == len(tables.log2c_array) == len(tables.step_array) > n
+        want = [0.0] + [xlog2x(c) - xlog2x(c - 1) for c in range(1, n + 1)]
+        assert [s.hex() for s in tables.step[: n + 1]] == [w.hex() for w in want]
+        assert [s.hex() for s in tables.step_array[: n + 1].tolist()] == [w.hex() for w in want]
+        logs = [0.0] + [math.log2(c) for c in range(1, n + 1)]
+        assert tables.log2c_array[: n + 1].tolist() == logs
+    size = len(tables.step)
+    assert tables.cover(size - 1) is tables and len(tables.step) == size
+
+
+def _discrete_view(m, n, seed):
+    rng = random.Random(seed)
+    domains = [2, 3, 4, 2, 6]
+    schema = AttributeSchema(
+        tuple(Attribute("c%d" % a, DISCRETE, t) for a, t in enumerate(domains)), m
+    )
+    columns = [[rng.randint(1, t) for _ in range(n)] for t in domains]
+    labels = [rng.randint(1, m) for _ in range(n)]
+    data = Dataset(schema, columns, labels, tuple("k%d" % (j + 1) for j in range(m)))
+    return SubsetView(data, sorted(rng.sample(range(n), n // 2)))
+
+
+@pytest.mark.parametrize("name", [BASELINE, TREEMAP])
+def test_one_view_shares_its_class_pass_with_exact_ledgers(name):
+    # every attribute of one view, scored twice at two levels with one
+    # backend, books what as many independent counted scans book
+    view = _discrete_view(5, 80, "shared-class-pass")
+    d = view.base.schema.attribute_count
+    got_tally, want_tally = OpTally(), OpTally()
+    backend = make_backend(name, got_tally)
+    for level in (1, 3):
+        got_tally.level = want_tally.level = level
+        for attr in range(d):
+            got = process_attribute(view, attr, backend)
+            want = _counted_discrete(view, attr, name, want_tally)
+            assert (_exact(got[0]), got[1]) == (_exact(want[0]), want[1])
+    assert _ledger(got_tally) == _ledger(want_tally)
+    assert set(got_tally.by_level) == {1, 3}
+
+
+def test_class_pass_is_not_shared_across_backends_or_views():
+    view = _discrete_view(5, 80, "class-pass-keys")
+    # the same label column under a schema with more classes: equal labels,
+    # but a dense class counter of another size
+    base = view.base
+    wider = Dataset(
+        AttributeSchema(base.schema.attributes, 9),
+        base.columns, base.labels, tuple("k%d" % (j + 1) for j in range(9)),
+    )
+    twin = SubsetView(wider, view.indices)
+    assert twin.labels().tolist() == view.labels().tolist()
+    for target, name in ((view, BASELINE), (twin, BASELINE), (twin, TREEMAP), (view, TREEMAP)):
+        got_tally, want_tally = OpTally(level=2), OpTally(level=2)
+        got = process_attribute(target, 1, make_backend(name, got_tally))
+        want = _counted_discrete(target, 1, name, want_tally)
+        assert (_exact(got[0]), got[1]) == (_exact(want[0]), want[1])
+        assert _ledger(got_tally) == _ledger(want_tally)
