@@ -40,15 +40,13 @@ class BuildConfig:
     """Knobs shared by the classical and quantum builders.
 
     max_height bounds node depth (0 forces a single leaf). min_split is the
-    smallest subset still worth scanning. repeats overrides the quantum
-    searcher's repetition count; verify asks the quantum builder to also
-    record each node's classically best attribute.
+    smallest subset still worth scanning. verify asks the quantum builder to
+    also record each node's classically best attribute.
     """
 
     max_height: int = 10
     min_split: int = 2
     backend: str = BASELINE
-    repeats: int | None = None
     seed: int | None = None
     verify: bool = False
 
@@ -59,8 +57,6 @@ class BuildConfig:
             raise ValueError("min_split must be >= 2")
         if self.backend not in BACKENDS:
             raise ValueError("backend must be one of %s" % (", ".join(BACKENDS),))
-        if self.repeats is not None and self.repeats < 1:
-            raise ValueError("repeats must be >= 1")
         if self.backend == QUANTUM and self.seed is None:
             raise ValueError("the quantum backend needs an explicit seed")
 
@@ -387,7 +383,7 @@ def document_to_tree(doc):
         schema = AttributeSchema(
             tuple(attrs), _typed(doc["schema"]["class_count"], (int,), "class_count")
         )
-        class_labels = tuple(doc["class_label_mapping"])
+        class_labels = tuple(_typed(doc["class_label_mapping"], (list,), "class_label_mapping"))
         if len(class_labels) != schema.class_count:
             raise DataFormatError(
                 "%d class labels for %d classes" % (len(class_labels), schema.class_count)

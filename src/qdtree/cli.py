@@ -70,8 +70,6 @@ def build_parser():
     p.add_argument("--max-height", type=int, default=10)
     p.add_argument("--min-split", type=int, default=2)
     p.add_argument("--seed", type=int, default=None, help="required for the quantum backend")
-    p.add_argument("--repeats", type=int, default=None,
-                   help="override the quantum search repetition count")
     p.add_argument("--report", default=None, metavar="PATH",
                    help="write the per-node search report (quantum backend)")
     p.add_argument("--verify", action="store_true",
@@ -117,7 +115,6 @@ def cmd_train(args):
             max_height=args.max_height,
             min_split=args.min_split,
             backend=args.backend,
-            repeats=args.repeats,
             seed=args.seed,
             verify=args.verify,
         )
@@ -139,6 +136,10 @@ def cmd_train(args):
     except RecursionError:
         # the grower and the model writer still recurse once per tree level
         print("error: the tree is too deep to grow or serialize", file=sys.stderr)
+        return 2
+    except (MemoryError, OverflowError):
+        # a discrete scan allocates one count per value of the declared domain
+        print("error: out of memory; is a discrete domain size too large?", file=sys.stderr)
         return 2
     except OSError as exc:
         print("error: %s" % (exc,), file=sys.stderr)

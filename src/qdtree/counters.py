@@ -30,9 +30,9 @@ class OpTally:
     """Operation counts for counter structures.
 
     element_ops counts per-key work (tree-node visits, array-slot touches).
-    maintenance_ops counts structure-sized work: allocation, clearing and
-    full iteration. Maintenance is also bucketed by the current tree level
-    so builds can report where the work happened.
+    maintenance_ops counts structure-sized work: allocation and clearing.
+    Maintenance is also bucketed by the current tree level so builds can
+    report where the work happened.
     """
 
     element_ops: int = 0
@@ -140,13 +140,13 @@ def _balance(node):
 class SparseClassCounter:
     """Ordered counter that stores only keys with non-zero counts.
 
-    Backed by an AVL tree, so add and get visit O(log s) nodes and full
-    iteration or clearing visits exactly s nodes, where s is the number of
-    stored keys. Every node visit is recorded in the attached OpTally, which
-    is what the complexity probes measure. Keys may be any mutually ordered
-    values (class indices, flat class-branch slots). This is the reference
-    map for the treemap ledger: TreeMapBackend.cost replays a scan into a
-    fresh one in a single pass and counts what a loop of add(key) would.
+    Backed by an AVL tree, so add and get visit O(log s) nodes and clearing
+    visits exactly s nodes, where s is the number of stored keys. Every node
+    visit is recorded in the attached OpTally, which is what the complexity
+    probes measure. Keys may be any mutually ordered values (class indices,
+    flat class-branch slots). This is the reference map for the treemap
+    ledger: TreeMapBackend.cost replays a scan into a fresh one in a single
+    pass and counts what a loop of add(key) would.
     """
 
     def __init__(self, tally=None):
@@ -172,21 +172,6 @@ class SparseClassCounter:
         else:
             self._overwrite(key, new)
         return new
-
-    def items(self):
-        """All (key, count) pairs in ascending key order."""
-        self.tally.maintenance(self._size)
-        out = []
-        stack = []
-        node = self._root
-        while stack or node is not None:
-            while node is not None:
-                stack.append(node)
-                node = node.left
-            node = stack.pop()
-            out.append((node.key, node.value))
-            node = node.right
-        return out
 
     def clear(self):
         self.tally.maintenance(self._size)

@@ -64,17 +64,46 @@ class AttributeSchema:
         return self.attributes[attr].domain_size
 
 
+def _whole_numbers(values, high, what):
+    """values as an int64 array, once each is a whole number in 1..high.
+
+    A value that is not a finite whole number raises DataFormatError, as
+    the CSV reader does; so does a whole number outside 1..high, however
+    large, with the message `<what> outside 1..<high>`.
+    """
+    values = np.asarray(values)
+    if values.dtype.kind not in "iu":
+        try:
+            whole = np.asarray(values, dtype=np.float64)
+        except OverflowError:
+            raise DataFormatError("%s outside 1..%d" % (what, high)) from None
+        except (TypeError, ValueError):
+            raise DataFormatError("%s that are not numbers" % (what,)) from None
+        if not np.all(np.isfinite(whole) & (whole == np.floor(whole))):
+            raise DataFormatError("%s that are not finite whole numbers" % (what,))
+        values = whole
+    if len(values) and (values.min() < 1 or values.max() > high):
+        raise DataFormatError("%s outside 1..%d" % (what, high))
+    return values.astype(np.int64, copy=False)
+
+
 class Dataset:
     """Immutable training matrix with labels, stored column-wise."""
 
     def __init__(self, schema, columns, labels, class_labels):
         self.schema = schema
-        self.columns = []
-        for j, col in enumerate(columns):
-            kind = schema.attributes[j].kind if j < schema.attribute_count else REAL
-            dtype = np.float64 if kind == REAL else np.int64
-            self.columns.append(np.asarray(col, dtype=dtype))
-        self.labels = np.asarray(labels, dtype=np.int64)
+        columns = list(columns)
+        if len(columns) != schema.attribute_count:
+            raise ValueError(
+                "%d columns for %d attributes" % (len(columns), schema.attribute_count)
+            )
+        self.columns = [
+            np.asarray(col, dtype=np.float64)
+            if a.kind == REAL
+            else _whole_numbers(col, a.domain_size, "attribute %r holds values" % (a.name,))
+            for a, col in zip(schema.attributes, columns)
+        ]
+        self.labels = _whole_numbers(labels, schema.class_count, "class indices")
         self.class_labels = tuple(class_labels)
         self._validate()
 
@@ -82,24 +111,11 @@ class Dataset:
         n = len(self.labels)
         if n < 1:
             raise DataFormatError("empty training set")
-        if len(self.columns) != self.schema.attribute_count:
-            raise ValueError(
-                "%d columns for %d attributes" % (len(self.columns), self.schema.attribute_count)
-            )
-        for j, col in enumerate(self.columns):
-            a = self.schema.attributes[j]
+        for a, col in zip(self.schema.attributes, self.columns):
             if len(col) != n:
                 raise ValueError("column %r has %d values for %d rows" % (a.name, len(col), n))
-            if a.kind == REAL:
-                if not np.all(np.isfinite(col)):
-                    raise DataFormatError("non-finite value in attribute %r" % (a.name,))
-            else:
-                if len(col) and (col.min() < 1 or col.max() > a.domain_size):
-                    raise DataFormatError(
-                        "attribute %r holds values outside 1..%d" % (a.name, a.domain_size)
-                    )
-        if self.labels.min() < 1 or self.labels.max() > self.schema.class_count:
-            raise DataFormatError("class indices outside 1..%d" % (self.schema.class_count,))
+            if a.kind == REAL and not np.all(np.isfinite(col)):
+                raise DataFormatError("non-finite value in attribute %r" % (a.name,))
         if len(self.class_labels) != self.schema.class_count:
             raise ValueError("need one label name per class")
 
@@ -127,7 +143,10 @@ class SubsetView:
 
     def __init__(self, base, indices):
         self.base = base
-        self.indices = np.asarray(indices, dtype=np.int64)
+        indices = np.asarray(indices)
+        if len(indices) and indices.dtype.kind not in "iu":
+            raise ValueError("row indices must be integers, got %s" % (indices.dtype,))
+        self.indices = indices.astype(np.int64, copy=False)
         if len(self.indices):
             if self.indices.min() < 0 or self.indices.max() >= base.n_rows:
                 raise IndexError("row index outside 0..%d" % (base.n_rows - 1,))

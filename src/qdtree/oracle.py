@@ -57,7 +57,6 @@ class OracleCandidate:
     attr: int
     kind: str
     theta: float | None
-    parent_information: float
     branch_labels: tuple
     gain: float
     potential: float
@@ -75,9 +74,8 @@ class OracleResult:
 
 
 def _scored(attr, kind, theta, labels, branch_labels):
-    parent = label_entropy(labels)
     n = len(labels)
-    g = parent
+    g = label_entropy(labels)
     for part in branch_labels:
         g -= (len(part) / n) * label_entropy(part)
     p = size_entropy([len(part) for part in branch_labels])
@@ -87,7 +85,6 @@ def _scored(attr, kind, theta, labels, branch_labels):
         attr=attr,
         kind=kind,
         theta=theta,
-        parent_information=parent,
         branch_labels=tuple(tuple(part) for part in branch_labels),
         gain=g if valid else 0.0,
         potential=p if valid else 0.0,

@@ -104,9 +104,7 @@ def q_form_tree(view, config, backend, rng, stats, report):
     """
 
     def choose(node_view):
-        record = q_choose_split(
-            node_view, backend, rng, config.repeats, stats, config.verify
-        )
+        record = q_choose_split(node_view, backend, rng, stats=stats, verify=config.verify)
         report.per_node.append(record)
         return record.test
 

@@ -202,6 +202,15 @@ def _set(name, value, *path):
     return mutate
 
 
+def _class_labels_as(kind, make):
+    def mutate(doc):
+        names = "abcdefghijklmnop"[: doc["schema"]["class_count"]]
+        doc["class_label_mapping"] = make(names)
+
+    mutate.__name__ = "_class_labels_as_" + kind
+    return mutate
+
+
 def _class_count_a_float(doc):
     doc["schema"]["class_count"] = float(doc["schema"]["class_count"])
 
@@ -239,6 +248,8 @@ def _theta_a_string(doc):
         _set("theta_bool", True, "root", "theta"),
         _set("theta_huge_int", 10**400, "root", "theta"),
         _set("class_label_null", None, "class_label_mapping", 0),
+        _class_labels_as("string", str),
+        _class_labels_as("object", lambda names: {c: i for i, c in enumerate(names, 1)}),
     ],
 )
 def test_predict_rejects_malformed_model(tmp_path, capsys, mutate):
@@ -316,6 +327,22 @@ def test_bench_quantum_rows_report_success(tmp_path, capsys):
     q = next(r for r in rows if r[0] == "quantum")
     assert int(q[7]) > 0
     assert 0.0 <= float(q[8]) <= 1.0
+
+
+def test_bench_timing_fills_only_wall_ms(capsys):
+    args = ["bench", "--backends", "baseline,quantum", "--n", 64, "--d", "4", "--m", "4",
+            "--seeds", "0,1", "--max-height", 3]
+    assert run(args) == 0
+    plain = [line.split(",") for line in capsys.readouterr().out.splitlines()]
+    assert run(args + ["--timing"]) == 0
+    timed = [line.split(",") for line in capsys.readouterr().out.splitlines()]
+    assert timed[0] == plain[0] == BENCH_HEADER.split(",")
+    assert len(timed) == len(plain) == 5
+    wall = plain[0].index("wall_ms")
+    for got, want in zip(timed[1:], plain[1:]):
+        assert got[:wall] + got[wall + 1:] == want[:wall] + want[wall + 1:]
+        assert want[wall] == "0"
+        assert got[wall].isdigit()  # a non-negative integer
 
 
 def test_bench_writes_file_when_asked(tmp_path, capsys):
@@ -423,6 +450,28 @@ def test_too_deep_tree_exits_two_and_writes_nothing(tmp_path, capsys, rows):
     ) == 2
     assert capsys.readouterr().err.startswith("error: ")
     assert sorted(p.name for p in tmp_path.iterdir()) == ["stairs.csv", "stairs.schema"]
+
+
+@pytest.mark.parametrize("size", [10**30, 10**15])  # too large to index, to allocate
+def test_huge_discrete_domain_exits_two_and_writes_nothing(tmp_path, capsys, size):
+    csv = tmp_path / "d.csv"
+    csv.write_text("c,class\n1,a\n2,b\n1,a\n2,b\n")
+    sch = tmp_path / "d.schema"
+    sch.write_text("c,discrete,%d\n" % (size,))
+    assert run(["train", "--data", csv, "--schema", sch, "--out", tmp_path / "m.json"]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["d.csv", "d.schema"]
+
+
+def test_train_has_no_repeats_override(tmp_path, capsys):
+    csv, sch = write_xor(tmp_path)
+    args = ["train", "--data", csv, "--schema", sch, "--out", tmp_path / "m.json",
+            "--backend", "quantum", "--seed", 1, "--repeats", 2]
+    with pytest.raises(SystemExit) as exit_info:
+        run(args)
+    assert exit_info.value.code == 2
+    assert "--repeats" in capsys.readouterr().err
 
 
 def test_predict_header_only_file_prints_nothing(tmp_path, capsys):

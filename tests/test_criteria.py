@@ -218,9 +218,9 @@ def test_sparse_counter_basic_ops():
     c.add(1)
     assert c.add(5) == 3
     assert c.get(5) == 3
-    assert c.items() == [(1, 1), (5, 3)]
+    assert c.get(1) == 1
     c.clear()
-    assert c.items() == []
+    assert c.get(5) == 0
     assert c.get(1) == 0
 
 
@@ -239,7 +239,8 @@ def test_sparse_counter_matches_dict(ops):
             shadow[key] = shadow.get(key, 0) + 1
             assert c.add(key) == shadow[key]
         assert c.get(key) == shadow[key]
-    assert c.items() == sorted(shadow.items())
+    for key in range(1, 41):
+        assert c.get(key) == shadow.get(key, 0)
 
 
 def test_sparse_counter_logarithmic_access_cost():
@@ -263,9 +264,8 @@ def test_sparse_counter_maintenance_charges_scale_with_size():
     for key in range(1, 9):
         c.add(key)
     before = tally.maintenance_ops
-    c.items()
-    assert tally.maintenance_ops - before == 8
-    before = tally.maintenance_ops
+    c.get(4)
+    assert tally.maintenance_ops == before
     c.clear()
     assert tally.maintenance_ops - before == 8
 
@@ -275,5 +275,5 @@ def test_tally_levels_bucket_maintenance():
     c = SparseClassCounter(tally)
     c.add(1)
     tally.level = 3
-    c.items()
+    c.clear()
     assert tally.by_level.get(3) == 1

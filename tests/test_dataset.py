@@ -71,6 +71,41 @@ def test_dataset_rejects_out_of_domain_discrete():
         Dataset(schema, [[0, 1]], [1, 2], ("a", "b"))
 
 
+@pytest.mark.parametrize("value", [1.5, 0.999, float("inf"), float("nan"), "x"])
+def test_dataset_rejects_discrete_values_that_are_not_whole(value):
+    schema = AttributeSchema((Attribute("c", DISCRETE, 2),), 2)
+    with pytest.raises(DataFormatError, match="attribute 'c'"):
+        Dataset(schema, [[value, 1]], [1, 2], ("a", "b"))
+
+
+@pytest.mark.parametrize("label", [1.7, float("inf"), float("nan")])
+def test_dataset_rejects_labels_that_are_not_whole(label):
+    schema = AttributeSchema((Attribute("c", DISCRETE, 2),), 2)
+    with pytest.raises(DataFormatError, match="class indices"):
+        Dataset(schema, [[1, 2]], [label, 2], ("a", "b"))
+
+
+@pytest.mark.parametrize(
+    "huge",
+    [2**70, 10**400, 2**64 - 1, np.uint64(2**64 - 1)],
+    ids=["2**70", "10**400", "2**64-1", "uint64_max"],
+)
+def test_dataset_huge_whole_numbers_are_outside_the_domain(huge):
+    schema = AttributeSchema((Attribute("c", DISCRETE, 2),), 2)
+    with pytest.raises(DataFormatError, match=r"^attribute 'c' holds values outside 1\.\.2$"):
+        Dataset(schema, [[huge, 1]], [1, 2], ("a", "b"))
+    with pytest.raises(DataFormatError, match=r"^class indices outside 1\.\.2$"):
+        Dataset(schema, [[1, 2]], [huge, 2], ("a", "b"))
+
+
+def test_dataset_accepts_whole_floats():
+    schema = AttributeSchema((Attribute("c", DISCRETE, 2),), 2)
+    data = Dataset(schema, [[2.0, 1.0]], [1.0, 2.0], ("a", "b"))
+    assert data.columns[0].dtype == data.labels.dtype == np.int64
+    assert data.columns[0].tolist() == [2, 1]
+    assert data.labels.tolist() == [1, 2]
+
+
 def test_dataset_rejects_non_finite_reals():
     schema = AttributeSchema((Attribute("x", REAL),), 2)
     with pytest.raises(DataFormatError):
@@ -107,6 +142,11 @@ def test_subset_view_rejects_bad_indices():
         SubsetView(data, [-1])
     with pytest.raises(ValueError, match="duplicate"):
         SubsetView(data, [1, 3, 1])
+    with pytest.raises(ValueError, match="integers"):
+        SubsetView(data, [0.5, 1])
+    with pytest.raises(ValueError, match="integers"):
+        SubsetView(data, [True, False])
+    assert len(SubsetView(data, [])) == 0
 
 
 def test_partition_real_keeps_row_order():
