@@ -9,10 +9,12 @@ produce byte-identical trees and differ only in their operation tallies.
 """
 
 import contextlib
+import io
 import math
 import os
 from collections.abc import Sequence
 from dataclasses import dataclass, field
+from itertools import repeat
 from operator import countOf
 
 import numpy as np
@@ -266,27 +268,53 @@ def tree_height(node):
     return height
 
 
-def _node_document(node):
-    if isinstance(node, Leaf):
-        return {"kind": "leaf", "class": node.class_index, "support": node.support}
-    doc = {"kind": "internal", "attr": node.test.attr}
-    if node.test.kind == REAL:
-        doc["theta"] = node.test.theta
-    else:
-        doc["branch_count"] = node.test.branch_count
-    doc["support"] = node.support
-    doc["children"] = [_node_document(child) for child in node.children]
-    return doc
-
-
 def tree_to_document(tree):
-    """Plain-data form of a tree, stable field order, ready for emission.
+    """Plain-data form of a tree: the parse of its model text.
 
     Attribute indices in the document are 0-based positions in the schema's
     attribute list; class indices are the 1-based internal ones, with
-    class_label_mapping[c-1] giving the original label string. Each node's
-    support is the node's own count tuple, not a copy; it emits as a JSON
-    array.
+    class_label_mapping[c-1] giving the original label string.
+    """
+    return jsonio.loads(serialize_model(tree))
+
+
+# characters the model writer gathers before each write to its file
+_CHUNK = 1 << 16
+
+
+def _node_layouts(dep):
+    """Text of one node written at JSON depth dep, fields in document
+    order: the leaf template, the real and discrete internal heads (each
+    ending where the first child starts), the separator between support
+    entries or children, and the closing text of an internal node."""
+    p0, p1, p2 = (" " * (jsonio.INDENT * k) for k in (dep, dep + 1, dep + 2))
+    support = p1 + '"support": [\n' + p2 + "%s\n" + p1 + "]"
+
+    def head(test_field):
+        return (
+            "{\n" + p1 + '"kind": "internal",\n' + p1 + '"attr": %d,\n'
+            + p1 + '"' + test_field + '": %s,\n' + support + ",\n"
+            + p1 + '"children": [\n' + p2
+        )
+
+    return (
+        "{\n" + p1 + '"kind": "leaf",\n' + p1 + '"class": %d,\n' + support + "\n" + p0 + "}",
+        head("theta"),
+        head("branch_count"),
+        ",\n" + p2,
+        "\n" + p1 + "]\n" + p0 + "}",
+    )
+
+
+def _write_model(tree, fh):
+    """Writes the model text of tree to the text file fh, in chunks of about
+    _CHUNK characters, walking the tree in preorder on an explicit stack.
+
+    This is the one statement of the node layout. The header goes through
+    jsonio.dumps; each node is written at two JSON levels below its parent,
+    followed by the separator before its next sibling. A stack entry is
+    (node, depth, text after it), or (None, 0, text) for the closing text
+    of an internal node, pushed beneath its children.
     """
     attrs = []
     for a in tree.schema.attributes:
@@ -294,11 +322,45 @@ def tree_to_document(tree):
         if a.kind == DISCRETE:
             entry["domain_size"] = a.domain_size
         attrs.append(entry)
-    return {
-        "schema": {"class_count": tree.schema.class_count, "attributes": attrs},
-        "class_label_mapping": list(tree.class_labels),
-        "root": _node_document(tree.root),
-    }
+    header = jsonio.dumps(
+        {
+            "schema": {"class_count": tree.schema.class_count, "attributes": attrs},
+            "class_label_mapping": list(tree.class_labels),
+        }
+    )
+    # the header object without its closing "\n}", then the root field
+    out = [header[:-2], ',\n%s"root": ' % (" " * jsonio.INDENT,)]
+    size = 0
+    layouts = []
+    stack = [(tree.root, 1, "\n}\n")]
+    while stack:
+        node, dep, after = stack.pop()
+        if node is None:
+            piece = after
+        else:
+            while len(layouts) <= dep:
+                layouts.append(_node_layouts(len(layouts)))
+            leaf, real, discrete, sep, close = layouts[dep]
+            support = sep.join(map(str, node.support))
+            if isinstance(node, Leaf):
+                piece = leaf % (node.class_index, support) + after
+            else:
+                test = node.test
+                if test.kind == REAL:
+                    piece = real % (test.attr, jsonio.format_float(test.theta), support)
+                else:
+                    piece = discrete % (test.attr, test.branch_count, support)
+                children = node.children
+                stack.append((None, 0, close + after))
+                stack.append((children[-1], dep + 2, ""))
+                stack.extend((child, dep + 2, sep) for child in reversed(children[:-1]))
+        out.append(piece)
+        size += len(piece)
+        if size >= _CHUNK:
+            fh.write("".join(out))
+            out.clear()
+            size = 0
+    fh.write("".join(out))
 
 
 def _typed(value, types, field):
@@ -309,58 +371,73 @@ def _typed(value, types, field):
 
 
 def _node_from_document(doc, schema):
-    """Rebuilds one node, checking it against the schema so that a loaded
-    tree can route every in-domain row to a leaf class in 1..M.
+    """Rebuilds a tree from its root document in preorder, on an explicit
+    stack, checking each node against the schema so that a loaded tree can
+    route every in-domain row to a leaf class in 1..M.
 
     Integer fields must be JSON integers and a threshold a JSON number;
     the checks use type(), not isinstance, so that a JSON true or false is
     rejected, and run inline because every node of a model passes them.
     """
     m = schema.class_count
-    support = doc["support"]
-    if len(support) != m:
-        raise DataFormatError("node support has %d entries for %d classes" % (len(support), m))
-    if countOf(map(type, support), int) != m or min(support) < 0:
-        raise DataFormatError("node support entries must be non-negative integers")
-    support = tuple(support)
-    if doc["kind"] == "leaf":
-        class_index = doc["class"]
-        if type(class_index) is not int or not 1 <= class_index <= m:
-            raise DataFormatError("leaf class %r is not an integer in 1..%d" % (class_index, m))
-        return Leaf(class_index, support)
-    if doc["kind"] != "internal":
-        raise DataFormatError("unknown node kind %r" % (doc.get("kind"),))
-    attr = doc["attr"]
-    if type(attr) is not int or not 0 <= attr < schema.attribute_count:
-        raise DataFormatError(
-            "node attribute %r is not an integer in 0..%d" % (attr, schema.attribute_count - 1)
-        )
-    if schema.is_real(attr) != ("theta" in doc):
-        raise DataFormatError(
-            "node test does not match the kind of attribute %d (%s)"
-            % (attr, schema.attributes[attr].kind)
-        )
-    if "theta" in doc:
-        theta = doc["theta"]
-        if type(theta) not in (int, float) or not math.isfinite(theta):
-            raise DataFormatError("node threshold %r is not a finite number" % (theta,))
-        test = SplitTest(attr, REAL, theta=float(theta))
-        arity = 2
-    else:
-        arity = doc["branch_count"]
-        if type(arity) is not int or arity != schema.domain_size(attr):
+    top = []
+    stack = [(doc, top)]
+    while stack:
+        doc, siblings = stack.pop()
+        support = doc["support"]
+        if len(support) != m:
             raise DataFormatError(
-                "node branch count %r is not the domain size %d of attribute %d"
-                % (arity, schema.domain_size(attr), attr)
+                "node support has %d entries for %d classes" % (len(support), m)
             )
-        test = SplitTest(attr, DISCRETE, branch_count=arity)
-    if len(doc["children"]) != arity:
-        raise DataFormatError(
-            "node on attribute %d has %d children, expected %d"
-            % (attr, len(doc["children"]), arity)
-        )
-    children = [_node_from_document(child, schema) for child in doc["children"]]
-    return Internal(test, children, support)
+        if countOf(map(type, support), int) != m or min(support) < 0:
+            raise DataFormatError("node support entries must be non-negative integers")
+        support = tuple(support)
+        if doc["kind"] == "leaf":
+            class_index = doc["class"]
+            if type(class_index) is not int or not 1 <= class_index <= m:
+                raise DataFormatError(
+                    "leaf class %r is not an integer in 1..%d" % (class_index, m)
+                )
+            siblings.append(Leaf(class_index, support))
+            continue
+        if doc["kind"] != "internal":
+            raise DataFormatError("unknown node kind %r" % (doc.get("kind"),))
+        attr = doc["attr"]
+        if type(attr) is not int or not 0 <= attr < schema.attribute_count:
+            raise DataFormatError(
+                "node attribute %r is not an integer in 0..%d"
+                % (attr, schema.attribute_count - 1)
+            )
+        if schema.is_real(attr) != ("theta" in doc):
+            raise DataFormatError(
+                "node test does not match the kind of attribute %d (%s)"
+                % (attr, schema.attributes[attr].kind)
+            )
+        if "theta" in doc:
+            theta = doc["theta"]
+            if type(theta) not in (int, float) or not math.isfinite(theta):
+                raise DataFormatError("node threshold %r is not a finite number" % (theta,))
+            test = SplitTest(attr, REAL, theta=float(theta))
+            arity = 2
+        else:
+            arity = doc["branch_count"]
+            if type(arity) is not int or arity != schema.domain_size(attr):
+                raise DataFormatError(
+                    "node branch count %r is not the domain size %d of attribute %d"
+                    % (arity, schema.domain_size(attr), attr)
+                )
+            test = SplitTest(attr, DISCRETE, branch_count=arity)
+        children = doc["children"]
+        if len(children) != arity:
+            raise DataFormatError(
+                "node on attribute %d has %d children, expected %d"
+                % (attr, len(children), arity)
+            )
+        node = Internal(test, [], support)
+        siblings.append(node)
+        # children are popped, and so appended, in document order
+        stack.extend(zip(reversed(children), repeat(node.children)))
+    return top[0]
 
 
 def document_to_tree(doc):
@@ -399,18 +476,22 @@ def document_to_tree(doc):
 
 
 def serialize_model(tree):
-    return jsonio.dumps(tree_to_document(tree)) + "\n"
+    """The model text of tree, as save_model writes it."""
+    buffer = io.StringIO()
+    _write_model(tree, buffer)
+    return buffer.getvalue()
 
 
-def write_atomically(path, text):
-    """Writes text to a temporary file in path's directory and renames it
-    into place, so a write that fails leaves no partial file at path; an
-    OSError names path rather than the temporary file."""
+@contextlib.contextmanager
+def write_atomically(path):
+    """Yields a text file in path's directory and renames it into place when
+    the block ends, so a write that fails, even halfway, leaves no partial
+    file at path; an OSError names path rather than the temporary file."""
     head, tail = os.path.split(os.fspath(path))
     partial = os.path.join(head, ".%s.%d.tmp" % (tail, os.getpid()))
     try:
         with open(partial, "w", encoding="utf-8") as fh:
-            fh.write(text)
+            yield fh
         os.replace(partial, path)
     except BaseException as exc:
         with contextlib.suppress(FileNotFoundError):
@@ -421,12 +502,15 @@ def write_atomically(path, text):
 
 
 def save_model(tree, path):
-    write_atomically(path, serialize_model(tree))
+    """Streams the model text of tree into path."""
+    with write_atomically(path) as fh:
+        _write_model(tree, fh)
 
 
 def load_model(path):
-    """Reads a model file; a document nested past the interpreter's
-    recursion limit raises DataFormatError like any other malformed one."""
+    """Reads a model file of any depth; a document whose checks still
+    exceed the interpreter's recursion limit raises DataFormatError like
+    any other malformed one."""
     with open(path, "r", encoding="utf-8") as fh:
         text = fh.read()
     try:
@@ -436,17 +520,25 @@ def load_model(path):
 
 
 def format_tree(tree):
-    """Indented text rendering, one branch condition per line."""
+    """Indented text rendering, one branch condition per line, written in
+    preorder from an explicit stack."""
     names = [a.name for a in tree.schema.attributes]
-    lines = []
+    labels = tree.class_labels
 
     def leaf_text(node):
-        return "=> %s  (n=%d)" % (tree.class_labels[node.class_index - 1], sum(node.support))
+        return "=> %s  (n=%d)" % (labels[node.class_index - 1], sum(node.support))
 
-    def walk(node, pad):
-        if isinstance(node, Leaf):
-            lines.append(pad + leaf_text(node))
-            return
+    if isinstance(tree.root, Leaf):
+        return leaf_text(tree.root)
+    lines = []
+    # an entry is a finished line or a (subtree, pad) still to render
+    stack = [(tree.root, "")]
+    while stack:
+        entry = stack.pop()
+        if isinstance(entry, str):
+            lines.append(entry)
+            continue
+        node, pad = entry
         test = node.test
         if test.kind == REAL:
             conditions = [
@@ -458,12 +550,10 @@ def format_tree(tree):
                 "%s = %d" % (names[test.attr], w)
                 for w in range(1, test.branch_count + 1)
             ]
-        for condition, child in zip(conditions, node.children):
+        for condition, child in reversed(list(zip(conditions, node.children))):
             if isinstance(child, Leaf):
-                lines.append("%s%s %s" % (pad, condition, leaf_text(child)))
+                stack.append("%s%s %s" % (pad, condition, leaf_text(child)))
             else:
-                lines.append(pad + condition + ":")
-                walk(child, pad + "    ")
-
-    walk(tree.root, "")
+                stack.append((child, pad + "    "))
+                stack.append(pad + condition + ":")
     return "\n".join(lines)

@@ -20,7 +20,7 @@ from .builder import (
     BuildConfig,
     load_model,
     route,
-    serialize_model,
+    save_model,
     train,
     training_accuracy,
     tree_height,
@@ -28,7 +28,7 @@ from .builder import (
 )
 from .counters import BASELINE, TREEMAP
 from .dataset import DataFormatError, load_csv, load_feature_rows, read_schema
-from .qbuilder import q_train, serialize_report
+from .qbuilder import q_train, save_report
 from .synth import grid_dataset
 
 BENCH_HEADER = "backend,N,d,M,seed,evals,counter_ops,queries,success,wall_ms"
@@ -129,13 +129,12 @@ def cmd_train(args):
             report = None
             tree = train(data, config)
         # the model goes last, so a failed write leaves no new model behind
-        model_text = serialize_model(tree)
         if report is not None and args.report:
-            write_atomically(args.report, serialize_report(report))
-        write_atomically(args.out, model_text)
+            save_report(report, args.report)
+        save_model(tree, args.out)
     except RecursionError:
-        # the grower and the model writer still recurse once per tree level
-        print("error: the tree is too deep to grow or serialize", file=sys.stderr)
+        # only the grower still recurses, once per tree level
+        print("error: the tree is too deep to grow", file=sys.stderr)
         return 2
     except (MemoryError, OverflowError):
         # a discrete scan allocates one count per value of the declared domain
@@ -232,7 +231,8 @@ def cmd_bench(args):
     text = "\n".join(lines) + "\n"
     if args.out:
         try:
-            write_atomically(args.out, text)
+            with write_atomically(args.out) as fh:
+                fh.write(text)
         except OSError as exc:
             print("error: %s" % (exc,), file=sys.stderr)
             return 2

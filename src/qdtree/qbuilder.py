@@ -159,4 +159,5 @@ def serialize_report(report):
 
 
 def save_report(report, path):
-    write_atomically(path, serialize_report(report))
+    with write_atomically(path) as fh:
+        fh.write(serialize_report(report))

@@ -182,7 +182,13 @@ def _candidate_arrays(view, attr, backend):
         - left[cut] * state.prefix_info[cut + 1]
         - right[cut] * state.suffix_info[cut + 2]
     )
-    thetas = (values[cut] + values[cut + 1]) / 2.0
+    low, high = values[cut], values[cut + 1]
+    with np.errstate(over="ignore"):
+        thetas = (low + high) / 2.0
+    huge = ~np.isfinite(thetas)
+    if huge.any():
+        # the sum of two huge finite values can overflow; their halves cannot
+        thetas[huge] = low[huge] / 2.0 + high[huge] / 2.0
     return thetas, gains, potential[cut]
 
 

@@ -1,12 +1,16 @@
 """Classical tree growth, prediction, serialization, and cost accounting."""
 
+import json
 import math
 import random
+import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from qdtree import oracle
+from qdtree import jsonio, oracle
 from qdtree.builder import (
     BACKENDS,
     BuildConfig,
@@ -14,6 +18,7 @@ from qdtree.builder import (
     DecisionTree,
     Internal,
     Leaf,
+    _CHUNK,
     choose_split,
     classify,
     document_to_tree,
@@ -37,6 +42,7 @@ from qdtree.dataset import (
     Dataset,
 )
 from qdtree.qbuilder import q_train
+from qdtree.splitscan import SplitTest
 from qdtree.synth import grid_dataset, planted_dataset, random_dataset, random_schema
 
 
@@ -471,3 +477,181 @@ def test_route_matches_per_row_walk():
         hits = sum(reference_classify(tree, data.row(i)) == y for i, y in enumerate(data.labels))
         assert training_accuracy(tree, data) == hits / data.n_rows
     assert empty_branches >= 10
+
+
+def _reference_node_document(node):
+    """The recursive node emitter that write_model replaced."""
+    if isinstance(node, Leaf):
+        return {"kind": "leaf", "class": node.class_index, "support": node.support}
+    doc = {"kind": "internal", "attr": node.test.attr}
+    if node.test.kind == REAL:
+        doc["theta"] = node.test.theta
+    else:
+        doc["branch_count"] = node.test.branch_count
+    doc["support"] = node.support
+    doc["children"] = [_reference_node_document(child) for child in node.children]
+    return doc
+
+
+def reference_model_text(tree):
+    attrs = []
+    for a in tree.schema.attributes:
+        entry = {"name": a.name, "kind": a.kind}
+        if a.kind == DISCRETE:
+            entry["domain_size"] = a.domain_size
+        attrs.append(entry)
+    doc = {
+        "schema": {"class_count": tree.schema.class_count, "attributes": attrs},
+        "class_label_mapping": list(tree.class_labels),
+        "root": _reference_node_document(tree.root),
+    }
+    return jsonio.dumps(doc) + "\n"
+
+
+def assert_written_as_reference(tree, path):
+    text = serialize_model(tree)
+    assert text == reference_model_text(tree)
+    save_model(tree, path)
+    assert path.read_bytes() == text.encode("utf-8")
+    return text
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    seed=st.integers(0, 10**6),
+    d=st.integers(1, 4),
+    m=st.integers(1, 5),
+    n=st.integers(1, 40),
+    height=st.integers(0, 5),
+    backend=st.sampled_from(["baseline", "treemap", "quantum", "quantum-verify"]),
+)
+def test_writer_matches_recursive_emitter(tmp_path_factory, seed, d, m, n, height, backend):
+    data = random_dataset(random_schema(d, m, seed, kinds="mixed", max_domain=4), n, seed)
+    if backend.startswith("quantum"):
+        config = BuildConfig(
+            max_height=height, backend="quantum", seed=seed, verify=backend.endswith("verify")
+        )
+        tree = q_train(data, config).tree
+    else:
+        tree = train(data, BuildConfig(max_height=height, backend=backend))
+    assert_written_as_reference(tree, tmp_path_factory.mktemp("model") / "m.json")
+
+
+def test_writer_matches_recursive_emitter_across_chunks(tmp_path):
+    schema = random_schema(8, 32, "chunks", kinds="discrete", max_domain=4)
+    tree = train(random_dataset(schema, 400, "chunks"))
+    text = assert_written_as_reference(tree, tmp_path / "m.json")
+    assert len(text) > 8 * _CHUNK
+
+
+def test_writer_matches_recursive_emitter_on_a_leaf_root(tmp_path):
+    data = xor_data()
+    tree = train(data, BuildConfig(max_height=0))
+    assert isinstance(tree.root, Leaf)
+    text = assert_written_as_reference(tree, tmp_path / "m.json")
+    assert tree_to_document(tree)["root"] == {"kind": "leaf", "class": 1, "support": [2, 2]}
+    assert serialize_model(load_model(tmp_path / "m.json")) == text
+
+
+def test_model_write_streams(tmp_path):
+    # the file gets the model in chunks, so the write never holds the text
+    schema = random_schema(12, 64, "stream", kinds="discrete", max_domain=4)
+    tree = train(random_dataset(schema, 1000, "stream"))
+    path = tmp_path / "m.json"
+    tracemalloc.start()
+    try:
+        save_model(tree, path)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    size = path.stat().st_size
+    assert size > 4_000_000
+    assert peak < size / 4
+
+
+def _chain_tree(levels):
+    """A real-attribute chain: node k splits at k + 0.5, its left child is a
+    class-1 leaf and its right child the next node; the last is class 2."""
+    schema = AttributeSchema((Attribute("x", REAL),), 2)
+    node = Leaf(2, (0, 1))
+    for k in reversed(range(levels)):
+        node = Internal(SplitTest(0, REAL, theta=k + 0.5), [Leaf(1, (1, 0)), node], (1, 1))
+    return DecisionTree(node, schema, ("a", "b"), BuildStats())
+
+
+def test_model_too_deep_for_the_stdlib_decoder_writes_and_loads(tmp_path):
+    # 600 levels nest about 1200 JSON containers; the indented text grows
+    # with the square of the depth (13.8 MB here)
+    tree = _chain_tree(600)
+    path = tmp_path / "m.json"
+    save_model(tree, path)
+    text = path.read_text()
+    with pytest.raises(RecursionError):
+        json.loads(text)
+    again = load_model(path)
+    assert tree_height(again.root) == 600
+    assert serialize_model(again) == text == serialize_model(tree)
+    assert classify(again, (1e9,)) == 2 and classify(again, (234.0,)) == 1
+    assert len(format_tree(again).splitlines()) == 2 * 600
+
+
+def test_loader_reports_the_first_bad_node_in_preorder():
+    doc = tree_to_document(_chain_tree(3))
+    doc["root"]["children"][1]["children"][0]["class"] = 7
+    doc["root"]["children"][1]["children"][1]["attr"] = 5
+    with pytest.raises(DataFormatError, match="leaf class 7 is not an integer in 1..2"):
+        document_to_tree(doc)
+
+
+def reference_format_tree(tree):
+    """The recursive rendering that format_tree replaced."""
+    names = [a.name for a in tree.schema.attributes]
+    lines = []
+
+    def leaf_text(node):
+        return "=> %s  (n=%d)" % (tree.class_labels[node.class_index - 1], sum(node.support))
+
+    def walk(node, pad):
+        if isinstance(node, Leaf):
+            lines.append(pad + leaf_text(node))
+            return
+        test = node.test
+        if test.kind == REAL:
+            conditions = [
+                "%s <= %s" % (names[test.attr], test.theta),
+                "%s > %s" % (names[test.attr], test.theta),
+            ]
+        else:
+            conditions = [
+                "%s = %d" % (names[test.attr], w)
+                for w in range(1, test.branch_count + 1)
+            ]
+        for condition, child in zip(conditions, node.children):
+            if isinstance(child, Leaf):
+                lines.append("%s%s %s" % (pad, condition, leaf_text(child)))
+            else:
+                lines.append(pad + condition + ":")
+                walk(child, pad + "    ")
+
+    walk(tree.root, "")
+    return "\n".join(lines)
+
+
+def test_format_tree_matches_recursive_rendering():
+    trees = [tree for tree, _, _ in _equivalence_trees()]
+    trees.append(train(xor_data(), BuildConfig(max_height=0)))
+    for tree in trees:
+        assert format_tree(tree) == reference_format_tree(tree)
+
+
+def test_format_tree_renders_a_1000_row_staircase():
+    # height 499: the recursive rendering would need about 500 frames
+    n = 1000
+    schema = AttributeSchema((Attribute("x1", REAL),), 2)
+    labels = [(i // 2) % 2 + 1 for i in range(n)]
+    data = Dataset(schema, [[float(i) for i in range(n)]], labels, ("x", "y"))
+    tree = train(data, BuildConfig(max_height=5000))
+    assert tree_height(tree.root) == 499
+    lines = format_tree(tree).splitlines()
+    assert len(lines) == 2 * 499
+    assert max(len(line) - len(line.lstrip(" ")) for line in lines) == 4 * 498

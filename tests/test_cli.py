@@ -1,14 +1,17 @@
 """Command-line entry points: train, predict, bench, verify."""
 
+import errno
 import json
 import subprocess
 import sys
 
 import pytest
 
+from qdtree import builder
+from qdtree.builder import load_model, serialize_model
 from qdtree.cli import BENCH_HEADER, main
 from qdtree.dataset import Attribute, AttributeSchema, Dataset, save_csv, write_schema
-from qdtree.synth import planted_dataset
+from qdtree.synth import planted_dataset, random_dataset, random_schema
 
 
 def write_xor(tmp_path):
@@ -267,26 +270,43 @@ def test_predict_rejects_malformed_model(tmp_path, capsys, mutate):
     assert "Traceback" not in err
 
 
-def test_predict_rejects_deeply_nested_model(tmp_path, capsys):
-    leaf = '{"kind": "leaf", "class": 1, "support": [1, 0]}'
-    internal = (
-        '{"kind": "internal", "attr": 0, "theta": 0.5, "support": [1, 0], "children": ['
-    )
-    depth = 1000
-    root = (internal + leaf + ", ") * depth + leaf + "]}" * depth
+def _model_text(root):
     head = json.dumps(
         {
             "schema": {"class_count": 2, "attributes": [{"name": "x", "kind": "real"}]},
             "class_label_mapping": ["A", "B"],
         }
     )
+    return head[:-1] + ', "root": ' + root + "}"
+
+
+def test_predict_reads_deeply_nested_model(tmp_path, capsys):
+    # too deep for the recursive stdlib decoder; the iterative parse and
+    # the explicit-stack loader read it
+    leaf = '{"kind": "leaf", "class": 1, "support": [1, 0]}'
+    internal = (
+        '{"kind": "internal", "attr": 0, "theta": 0.5, "support": [1, 0], "children": ['
+    )
+    depth = 1000
     model = tmp_path / "deep.json"
-    model.write_text(head[:-1] + ', "root": ' + root + "}")
+    model.write_text(_model_text((internal + leaf + ", ") * depth + leaf + "]}" * depth))
+    rows = tmp_path / "rows.csv"
+    rows.write_text("x\n0.25\n")
+    assert run(["predict", "--model", model, "--data", rows]) == 0
+    assert capsys.readouterr().out == "A\n"
+
+
+def test_predict_rejects_hostile_nesting(tmp_path, capsys):
+    # parses, but the check that names the bad leaf class cannot print it
+    depth = 100_000
+    model = tmp_path / "deep.json"
+    nested = "[" * depth + "]" * depth
+    model.write_text(_model_text('{"kind": "leaf", "class": %s, "support": [1, 0]}' % (nested,)))
     rows = tmp_path / "rows.csv"
     rows.write_text("x\n0.25\n")
     assert run(["predict", "--model", model, "--data", rows]) == 2
     err = capsys.readouterr().err
-    assert err.startswith("error: ") and "nested" in err
+    assert err == "error: model document nested too deeply\n"
 
 
 def test_bench_emits_stable_table(tmp_path, capsys):
@@ -441,15 +461,45 @@ def test_deep_staircase_trains_and_predicts(tmp_path, capsys):
     assert capsys.readouterr().out.split() == names
 
 
-@pytest.mark.parametrize("rows", [1000, 2000])  # too deep for the writer, for the grower
+def test_staircase_of_1000_rows_round_trips(tmp_path, capsys):
+    # its model nests about 1000 JSON containers deep: written on an
+    # explicit stack, read back by the iterative parse
+    csv, sch, names = write_staircase(tmp_path, 1000)
+    out = tmp_path / "model.json"
+    assert run(
+        ["train", "--data", csv, "--schema", sch, "--out", out, "--max-height", 5000]
+    ) == 0
+    assert "height=499 train_acc=1.0000" in capsys.readouterr().out
+    assert run(["predict", "--model", out, "--data", csv]) == 0
+    assert capsys.readouterr().out.split() == names
+    assert serialize_model(load_model(out)) == out.read_text()
+
+
+@pytest.mark.parametrize("rows", [2000])  # too deep for the recursive grower
 def test_too_deep_tree_exits_two_and_writes_nothing(tmp_path, capsys, rows):
     csv, sch, _ = write_staircase(tmp_path, rows)
     out = tmp_path / "model.json"
     assert run(
         ["train", "--data", csv, "--schema", sch, "--out", out, "--max-height", 5000]
     ) == 2
-    assert capsys.readouterr().err.startswith("error: ")
+    assert capsys.readouterr().err == "error: the tree is too deep to grow\n"
     assert sorted(p.name for p in tmp_path.iterdir()) == ["stairs.csv", "stairs.schema"]
+
+
+def test_huge_real_values_train_and_predict(tmp_path, capsys):
+    # the threshold between 1e308 and 1.5e308 is finite although their sum
+    # is not, so the model can be written
+    csv = tmp_path / "h.csv"
+    csv.write_text("x,class\n1e308,a\n1.5e308,b\n1e308,a\n1.5e308,b\n")
+    sch = tmp_path / "h.schema"
+    sch.write_text("x,real\n")
+    model = tmp_path / "m.json"
+    assert run(["train", "--data", csv, "--schema", sch, "--out", model]) == 0
+    captured = capsys.readouterr()
+    assert captured.err == "" and "train_acc=1.0000" in captured.out
+    assert json.loads(model.read_text())["root"]["theta"] == 1.25e308
+    assert run(["predict", "--model", model, "--data", csv]) == 0
+    assert capsys.readouterr().out.split() == ["a", "b", "a", "b"]
 
 
 @pytest.mark.parametrize("size", [10**30, 10**15])  # too large to index, to allocate
@@ -552,3 +602,42 @@ def test_unwritable_output_exits_two(tmp_path, capsys, monkeypatch, argv):
     assert not [p for p in tmp_path.rglob("*") if p.name.endswith(".tmp")]
     # a failed report write leaves no new model behind either
     assert not (tmp_path / "m.json").exists()
+
+
+def test_model_write_failing_mid_stream_leaves_nothing(tmp_path, capsys, monkeypatch):
+    # the model is written in chunks; the second one fails after the first
+    # has reached the temporary file
+    data = random_dataset(random_schema(6, 16, "mid", kinds="discrete", max_domain=4), 300, "mid")
+    csv = tmp_path / "d.csv"
+    sch = tmp_path / "d.schema"
+    save_csv(data, csv)
+    write_schema(data.schema.attributes, sch)
+    real_open = open
+    writes = []
+
+    class FailingFile:
+        def __init__(self, fh):
+            self.fh = fh
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return self.fh.__exit__(*exc)
+
+        def write(self, text):
+            writes.append(len(text))
+            if len(writes) == 2:
+                raise OSError(errno.ENOSPC, "No space left on device")
+            return self.fh.write(text)
+
+    monkeypatch.setattr(
+        builder, "open", lambda *a, **k: FailingFile(real_open(*a, **k)), raising=False
+    )
+    model = tmp_path / "m.json"
+    assert run(["train", "--data", csv, "--schema", sch, "--out", model]) == 2
+    assert capsys.readouterr().err == (
+        "error: cannot write %s: No space left on device\n" % (model,)
+    )
+    assert len(writes) == 2
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["d.csv", "d.schema"]

@@ -2,6 +2,7 @@
 
 import math
 import random
+import warnings
 
 import numpy as np
 import pytest
@@ -120,6 +121,22 @@ def test_scan_real_tie_takes_lowest_threshold():
     cands = dict(real_split_candidates(data.full_view(), 0, backend_for(data)))
     assert cands[1.5].ratio == pytest.approx(cands[3.5].ratio, abs=1e-15)
     assert test.theta == 1.5
+
+
+def test_huge_values_split_at_a_finite_midpoint():
+    # the sums -1.7e308 + -1e308 and 1e308 + 1.5e308 overflow, so those
+    # thresholds add halves instead; every other midpoint keeps its bits,
+    # and the independent oracle makes the same thresholds
+    values = [-1.7e308, -1e308, 0.5, 1.5, 1e308, 1.5e308]
+    data = real_data(values, [1, 2, 1, 2, 1, 2])
+    expected = [-1.7e308 / 2.0 + -1e308 / 2.0, (-1e308 + 0.5) / 2.0, 1.0,
+                (1.5 + 1e308) / 2.0, 1e308 / 2.0 + 1.5e308 / 2.0]
+    assert all(math.isfinite(theta) for theta in expected)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        cands = real_split_candidates(data.full_view(), 0, backend_for(data))
+    assert [theta for theta, _ in cands] == expected
+    assert [c.theta for c in oracle.candidates_for_attribute(data.full_view(), 0)] == expected
 
 
 def test_prefix_and_suffix_tables_match_from_scratch():
