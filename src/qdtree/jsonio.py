@@ -1,9 +1,11 @@
-"""Deterministic JSON emission.
+"""Deterministic JSON text.
 
-Field order is the dict insertion order and floats are written with 17
-significant digits, so identical structures always serialize to identical
-bytes. Loading goes through the standard json module; text nested past the
-interpreter's recursion limit is parsed again on an explicit stack.
+dumps is the standard json module's, indented by INDENT with fields in
+dict insertion order, so identical structures serialize to identical
+bytes. format_float is the one path that writes a float: model thresholds
+go through it with 17 significant digits. Loading goes through the
+standard json module; text nested past the interpreter's recursion limit
+is parsed again on an explicit stack.
 """
 
 import json
@@ -24,53 +26,7 @@ def format_float(x):
 
 
 def dumps(value):
-    out = []
-    _write(value, out, 0)
-    return "".join(out)
-
-
-def _write(value, out, depth):
-    if value is None:
-        out.append("null")
-    elif value is True:
-        out.append("true")
-    elif value is False:
-        out.append("false")
-    elif isinstance(value, float):
-        out.append(format_float(value))
-    elif isinstance(value, int):
-        out.append(str(value))
-    elif isinstance(value, str):
-        out.append(json.dumps(value))
-    elif isinstance(value, (list, tuple)):
-        if not value:
-            out.append("[]")
-            return
-        pad = " " * (INDENT * depth)
-        inner = " " * (INDENT * (depth + 1))
-        out.append("[\n")
-        for i, item in enumerate(value):
-            out.append(inner)
-            _write(item, out, depth + 1)
-            out.append(",\n" if i + 1 < len(value) else "\n")
-        out.append(pad + "]")
-    elif isinstance(value, dict):
-        if not value:
-            out.append("{}")
-            return
-        pad = " " * (INDENT * depth)
-        inner = " " * (INDENT * (depth + 1))
-        out.append("{\n")
-        items = list(value.items())
-        for i, (key, item) in enumerate(items):
-            if not isinstance(key, str):
-                raise TypeError("JSON object keys must be strings, got %r" % (key,))
-            out.append(inner + json.dumps(key) + ": ")
-            _write(item, out, depth + 1)
-            out.append(",\n" if i + 1 < len(items) else "\n")
-        out.append(pad + "}")
-    else:
-        raise TypeError("cannot serialize %r" % (type(value),))
+    return json.dumps(value, indent=INDENT, allow_nan=False)
 
 
 def loads(text):

@@ -108,6 +108,8 @@ def candidates_for_attribute(view, attr):
             theta = (lo + hi) / 2.0
             if not math.isfinite(theta):
                 theta = lo / 2.0 + hi / 2.0
+            if theta >= hi:
+                theta = lo
             left = [y for v, y in pairs if v <= theta]
             right = [y for v, y in pairs if v > theta]
             out.append(_scored(attr, REAL, theta, labels, [left, right]))

@@ -71,7 +71,7 @@ class QBuildReport:
         return sum(1 for r in self.per_node if r.chosen_attr is not None and r.correct)
 
 
-def q_choose_split(view, backend, rng, repeats=None, stats=None, verify=False):
+def q_choose_split(view, backend, rng, stats=None, verify=False):
     """Attribute selection by repeated quantum maximum search over the
     attributes' gain ratios.
 
@@ -83,7 +83,7 @@ def q_choose_split(view, backend, rng, repeats=None, stats=None, verify=False):
     """
     results = score_attributes(view, backend, stats)
     ratios = [score.ratio for score, _ in results]
-    reps = default_repeats(len(ratios)) if repeats is None else repeats
+    reps = default_repeats(len(ratios))
     winner, sstats = repeated_max(ScoringOracle(ratios), reps, rng)
     score, test = results[winner]
     if not score.valid:

@@ -171,7 +171,8 @@ def build_real_scan(view, attr, backend):
 
 def _candidate_arrays(view, attr, backend):
     """Thresholds, gains and potentials of every legal cut, in ascending
-    threshold order: the midpoints between adjacent distinct sorted values."""
+    threshold order: the midpoints between adjacent distinct sorted values,
+    or the lower value where the midpoint rounds up to the upper one."""
     state = build_real_scan(view, attr, backend)
     values = state.values
     z = len(values)
@@ -189,7 +190,9 @@ def _candidate_arrays(view, attr, backend):
     if huge.any():
         # the sum of two huge finite values can overflow; their halves cannot
         thetas[huge] = low[huge] / 2.0 + high[huge] / 2.0
-    return thetas, gains, potential[cut]
+    # between two adjacent floats the midpoint can round up to the upper
+    # one, and x <= theta would then send both values left
+    return np.where(thetas < high, thetas, low), gains, potential[cut]
 
 
 def real_split_candidates(view, attr, backend):

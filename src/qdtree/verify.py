@@ -257,9 +257,9 @@ def search_success(trials=2000, sizes=(8, 32, 128), seed=0, threshold=0.48):
     }
 
 
-def repetition_success(trials=5000, d=16, n=64, repeats=None, seed=0, threshold=0.93):
+def repetition_success(trials=5000, d=16, n=64, seed=0, threshold=0.93):
     """Per-node success of the repeated search on a strict-best-attr view."""
-    reps = default_repeats(d) if repeats is None else repeats
+    reps = default_repeats(d)
     # several attributes can top out at the same ratio (1.0 is common on
     # planted data), and the success claim is about a strict best; walk the
     # seeds until the root view has one
@@ -274,7 +274,7 @@ def repetition_success(trials=5000, d=16, n=64, repeats=None, seed=0, threshold=
     hits = 0
     for t in range(trials):
         rng = random.Random("rep-%s-%d" % (seed, t))
-        choice = q_choose_split(view, backend, rng, repeats=reps, verify=True)
+        choice = q_choose_split(view, backend, rng, verify=True)
         if choice.correct:
             hits += 1
     rate = hits / trials

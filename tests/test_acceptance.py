@@ -94,7 +94,7 @@ def test_a5_single_search_success_floor(capsys):
 
 def test_a6_repeated_search_per_node_success(capsys):
     res = verify.repetition_success(
-        trials=5000, d=16, n=64, repeats=4, seed=6, threshold=0.93
+        trials=5000, d=16, n=64, seed=6, threshold=0.93
     )
     detail = "trials=%d d=16 repeats=%d rate=%.4f floor=%.2f nominal=%.4f strict_best=%s" % (
         res["trials"],

@@ -1,8 +1,11 @@
 """Classical tree growth, prediction, serialization, and cost accounting."""
 
+import hashlib
 import json
 import math
 import random
+import re
+import sys
 import tracemalloc
 
 import numpy as np
@@ -40,6 +43,7 @@ from qdtree.dataset import (
     AttributeSchema,
     DataFormatError,
     Dataset,
+    partition,
 )
 from qdtree.qbuilder import q_train
 from qdtree.splitscan import SplitTest
@@ -480,12 +484,13 @@ def test_route_matches_per_row_walk():
 
 
 def _reference_node_document(node):
-    """The recursive node emitter that write_model replaced."""
+    """The recursive node emitter that write_model replaced. A threshold
+    goes in as its format_float text, which reference_model_text unquotes."""
     if isinstance(node, Leaf):
         return {"kind": "leaf", "class": node.class_index, "support": node.support}
     doc = {"kind": "internal", "attr": node.test.attr}
     if node.test.kind == REAL:
-        doc["theta"] = node.test.theta
+        doc["theta"] = jsonio.format_float(node.test.theta)
     else:
         doc["branch_count"] = node.test.branch_count
     doc["support"] = node.support
@@ -505,7 +510,10 @@ def reference_model_text(tree):
         "class_label_mapping": list(tree.class_labels),
         "root": _reference_node_document(tree.root),
     }
-    return jsonio.dumps(doc) + "\n"
+    # a quote inside a JSON string is escaped, so only a theta field's own
+    # value can follow an unescaped '"theta": "'
+    text = json.dumps(doc, indent=2)
+    return re.sub(r'"theta": "([^"]*)"', r'"theta": \1', text) + "\n"
 
 
 def assert_written_as_reference(tree, path):
@@ -551,6 +559,79 @@ def test_writer_matches_recursive_emitter_on_a_leaf_root(tmp_path):
     text = assert_written_as_reference(tree, tmp_path / "m.json")
     assert tree_to_document(tree)["root"] == {"kind": "leaf", "class": 1, "support": [2, 2]}
     assert serialize_model(load_model(tmp_path / "m.json")) == text
+
+
+ODD_LABELS = ("", 'say "hi"', "tab\there\x00nul", "café \U0001F333 back\\slash")
+ODD_NAMES = ("", 'x "q"\t\x00', "über \U0001F600 \\")
+
+
+def test_model_header_escapes_odd_labels_and_names(tmp_path):
+    # labels and attribute names with non-ASCII, quotes, a tab, NUL, an
+    # emoji, a backslash and the empty string keep their pinned bytes
+    schema = AttributeSchema(
+        (Attribute(ODD_NAMES[0], REAL), Attribute(ODD_NAMES[1], DISCRETE, 3),
+         Attribute(ODD_NAMES[2], REAL)),
+        4,
+    )
+    data = Dataset(
+        schema,
+        [[0.5, 1.5, 2.5, 3.5, 0.25, 1.25, 2.25, 3.25],
+         [1, 2, 3, 1, 2, 3, 1, 2],
+         [-1.0, -1.0, 2.0, 2.0, -1.0, -1.0, 2.0, 2.0]],
+        [1, 2, 3, 4, 1, 2, 3, 4],
+        ODD_LABELS,
+    )
+    tree = train(data)
+    text = assert_written_as_reference(tree, tmp_path / "m.json")
+    assert '"x \\"q\\"\\t\\u0000"' in text and '"caf\\u00e9 \\ud83c\\udf33 back\\\\slash"' in text
+    assert hashlib.sha256(text.encode("utf-8")).hexdigest() == (
+        "eff761974de84a005de7c5ce29b866c58fc6734f658db23c2858ae11fd895b14"
+    )
+    loaded = load_model(tmp_path / "m.json")
+    assert loaded.class_labels == ODD_LABELS
+    assert tuple(a.name for a in loaded.schema.attributes) == ODD_NAMES
+
+
+def _walk_from(value, steps):
+    # the float steps adjacent floats from value, toward zero (up from zero)
+    toward = -math.inf if value > 0 else math.inf
+    for _ in range(steps):
+        value = math.nextafter(value, toward)
+    return value
+
+
+# starting points whose neighbours are adjacent normal, subnormal and
+# near-maximal floats
+NEIGHBOURHOODS = [1.0, -1.0, 0.0, 5e-324, 2.2250738585072014e-308, 1e300,
+                  sys.float_info.max, -sys.float_info.max]
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    starts=st.lists(st.sampled_from(NEIGHBOURHOODS), min_size=1, max_size=2),
+    rows=st.lists(st.tuples(st.integers(0, 3), st.integers(0, 3), st.integers(1, 3)),
+                  min_size=2, max_size=12),
+    seed=st.integers(0, 100),
+)
+def test_every_split_separates_its_training_rows(starts, rows, seed):
+    # each real threshold lies below the upper of its two values, so every
+    # internal node sends its training rows to at least two children
+    schema = AttributeSchema(
+        tuple(Attribute("x%d" % i, REAL) for i in range(len(starts))), 3
+    )
+    columns = [[_walk_from(start, row[i]) for row in rows] for i, start in enumerate(starts)]
+    data = Dataset(schema, columns, [row[2] for row in rows], ("a", "b", "c"))
+    trees = [train(data, BuildConfig(backend=name)) for name in (BASELINE, TREEMAP)]
+    trees.append(q_train(data, BuildConfig(backend="quantum", seed=seed)).tree)
+    for tree in trees:
+        stack = [(tree.root, data.full_view())]
+        while stack:
+            node, view = stack.pop()
+            if isinstance(node, Leaf):
+                continue
+            children = partition(view, node.test)
+            assert sum(len(child) > 0 for child in children) >= 2
+            stack.extend(zip(node.children, children))
 
 
 def test_model_write_streams(tmp_path):

@@ -502,6 +502,26 @@ def test_huge_real_values_train_and_predict(tmp_path, capsys):
     assert capsys.readouterr().out.split() == ["a", "b", "a", "b"]
 
 
+@pytest.mark.parametrize("backend", ["baseline", "treemap", "quantum"])
+@pytest.mark.parametrize("lo,hi", [("1.0000000000000002", "1.0000000000000004"),
+                                   ("5e-324", "1e-323")])
+def test_adjacent_float_values_split_once(tmp_path, capsys, backend, lo, hi):
+    # the midpoint of two adjacent floats rounds up to the upper one, so
+    # the threshold is the lower value, and one split separates the classes
+    csv = tmp_path / "adj.csv"
+    csv.write_text("x,class\n%s,a\n%s,b\n%s,a\n%s,b\n" % (lo, hi, lo, hi))
+    sch = tmp_path / "adj.schema"
+    sch.write_text("x,real\n")
+    model = tmp_path / "m.json"
+    assert run(["train", "--data", csv, "--schema", sch, "--out", model,
+                "--backend", backend, "--seed", 1]) == 0
+    out = capsys.readouterr().out
+    assert "internal nodes=1 " in out and "train_acc=1.0000" in out
+    assert json.loads(model.read_text())["root"]["theta"] == float(lo)
+    assert run(["predict", "--model", model, "--data", csv]) == 0
+    assert capsys.readouterr().out.split() == ["a", "b", "a", "b"]
+
+
 @pytest.mark.parametrize("size", [10**30, 10**15])  # too large to index, to allocate
 def test_huge_discrete_domain_exits_two_and_writes_nothing(tmp_path, capsys, size):
     csv = tmp_path / "d.csv"

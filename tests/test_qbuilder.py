@@ -1,5 +1,6 @@
 """Quantum-searched tree growth: reports, determinism, and success rates."""
 
+import math
 import random
 
 import pytest
@@ -16,7 +17,7 @@ from qdtree.qbuilder import (
     save_report,
     serialize_report,
 )
-from qdtree.qsearch import query_budget
+from qdtree.qsearch import default_repeats, query_budget
 from qdtree.synth import planted_dataset, random_dataset, random_schema
 
 
@@ -220,22 +221,13 @@ def test_evaluations_track_scoring_passes():
 
 
 def test_per_node_queries_grow_like_sqrt_of_attribute_count():
-    import numpy as np
-
-    grid = (4, 16, 64, 256)
-    means = []
-    for d in grid:
-        data = planted_dataset(32, d, 1, seed=21)
-        view = data.full_view()
+    # every search spends its whole budget, 22.5*sqrt(d) + 1.4*log2(d)^2
+    # rounded down, and a node runs default_repeats(d) of them, whatever
+    # the draws
+    for d, cost in ((4, 100), (16, 448), (64, 1380), (256, 3592)):
+        assert default_repeats(d) * math.floor(query_budget(d)) == cost
+        view = planted_dataset(32, d, 1, seed=21).full_view()
         backend = make_backend(TREEMAP)
-        total = 0
-        trials = 40
-        for t in range(trials):
-            choice = q_choose_split(
-                view, backend, random.Random("slope-%d-%d" % (d, t)), repeats=1
-            )
-            total += choice.oracle_queries
-            assert choice.oracle_queries <= query_budget(d)
-        means.append(total / trials)
-    slope = np.polyfit(np.log2(grid), np.log2(means), 1)[0]
-    assert 0.35 <= slope <= 0.65
+        for t in range(10):
+            choice = q_choose_split(view, backend, random.Random("slope-%d-%d" % (d, t)))
+            assert choice.oracle_queries == cost

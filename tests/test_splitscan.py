@@ -139,6 +139,17 @@ def test_huge_values_split_at_a_finite_midpoint():
     assert [c.theta for c in oracle.candidates_for_attribute(data.full_view(), 0)] == expected
 
 
+@pytest.mark.parametrize("lo", [1.0000000000000002, 5e-324, -1.5e-323])
+def test_adjacent_values_split_at_the_lower_one(lo):
+    # the midpoint of lo and the float above it rounds up to that float,
+    # so the threshold falls back to lo; the oracle makes the same one
+    hi = math.nextafter(lo, math.inf)
+    assert (lo + hi) / 2.0 == hi
+    data = real_data([lo, hi, lo, hi], [1, 2, 1, 2])
+    assert [t for t, _ in real_split_candidates(data.full_view(), 0, backend_for(data))] == [lo]
+    assert [c.theta for c in oracle.candidates_for_attribute(data.full_view(), 0)] == [lo]
+
+
 def test_prefix_and_suffix_tables_match_from_scratch():
     rng = random.Random("prefix-tables")
     for _ in range(40):
