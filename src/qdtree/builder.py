@@ -1,11 +1,11 @@
 """Decision-tree construction.
 
-`form_tree` is the one growth loop: depth-first recursive partitioning that
-asks a split chooser for each node's test. The classical chooser here scores
-every attribute with the split scanners and takes the gain-ratio argmax; the
-quantum builder passes a chooser that searches instead. Two interchangeable
-counter backends (dense arrays, sparse ordered maps) feed the scanners; they
-produce byte-identical trees and differ only in their operation tallies.
+`grow` is the one growth loop: depth-first partitioning on an explicit stack
+of `form_tree` steps, each asking a split chooser for one node's test. The
+classical chooser scores every attribute with the split scanners and takes
+the gain-ratio argmax; the quantum builder passes one that searches instead.
+Two interchangeable counter backends (dense arrays, sparse ordered maps) feed
+the scanners, giving byte-identical trees that differ only in operation tallies.
 """
 
 import contextlib
@@ -137,11 +137,12 @@ def choose_split(view, backend, stats=None):
 
 
 def form_tree(view, level, config, stats, choose):
-    """Recursive growth: leaf on purity, height, size, or no split found.
-
-    choose(view) returns the node's SplitTest or None. A branch no training
-    sample takes becomes a leaf labeled with the parent majority; its
-    recorded support is the parent distribution the label came from.
+    """One growth step: view's node (a leaf on purity, height, size, or no
+    split found) and the (slot, child view) pairs still to grow into its
+    children, in branch order. choose(view) returns the node's SplitTest or
+    None. A branch no training sample takes becomes a leaf labeled with the
+    parent majority; its recorded support is the parent distribution the
+    label came from.
     """
     m = view.base.schema.class_count
     support = tuple(np.bincount(view.labels(), minlength=m + 1)[1:].tolist())
@@ -157,16 +158,26 @@ def form_tree(view, level, config, stats, choose):
         test = choose(view)
     if test is None:
         stats.leaves += 1
-        return Leaf(majority, support)
+        return Leaf(majority, support), ()
     stats.internal_nodes += 1
-    children = []
-    for part in partition(view, test):
-        if len(part) == 0:
-            stats.leaves += 1
-            children.append(Leaf(majority, support))
-        else:
-            children.append(form_tree(part, level + 1, config, stats, choose))
-    return Internal(test, children, support)
+    parts = partition(view, test)
+    todo = [(slot, part) for slot, part in enumerate(parts) if len(part)]
+    stats.leaves += len(parts) - len(todo)
+    children = [None if len(part) else Leaf(majority, support) for part in parts]
+    return Internal(test, children, support), todo
+
+
+def grow(view, config, stats, choose):
+    """Grows the tree under view in form_tree steps on an explicit stack,
+    popping children in branch order, so the choosers run in preorder."""
+    top = [None]
+    stack = [(top, 0, view, 0)]
+    while stack:
+        siblings, slot, part, level = stack.pop()
+        node, todo = form_tree(part, level, config, stats, choose)
+        siblings[slot] = node
+        stack.extend((node.children, i, child, level + 1) for i, child in reversed(todo))
+    return top[0]
 
 
 def train(data, config=None):
@@ -185,7 +196,7 @@ def train(data, config=None):
         choice = choose_split(view, backend, stats)
         return None if choice is None else choice[1]
 
-    root = form_tree(data.full_view(), 0, config, stats, choose)
+    root = grow(data.full_view(), config, stats, choose)
     return DecisionTree(root, data.schema, data.class_labels, stats)
 
 

@@ -132,10 +132,6 @@ def cmd_train(args):
         if report is not None and args.report:
             save_report(report, args.report)
         save_model(tree, args.out)
-    except RecursionError:
-        # only the grower still recurses, once per tree level
-        print("error: the tree is too deep to grow", file=sys.stderr)
-        return 2
     except (MemoryError, OverflowError):
         # a discrete scan allocates one count per value of the declared domain
         print("error: out of memory; is a discrete domain size too large?", file=sys.stderr)
@@ -164,7 +160,7 @@ def cmd_predict(args):
     try:
         tree = load_model(args.model)
         columns = load_feature_rows(args.data, tree.schema.attributes)
-    except (DataFormatError, OSError, KeyError, ValueError) as exc:
+    except (DataFormatError, OSError, ValueError) as exc:
         print("error: %s" % (exc,), file=sys.stderr)
         return 2
     lines = ["%s\n" % (label,) for label in tree.class_labels]

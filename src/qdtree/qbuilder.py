@@ -1,11 +1,11 @@
 """Tree growth with quantum-searched split selection.
 
-Growth is `builder.form_tree`; this module supplies the search chooser and
-the per-node report. Each node's attribute argmax runs through repeated
-simulated quantum maximum finding instead of a full sweep. When the search
-returns a suboptimal attribute the build keeps it and proceeds: the per-node
-report records the divergence, and the whole-tree success claim is about
-exactly this behavior.
+Growth is `builder.grow`, one `form_tree` step per node; this module
+supplies the search chooser and the per-node report. Each node's attribute
+argmax runs through repeated simulated quantum maximum finding instead of a
+full sweep. When the search returns a suboptimal attribute the build keeps
+it and proceeds: the per-node report records the divergence, and the
+whole-tree success claim is about exactly this behavior.
 
 One oracle query = one scoring pass over (view, attribute), so per-node
 query counts are comparable to the classical builder's d evaluations. The
@@ -21,7 +21,7 @@ from dataclasses import dataclass, field
 
 from . import jsonio
 from .builder import (
-    QUANTUM, BuildStats, DecisionTree, first_best, form_tree, score_attributes, write_atomically
+    QUANTUM, BuildStats, DecisionTree, first_best, grow, score_attributes, write_atomically
 )
 from .counters import TREEMAP, make_backend
 from .qsearch import ScoringOracle, default_repeats, repeated_max
@@ -108,7 +108,7 @@ def q_form_tree(view, config, backend, rng, stats, report):
         report.per_node.append(record)
         return record.test
 
-    return form_tree(view, 0, config, stats, choose)
+    return grow(view, config, stats, choose)
 
 
 def q_train(data, config, rng=None):

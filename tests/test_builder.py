@@ -13,7 +13,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from qdtree import jsonio, oracle
+from qdtree import builder, jsonio, oracle, qbuilder
 from qdtree.builder import (
     BACKENDS,
     BuildConfig,
@@ -45,7 +45,7 @@ from qdtree.dataset import (
     Dataset,
     partition,
 )
-from qdtree.qbuilder import q_train
+from qdtree.qbuilder import q_train, serialize_report
 from qdtree.splitscan import SplitTest
 from qdtree.synth import grid_dataset, planted_dataset, random_dataset, random_schema
 
@@ -559,6 +559,49 @@ def test_writer_matches_recursive_emitter_on_a_leaf_root(tmp_path):
     text = assert_written_as_reference(tree, tmp_path / "m.json")
     assert tree_to_document(tree)["root"] == {"kind": "leaf", "class": 1, "support": [2, 2]}
     assert serialize_model(load_model(tmp_path / "m.json")) == text
+
+
+def _recursive_grow(view, config, stats, choose, level=0):
+    """The recursive growth that grow replaced, over the same form_tree step."""
+    node, todo = builder.form_tree(view, level, config, stats, choose)
+    for slot, part in todo:
+        node.children[slot] = _recursive_grow(part, config, stats, choose, level + 1)
+    return node
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    seed=st.integers(0, 10**6),
+    d=st.integers(1, 4),
+    m=st.integers(1, 5),
+    n=st.integers(1, 40),
+    height=st.integers(0, 5),
+    backend=st.sampled_from(["baseline", "treemap", "quantum", "quantum-verify"]),
+)
+def test_grower_matches_recursive_growth(seed, d, m, n, height, backend):
+    # the quantum searches draw from one rng in the order the steps run, so
+    # equal reports and rng states show that the stack grows in preorder
+    data = random_dataset(random_schema(d, m, seed, kinds="mixed", max_domain=4), n, seed)
+
+    def build():
+        if backend.startswith("quantum"):
+            rng = random.Random(seed)
+            config = BuildConfig(
+                max_height=height, backend="quantum", seed=seed, verify=backend.endswith("verify")
+            )
+            report = q_train(data, config, rng)
+            return report.tree, (serialize_report(report), rng.getstate())
+        return train(data, BuildConfig(max_height=height, backend=backend)), ()
+
+    tree, searches = build()
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(builder, "grow", _recursive_grow)
+        patch.setattr(qbuilder, "grow", _recursive_grow)
+        reference, reference_searches = build()
+    assert serialize_model(tree) == serialize_model(reference)
+    # node and leaf counts, evaluations, both op counts and by_level
+    assert tree.stats == reference.stats
+    assert searches == reference_searches
 
 
 ODD_LABELS = ("", 'say "hi"', "tab\there\x00nul", "café \U0001F333 back\\slash")
