@@ -450,9 +450,32 @@ def write_staircase(tmp_path, n):
     return csv, sch, ["xy"[y - 1] for y in labels]
 
 
-@pytest.mark.parametrize(
-    "rows,backend", [(1000, "baseline"), (2000, "baseline"), (2000, "quantum")]
-)
+def test_deep_staircase_trains_and_predicts(tmp_path, capsys):
+    csv, sch, names = write_staircase(tmp_path, 800)
+    out = tmp_path / "model.json"
+    assert run(
+        ["train", "--data", csv, "--schema", sch, "--out", out, "--max-height", 5000]
+    ) == 0
+    assert "height=399 train_acc=1.0000" in capsys.readouterr().out
+    assert run(["predict", "--model", out, "--data", csv]) == 0
+    assert capsys.readouterr().out.split() == names
+
+
+def test_staircase_of_1000_rows_round_trips(tmp_path, capsys):
+    # its model nests about 1000 JSON containers deep: written on an
+    # explicit stack, read back by the iterative parse
+    csv, sch, names = write_staircase(tmp_path, 1000)
+    out = tmp_path / "model.json"
+    assert run(
+        ["train", "--data", csv, "--schema", sch, "--out", out, "--max-height", 5000]
+    ) == 0
+    assert "height=499 train_acc=1.0000" in capsys.readouterr().out
+    assert run(["predict", "--model", out, "--data", csv]) == 0
+    assert capsys.readouterr().out.split() == names
+    assert serialize_model(load_model(out)) == out.read_text()
+
+
+@pytest.mark.parametrize("rows,backend", [(2000, "baseline"), (2000, "quantum")])
 def test_staircase_round_trips(tmp_path, capsys, rows, backend):
     # height rows / 2 - 1, grown on the explicit stack; the model nests
     # about rows JSON containers deep and is read back by the iterative parse
