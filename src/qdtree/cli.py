@@ -16,6 +16,7 @@ import time
 
 from . import verify as verify_suites
 from .builder import (
+    BACKENDS,
     QUANTUM,
     BuildConfig,
     load_model,
@@ -26,7 +27,7 @@ from .builder import (
     tree_height,
     write_atomically,
 )
-from .counters import BASELINE, TREEMAP
+from .counters import BASELINE
 from .dataset import DataFormatError, load_csv, load_feature_rows, read_schema
 from .qbuilder import q_train, save_report
 from .synth import grid_dataset
@@ -66,7 +67,7 @@ def build_parser():
     p.add_argument("--data", required=True, help="training CSV (attributes + class column)")
     p.add_argument("--schema", required=True, help="schema file, one attribute per line")
     p.add_argument("--out", required=True, help="model file to write")
-    p.add_argument("--backend", default=BASELINE, choices=[BASELINE, TREEMAP, QUANTUM])
+    p.add_argument("--backend", default=BASELINE, choices=BACKENDS)
     p.add_argument("--max-height", type=int, default=10)
     p.add_argument("--min-split", type=int, default=2)
     p.add_argument("--seed", type=int, default=None, help="required for the quantum backend")
@@ -216,7 +217,7 @@ def _bench_rows(args, backends):
 def cmd_bench(args):
     backends = [b.strip() for b in args.backends.split(",") if b.strip()]
     for backend in backends:
-        if backend not in (BASELINE, TREEMAP, QUANTUM):
+        if backend not in BACKENDS:
             print("error: unknown backend %r" % (backend,), file=sys.stderr)
             return 2
     if min(args.m) < 4 or min(args.d) < 2 or args.n < 4:

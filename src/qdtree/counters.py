@@ -10,9 +10,10 @@ each time. slots is the dense key range: M for a class counter, M * T for
 the class-branch table of a T-way attribute (keyed by the flat slot
 (j - 1) * T + w). The baseline policy is a dense array, so allocation and
 clearing touch every slot and each add one: 2 * slots maintenance and
-len(keys) element ops. The treemap policy replays
-the keys, in one pass, through a SparseClassCounter, an AVL map whose costs
-follow the keys actually stored. These are the paper's two classical bounds,
+len(keys) element ops. The treemap policy feeds the keys, in one pass, to
+the add of a fresh SparseClassCounter, an AVL map whose costs follow the
+keys actually stored; its search and insert are loops, so nothing in this
+module recurses. These are the paper's two classical bounds,
 O(h·d·(NM + N log N)) and O(h·d·N log N). The backend changes operation
 counts but never the produced scores.
 """
@@ -81,29 +82,27 @@ class TreeMapBackend(_LedgerPolicy):
         """(element, maintenance) ops of adding every key to a fresh
         SparseClassCounter and clearing it, visit for visit.
 
-        Only a key's first appearance changes the tree's shape: its get walk
-        visits the nodes above the empty slot, and the counted insert books
-        its own visits and rotations. Every other add of a key at depth k
-        costs 2(k + 1) visits, one walk for get and one for the overwrite;
-        that cost holds until the next insert, so it is cached till then.
+        Each key is added through counter.add, and the tally's change is its
+        cost. Only an insert (an add that returns 1) changes the tree's
+        shape, so a stored key's cost holds until the next insert; it is
+        cached till then and booked without another walk.
         """
         counter = SparseClassCounter()
+        tally = counter.tally
         costs = {}
         visits = 0
         for key in keys.tolist() if isinstance(keys, np.ndarray) else keys:
             cost = costs.get(key)
             if cost is None:
-                node, depth = counter._find(key)
-                if node is None:
-                    visits += depth
-                    counter._root = counter._insert(counter._root, key, 1)
-                    counter._size += 1
+                before = tally.element_ops
+                if counter.add(key) == 1:
                     costs.clear()
-                    continue
-                cost = costs[key] = 2 * (depth + 1)
-            visits += cost
+                else:
+                    costs[key] = tally.element_ops - before
+            else:
+                visits += cost
         counter.clear()
-        return counter.tally.element_ops + visits, counter.tally.maintenance_ops
+        return tally.element_ops + visits, tally.maintenance_ops
 
 
 def make_backend(name, tally=None):
@@ -144,9 +143,10 @@ class SparseClassCounter:
     visits exactly s nodes, where s is the number of stored keys. Every node
     visit is recorded in the attached OpTally, which is what the complexity
     probes measure. Keys may be any mutually ordered values (class indices,
-    flat class-branch slots). This is the reference map for the treemap
-    ledger: TreeMapBackend.cost replays a scan into a fresh one in a single
-    pass and counts what a loop of add(key) would.
+    flat class-branch slots). get and add share one search loop, and add
+    inserts by rebalancing each node on that search's path, bottom-up, so
+    no method recurses. The treemap ledger is this map: TreeMapBackend.cost
+    feeds a scan's keys to add on a fresh one and reads the tally.
     """
 
     def __init__(self, tally=None):
@@ -155,57 +155,52 @@ class SparseClassCounter:
         self.tally = tally if tally is not None else OpTally()
 
     def get(self, key):
-        node = self._root
-        while node is not None:
-            self.tally.element()
-            if key == node.key:
-                return node.value
-            node = node.left if key < node.key else node.right
-        return 0
+        node, path = self._search(key)
+        if node is None:
+            self.tally.element(len(path))
+            return 0
+        self.tally.element(len(path) + 1)
+        return node.value
 
     def add(self, key):
-        """Adds 1 to key's count and returns the new count."""
-        new = self.get(key) + 1
-        if new == 1:
-            self._root = self._insert(self._root, key, new)
-            self._size += 1
-        else:
-            self._overwrite(key, new)
-        return new
+        """Adds 1 to key's count and returns the new count.
+
+        Books what a get followed by a second walk costs: to overwrite a
+        stored key at depth k, 2(k + 1) visits; to insert a new key below k
+        nodes, k + (k + 1) visits plus one per rotation, made bottom-up as
+        the nodes above it are rebalanced.
+        """
+        node, path = self._search(key)
+        if node is not None:
+            self.tally.element(2 * len(path) + 2)
+            node.value += 1
+            return node.value
+        self.tally.element(2 * len(path) + 1)
+        node = _AvlNode(key, 1)
+        for parent in reversed(path):
+            if key < parent.key:
+                parent.left = node
+            else:
+                parent.right = node
+            node = self._rebalance(parent)
+        self._root = node
+        self._size += 1
+        return 1
 
     def clear(self):
         self.tally.maintenance(self._size)
         self._root = None
         self._size = 0
 
-    def _find(self, key):
-        """(node, depth) of a stored key, or (None, depth of the empty slot
-        it would fill); books nothing. The root has depth 0."""
+    def _search(self, key):
+        """(node holding key, or None; the nodes above it, root first).
+        Books nothing."""
+        path = []
         node = self._root
-        depth = 0
         while node is not None and key != node.key:
+            path.append(node)
             node = node.left if key < node.key else node.right
-            depth += 1
-        return node, depth
-
-    def _overwrite(self, key, value):
-        node = self._root
-        while True:
-            self.tally.element()
-            if key == node.key:
-                node.value = value
-                return
-            node = node.left if key < node.key else node.right
-
-    def _insert(self, node, key, value):
-        self.tally.element()
-        if node is None:
-            return _AvlNode(key, value)
-        if key < node.key:
-            node.left = self._insert(node.left, key, value)
-        else:
-            node.right = self._insert(node.right, key, value)
-        return self._rebalance(node)
+        return node, path
 
     def _rebalance(self, node):
         _update_height(node)

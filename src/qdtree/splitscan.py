@@ -126,9 +126,10 @@ def _scan_tables(z):
     (np.log2 is not bit-identical to it): for each cut u in 1..z-1 the
     fractions u/z and 1 - u/z and the split potential
     -(u/z log2(u/z) + (1 - u/z) log2(1 - u/z))."""
-    left = [u / z for u in range(1, z)]
-    right = [1.0 - f for f in left]
-    potential = [-(f * math.log2(f) + r * math.log2(r)) for f, r in zip(left, right)]
+    left = np.arange(1, z) / z
+    right = 1.0 - left
+    pairs = zip(left.tolist(), right.tolist())
+    potential = [-(f * math.log2(f) + r * math.log2(r)) for f, r in pairs]
     return _frozen(left), _frozen(right), _frozen(potential)
 
 

@@ -2,6 +2,7 @@
 
 import hashlib
 import random
+from collections import Counter
 
 import numpy as np
 import pytest
@@ -16,6 +17,7 @@ from qdtree.counters import (
     OpTally,
     SparseClassCounter,
     TreeMapBackend,
+    _height,
     make_backend,
 )
 from qdtree.synth import planted_dataset
@@ -114,22 +116,30 @@ def _book_matches_loop(keys):
         assert _ledger(tally) == _sparse_loop_ledger(keys, 2)
 
 
-# 8000 keys sorted by class: long runs of one key between few inserts
-SORTED_BY_CLASS = sorted(random.Random("sorted-by-class").randint(1, 40) for _ in range(8000))
+def _sorted_by_class():
+    rng = random.Random("sorted-by-class")
+    return sorted(rng.randint(1, 40) for _ in range(8000))
 
+
+# each input with the (element, maintenance) ops its replay books, recorded
+# before the ledger drove add; the last one is 8000 keys sorted by class:
+# long runs of one key between few inserts
 REPLAY_EDGES = [
-    [],
-    [5] * 1024,
-    list(range(1, 1025)),
-    list(range(1024, 0, -1)),
-    SORTED_BY_CLASS,
+    ([], (0, 0)),
+    ([5] * 1024, (2047, 1)),
+    (list(range(1, 1025)), (20471, 1024)),
+    (list(range(1024, 0, -1)), (20471, 1024)),
+    (_sorted_by_class(), (73056, 40)),
 ]
 
 
 @pytest.mark.parametrize(
-    "keys", REPLAY_EDGES, ids=["empty", "repeated", "distinct", "descending", "sorted-by-class"]
+    "keys, expected",
+    REPLAY_EDGES,
+    ids=["empty", "repeated", "distinct", "descending", "sorted-by-class"],
 )
-def test_add_all_edge_cases_match_add_loop(keys):
+def test_add_all_edge_cases_match_add_loop(keys, expected):
+    assert TreeMapBackend().cost(keys, 64) == expected
     _book_matches_loop(keys)
 
 
@@ -138,6 +148,37 @@ def test_add_all_edge_cases_match_add_loop(keys):
 @example(sorted(range(1, 40), reverse=True) * 4)
 def test_add_all_matches_add_loop(keys):
     _book_matches_loop(keys)
+
+
+def _in_order(counter):
+    # the counter's nodes in key order, walked with an explicit stack
+    nodes, stack, node = [], [], counter._root
+    while stack or node is not None:
+        while node is not None:
+            stack.append(node)
+            node = node.left
+        node = stack.pop()
+        nodes.append(node)
+        node = node.right
+    return nodes
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.lists(st.integers(min_value=-60, max_value=60), max_size=200))
+@example(list(range(64)) + list(range(-1, -64, -1)))
+def test_add_keeps_the_avl_invariants(keys):
+    counter = SparseClassCounter()
+    for i, key in enumerate(keys):
+        counter.add(key)
+        nodes = _in_order(counter)
+        order = [node.key for node in nodes]
+        assert all(a < b for a, b in zip(order, order[1:]))
+        for node in nodes:
+            left, right = _height(node.left), _height(node.right)
+            assert node.height == 1 + max(left, right)
+            assert abs(left - right) <= 1
+        assert len(nodes) == counter._size
+        assert {node.key: node.value for node in nodes} == Counter(keys[: i + 1])
 
 
 def test_treemap_build_with_long_scans_is_pinned():

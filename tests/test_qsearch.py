@@ -147,7 +147,8 @@ def test_single_item_search():
 
 
 def test_search_is_deterministic_for_fixed_seed():
-    vals = [random.Random("det").uniform(0, 1) for _ in range(32)]
+    rng = random.Random("det")
+    vals = [rng.uniform(0, 1) for _ in range(32)]
     runs = []
     for _ in range(2):
         o = ScoringOracle(vals)
@@ -232,7 +233,8 @@ def test_repeated_max_single_repeat_matches_plain_search():
 
 
 def test_repeated_max_aggregates_queries():
-    vals = [random.Random("agg").uniform(0, 1) for _ in range(16)]
+    rng = random.Random("agg")
+    vals = [rng.uniform(0, 1) for _ in range(16)]
     o = ScoringOracle(vals)
     _, stats = repeated_max(o, 3, random.Random("agg-run"))
     assert o.queries == stats.oracle_queries

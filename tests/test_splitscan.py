@@ -37,6 +37,7 @@ from qdtree.splitscan import (
     build_real_scan,
     process_attribute,
     process_discrete_attribute,
+    _scan_tables,
     real_split_candidates,
     scan_real_attribute,
 )
@@ -169,6 +170,19 @@ def test_prefix_and_suffix_tables_match_from_scratch():
         for u in range(1, n + 1):
             want = oracle.label_entropy(sorted_labels[u - 1 :])
             assert state.suffix_info[u] == pytest.approx(want, abs=1e-9)
+
+
+@pytest.mark.parametrize("z", [2, 3, 7, 100, 999, 8000])
+def test_scan_tables_match_the_scalar_formulas_bit_for_bit(z):
+    left, right, potential = _scan_tables(z)
+    want_left = [u / z for u in range(1, z)]
+    want_right = [1.0 - f for f in want_left]
+    want_potential = [
+        -(f * math.log2(f) + r * math.log2(r)) for f, r in zip(want_left, want_right)
+    ]
+    assert left.tobytes() == np.array(want_left).tobytes()
+    assert right.tobytes() == np.array(want_right).tobytes()
+    assert potential.tobytes() == np.array(want_potential).tobytes()
 
 
 def test_real_scan_uses_stable_order():
