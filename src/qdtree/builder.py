@@ -29,6 +29,7 @@ from .dataset import (
     AttributeSchema,
     DataFormatError,
     branch_masks,
+    is_integer,
     partition,
 )
 from .splitscan import SplitTest, process_attribute
@@ -61,6 +62,8 @@ class BuildConfig:
             raise ValueError("backend must be one of %s" % (", ".join(BACKENDS),))
         if self.backend == QUANTUM and self.seed is None:
             raise ValueError("the quantum backend needs an explicit seed")
+        if self.seed is not None and not is_integer(self.seed):
+            raise ValueError("seed must be an integer, got %r" % (self.seed,))
 
 
 @dataclass

@@ -12,10 +12,11 @@ the class-branch table of a T-way attribute (keyed by the flat slot
 clearing touch every slot and each add one: 2 * slots maintenance and
 len(keys) element ops. The treemap policy feeds the keys, in one pass, to
 the add of a fresh SparseClassCounter, an AVL map whose costs follow the
-keys actually stored; its search and insert are loops, so nothing in this
-module recurses. These are the paper's two classical bounds,
-O(h·d·(NM + N log N)) and O(h·d·N log N). The backend changes operation
-counts but never the produced scores.
+keys actually stored. Its tree is five parallel lists indexed by node
+number, with node 0 as the empty tree, and its search and insert are
+loops, so nothing in this module recurses. These are the paper's two
+classical bounds, O(h·d·(NM + N log N)) and O(h·d·N log N). The backend
+changes operation counts but never the produced scores.
 """
 
 from dataclasses import dataclass, field
@@ -113,29 +114,6 @@ def make_backend(name, tally=None):
     raise ValueError("unknown counter backend %r" % (name,))
 
 
-class _AvlNode:
-    __slots__ = ("key", "value", "left", "right", "height")
-
-    def __init__(self, key, value):
-        self.key = key
-        self.value = value
-        self.left = None
-        self.right = None
-        self.height = 1
-
-
-def _height(node):
-    return node.height if node is not None else 0
-
-
-def _update_height(node):
-    node.height = 1 + max(_height(node.left), _height(node.right))
-
-
-def _balance(node):
-    return _height(node.left) - _height(node.right)
-
-
 class SparseClassCounter:
     """Ordered counter that stores only keys with non-zero counts.
 
@@ -143,24 +121,24 @@ class SparseClassCounter:
     visits exactly s nodes, where s is the number of stored keys. Every node
     visit is recorded in the attached OpTally, which is what the complexity
     probes measure. Keys may be any mutually ordered values (class indices,
-    flat class-branch slots). get and add share one search loop, and add
-    inserts by rebalancing each node on that search's path, bottom-up, so
-    no method recurses. The treemap ledger is this map: TreeMapBackend.cost
-    feeds a scan's keys to add on a fresh one and reads the tally.
+    flat class-branch slots). The tree lives in parallel lists indexed by
+    node number (key, count, left, right, height); node 0 is the empty
+    tree, with height 0, count 0 and no key, so a missing child is link 0
+    and node n holds the n-th key inserted since the last clear. get and add
+    share one search loop, and add inserts by rebalancing each node on that
+    search's path, bottom-up, so no method recurses. The treemap ledger is
+    this map: TreeMapBackend.cost feeds a scan's keys to add on a fresh one
+    and reads the tally.
     """
 
     def __init__(self, tally=None):
-        self._root = None
-        self._size = 0
         self.tally = tally if tally is not None else OpTally()
+        self._empty()
 
     def get(self, key):
         node, path = self._search(key)
-        if node is None:
-            self.tally.element(len(path))
-            return 0
-        self.tally.element(len(path) + 1)
-        return node.value
+        self.tally.element(len(path) + 1 if node else len(path))
+        return self._count[node]
 
     def add(self, key):
         """Adds 1 to key's count and returns the new count.
@@ -171,64 +149,75 @@ class SparseClassCounter:
         the nodes above it are rebalanced.
         """
         node, path = self._search(key)
-        if node is not None:
+        count = self._count
+        if node:
             self.tally.element(2 * len(path) + 2)
-            node.value += 1
-            return node.value
+            count[node] += 1
+            return count[node]
         self.tally.element(2 * len(path) + 1)
-        node = _AvlNode(key, 1)
+        keys, left, right = self._key, self._left, self._right
+        node = len(keys)
+        keys.append(key)
+        count.append(1)
+        left.append(0)
+        right.append(0)
+        self._height.append(1)
         for parent in reversed(path):
-            if key < parent.key:
-                parent.left = node
+            if key < keys[parent]:
+                left[parent] = node
             else:
-                parent.right = node
+                right[parent] = node
             node = self._rebalance(parent)
         self._root = node
-        self._size += 1
         return 1
 
     def clear(self):
-        self.tally.maintenance(self._size)
-        self._root = None
-        self._size = 0
+        self.tally.maintenance(len(self._key) - 1)
+        self._empty()
+
+    def _empty(self):
+        self._key, self._count = [None], [0]
+        self._left, self._right, self._height = [0], [0], [0]
+        self._root = 0
 
     def _search(self, key):
-        """(node holding key, or None; the nodes above it, root first).
+        """(node holding key, or 0; the nodes above it, root first).
         Books nothing."""
+        keys, left, right = self._key, self._left, self._right
         path = []
         node = self._root
-        while node is not None and key != node.key:
+        while node and key != keys[node]:
             path.append(node)
-            node = node.left if key < node.key else node.right
+            node = left[node] if key < keys[node] else right[node]
         return node, path
 
     def _rebalance(self, node):
-        _update_height(node)
-        b = _balance(node)
-        if b > 1:
-            if _balance(node.left) < 0:
-                node.left = self._rotate_left(node.left)
-            return self._rotate_right(node)
-        if b < -1:
-            if _balance(node.right) > 0:
-                node.right = self._rotate_right(node.right)
-            return self._rotate_left(node)
-        return node
+        """Refreshes node's height and, if one side is two taller, rotates
+        that side's child up (after lifting the grandchild first when the
+        child leans the other way); returns the subtree's root."""
+        height, left, right = self._height, self._left, self._right
+        lean = height[left[node]] - height[right[node]]
+        if lean > 1:
+            near, far = left, right
+        elif lean < -1:
+            near, far = right, left
+        else:
+            height[node] = 1 + max(height[left[node]], height[right[node]])
+            return node
+        child = near[node]
+        if height[far[child]] > height[near[child]]:
+            near[node] = self._lift(child, far, near)
+        return self._lift(node, near, far)
 
-    def _rotate_right(self, y):
+    def _lift(self, node, near, far):
+        """Rotates node's child on the near side into node's place and
+        returns it; near and far are the link lists (left, right) or
+        (right, left). Books one visit."""
         self.tally.element()
-        x = y.left
-        y.left = x.right
-        x.right = y
-        _update_height(y)
-        _update_height(x)
-        return x
-
-    def _rotate_left(self, x):
-        self.tally.element()
-        y = x.right
-        x.right = y.left
-        y.left = x
-        _update_height(x)
-        _update_height(y)
-        return y
+        height = self._height
+        child = near[node]
+        near[node] = far[child]
+        far[child] = node
+        height[node] = 1 + max(height[near[node]], height[far[node]])
+        height[child] = 1 + max(height[near[child]], height[far[child]])
+        return child

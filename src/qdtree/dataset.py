@@ -8,6 +8,7 @@ original names.
 
 import csv
 import math
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -18,6 +19,11 @@ DISCRETE = "discrete"
 
 class DataFormatError(ValueError):
     """A CSV or schema file deviates from the declared format."""
+
+
+def is_integer(value):
+    """Whether value is an integer of any integral type other than bool."""
+    return isinstance(value, numbers.Integral) and not isinstance(value, bool)
 
 
 @dataclass(frozen=True)
@@ -32,8 +38,10 @@ class Attribute:
         if self.kind not in (REAL, DISCRETE):
             raise ValueError("attribute kind must be %r or %r, got %r" % (REAL, DISCRETE, self.kind))
         if self.kind == DISCRETE:
-            if self.domain_size is None or self.domain_size < 2:
-                raise ValueError("discrete attribute %r needs a domain size of at least 2" % (self.name,))
+            if not is_integer(self.domain_size) or self.domain_size < 2:
+                raise ValueError(
+                    "discrete attribute %r needs an integer domain size of at least 2" % (self.name,)
+                )
         elif self.domain_size is not None:
             raise ValueError("real attribute %r cannot declare a domain size" % (self.name,))
 
@@ -47,8 +55,8 @@ class AttributeSchema:
         object.__setattr__(self, "attributes", tuple(self.attributes))
         if not self.attributes:
             raise ValueError("a schema needs at least one attribute")
-        if self.class_count < 1:
-            raise ValueError("a schema needs at least one class")
+        if not is_integer(self.class_count) or self.class_count < 1:
+            raise ValueError("a schema needs an integer class count of at least 1")
         names = [a.name for a in self.attributes]
         if len(set(names)) != len(names):
             raise ValueError("attribute names must be unique")
@@ -209,7 +217,7 @@ def _records(reader, path):
 def read_schema(path):
     """Parses the sidecar schema: one `name,real` or `name,discrete,T` line per attribute."""
     attrs = []
-    with open(path, newline="", encoding="utf-8") as fh:
+    with open(path, newline="", encoding="utf-8-sig") as fh:
         for lineno, row in _records(csv.reader(fh), path):
             if not row or (len(row) == 1 and not row[0].strip()):
                 continue
@@ -235,12 +243,11 @@ def read_schema(path):
 
 
 def write_schema(attributes, path):
+    """Writes the read_schema format, quoting names as save_csv does."""
     with open(path, "w", newline="", encoding="utf-8") as fh:
+        writer = csv.writer(fh, lineterminator="\n")
         for a in attributes:
-            if a.kind == REAL:
-                fh.write("%s,%s\n" % (a.name, REAL))
-            else:
-                fh.write("%s,%s,%d\n" % (a.name, DISCRETE, a.domain_size))
+            writer.writerow([a.name, REAL] if a.kind == REAL else [a.name, DISCRETE, a.domain_size])
 
 
 def _parse_value(token, attribute, path, lineno):
@@ -280,7 +287,7 @@ def _read_csv(path, attributes, labeled):
     expected = names + ["class"] if labeled else names
     cols = [[] for _ in attributes]
     labels = []
-    with open(path, newline="", encoding="utf-8") as fh:
+    with open(path, newline="", encoding="utf-8-sig") as fh:
         reader = _records(csv.reader(fh), path)
         _, header = next(reader, (None, None))
         if header is None:

@@ -74,6 +74,20 @@ def test_config_validation():
     assert set(BACKENDS) == {"baseline", "treemap", "quantum"}
 
 
+def test_config_rejects_a_string_seed():
+    # q_train would fail later formatting the seed with %d
+    with pytest.raises(ValueError, match="seed must be an integer"):
+        BuildConfig(backend="quantum", seed="7")
+
+
+def test_config_rejects_a_fractional_or_bool_seed():
+    # seed=1.5 would silently build the tree of seed=1
+    for seed in (1.5, True):
+        with pytest.raises(ValueError, match="seed must be an integer"):
+            BuildConfig(backend="quantum", seed=seed)
+    assert BuildConfig(backend="quantum", seed=np.int64(7)).seed == 7
+
+
 def test_choose_split_takes_best_ratio():
     schema = AttributeSchema((Attribute("x1", REAL), Attribute("x2", REAL)), 2)
     # x2 separates perfectly, x1 only partially

@@ -120,6 +120,24 @@ def test_predict_round_trips_training_labels(tmp_path, capsys):
     assert capsys.readouterr().out.split() == ["A", "B", "B", "A"]
 
 
+def test_files_with_a_utf8_byte_order_mark_train_and_predict(tmp_path, capsys):
+    # Excel's "CSV UTF-8" starts the file with U+FEFF; a mark on either the
+    # schema or the data must not reach the column names
+    schema = "x,real\nc,discrete,2\n"
+    data = "x,c,class\n0.5,1,a\n1.5,2,b\n0.25,1,a\n2.5,2,b\n"
+    sch, csv, model = tmp_path / "s.schema", tmp_path / "t.csv", tmp_path / "m.json"
+    models = []
+    for schema_mark, data_mark in (("\ufeff", ""), ("", "\ufeff")):
+        sch.write_text(schema_mark + schema, encoding="utf-8")
+        csv.write_text(data_mark + data, encoding="utf-8")
+        assert run(["train", "--data", csv, "--schema", sch, "--out", model]) == 0
+        capsys.readouterr()
+        assert run(["predict", "--model", model, "--data", csv]) == 0
+        assert capsys.readouterr().out.split() == ["a", "b", "a", "b"]
+        models.append(model.read_bytes())
+    assert models[0] == models[1]
+
+
 def test_predict_rejects_out_of_domain_value(tmp_path, capsys):
     sch = tmp_path / "s.schema"
     sch.write_text("c1,discrete,2\n")

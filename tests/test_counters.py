@@ -6,9 +6,11 @@ from collections import Counter
 
 import numpy as np
 import pytest
+from avl_reference import SparseClassCounter as ReferenceCounter
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from qdtree import counters
 from qdtree.builder import BuildConfig, serialize_model, train
 from qdtree.counters import (
     BASELINE,
@@ -17,10 +19,11 @@ from qdtree.counters import (
     OpTally,
     SparseClassCounter,
     TreeMapBackend,
-    _height,
     make_backend,
 )
-from qdtree.synth import planted_dataset
+from qdtree.dataset import SubsetView
+from qdtree.splitscan import process_attribute
+from qdtree.synth import planted_dataset, random_dataset, random_schema
 
 
 def _ledger(tally):
@@ -28,9 +31,9 @@ def _ledger(tally):
 
 
 def _sparse_loop_ledger(keys, level):
-    # a fresh ordered map fed one add per key, then cleared
+    # a fresh object-node reference map fed one add per key, then cleared
     tally = OpTally(level=level)
-    counter = SparseClassCounter(tally)
+    counter = ReferenceCounter(tally)
     for key in keys:
         counter.add(key)
     counter.clear()
@@ -151,15 +154,15 @@ def test_add_all_matches_add_loop(keys):
 
 
 def _in_order(counter):
-    # the counter's nodes in key order, walked with an explicit stack
+    # the counter's node numbers in key order, walked with an explicit stack
     nodes, stack, node = [], [], counter._root
-    while stack or node is not None:
-        while node is not None:
+    while stack or node:
+        while node:
             stack.append(node)
-            node = node.left
+            node = counter._left[node]
         node = stack.pop()
         nodes.append(node)
-        node = node.right
+        node = counter._right[node]
     return nodes
 
 
@@ -168,17 +171,66 @@ def _in_order(counter):
 @example(list(range(64)) + list(range(-1, -64, -1)))
 def test_add_keeps_the_avl_invariants(keys):
     counter = SparseClassCounter()
+    height = counter._height
     for i, key in enumerate(keys):
         counter.add(key)
         nodes = _in_order(counter)
-        order = [node.key for node in nodes]
+        order = [counter._key[node] for node in nodes]
         assert all(a < b for a, b in zip(order, order[1:]))
         for node in nodes:
-            left, right = _height(node.left), _height(node.right)
-            assert node.height == 1 + max(left, right)
+            left, right = height[counter._left[node]], height[counter._right[node]]
+            assert height[node] == 1 + max(left, right)
             assert abs(left - right) <= 1
-        assert len(nodes) == counter._size
-        assert {node.key: node.value for node in nodes} == Counter(keys[: i + 1])
+        assert len(nodes) == len(counter._key) - 1
+        assert {counter._key[n]: counter._count[n] for n in nodes} == Counter(keys[: i + 1])
+    # node 0, the empty tree, is never written
+    assert (counter._key[0], counter._count[0], height[0]) == (None, 0, 0)
+    assert (counter._left[0], counter._right[0]) == (0, 0)
+
+
+@settings(max_examples=100, deadline=None)
+@given(
+    st.lists(st.integers(min_value=1, max_value=40), max_size=300),
+    st.lists(st.integers(min_value=0, max_value=41), max_size=20),
+)
+def test_counts_and_get_bookings_match_the_reference(keys, probes):
+    # every add returns and books what the reference's does, and so does
+    # every get, of a stored key or of a missing one
+    pair = SparseClassCounter(OpTally()), ReferenceCounter(OpTally())
+    for key in keys:
+        assert len({(c.add(key), c.tally.element_ops) for c in pair}) == 1
+    for key in probes:
+        assert len({(c.get(key), c.tally.element_ops) for c in pair}) == 1
+
+
+def _view_ledger(view):
+    # what scoring every attribute of the view books on treemap
+    tally = OpTally(level=len(view) % 3)
+    backend = make_backend(TREEMAP, tally)
+    for attr in range(view.base.schema.attribute_count):
+        process_attribute(view, attr, backend)
+    return _ledger(tally)
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    st.integers(min_value=1, max_value=5),
+    st.integers(min_value=2, max_value=70),
+    st.integers(min_value=1, max_value=300),
+    st.integers(min_value=0, max_value=10**6),
+    st.data(),
+)
+def test_treemap_views_book_what_the_reference_books(d, classes, rows, seed, data):
+    # the parallel-list counter and the object-node reference it replaced
+    # book the same ledger for every scan of a random mixed-attribute view
+    base = random_dataset(random_schema(d, classes, seed), rows, seed)
+    rows_strategy = st.integers(min_value=0, max_value=rows - 1)
+    view = SubsetView(base, data.draw(st.lists(rows_strategy, unique=True, max_size=rows)))
+    got = _view_ledger(view)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(counters, "SparseClassCounter", ReferenceCounter)
+        want = _view_ledger(view)
+    assert got == want
 
 
 def test_treemap_build_with_long_scans_is_pinned():

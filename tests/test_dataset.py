@@ -43,6 +43,20 @@ def test_attribute_validation():
         Attribute("c", "ordinal", 2)
 
 
+def test_attribute_rejects_a_domain_size_that_is_not_an_integer():
+    # train would fail later multiplying the class-branch table by 2.5
+    for size in (2.5, 3.0, True):
+        with pytest.raises(ValueError, match="integer domain size"):
+            Attribute("c", DISCRETE, size)
+    assert Attribute("c", DISCRETE, np.int64(3)).domain_size == 3
+
+
+def test_schema_rejects_a_class_count_that_is_not_an_integer():
+    for count in (2.0, True):
+        with pytest.raises(ValueError, match="integer class count"):
+            AttributeSchema((Attribute("a", REAL),), count)
+
+
 def test_schema_validation():
     with pytest.raises(ValueError):
         AttributeSchema((Attribute("a", REAL), Attribute("a", REAL)), 2)
@@ -189,6 +203,22 @@ def test_schema_file_roundtrip(tmp_path):
     path = tmp_path / "schema.csv"
     write_schema(attrs, path)
     assert read_schema(path) == attrs
+
+
+def test_schema_file_quotes_names_like_save_csv(tmp_path):
+    # names with a comma, a quote or a line break round-trip through the
+    # quoted form; plain names keep their unquoted bytes
+    attrs = (
+        Attribute("a,b", REAL),
+        Attribute('say "hi"', DISCRETE, 3),
+        Attribute("two\nlines", REAL),
+        Attribute("x1", REAL),
+        Attribute("c", DISCRETE, 3),
+    )
+    path = tmp_path / "schema.csv"
+    write_schema(attrs, path)
+    assert read_schema(path) == attrs
+    assert path.read_bytes().endswith(b"\nx1,real\nc,discrete,3\n")
 
 
 def test_read_schema_reports_offending_line(tmp_path):
