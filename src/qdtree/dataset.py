@@ -35,6 +35,9 @@ class Attribute:
     domain_size: int | None = None
 
     def __post_init__(self):
+        # every reader strips names, so a padded one could not be read back
+        if self.name != self.name.strip():
+            raise ValueError("attribute name %r has leading or trailing whitespace" % (self.name,))
         if self.kind not in (REAL, DISCRETE):
             raise ValueError("attribute kind must be %r or %r, got %r" % (REAL, DISCRETE, self.kind))
         if self.kind == DISCRETE:
@@ -279,13 +282,80 @@ def _parse_value(token, attribute, path, lineno):
     return v
 
 
+# Rows parsed together: enough to spread numpy's per-call cost over many
+# cells, few enough that a block's strings stay small beside the columns.
+BLOCK_ROWS = 4096
+
+_PARSERS = {REAL: (float, np.float64), DISCRETE: (int, np.int64)}
+
+
+def _blocks(records):
+    """Lists of up to BLOCK_ROWS non-blank (line, row) records. On a reader
+    error the records before it come out first, so that a bad cell ahead of
+    the error is the one reported."""
+    block = []
+    try:
+        for record in records:
+            if record[1]:
+                block.append(record)
+                if len(block) == BLOCK_ROWS:
+                    yield block
+                    block = []
+    except DataFormatError:
+        if block:
+            yield block
+        raise
+    if block:
+        yield block
+
+
+def _parse_columns(rows, attributes):
+    """One array per attribute for rows of the right width, parsed a column
+    at a time, or None when a token does not parse as it stands or a value
+    is not finite or is outside its domain."""
+    columns = []
+    try:
+        for a, tokens in zip(attributes, zip(*rows)):
+            parse, dtype = _PARSERS[a.kind]
+            values = np.fromiter(map(parse, tokens), dtype, len(rows))
+            if a.kind == REAL:
+                valid = np.isfinite(values).all()
+            else:
+                valid = values.min() >= 1 and values.max() <= a.domain_size
+            if not valid:
+                return None
+            columns.append(values)
+    except (ValueError, OverflowError):
+        return None
+    return columns
+
+
+def _parse_cells(block, attributes, width, path):
+    """The block's columns parsed cell by cell, in row order: raises the
+    first bad width or cell with its line and column, and parses a token
+    that `float` or `int` accepts only once stripped."""
+    cols = [[] for _ in attributes]
+    for lineno, row in block:
+        if len(row) != width:
+            raise DataFormatError(
+                "%s line %d: expected %d fields, got %d" % (path, lineno, width, len(row))
+            )
+        for col, a, token in zip(cols, attributes, row):
+            col.append(_parse_value(token, a, path, lineno))
+    return [np.array(col, _PARSERS[a.kind][1]) for a, col in zip(attributes, cols)]
+
+
 def _read_csv(path, attributes, labeled):
-    """The one CSV loop: returns a list of parsed values per attribute and,
-    when labeled, every row's stripped label. The header is the attribute
-    names plus `class`; an unlabeled read may also omit `class`."""
+    """The one CSV loop: returns an array of parsed values per attribute
+    and, when labeled, every row's stripped label. The header is the
+    attribute names plus `class`; an unlabeled read may also omit `class`.
+
+    Cells are parsed a block of rows at a time, one column per call; a
+    block that fails goes through the per-cell path, which reports the
+    first error in row order."""
     names = [a.name for a in attributes]
     expected = names + ["class"] if labeled else names
-    cols = [[] for _ in attributes]
+    parts = [[] for _ in attributes]
     labels = []
     with open(path, newline="", encoding="utf-8-sig") as fh:
         reader = _records(csv.reader(fh), path)
@@ -299,18 +369,21 @@ def _read_csv(path, attributes, labeled):
                 % (path, header if labeled else stripped, expected)
             )
         width = len(header)
-        for lineno, row in reader:
-            if not row:
-                continue
-            if len(row) != width:
-                raise DataFormatError(
-                    "%s line %d: expected %d fields, got %d" % (path, lineno, width, len(row))
-                )
-            for col, a, token in zip(cols, attributes, row):
-                col.append(_parse_value(token, a, path, lineno))
+        for block in _blocks(reader):
+            rows = [row for _, row in block]
+            columns = None
+            if all(len(row) == width for row in rows):
+                columns = _parse_columns(rows, attributes)
+            if columns is None:
+                columns = _parse_cells(block, attributes, width, path)
+            for part, values in zip(parts, columns):
+                part.append(values)
             if labeled:
-                labels.append(row[-1].strip())
-    return cols, labels
+                labels.extend(row[-1].strip() for row in rows)
+            # free this block's strings before the next block is read
+            del block, rows
+    # with no rows, every column is an empty float64 array
+    return [np.concatenate(part) if part else np.empty(0) for part in parts], labels
 
 
 def load_csv(path, attributes):
@@ -346,4 +419,4 @@ def load_feature_rows(path, attributes):
     tolerated and ignored so training files can be fed back in.
     """
     cols, _ = _read_csv(path, tuple(attributes), labeled=False)
-    return [np.asarray(col) for col in cols]
+    return cols

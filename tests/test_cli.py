@@ -288,6 +288,21 @@ def test_predict_rejects_malformed_model(tmp_path, capsys, mutate):
     assert "Traceback" not in err
 
 
+def test_predict_rejects_a_padded_attribute_name(tmp_path, capsys):
+    # no reader could match a name with outer whitespace to a header
+    csv, sch = write_planted(tmp_path, n=60, d=3, depth=1, seed=2)
+    model = tmp_path / "m.json"
+    assert run(["train", "--data", csv, "--schema", sch, "--out", model]) == 0
+    doc = json.loads(model.read_text())
+    doc["schema"]["attributes"][0]["name"] = " a0"
+    model.write_text(json.dumps(doc))
+    capsys.readouterr()
+    assert run(["predict", "--model", model, "--data", csv]) == 2
+    assert capsys.readouterr().err == (
+        "error: attribute name ' a0' has leading or trailing whitespace\n"
+    )
+
+
 def _model_text(root):
     head = json.dumps(
         {

@@ -1,8 +1,17 @@
 """Schema, column-store dataset, subset views, partitioning, and file IO."""
 
+import csv
+import re
+import sys
+from unittest import mock
+
 import numpy as np
 import pytest
+from csv_reference import read_csv as reference_read_csv
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
+from qdtree import dataset
 from qdtree.dataset import (
     DISCRETE,
     REAL,
@@ -41,6 +50,16 @@ def test_attribute_validation():
         Attribute("b", DISCRETE, 1)  # at least two branches
     with pytest.raises(ValueError):
         Attribute("c", "ordinal", 2)
+
+
+@pytest.mark.parametrize("name", [" x", "x ", "\tx", "x\n", "\x1cx", "x\u3000"])
+def test_attribute_rejects_a_name_with_outer_whitespace(name):
+    # every reader strips names, so write_schema then read_schema would
+    # hand back a different attribute
+    with pytest.raises(ValueError, match=re.escape(repr(name))):
+        Attribute(name, REAL)
+    with pytest.raises(ValueError, match="leading or trailing whitespace"):
+        Attribute(name, DISCRETE, 2)
 
 
 def test_attribute_rejects_a_domain_size_that_is_not_an_integer():
@@ -390,3 +409,127 @@ def test_empty_training_set_message_is_pinned(tmp_path):
     with pytest.raises(DataFormatError) as e:
         load_csv(path, READER_ATTRS)
     assert str(e.value) == "%s: empty training set" % (path,)
+
+
+def _first_error_file(path, labeled):
+    # a bad cell on line 4102 sits in the second block, ahead of a field
+    # the csv module rejects on line 4153
+    tail = ",a" if labeled else ""
+    lines = ["x1,color,class" if labeled else "x1,color"]
+    lines += ["1.0,1" + tail] * 4100 + ["oops,1" + tail] + ["1.0,1" + tail] * 50
+    lines.append('1.0,"%s"%s' % ("x" * 200_000, tail))
+    path.write_text("\n".join(lines) + "\n")
+
+
+def test_a_bad_cell_wins_over_a_later_reader_error(tmp_path):
+    path = tmp_path / "in.csv"
+    want = "%s line 4102, column 'x1': 'oops' is not a number" % (path,)
+    _first_error_file(path, labeled=True)
+    with pytest.raises(DataFormatError) as e:
+        load_csv(path, READER_ATTRS)
+    assert str(e.value) == want
+    _first_error_file(path, labeled=False)
+    with pytest.raises(DataFormatError) as e:
+        load_feature_rows(path, READER_ATTRS)
+    assert str(e.value) == want
+
+
+# The block reader against the per-cell reader it replaced. Cells are
+# padded with every character str.isspace accepts: float() and int() take
+# all of them but U+001C..U+001F, which only str.strip removes, so those
+# blocks parse through the per-cell path.
+PADDING = "".join(c for c in map(chr, range(sys.maxunicode + 1)) if c.isspace())
+GOOD_REALS = st.one_of(
+    st.floats(allow_nan=False, allow_infinity=False).map(repr),
+    st.integers(-(10**20), 10**20).map(str),
+    # digit separators, and Arabic-Indic, Persian and fullwidth digits
+    st.sampled_from(
+        ["1_0", "1_000.5", "-0", "1e-400", "+.5", "\u0663", "\u06f1\u06f2.\u06f5", "\uff11"]
+    ),
+)
+GOOD_INTS = st.one_of(
+    st.integers(1, 3).map(str),
+    st.sampled_from(["+2", "03", "0_1", "\u0663", "\uff12"]),
+)
+BAD_CELLS = st.sampled_from(
+    [
+        "nan", "-inf", "Infinity", "1e400", "-1e400", "oops", "", "2.5", "0", "4", "-1",
+        "1__0", "_1", "1_", "0x10", "1" * 5000, str(2**63), str(2**63 - 1), str(-(2**63) - 1),
+    ]
+)
+LABELS = st.text(alphabet='ab \t\n,"\x1c', max_size=3)
+TOO_LONG = "7" * (csv.field_size_limit() + 1)
+
+
+def _padded(cells):
+    pad = st.text(alphabet=PADDING, max_size=2)
+    return st.tuples(pad, cells, pad).map("".join)
+
+
+def _csv_line(cells):
+    return ",".join(
+        '"%s"' % c.replace('"', '""') if any(ch in c for ch in ',"\r\n') else c for c in cells
+    )
+
+
+@st.composite
+def reader_files(draw):
+    """CSV text for READER_ATTRS with or without a class column: good rows,
+    blank lines, and faults at up to three drawn rows: a bad cell, a wrong
+    width or a field over the csv module's limit."""
+    width = draw(st.sampled_from([2, 3]))
+    rows = [
+        [draw(_padded(GOOD_REALS)), draw(_padded(GOOD_INTS))] + [draw(LABELS)] * (width == 3)
+        for _ in range(draw(st.integers(0, 12)))
+    ]
+    for i in draw(st.lists(st.integers(0, len(rows) - 1), max_size=3, unique=True)) if rows else ():
+        row = rows[i]
+        fault = draw(st.sampled_from(["cell", "cell", "width", "reader"]))
+        if fault == "cell":
+            row[draw(st.integers(0, 1))] = draw(_padded(BAD_CELLS))
+        elif fault == "width":
+            row[:] = row[:-1] if draw(st.booleans()) else row + ["1"]
+        else:
+            row[draw(st.integers(0, len(row) - 1))] = TOO_LONG
+    lines = [",".join(["x1", "color", "class"][:width])]
+    for row in rows:
+        lines += [""] * draw(st.integers(0, 1)) + [_csv_line(row)]
+    return "\n".join(lines) + "\n"
+
+
+@pytest.fixture(scope="module")
+def reader_path(tmp_path_factory):
+    return tmp_path_factory.mktemp("reader") / "in.csv"
+
+
+def _read_both(path, labeled):
+    results = []
+    for read in (dataset._read_csv, reference_read_csv):
+        try:
+            cols, labels = read(path, READER_ATTRS, labeled)
+        except DataFormatError as e:
+            results.append(str(e))
+        else:
+            cols = [np.asarray(col) for col in cols]
+            results.append(([(col.dtype, col.shape, col.tobytes()) for col in cols], labels))
+    return results
+
+
+@settings(max_examples=300, deadline=None)
+@given(text=reader_files(), labeled=st.booleans(), block_rows=st.integers(1, 5))
+# a width error after a bad cell in the same block
+@example(text="x1,color\noops,1\n1.0\n", labeled=False, block_rows=4)
+# a bad cell read before a field over the csv module's limit
+@example(text="x1,color\n1,1\noops,1\n1,%s\n" % TOO_LONG, labeled=False, block_rows=4)
+# a bad cell in the block before a width error
+@example(text="x1,color\n1,1\n1,0\n1,1,1\n", labeled=False, block_rows=2)
+# separator characters that only str.strip removes, in a block that parses
+@example(text="x1,color\n\x1c1.5\x1f,\x1e2\x1d\n1,1\n", labeled=False, block_rows=1)
+@example(text="x1,color,class\n", labeled=True, block_rows=1)
+# int64 overflow, which numpy raises as OverflowError
+@example(text="x1,color\n1,%d\n" % 2**63, labeled=False, block_rows=1)
+def test_block_reader_matches_the_per_cell_reader(reader_path, text, labeled, block_rows):
+    reader_path.write_text(text, encoding="utf-8")
+    with mock.patch.object(dataset, "BLOCK_ROWS", block_rows):
+        got, want = _read_both(reader_path, labeled)
+    assert got == want
