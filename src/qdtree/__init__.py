@@ -19,14 +19,7 @@ from .builder import (
     training_accuracy,
 )
 from .counters import BASELINE, TREEMAP, OpTally, SparseClassCounter, make_backend
-from .criteria import (
-    INVALID_SPLIT,
-    SplitScore,
-    gain,
-    gain_ratio,
-    information,
-    potential_information,
-)
+from .criteria import INVALID_SPLIT, SplitScore, gain_ratio
 from .dataset import (
     DISCRETE,
     REAL,
@@ -80,14 +73,11 @@ __all__ = [
     "default_repeats",
     "durr_hoyer_max",
     "format_tree",
-    "gain",
     "gain_ratio",
-    "information",
     "load_csv",
     "load_model",
     "make_backend",
     "partition",
-    "potential_information",
     "process_attribute",
     "q_choose_split",
     "q_train",

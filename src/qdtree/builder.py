@@ -54,10 +54,10 @@ class BuildConfig:
     verify: bool = False
 
     def __post_init__(self):
-        if self.max_height < 0:
-            raise ValueError("max_height must be >= 0")
-        if self.min_split < 2:
-            raise ValueError("min_split must be >= 2")
+        if not is_integer(self.max_height) or self.max_height < 0:
+            raise ValueError("max_height must be an integer >= 0, got %r" % (self.max_height,))
+        if not is_integer(self.min_split) or self.min_split < 2:
+            raise ValueError("min_split must be an integer >= 2, got %r" % (self.min_split,))
         if self.backend not in BACKENDS:
             raise ValueError("backend must be one of %s" % (", ".join(BACKENDS),))
         if self.backend == QUANTUM and self.seed is None:

@@ -1,8 +1,11 @@
-"""Splitting-criterion mathematics.
+"""Splitting-criterion arithmetic shared by the split scanners.
 
 All entropy quantities are measured in bits (base-2 logarithms). The
 0 * log(0) = 0 convention applies throughout, so empty classes and empty
-branches contribute nothing.
+branches contribute nothing. This module holds only what the scanners and
+choosers use: the xlog2x term, running counts, and the gain-ratio score.
+Entropy and gain computed from their definitions, the ground truth the
+scanners' incremental sums are checked against, live in qdtree.oracle.
 """
 
 import math
@@ -37,56 +40,6 @@ def running_counts(keys):
     counts = np.empty(n, dtype=np.int64)
     counts[order] = ranks - np.maximum.accumulate(np.where(starts, ranks, 0)) + 1
     return counts
-
-
-def information(counts):
-    """Entropy in bits of a vector of non-negative counts:
-    -sum_j p_j * log2(p_j) over the non-zero entries.
-
-    Class counts give the class entropy, always in [0, log2(number of
-    non-zero classes)]. Raises on a negative entry and on an all-zero
-    vector, which has no defined entropy.
-    """
-    n = 0
-    for c in counts:
-        if c < 0:
-            raise ValueError("counts cannot be negative")
-        n += c
-    if n <= 0:
-        raise ValueError("cannot take the information of an empty set")
-    acc = 0.0
-    for c in counts:
-        if c:
-            p = c / n
-            acc -= p * math.log2(p)
-    return max(0.0, acc)
-
-
-#: Entropy of the branch-size distribution, -sum_i (n_i/n) log2(n_i/n).
-potential_information = information
-
-
-def gain(parent, branches):
-    """Information gain of partitioning the class counts `parent` into the
-    class-count vectors `branches`.
-
-    Every vector has one entry per class and the branches must sum, class
-    by class, to the parent; all-zero branches are legal and contribute
-    nothing.
-    """
-    total = sum(sum(b) for b in branches)
-    n = sum(parent)
-    if total != n:
-        raise ValueError("branch sizes sum to %d but the parent holds %d samples" % (total, n))
-    merged = [sum(column) for column in zip(*branches)]
-    if any(len(b) != len(parent) for b in branches) or merged != list(parent):
-        raise ValueError("branch class counts do not sum to the parent's counts")
-    g = information(parent)
-    for b in branches:
-        size = sum(b)
-        if size:
-            g -= (size / n) * information(b)
-    return g
 
 
 @dataclass(frozen=True)

@@ -75,6 +75,14 @@ class AttributeSchema:
         return self.attributes[attr].domain_size
 
 
+def _flat(values, what):
+    """values as an array, once it is one-dimensional."""
+    values = np.asarray(values)
+    if values.ndim != 1:
+        raise ValueError("%s must be one-dimensional, got shape %s" % (what, values.shape))
+    return values
+
+
 def _whole_numbers(values, high, what):
     """values as an int64 array, once each is a whole number in 1..high.
 
@@ -108,13 +116,18 @@ class Dataset:
             raise ValueError(
                 "%d columns for %d attributes" % (len(columns), schema.attribute_count)
             )
+        columns = [
+            _flat(col, "column %r" % (a.name,)) for a, col in zip(schema.attributes, columns)
+        ]
         self.columns = [
             np.asarray(col, dtype=np.float64)
             if a.kind == REAL
             else _whole_numbers(col, a.domain_size, "attribute %r holds values" % (a.name,))
             for a, col in zip(schema.attributes, columns)
         ]
-        self.labels = _whole_numbers(labels, schema.class_count, "class indices")
+        self.labels = _whole_numbers(
+            _flat(labels, "class indices"), schema.class_count, "class indices"
+        )
         self.class_labels = tuple(class_labels)
         self._validate()
 
@@ -134,9 +147,6 @@ class Dataset:
     def n_rows(self):
         return len(self.labels)
 
-    def column(self, attr):
-        return self.columns[attr]
-
     def row(self, i):
         return tuple(self.columns[j][i] for j in range(self.schema.attribute_count))
 
@@ -154,7 +164,7 @@ class SubsetView:
 
     def __init__(self, base, indices):
         self.base = base
-        indices = np.asarray(indices)
+        indices = _flat(indices, "row indices")
         if len(indices) and indices.dtype.kind not in "iu":
             raise ValueError("row indices must be integers, got %s" % (indices.dtype,))
         self.indices = indices.astype(np.int64, copy=False)
@@ -171,7 +181,7 @@ class SubsetView:
         return self.base.labels[self.indices]
 
     def values(self, attr):
-        return self.base.column(attr)[self.indices]
+        return self.base.columns[attr][self.indices]
 
 
 def _subview(view, mask):

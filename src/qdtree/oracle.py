@@ -1,11 +1,15 @@
 """From-definition reference scoring used as ground truth in tests.
 
-Everything here is recomputed naively per candidate: labels are materialized
-as plain lists, histograms are collections.Counter, and every score comes
-straight from the relative-frequency entropy definitions. No prefix tables,
-no incremental accumulators, no shared counter machinery. Equivalence tests
-against the production scanners are meaningful only because the two sides
-share nothing beyond float arithmetic and math.log2.
+This is the package's one from-definition entropy: `entropy` is its only
+entropy loop, and `gain`, the potential information and every candidate
+score are built on it. Everything here is recomputed naively per
+candidate: labels are materialized as plain lists, histograms are
+collections.Counter, and every score comes straight from the
+relative-frequency definitions. No prefix tables, no incremental
+accumulators, no shared counter machinery: of the package this module
+imports only the dataset model. Equivalence tests against the production
+scanners are meaningful only because the two sides share nothing beyond
+float arithmetic and math.log2.
 
 Not performance-tuned on purpose; intended for desk-scale instances only.
 """
@@ -21,27 +25,40 @@ from .dataset import DISCRETE, REAL, SubsetView
 TRIVIAL_POTENTIAL = 1e-12
 
 
-def label_entropy(labels):
-    """Entropy in bits of a label sequence, from relative frequencies."""
-    n = len(labels)
-    if n == 0:
-        return 0.0
-    h = 0.0
-    for count in Counter(labels).values():
-        p = count / n
-        h -= p * math.log2(p)
-    return h
+def entropy(counts):
+    """Entropy in bits of a vector of non-negative counts, from relative
+    frequencies: -sum_j p_j * log2(p_j) over the non-zero entries. An
+    all-zero or empty vector has entropy 0.
 
-
-def size_entropy(sizes):
-    """Entropy in bits of a partition's size distribution; zeros contribute 0."""
-    total = sum(sizes)
+    Class counts give the class entropy; branch sizes give the potential
+    information of a partition.
+    """
+    total = sum(counts)
     h = 0.0
-    for s in sizes:
-        if s:
-            p = s / total
+    for c in counts:
+        if c:
+            p = c / total
             h -= p * math.log2(p)
     return h
+
+
+def label_entropy(labels):
+    """Entropy in bits of a label sequence."""
+    return entropy(Counter(labels).values())
+
+
+def gain(parent, branches):
+    """Information gain of partitioning the counts `parent` into the count
+    vectors `branches`: entropy(parent) - sum_b (|b| / n) * entropy(b),
+    where |b| is a branch's total and n the parent's. Empty branches
+    contribute nothing."""
+    n = sum(parent)
+    g = entropy(parent)
+    for b in branches:
+        size = sum(b)
+        if size:
+            g -= (size / n) * entropy(b)
+    return g
 
 
 def majority_label(labels):
@@ -74,11 +91,8 @@ class OracleResult:
 
 
 def _scored(attr, kind, theta, labels, branch_labels):
-    n = len(labels)
-    g = label_entropy(labels)
-    for part in branch_labels:
-        g -= (len(part) / n) * label_entropy(part)
-    p = size_entropy([len(part) for part in branch_labels])
+    g = gain(Counter(labels).values(), [Counter(part).values() for part in branch_labels])
+    p = entropy([len(part) for part in branch_labels])
     valid = p > TRIVIAL_POTENTIAL
     ratio = g / p if valid else 0.0
     return OracleCandidate(
@@ -122,14 +136,14 @@ def candidates_for_attribute(view, attr):
     return out
 
 
-def _beats(challenger, incumbent):
-    if incumbent is None:
-        return True
-    if challenger.ratio != incumbent.ratio:
-        return challenger.ratio > incumbent.ratio
-    ckey = (challenger.attr, challenger.theta if challenger.theta is not None else 0.0)
-    ikey = (incumbent.attr, incumbent.theta if incumbent.theta is not None else 0.0)
-    return ckey < ikey
+def _best(candidates):
+    """The best valid candidate under the builder's tie-break (highest ratio,
+    then lowest attribute, then lowest threshold), or None."""
+    return max(
+        (cand for cand in candidates if cand.valid),
+        key=lambda cand: (cand.ratio, -cand.attr, -(cand.theta or 0.0)),
+        default=None,
+    )
 
 
 def brute_force_best_split(view):
@@ -137,20 +151,12 @@ def brute_force_best_split(view):
     table = []
     for attr in range(view.base.schema.attribute_count):
         table.extend(candidates_for_attribute(view, attr))
-    best = None
-    for cand in table:
-        if cand.valid and _beats(cand, best):
-            best = cand
-    return OracleResult(table=table, best=best)
+    return OracleResult(table=table, best=_best(table))
 
 
 def attribute_best(view, attr):
     """Best valid candidate restricted to one attribute, or None."""
-    best = None
-    for cand in candidates_for_attribute(view, attr):
-        if cand.valid and _beats(cand, best):
-            best = cand
-    return best
+    return _best(candidates_for_attribute(view, attr))
 
 
 def argmax_attributes(view, tol=0.0):

@@ -14,7 +14,7 @@ import numpy as np
 from . import oracle as reference
 from .builder import QUANTUM, BuildConfig, choose_split, serialize_model, train
 from .counters import BASELINE, TREEMAP, make_backend
-from .criteria import gain, gain_ratio, potential_information
+from .criteria import gain_ratio
 from .dataset import SubsetView
 from .qbuilder import q_choose_split, q_train
 from .qsearch import ScoringOracle, default_repeats, durr_hoyer_max, query_budget
@@ -166,8 +166,8 @@ def incremental_discrete(instances=200, seed=0):
         branches = [
             [pairs.count((w, j)) for j in range(1, m + 1)] for w in range(1, domain_size + 1)
         ]
-        potential = potential_information([sum(b) for b in branches])
-        batch = gain_ratio(gain(parent, branches), potential)
+        potential = reference.entropy([sum(b) for b in branches])
+        batch = gain_ratio(reference.gain(parent, branches), potential)
         score = got[0]
         assert score.valid == batch.valid
         if score.valid:

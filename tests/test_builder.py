@@ -88,6 +88,27 @@ def test_config_rejects_a_fractional_or_bool_seed():
     assert BuildConfig(backend="quantum", seed=np.int64(7)).seed == 7
 
 
+@pytest.mark.parametrize(
+    "field,value",
+    [
+        ("max_height", "3"),  # a bare TypeError from the comparison
+        ("max_height", 2.5),  # a height no level can reach exactly
+        ("max_height", True),
+        ("min_split", 2.5),
+        ("min_split", "2"),
+        ("min_split", True),
+    ],
+)
+def test_config_rejects_a_height_or_split_size_that_is_not_an_integer(field, value):
+    with pytest.raises(ValueError, match="%s must be an integer" % field):
+        BuildConfig(**{field: value})
+
+
+def test_config_accepts_numpy_integer_knobs():
+    config = BuildConfig(max_height=np.int64(3), min_split=np.int32(4))
+    assert (config.max_height, config.min_split) == (3, 4)
+
+
 def test_choose_split_takes_best_ratio():
     schema = AttributeSchema((Attribute("x1", REAL), Attribute("x2", REAL)), 2)
     # x2 separates perfectly, x1 only partially

@@ -159,6 +159,31 @@ def test_dataset_rejects_bad_labels_and_shapes():
         Dataset(schema, [[1.0]], [1, 2], ("a", "b"))
 
 
+@pytest.mark.parametrize("kind", [REAL, DISCRETE])
+def test_dataset_rejects_a_column_of_rows(kind):
+    # an (n, 1) column used to be stored as given, and train then died in
+    # the scans with a bare TypeError
+    attribute = Attribute("x", REAL) if kind == REAL else Attribute("x", DISCRETE, 2)
+    schema = AttributeSchema((attribute,), 2)
+    with pytest.raises(ValueError, match=r"column 'x' must be one-dimensional, got shape \(2, 1\)"):
+        Dataset(schema, [[[1], [2]]], [1, 2], ("a", "b"))
+
+
+@pytest.mark.parametrize("labels", [1, [[1, 2]]], ids=["scalar", "row"])
+def test_dataset_rejects_labels_that_are_not_a_vector(labels):
+    schema = AttributeSchema((Attribute("x", REAL),), 2)
+    with pytest.raises(ValueError, match="class indices must be one-dimensional"):
+        Dataset(schema, [[1.0, 2.0]], labels, ("a", "b"))
+
+
+@pytest.mark.parametrize("indices", [3, [[1, 2]]], ids=["scalar", "row"])
+def test_subset_view_rejects_indices_that_are_not_a_vector(indices):
+    # a scalar raised a bare TypeError, and [[1, 2]] was reported as
+    # holding duplicate indices
+    with pytest.raises(ValueError, match="row indices must be one-dimensional"):
+        SubsetView(two_column_data(), indices)
+
+
 def test_subset_view_basics():
     data = two_column_data()
     v = SubsetView(data, [2, 0])

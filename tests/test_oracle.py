@@ -5,8 +5,16 @@ against, so its own tests lean on instances small enough to work out by
 hand.
 """
 
+import ast
+import random
+from collections import Counter
+from pathlib import Path
+
 import pytest
 
+import qdtree
+from qdtree.builder import BuildConfig, Leaf, train
+from qdtree.counters import BASELINE, TREEMAP
 from qdtree.dataset import (
     DISCRETE,
     REAL,
@@ -20,12 +28,13 @@ from qdtree.oracle import (
     attribute_best,
     brute_force_best_split,
     candidates_for_attribute,
+    entropy,
     exhaustive_depth1_accuracy,
     label_entropy,
     majority_label,
     reference_tree,
-    size_entropy,
 )
+from qdtree.verify import SCORE_TOL
 
 ENTROPY_3_1 = 0.8112781244591328
 GAIN_3_1_AT_25 = 0.3112781244591328
@@ -42,8 +51,8 @@ def test_label_entropy_hand_values():
     assert label_entropy([1, 1, 2, 2]) == 1.0
     assert label_entropy([1, 1, 1]) == 0.0
     assert label_entropy([1, 1, 1, 2]) == ENTROPY_3_1
-    assert size_entropy([1, 3]) == ENTROPY_3_1
-    assert size_entropy([2, 2]) == 1.0
+    assert entropy([1, 3]) == ENTROPY_3_1
+    assert entropy([2, 2]) == 1.0
 
 
 def test_majority_label_breaks_ties_low():
@@ -163,3 +172,116 @@ def test_reference_tree_splits_separable_data():
     assert tree["attr"] == 0 and tree["theta"] == 2.5
     assert tree["children"] == [{"class": 1}, {"class": 2}]
 
+
+
+# --- whole trees against the reference ---
+
+
+def coarse_mixed_data(rng):
+    """A small random mixed dataset whose real values lie on a grid of
+    halves, so that values repeat and splits tie."""
+    attributes = []
+    for j in range(rng.randint(1, 4)):
+        if rng.random() < 0.5:
+            attributes.append(Attribute("a%d" % j, REAL))
+        else:
+            attributes.append(Attribute("a%d" % j, DISCRETE, rng.randint(2, 4)))
+    m = rng.randint(2, 3)
+    n = rng.randint(2, 30)
+    columns = [
+        [rng.randint(0, 4) / 2 for _ in range(n)]
+        if a.kind == REAL
+        else [rng.randint(1, a.domain_size) for _ in range(n)]
+        for a in attributes
+    ]
+    labels = [rng.randint(1, m) for _ in range(n)]
+    names = tuple("c%d" % (j + 1) for j in range(m))
+    return Dataset(AttributeSchema(tuple(attributes), m), columns, labels, names)
+
+
+def reference_ratio(view, attr, theta):
+    """The reference's gain ratio of the one split (attr, theta) on view."""
+    (cand,) = [c for c in candidates_for_attribute(view, attr) if c.theta == theta]
+    assert cand.valid
+    return cand.ratio
+
+
+def tree_mismatches(node, ref, view):
+    """Where a built tree and the reference tree disagree, walking both in
+    preorder below their first difference on each path. A split that
+    differs passes only if the two splits' reference ratios are a tie
+    within SCORE_TOL; it is returned as ("near-tie", ...), any other
+    difference as ("mismatch", ...)."""
+    out = []
+    stack = [(node, ref, view)]
+    while stack:
+        node, ref, view = stack.pop()
+        if isinstance(node, Leaf) or "class" in ref:
+            if not (isinstance(node, Leaf) and node.class_index == ref.get("class")):
+                out.append(("mismatch", node, ref))
+            continue
+        test = node.test
+        if (test.attr, test.theta) != (ref["attr"], ref["theta"]):
+            built = reference_ratio(view, test.attr, test.theta)
+            chosen = reference_ratio(view, ref["attr"], ref["theta"])
+            tie = abs(built - chosen) <= SCORE_TOL
+            out.append(("near-tie" if tie else "mismatch", test, ref))
+            continue
+        values = view.values(test.attr)
+        if test.kind == REAL:
+            masks = [values <= test.theta, values > test.theta]
+        else:
+            masks = [values == w for w in range(1, test.branch_count + 1)]
+        assert len(masks) == len(node.children) == len(ref["children"])
+        for child, ref_child, mask in zip(node.children, ref["children"], masks):
+            stack.append((child, ref_child, SubsetView(view.base, view.indices[mask])))
+    return out
+
+
+def test_whole_trees_match_the_reference_up_to_near_ties():
+    rng = random.Random("whole-tree-reference")
+    kinds = Counter()
+    for _ in range(600):
+        data = coarse_mixed_data(rng)
+        height = rng.randint(0, 4)
+        min_split = rng.randint(2, 4)
+        ref = reference_tree(data.full_view(), height, min_split)
+        for backend in (BASELINE, TREEMAP):
+            tree = train(data, BuildConfig(max_height=height, min_split=min_split, backend=backend))
+            found = tree_mismatches(tree.root, ref, data.full_view())
+            assert [f for f in found if f[0] == "mismatch"] == []
+            kinds.update(f[0] for f in found)
+    # the coarse grid does make ties, so the near-tie rule is exercised
+    assert kinds["near-tie"] > 0
+
+
+# --- the reference shares no code with the scanners ---
+
+PACKAGE = Path(qdtree.__file__).resolve().parent
+
+
+def package_imports(module):
+    """The qdtree modules that src/qdtree/<module>.py imports, relatively or
+    by absolute name."""
+    modules = {p.stem for p in PACKAGE.glob("*.py")}
+    found = set()
+    for node in ast.walk(ast.parse((PACKAGE / ("%s.py" % module)).read_text())):
+        if isinstance(node, ast.Import):
+            found.update(a.name.split(".")[1] for a in node.names if a.name.startswith("qdtree."))
+        elif isinstance(node, ast.ImportFrom):
+            if node.level:
+                base = node.module or ""
+            elif node.module == "qdtree" or node.module.startswith("qdtree."):
+                base = node.module.partition(".")[2]
+            else:
+                continue
+            found.update([base.split(".")[0]] if base else [a.name for a in node.names])
+    return found & modules
+
+
+def test_the_oracle_shares_no_code_with_the_scanners():
+    assert package_imports("oracle") <= {"dataset"}
+    for module in ("criteria", "counters", "splitscan", "builder", "qsearch", "qbuilder", "dataset"):
+        assert "oracle" not in package_imports(module), module
+    # the parse sees every import form the package uses
+    assert package_imports("verify") >= {"oracle", "builder", "criteria", "dataset"}
