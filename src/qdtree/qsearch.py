@@ -13,6 +13,17 @@ classical cost. Sizing the marked set needs every score, so the oracle is a
 counted view over a score list fixed before the search: the caller scores
 each index exactly once, however many queries the search then spends.
 
+Draw contract: a search reads its rng only through rng.random() (one per
+round, for the hit) and rng.getrandbits(), the latter through _below(), which
+draws a uniform index exactly as CPython's randrange() does. The hit odds
+come from a row per marked-set size that the oracle computes once and keeps,
+so every repeat over the same scores shares it.
+
+durr_hoyer_max() inlines three harness steps in its round loop: measure()'s
+bisection for t, redone only when the threshold moves; its hit and index
+draws; and the per-round charge(2m), booked as one charge() when the search
+ends. It still reads every measured index through evaluate().
+
 Indices run 0..K-1 throughout.
 """
 
@@ -45,6 +56,19 @@ class SearchStats:
     succeeded: bool = False
 
 
+def _below(bits, n):
+    """Uniform index in 0..n-1, for n >= 1, drawn through bits = rng.getrandbits.
+
+    Draws exactly the words CPython's rng.randrange(n) draws: n.bit_length()
+    bits at a time, redrawn until the value is below n.
+    """
+    k = n.bit_length()
+    r = bits(k)
+    while r >= n:
+        r = bits(k)
+    return r
+
+
 class ScoringOracle:
     """Counted access to a fixed list of scores over indices 0..K-1.
 
@@ -69,8 +93,8 @@ class ScoringOracle:
         # stable, so equal scores keep index order
         self._order = sorted(range(self.size), key=scores.__getitem__)
         self._keys = [scores[i] for i in self._order]
-        # asin(sqrt(t/K)) for every marked-set size t in 0..K
-        self._angles = [math.asin(math.sqrt(t / self.size)) for t in range(self.size + 1)]
+        # marked-set size t -> hit odds of m = 0, 1, ... iterations
+        self._odds = {}
 
     def evaluate(self, index):
         """One counted oracle query."""
@@ -83,6 +107,18 @@ class ScoringOracle:
 
     # ---- harness side ----
 
+    def _hit_odds(self, marked, length):
+        """sin^2((2m+1)*asin(sqrt(marked/K))) for m in 0..length-1 at least.
+
+        One row per marked-set size, kept for the oracle's lifetime, so every
+        search over the same scores shares it.
+        """
+        row = self._odds.get(marked)
+        if row is None or len(row) < length:
+            angle = math.asin(math.sqrt(marked / self.size))
+            row = self._odds[marked] = [math.sin((2 * m + 1) * angle) ** 2 for m in range(length)]
+        return row
+
     def measure(self, score, m, rng):
         """Index read out after m amplification iterations marking scores[i] > score.
 
@@ -91,9 +127,10 @@ class ScoringOracle:
         """
         pos = bisect_right(self._keys, score)
         marked = self.size - pos
-        if rng.random() < math.sin((2 * m + 1) * self._angles[marked]) ** 2:
-            return self._order[pos + rng.randrange(marked)]
-        return self._order[rng.randrange(pos)]
+        if rng.random() < self._hit_odds(marked, m + 1)[m]:
+            return self._order[pos + _below(rng.getrandbits, marked)]
+        # marking all K gives odds 1.0, so a miss leaves pos >= 1 to draw from
+        return self._order[_below(rng.getrandbits, pos)]
 
     def is_max_score(self, score):
         """Whether score order-equals the true maximum."""
@@ -112,32 +149,59 @@ def durr_hoyer_max(oracle, rng):
     whatever the draws. Returns (best index seen, SearchStats); only strict
     improvements move the threshold, so the result is the best score the
     search evaluated and never worse than the starting index.
+
+    The round loop inlines measure() and the per-round charge() (see the
+    module docstring), with the same draws in the same order.
     """
     size = oracle.size
     budget = query_budget(size)
     start = oracle.queries
-    stats = SearchStats()
-    best_index = rng.randrange(size)
-    best_score = oracle.evaluate(best_index)
-    m_max = 1.0
+    rand = rng.random
+    bits = rng.getrandbits
+    evaluate = oracle.evaluate
+    keys = oracle._keys
+    order = oracle._order
     m_cap = math.sqrt(size)
+    # 1 <= m_max <= m_cap, so every m is below int(m_cap)
+    longest = int(m_cap)
+    best_index = _below(bits, size)
+    best_score = evaluate(best_index)
+    pos = bisect_right(keys, best_score)
+    marked = size - pos
+    odds = oracle._hit_odds(marked, longest)
+    spent = 1
+    iterations = 0
+    m_max = 1.0
     while True:
-        remaining = budget - (oracle.queries - start)
-        affordable = int((remaining - 1) // 2)
+        affordable = int((budget - spent - 1) // 2)
         if affordable < 0:
             break
-        m = min(rng.randrange(max(1, int(m_max))), affordable)
-        oracle.charge(2 * m)
-        stats.grover_iterations += m
-        measured = oracle.measure(best_score, m, rng)
-        score = oracle.evaluate(measured)
+        m = _below(bits, int(m_max))
+        if affordable < m:
+            m = affordable
+        iterations += m
+        spent += 2 * m + 1
+        if rand() < odds[m]:
+            measured = order[pos + _below(bits, marked)]
+        else:
+            measured = order[_below(bits, pos)]
+        score = evaluate(measured)
         if best_score < score:
             best_index, best_score = measured, score
             m_max = 1.0
+            pos = bisect_right(keys, score)
+            marked = size - pos
+            odds = oracle._hit_odds(marked, longest)
         else:
-            m_max = min(m_max * GROWTH, m_cap)
-    stats.oracle_queries = oracle.queries - start
-    stats.succeeded = oracle.is_max_score(best_score)
+            m_max *= GROWTH
+            if m_cap < m_max:
+                m_max = m_cap
+    oracle.charge(2 * iterations)
+    stats = SearchStats(
+        oracle_queries=oracle.queries - start,
+        grover_iterations=iterations,
+        succeeded=oracle.is_max_score(best_score),
+    )
     return best_index, stats
 
 

@@ -200,7 +200,7 @@ class _NeverHits(random.Random):
     def random(self):
         return 1 - 2**-53
 
-    def randrange(self, *args):
+    def getrandbits(self, k):
         return 0
 
 

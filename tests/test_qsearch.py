@@ -8,8 +8,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import qsearch_reference as reference
 from qdtree.qsearch import (
     ScoringOracle,
+    _below,
     default_repeats,
     durr_hoyer_max,
     query_budget,
@@ -17,7 +19,7 @@ from qdtree.qsearch import (
 )
 
 
-class CountingOracle(ScoringOracle):
+class RecordsEvaluations:
     """Probe that records evaluate() calls independently of the ledger."""
 
     def __init__(self, scores):
@@ -27,6 +29,14 @@ class CountingOracle(ScoringOracle):
     def evaluate(self, index):
         self.evaluated.append(index)
         return super().evaluate(index)
+
+
+class CountingOracle(RecordsEvaluations, ScoringOracle):
+    pass
+
+
+class CountingReferenceOracle(RecordsEvaluations, reference.ScoringOracle):
+    pass
 
 
 def test_query_budget_values():
@@ -294,3 +304,64 @@ def test_repeated_max_wins_with_the_best_evaluated_score(scores, seed, repeats):
     o = CountingOracle(scores)
     best, _ = repeated_max(o, repeats, random.Random(seed))
     assert scores[best] == max(scores[i] for i in o.evaluated)
+
+
+@st.composite
+def search_cases(draw):
+    """(scores, repeats, seed): K in 1..100, 256 or 1024; tied ratios with
+    -inf among them, uniform floats, or an all-invalid list."""
+    size = draw(st.one_of(st.integers(1, 100), st.sampled_from((256, 1024))))
+    kind = draw(st.sampled_from(("ties", "uniform", "invalid")))
+    gen = random.Random(draw(st.integers(0, 2**32)))
+    if kind == "ties":
+        scores = [gen.choice((-math.inf, 0.25, 0.5, 0.75)) for _ in range(size)]
+    elif kind == "uniform":
+        scores = [gen.random() for _ in range(size)]
+    else:
+        scores = [-math.inf] * size
+    return scores, draw(st.integers(1, 8)), draw(st.integers(0, 2**32))
+
+
+@settings(max_examples=300, deadline=None)
+@given(case=search_cases())
+def test_search_matches_the_reference_draw_for_draw(case):
+    scores, repeats, seed = case
+    new_oracle, ref_oracle = CountingOracle(scores), CountingReferenceOracle(scores)
+    new_rng, ref_rng = random.Random(seed), random.Random(seed)
+    assert repeated_max(new_oracle, repeats, new_rng) == reference.repeated_max(
+        ref_oracle, repeats, ref_rng
+    )
+    assert new_oracle.queries == ref_oracle.queries
+    assert new_oracle.evaluated == ref_oracle.evaluated
+    assert new_rng.getstate() == ref_rng.getstate()
+
+
+@pytest.mark.parametrize("sizes", [range(1, 601), (2**31 - 1, 2**31, 2**32 + 5, 10**12)])
+def test_below_draws_what_randrange_draws(sizes):
+    for n in sizes:
+        ours, theirs = random.Random("below-%d" % n), random.Random("below-%d" % n)
+        for _ in range(20):
+            assert _below(ours.getrandbits, n) == theirs.randrange(n)
+        assert ours.getstate() == theirs.getstate()
+
+
+class RecordingRandom(random.Random):
+    """Records the name of every attribute looked up on the rng."""
+
+    def __init__(self, seed):
+        self.looked_up = []
+        super().__init__(seed)
+        self.looked_up.clear()
+
+    def __getattribute__(self, name):
+        if name != "looked_up":
+            self.looked_up.append(name)
+        return super().__getattribute__(name)
+
+
+def test_search_draws_only_through_random_and_getrandbits():
+    rng = RecordingRandom("draws")
+    durr_hoyer_max(ScoringOracle(PIN_SCORES), rng)
+    repeated_max(ScoringOracle([0.5, -math.inf, 0.5]), 3, rng)
+    ScoringOracle(PIN_SCORES).measure(0.5, 2, rng)
+    assert set(rng.looked_up) == {"random", "getrandbits"}
