@@ -336,7 +336,11 @@ def test_search_matches_the_reference_draw_for_draw(case):
     assert new_rng.getstate() == ref_rng.getstate()
 
 
-@pytest.mark.parametrize("sizes", [range(1, 601), (2**31 - 1, 2**31, 2**32 + 5, 10**12)])
+@pytest.mark.parametrize(
+    "sizes",
+    [range(1, 601), (2**31 - 1, 2**31, 2**32 + 5, 10**12)],
+    ids=["1-600", "multiword"],
+)
 def test_below_draws_what_randrange_draws(sizes):
     for n in sizes:
         ours, theirs = random.Random("below-%d" % n), random.Random("below-%d" % n)
