@@ -339,7 +339,7 @@ def test_search_matches_the_reference_draw_for_draw(case):
 @pytest.mark.parametrize(
     "sizes",
     [range(1, 601), (2**31 - 1, 2**31, 2**32 + 5, 10**12)],
-    ids=["1-600", "multiword"],
+    ids=["1-600", "word-boundaries"],
 )
 def test_below_draws_what_randrange_draws(sizes):
     for n in sizes:
