@@ -1,17 +1,24 @@
 """Decision-tree construction.
 
-`grow` is the one growth loop: depth-first partitioning on an explicit stack
-of `form_tree` steps, each asking a split chooser for one node's test. The
+`grow` is the one growth loop: partitioning in `form_tree` steps on an
+explicit queue, each asking a split chooser for one node's test. The
 classical chooser scores every attribute with the split scanners and takes
 the gain-ratio argmax; the quantum builder passes one that searches instead.
-Two interchangeable counter backends (dense arrays, sparse ordered maps) feed
-the scanners, giving byte-identical trees that differ only in operation tallies.
+Classical builds grow level by level, so that each level's discrete
+attributes can be scored by one batched kernel (`splitscan.LevelBatch`)
+before its first node is stepped; quantum builds grow in preorder, because
+their searches draw from one rng in the order the steps run. A node's
+result does not depend on the order, so both give the trees, counts and
+ledgers a preorder build gives. Two interchangeable counter backends (dense
+arrays, sparse ordered maps) feed the scanners, giving byte-identical trees
+that differ only in operation tallies.
 """
 
 import contextlib
 import io
 import math
 import os
+from collections import deque
 from collections.abc import Sequence
 from dataclasses import dataclass, field
 from itertools import repeat
@@ -32,7 +39,7 @@ from .dataset import (
     is_integer,
     partition,
 )
-from .splitscan import SplitTest, process_attribute
+from .splitscan import SplitTest, batch_level, process_attribute
 
 QUANTUM = "quantum"
 BACKENDS = (BASELINE, TREEMAP, QUANTUM)
@@ -108,15 +115,19 @@ class DecisionTree:
     stats: BuildStats
 
 
-def score_attributes(view, backend, stats=None):
+def score_attributes(view, backend, stats=None, batch=None):
     """One scoring pass per attribute of a view: [(SplitScore, SplitTest)]
     for attributes 0..d-1, with (INVALID_SPLIT, None) for an attribute that
     has no candidate split. Both choosers read this list, and it is the only
-    place where stats.evaluations grows."""
+    place where stats.evaluations grows. batch is the view's LevelBatch, if
+    its level was batched."""
     d = view.base.schema.attribute_count
     if stats is not None:
         stats.evaluations += d
-    return [process_attribute(view, attr, backend) or (INVALID_SPLIT, None) for attr in range(d)]
+    return [
+        process_attribute(view, attr, backend, batch) or (INVALID_SPLIT, None)
+        for attr in range(d)
+    ]
 
 
 def first_best(ratios):
@@ -127,14 +138,14 @@ def first_best(ratios):
     return None if ratios[best] == -math.inf else best
 
 
-def choose_split(view, backend, stats=None):
+def choose_split(view, backend, stats=None, batch=None):
     """Gain-ratio argmax over all attributes of a view.
 
     Returns (attr, SplitTest, SplitScore) or None when no attribute admits a
     valid candidate. Ties keep the lowest attribute index; threshold ties
     within an attribute were already resolved toward the lowest threshold.
     """
-    results = score_attributes(view, backend, stats)
+    results = score_attributes(view, backend, stats, batch)
     attr = first_best([score.ratio for score, _ in results])
     return None if attr is None else (attr, results[attr][1], results[attr][0])
 
@@ -171,20 +182,63 @@ def form_tree(view, level, config, stats, choose):
 
 
 def grow(view, config, stats, choose):
-    """Grows the tree under view in form_tree steps on an explicit stack,
-    popping children in branch order, so the choosers run in preorder."""
+    """Grows the tree under view in form_tree steps on an explicit queue,
+    queueing each node's children in branch order.
+
+    A chooser with a start_level(views, level) hook grows in level order:
+    the queue is popped first in, first out, and when the first view of a
+    level is popped the queue holds exactly that level, which the hook gets
+    before any of it is stepped. Any other chooser grows in preorder, with
+    the queue popped last in, first out.
+    """
+    start_level = getattr(choose, "start_level", None)
+    preorder = start_level is None
     top = [None]
-    stack = [(top, 0, view, 0)]
-    while stack:
-        siblings, slot, part, level = stack.pop()
-        node, todo = form_tree(part, level, config, stats, choose)
+    queue = deque([(top, 0, view, 0)])
+    pop = queue.pop if preorder else queue.popleft
+    level = -1
+    while queue:
+        if not preorder and queue[0][3] > level:
+            level = queue[0][3]
+            start_level([entry[2] for entry in queue], level)
+        siblings, slot, part, depth = pop()
+        node, todo = form_tree(part, depth, config, stats, choose)
         siblings[slot] = node
-        stack.extend((node.children, i, child, level + 1) for i, child in reversed(todo))
+        queue.extend(
+            (node.children, i, child, depth + 1)
+            for i, child in (reversed(todo) if preorder else todo)
+        )
     return top[0]
 
 
+class _ArgmaxChooser:
+    """The classical chooser: the SplitTest of choose_split on a view.
+
+    grow hands it each level before stepping it, and the views of the
+    level that form_tree may split are scored in one batch when
+    splitscan.batch_level finds that worth it; a level it was never handed
+    is scored view by view.
+    """
+
+    def __init__(self, config, backend, stats):
+        self.config = config
+        self.backend = backend
+        self.stats = stats
+        self.batch = None
+
+    def start_level(self, views, level):
+        self.batch = None
+        if level < self.config.max_height:
+            min_split = self.config.min_split
+            self.batch = batch_level([view for view in views if len(view) >= min_split])
+
+    def __call__(self, view):
+        choice = choose_split(view, self.backend, self.stats, self.batch)
+        return None if choice is None else choice[1]
+
+
 def train(data, config=None):
-    """Grows a DecisionTree over the full dataset.
+    """Grows a DecisionTree over the full dataset, level by level.
 
     Baseline and treemap backends produce identical trees; quantum builds
     live in the sibling module of this one.
@@ -194,12 +248,7 @@ def train(data, config=None):
         raise ValueError("use the quantum builder for quantum-searched trees")
     stats = BuildStats()
     backend = make_backend(config.backend, stats.tally)
-
-    def choose(view):
-        choice = choose_split(view, backend, stats)
-        return None if choice is None else choice[1]
-
-    root = grow(data.full_view(), config, stats, choose)
+    root = grow(data.full_view(), config, stats, _ArgmaxChooser(config, backend, stats))
     return DecisionTree(root, data.schema, data.class_labels, stats)
 
 

@@ -34,12 +34,14 @@ class OpTally:
     element_ops counts per-key work (tree-node visits, array-slot touches).
     maintenance_ops counts structure-sized work: allocation and clearing.
     Maintenance is also bucketed by the current tree level so builds can
-    report where the work happened.
+    report where the work happened. level is a cursor, not a count: it is
+    the level of the node being scored, and where a build leaves it depends
+    on the order it grew in, so tallies compare equal without it.
     """
 
     element_ops: int = 0
     maintenance_ops: int = 0
-    level: int = 0
+    level: int = field(default=0, compare=False)
     by_level: dict = field(default_factory=dict)
 
     def element(self, n=1):

@@ -24,13 +24,17 @@ def xlog2x(n):
     return n * math.log2(n) if n > 0 else 0.0
 
 
-def running_counts(keys):
+def running_counts(keys, bound=None):
     """counts[i] is the number of times keys[i] occurs in keys[:i + 1].
 
     A stable sort groups equal keys in their original order, so each
-    position's count is its rank within its group.
+    position's count is its rank within its group. That order is unique,
+    so keys known to lie in 0..bound - 1 for a bound of at most 2**16 are
+    sorted as 16-bit integers, which numpy sorts stably by radix.
     """
     keys = np.asarray(keys)
+    if bound is not None and bound <= 1 << 16:
+        keys = keys.astype(np.uint16)
     n = len(keys)
     order = np.argsort(keys, kind="stable")
     grouped = keys[order]

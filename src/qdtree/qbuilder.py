@@ -1,11 +1,13 @@
 """Tree growth with quantum-searched split selection.
 
 Growth is `builder.grow`, one `form_tree` step per node; this module
-supplies the search chooser and the per-node report. Each node's attribute
-argmax runs through repeated simulated quantum maximum finding instead of a
-full sweep. When the search returns a suboptimal attribute the build keeps
-it and proceeds: the per-node report records the divergence, and the
-whole-tree success claim is about exactly this behavior.
+supplies the search chooser and the per-node report. The chooser has no
+level hook, so the nodes grow in preorder, the order in which the searches
+draw from the build's one rng (classical builds grow level by level). Each
+node's attribute argmax runs through repeated simulated quantum maximum
+finding instead of a full sweep. When the search returns a suboptimal
+attribute the build keeps it and proceeds: the per-node report records the
+divergence, and the whole-tree success claim is about exactly this behavior.
 
 One oracle query = one scoring pass over (view, attribute), so per-node
 query counts are comparable to the classical builder's d evaluations. The

@@ -26,6 +26,19 @@ log2(u) and split potential tables are built with math.log2, because
 np.log2 differs from it in the last bit for some inputs. The steps are
 accumulated with cumsum, which adds left to right as a per-sample loop does,
 so every score is bit-identical to that loop's.
+
+A classical build can also score the discrete attributes of a whole tree
+level at once (LevelBatch), one attribute at a time over the level's
+concatenated rows. Stable sorts on segment-offset keys, (view, class),
+(view, value) and (view, class-branch pair), give each sample the running
+count the per-view loop reaches, so it adds the same step; each view's
+steps are summed in sample order by cumsum along zero-padded rows. The
+loop's max(0.0, x) becomes np.maximum, log2(z) comes from the same table,
+and the ratio still goes through gain_ratio, so every score is the loop's
+to the bit. process_attribute then books for each (view, attribute) the
+cost the loop books, through the backend's cost on the view's slices of
+the same key streams. The batch pays a fixed cost per level and
+attribute, so small levels (see batch_level) keep the per-view loop.
 """
 
 import math
@@ -278,15 +291,146 @@ def process_discrete_attribute(view, attr, backend):
     return score, SplitTest(attr, DISCRETE, branch_count=t)
 
 
-def process_attribute(view, attr, backend):
+# A level is batched when rows + BATCH_VIEW_ROWS * views reaches
+# BATCH_MIN_ROWS. Scoring 12 discrete attributes over 64 classes (on a
+# 2-vCPU Xeon VM, numpy 2.4), the per-view loop took about 80 us per view
+# plus 2.0 us per row, and the batch about 650 us per level plus 30 us per
+# view plus 1.1 us per row; every term scales with the attribute count.
+# A single 3-row view took 0.07 ms in the loop and 0.69 ms batched; 16
+# views of 3 rows took 1.31 ms and 1.17 ms, one 1000-row view 1.96 ms and
+# 1.71 ms.
+BATCH_VIEW_ROWS = 50
+BATCH_MIN_ROWS = 700
+
+_INT64_MAX = np.iinfo(np.int64).max
+
+
+class LevelBatch:
+    """The discrete-attribute scores of every view of one tree level, each
+    attribute scanned over the whole level by one numpy kernel.
+
+    process_attribute reads a view's scores from here instead of scanning
+    the view, and books what the scan would have booked, from the same key
+    streams. The class sum is made once for the level.
+    """
+
+    def __init__(self, views):
+        schema = views[0].base.schema
+        m = self.m = schema.class_count
+        k = len(views)
+        self.position = {view: i for i, view in enumerate(views)}
+        z = np.array([len(view) for view in views], dtype=np.int64)
+        self.bounds = np.concatenate(([0], np.cumsum(z))).tolist()
+        rows = np.concatenate([view.indices for view in views])
+        labels = views[0].base.labels[rows]
+        self.labels = labels.tolist()
+        seg = np.repeat(np.arange(k, dtype=np.int64), z)
+        self.gathers = _length_buckets(z, self.bounds)
+        steps = _TABLES.cover(int(z.max())).step_array
+        (class_h,) = self._sums(steps[running_counts(seg * (m + 1) + labels, k * (m + 1))])
+        log2z = _TABLES.log2c_array[z]
+        parent = np.maximum(0.0, log2z - class_h / z)
+        self._class_cost = {}
+        self.scans = {}
+        for attr, a in enumerate(schema.attributes):
+            if a.kind != DISCRETE:
+                continue
+            t = a.domain_size
+            # the dense counts a per-view scan keeps: a domain too large to
+            # allocate or index them is refused here, before any partition
+            [0] * (t + 1)
+            if k * (m * t + 1) > _INT64_MAX:
+                raise OverflowError("a discrete domain of %d values is too large" % (t,))
+            values = views[0].base.columns[attr][rows]
+            sizes = running_counts(seg * (t + 1) + values, k * (t + 1))
+            split = np.bincount(seg[sizes == 1], minlength=k) > 1
+            test = None
+            if split.any():
+                [0] * (m * t + 1)
+                test = SplitTest(attr, DISCRETE, branch_count=t)
+            pairs = (labels - 1) * t + values
+            pair_counts = running_counts(seg * (m * t + 1) + pairs, k * (m * t + 1))
+            size_h, pair_h = self._sums(steps[np.stack((sizes, pair_counts))])
+            potential = np.maximum(0.0, log2z - size_h / z)
+            gain = parent - (size_h - pair_h) / z
+            self.scans[attr] = (
+                t, m * t, pairs.tolist(), split.tolist(), gain.tolist(), potential.tolist(), test
+            )
+
+    def _sums(self, steps):
+        """Each view's sum of each row of steps, added in sample order.
+
+        The views are bucketed by length rounded up to a power of two, and
+        each bucket's steps, padded with zeros to that length, are
+        accumulated along the samples: cumsum adds in order, and adding 0.0
+        is exact, so each sum is the per-view loop's to the bit.
+        """
+        steps = np.atleast_2d(steps)
+        padded = np.concatenate((steps, np.zeros((len(steps), 1))), axis=1)
+        out = np.empty((len(steps), len(self.bounds) - 1))
+        for ids, gather in self.gathers:
+            out[:, ids] = np.cumsum(padded[:, gather], axis=2)[:, :, -1]
+        return out
+
+    def score(self, view, attr, backend):
+        """What process_discrete_attribute returns for view and attr, with
+        the same ledger charge, made from the view's slices of the level's
+        key streams."""
+        i = self.position[view]
+        lo, hi = self.bounds[i], self.bounds[i + 1]
+        t, slots, pairs, split, gain, potential, test = self.scans[attr]
+        class_cost = self._class_cost.get((i, backend))
+        if class_cost is None:
+            class_cost = backend.cost(self.labels[lo:hi], self.m)
+            self._class_cost[i, backend] = class_cost
+        pair_element, pair_maintenance = backend.cost(pairs[lo:hi], slots)
+        backend.charge(
+            pair_element + class_cost[0], pair_maintenance + class_cost[1] + 2 * t
+        )
+        if not split[i]:
+            return None
+        return gain_ratio(gain[i], potential[i]), test
+
+
+def _length_buckets(z, bounds):
+    """(view ids, gather matrix) per power-of-two length bucket: row r of a
+    gather matrix lists the positions of its view's samples in the
+    concatenated level, padded with the level's length, one past the end."""
+    total = bounds[-1]
+    widths = np.frexp((z - 1).astype(np.float64))[1]  # (z - 1).bit_length()
+    starts = np.asarray(bounds[:-1], dtype=np.int64)
+    gathers = []
+    for width in np.unique(widths).tolist():
+        ids = np.flatnonzero(widths == width)
+        cols = np.arange(1 << width, dtype=np.int64)
+        gather = np.where(cols < z[ids, None], starts[ids, None] + cols, total)
+        gathers.append((ids, gather))
+    return gathers
+
+
+def batch_level(views):
+    """A LevelBatch over the views of one level, or None when the schema has
+    no discrete attribute or the level is small enough that the per-view
+    scans are faster."""
+    if not views or all(a.kind != DISCRETE for a in views[0].base.schema.attributes):
+        return None
+    if sum(map(len, views)) + BATCH_VIEW_ROWS * len(views) < BATCH_MIN_ROWS:
+        return None
+    return LevelBatch(views)
+
+
+def process_attribute(view, attr, backend, batch=None):
     """Scores one attribute on a view.
 
     This is the scoring function handed both to the classical argmax and to
     the quantum-search chooser. Returns (SplitScore, SplitTest) or None when
-    the attribute admits no candidate split on this view.
+    the attribute admits no candidate split on this view. A discrete score
+    is read from batch, a LevelBatch, when it holds the view.
     """
     if len(view) < 2:
         return None
+    if batch is not None and attr in batch.scans and view in batch.position:
+        return batch.score(view, attr, backend)
     if view.base.schema.is_real(attr):
         return scan_real_attribute(view, attr, backend)
     return process_discrete_attribute(view, attr, backend)

@@ -13,7 +13,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from qdtree import builder, jsonio, oracle, qbuilder
+from qdtree import builder, jsonio, oracle, qbuilder, splitscan
 from qdtree.builder import (
     BACKENDS,
     BuildConfig,
@@ -24,6 +24,7 @@ from qdtree.builder import (
     _CHUNK,
     choose_split,
     classify,
+    grow,
     document_to_tree,
     format_tree,
     load_model,
@@ -637,6 +638,62 @@ def test_grower_matches_recursive_growth(seed, d, m, n, height, backend):
     # node and leaf counts, evaluations, both op counts and by_level
     assert tree.stats == reference.stats
     assert searches == reference_searches
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    seed=st.integers(0, 10**6),
+    d=st.integers(1, 6),
+    m=st.integers(1, 8),
+    n=st.integers(1, 300),
+    height=st.integers(0, 8),
+    min_split=st.integers(2, 5),
+    backend=st.sampled_from([BASELINE, TREEMAP]),
+)
+def test_every_level_batched_matches_the_per_view_loop(seed, d, m, n, height, min_split, backend):
+    # with the cutoff at zero every level is batched, and with it out of
+    # reach none is; small builds rarely reach the batch otherwise
+    data = random_dataset(random_schema(d, m, seed, kinds="mixed", max_domain=5), n, seed)
+    config = BuildConfig(max_height=height, min_split=min_split, backend=backend)
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(splitscan, "BATCH_MIN_ROWS", 0)
+        batched = train(data, config)
+        patch.setattr(splitscan, "BATCH_MIN_ROWS", 10**12)
+        looped = train(data, config)
+    assert serialize_model(batched) == serialize_model(looped)
+    assert batched.stats == looped.stats
+
+
+def test_level_order_hands_each_level_to_the_hook_before_stepping_it():
+    # a 3-way split of 9 rows, then 3-way splits of each child
+    schema = AttributeSchema((Attribute("a", DISCRETE, 3), Attribute("b", DISCRETE, 3)), 9)
+    a = [1, 1, 1, 2, 2, 2, 3, 3, 3]
+    b = [1, 2, 3] * 3
+    data = Dataset(schema, [a, b], list(range(1, 10)), tuple("k%d" % j for j in range(9)))
+    steps = []
+    stats = BuildStats()
+    backend = make_backend(BASELINE, stats.tally)
+
+    class Chooser:
+        # records what grow hands it, and splits as train does
+        def start_level(self, views, level):
+            steps.append(("level", level, [len(v) for v in views]))
+
+        def __call__(self, view):
+            steps.append(("choose", len(view)))
+            choice = choose_split(view, backend, stats)
+            return None if choice is None else choice[1]
+
+    tree = grow(data.full_view(), BuildConfig(), stats, Chooser())
+    assert steps == [
+        ("level", 0, [9]), ("choose", 9),
+        ("level", 1, [3, 3, 3]), ("choose", 3), ("choose", 3), ("choose", 3),
+        ("level", 2, [1] * 9),
+    ]
+    assert serialize_model(DecisionTree(tree, schema, data.class_labels, stats)) == (
+        serialize_model(train(data))
+    )
+    assert stats == train(data).stats
 
 
 ODD_LABELS = ("", 'say "hi"', "tab\there\x00nul", "café \U0001F333 back\\slash")

@@ -8,12 +8,13 @@ import math
 import operator
 import random
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from qdtree.counters import OpTally, SparseClassCounter
-from qdtree.criteria import INVALID_SPLIT, SplitScore, gain_ratio, xlog2x
+from qdtree.criteria import INVALID_SPLIT, SplitScore, gain_ratio, running_counts, xlog2x
 from qdtree.oracle import entropy, gain
 
 # Hand-checked reference values, full double precision.
@@ -253,3 +254,21 @@ def test_tally_levels_bucket_maintenance():
     tally.level = 3
     c.clear()
     assert tally.by_level.get(3) == 1
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    bound=st.sampled_from([1, 2, 7, 300, 1 << 16, (1 << 16) + 1, 1 << 40]),
+    data=st.data(),
+)
+def test_running_counts_match_a_counting_loop_under_any_key_bound(bound, data):
+    # keys under a 16-bit bound are sorted as uint16, the others as they come
+    keys = data.draw(st.lists(st.integers(0, bound - 1), max_size=300))
+    seen = {}
+    want = []
+    for k in keys:
+        seen[k] = seen.get(k, 0) + 1
+        want.append(seen[k])
+    array = np.array(keys, dtype=np.int64)
+    assert running_counts(array).tolist() == want
+    assert running_counts(array, bound).tolist() == want

@@ -26,8 +26,10 @@ from qdtree.dataset import (
     Dataset,
     SubsetView,
 )
+from qdtree import splitscan
 from qdtree.splitscan import (
     CountTables,
+    LevelBatch,
     SplitTest,
     build_real_scan,
     process_attribute,
@@ -607,3 +609,123 @@ def test_class_pass_is_not_shared_across_backends_or_views():
         want = _counted_discrete(target, 1, name, want_tally)
         assert (_exact(got[0]), got[1]) == (_exact(want[0]), want[1])
         assert _ledger(got_tally) == _ledger(want_tally)
+
+
+def _level(seed, m, lengths, pure_share, constant_share, real):
+    """A dataset and the views of one level over it: views of the given
+    lengths over shuffled rows (a few rows belong to no view), each pure
+    with odds pure_share and each discrete attribute constant on a view
+    with odds constant_share; domains of 2 to 50 values."""
+    rng = random.Random(seed)
+    n = sum(lengths) + rng.randint(0, 20)
+    domains = [rng.choice([2, 3, 4, 7, 50, rng.randint(2, 50)]) for _ in range(rng.randint(1, 4))]
+    columns = [[rng.randint(1, t) for _ in range(n)] for t in domains]
+    labels = [rng.randint(1, m) for _ in range(n)]
+    order = rng.sample(range(n), n)
+    views, start = [], 0
+    for z in lengths:
+        rows = sorted(order[start : start + z])
+        start += z
+        if rng.random() < pure_share:
+            y = rng.randint(1, m)
+            for r in rows:
+                labels[r] = y
+        for col, t in zip(columns, domains):
+            if rng.random() < constant_share:
+                v = rng.randint(1, t)
+                for r in rows:
+                    col[r] = v
+        views.append(rows)
+    attributes = [Attribute("c%d" % a, DISCRETE, t) for a, t in enumerate(domains)]
+    if real:
+        attributes.insert(1, Attribute("x", REAL))
+        columns.insert(1, [rng.randint(0, 9) / 4.0 for _ in range(n)])
+    data = Dataset(
+        AttributeSchema(tuple(attributes), m), columns, labels,
+        tuple("k%d" % (j + 1) for j in range(m)),
+    )
+    return [SubsetView(data, rows) for rows in views]
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    seed=st.integers(0, 2**32),
+    m=st.one_of(st.sampled_from([1, 2, 64, 256]), st.integers(1, 256)),
+    long_view=st.one_of(st.just(0), st.integers(2, 4000)),
+    short_views=st.integers(0, 80),
+    pure_share=st.sampled_from([0.0, 0.3, 1.0]),
+    constant_share=st.sampled_from([0.0, 0.3, 1.0]),
+    real=st.booleans(),
+    level=st.integers(0, 5),
+)
+@example(seed=0, m=256, long_view=4000, short_views=80, pure_share=0.3,
+         constant_share=0.3, real=True, level=3)
+@example(seed=1, m=2, long_view=3000, short_views=0, pure_share=0.0,
+         constant_share=0.0, real=False, level=0)
+@example(seed=2, m=1, long_view=0, short_views=1, pure_share=1.0,
+         constant_share=1.0, real=False, level=1)
+def test_level_batch_matches_per_view_scans(
+    seed, m, long_view, short_views, pure_share, constant_share, real, level
+):
+    # one long view among many short ones (2 to 5 rows), pure views and
+    # constant attributes: every (view, attribute) result and both ledgers
+    # of the batch equal those of process_attribute scanning each view
+    rng = random.Random(seed)
+    lengths = [rng.randint(2, 5) for _ in range(short_views)]
+    if long_view:
+        lengths.insert(rng.randint(0, len(lengths)), long_view)
+    if not lengths:
+        lengths = [2]
+    views = _level(seed, m, lengths, pure_share, constant_share, real)
+    schema = views[0].base.schema
+    batch = LevelBatch(views)
+    assert set(batch.scans) == {a for a in range(schema.attribute_count) if not schema.is_real(a)}
+    for name in (BASELINE, TREEMAP):
+        got_tally, want_tally = OpTally(level=level), OpTally(level=level)
+        got_backend, want_backend = make_backend(name, got_tally), make_backend(name, want_tally)
+        for view in views:
+            for attr in range(schema.attribute_count):
+                got = process_attribute(view, attr, got_backend, batch)
+                want = process_attribute(view, attr, want_backend)
+                if want is None:
+                    assert got is None
+                else:
+                    assert (_exact(got[0]), got[1]) == (_exact(want[0]), want[1])
+        assert _ledger(got_tally) == _ledger(want_tally)
+
+
+@pytest.mark.parametrize("t", [10**15, 10**30])  # too large to allocate, to index
+@pytest.mark.parametrize("spread", [1, 3])  # a constant column keeps only the branch sizes
+def test_level_batch_refuses_the_domains_the_per_view_scan_refuses(t, spread):
+    # 150 views of 2 rows: the dense counts the per-view scan keeps are
+    # refused with the same error before any view is scored
+    rng = random.Random(t)
+    data = disc_data([rng.randint(1, spread) for _ in range(300)], [1, 2] * 150, t)
+    views = [SubsetView(data, [r, r + 1]) for r in range(0, 300, 2)]
+    with pytest.raises((MemoryError, OverflowError)) as per_view:
+        process_discrete_attribute(views[0], 0, make_backend(BASELINE))
+    with pytest.raises(type(per_view.value)):
+        LevelBatch(views)
+
+
+def test_level_batch_refuses_keys_that_would_wrap(monkeypatch):
+    # the segment-offset keys stop below the int64 limit; a level whose
+    # keys would pass it raises instead of wrapping
+    views = _level(3, 4, [3] * 10, 0.0, 0.0, False)
+    t = max(a.domain_size for a in views[0].base.schema.attributes)
+    monkeypatch.setattr(splitscan, "_INT64_MAX", 10 * (4 * t + 1) - 1)
+    with pytest.raises(OverflowError):
+        LevelBatch(views)
+    monkeypatch.setattr(splitscan, "_INT64_MAX", 10 * (4 * t + 1))
+    LevelBatch(views)
+
+
+def test_only_levels_worth_it_are_batched():
+    views = _level(4, 5, [3] * 20 + [600], 0.0, 0.0, True)
+    assert splitscan.batch_level(views[-1:]) is None  # 650 < 700
+    assert isinstance(splitscan.batch_level(views[:14]), LevelBatch)  # 42 + 700
+    assert splitscan.batch_level(views[:13]) is None  # 39 + 650
+    real = Dataset(
+        AttributeSchema((Attribute("x", REAL),), 2), [[0.5] * 4000], [1, 2] * 2000, ("a", "b")
+    )
+    assert splitscan.batch_level([real.full_view()]) is None
