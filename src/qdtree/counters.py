@@ -8,15 +8,22 @@ book(keys, slots) charges them at the tally's current level; a scanner that
 adds one key stream several times computes its cost once and charges it
 each time. slots is the dense key range: M for a class counter, M * T for
 the class-branch table of a T-way attribute (keyed by the flat slot
-(j - 1) * T + w). The baseline policy is a dense array, so allocation and
-clearing touch every slot and each add one: 2 * slots maintenance and
-len(keys) element ops. The treemap policy feeds the keys, in one pass, to
-the add of a fresh SparseClassCounter, an AVL map whose costs follow the
-keys actually stored. Its tree is five parallel lists indexed by node
-number, with node 0 as the empty tree, and its search and insert are
-loops, so nothing in this module recurses. These are the paper's two
-classical bounds, O(h·d·(NM + N log N)) and O(h·d·N log N). The backend
-changes operation counts but never the produced scores.
+(j - 1) * T + w). A cost is the sum of two parts, key_cost(keys) and
+slot_cost(slots). The baseline policy is a dense array, so allocation and
+clearing touch every slot and each add one: len(keys) element ops, and
+2 * slots maintenance. The treemap policy is an AVL map whose costs follow
+the keys actually stored, so its slot cost is 0; its key cost replays the
+keys on a bare tree that keeps no counts, booking what the add of a fresh
+SparseClassCounter books for each key, and one maintenance op per stored
+key for the clear. Either policy costs a key stream only by its length and
+by how its keys compare, so two streams whose keys order alike have one key
+cost. The tree is parallel lists indexed by node number, with node 0 as
+the empty tree, and _insert, the one insert routine, serves both the
+counter and the replay: it rebalances bottom-up and stops at the first node
+whose height does not change, or after its one single or double rotation.
+Nothing in this module recurses. These are the paper's two classical
+bounds, O(h·d·(NM + N log N)) and O(h·d·N log N). The backend changes
+operation counts but never the produced scores.
 """
 
 from dataclasses import dataclass, field
@@ -53,10 +60,17 @@ class OpTally:
 
 
 class _LedgerPolicy:
-    """Charges the cost(keys, slots) a subclass defines to a shared tally."""
+    """Charges a scan's cost to a shared tally. A subclass defines its two
+    parts: key_cost(keys), the (element, maintenance) ops of the keys, and
+    slot_cost(slots), the maintenance of the dense key range."""
 
     def __init__(self, tally=None):
         self.tally = tally if tally is not None else OpTally()
+
+    def cost(self, keys, slots):
+        """(element, maintenance) ops of one scan."""
+        element, maintenance = self.key_cost(keys)
+        return element, maintenance + self.slot_cost(slots)
 
     def book(self, keys, slots):
         """Books a scan's cost at the tally's current level."""
@@ -72,40 +86,58 @@ class _LedgerPolicy:
 class DenseBackend(_LedgerPolicy):
     """Books a scan as a dense array of `slots` counters."""
 
-    def cost(self, keys, slots):
-        """(element, maintenance) ops: allocate and clear all slots, and
-        touch one slot per key."""
-        return len(keys), 2 * slots
+    def key_cost(self, keys):
+        """One slot touched per key."""
+        return len(keys), 0
+
+    def slot_cost(self, slots):
+        """Allocating and clearing every slot."""
+        return 2 * slots
 
 
 class TreeMapBackend(_LedgerPolicy):
     """Books a scan as an ordered map holding only the keys it saw."""
 
-    def cost(self, keys, slots):
+    def key_cost(self, keys):
         """(element, maintenance) ops of adding every key to a fresh
         SparseClassCounter and clearing it, visit for visit.
 
-        Each key is added through counter.add, and the tally's change is its
-        cost. Only an insert (an add that returns 1) changes the tree's
-        shape, so a stored key's cost holds until the next insert; it is
-        cached till then and booked without another walk.
+        The keys are replayed on a bare tree that keeps no counts: a stored
+        key costs what add books for it, 2(k + 1) visits at depth k, and a
+        new one is put in by the insert add uses. Only an insert changes
+        the tree's shape, so a stored key's cost holds until the next
+        insert; it is cached till then and summed without another walk.
         """
-        counter = SparseClassCounter()
-        tally = counter.tally
+        tree_keys, left, right, height = [None], [0], [0], [0]
+        root = 0
         costs = {}
+        get = costs.get
         visits = 0
         for key in keys.tolist() if isinstance(keys, np.ndarray) else keys:
-            cost = costs.get(key)
-            if cost is None:
-                before = tally.element_ops
-                if counter.add(key) == 1:
-                    costs.clear()
-                else:
-                    costs[key] = tally.element_ops - before
-            else:
+            cost = get(key)
+            if cost is not None:
                 visits += cost
-        counter.clear()
-        return tally.element_ops + visits, tally.maintenance_ops
+                continue
+            path = []
+            node = root
+            while node:
+                stored = tree_keys[node]
+                if key == stored:
+                    break
+                path.append(node)
+                node = left[node] if key < stored else right[node]
+            if node:
+                cost = costs[key] = 2 * len(path) + 2
+                visits += cost
+            else:
+                root, rotations = _insert(key, path, tree_keys, left, right, height)
+                visits += 2 * len(path) + 1 + rotations
+                costs.clear()
+        return visits, len(tree_keys) - 1
+
+    def slot_cost(self, slots):
+        """Nothing: the map's costs follow the keys it stores."""
+        return 0
 
 
 def make_backend(name, tally=None):
@@ -127,10 +159,9 @@ class SparseClassCounter:
     node number (key, count, left, right, height); node 0 is the empty
     tree, with height 0, count 0 and no key, so a missing child is link 0
     and node n holds the n-th key inserted since the last clear. get and add
-    share one search loop, and add inserts by rebalancing each node on that
-    search's path, bottom-up, so no method recurses. The treemap ledger is
-    this map: TreeMapBackend.cost feeds a scan's keys to add on a fresh one
-    and reads the tally.
+    share one search loop, and add puts a new key in through _insert, the
+    one insert routine, which TreeMapBackend's replay uses too; no method
+    recurses.
     """
 
     def __init__(self, tally=None):
@@ -147,8 +178,7 @@ class SparseClassCounter:
 
         Books what a get followed by a second walk costs: to overwrite a
         stored key at depth k, 2(k + 1) visits; to insert a new key below k
-        nodes, k + (k + 1) visits plus one per rotation, made bottom-up as
-        the nodes above it are rebalanced.
+        nodes, k + (k + 1) visits plus one per rotation.
         """
         node, path = self._search(key)
         count = self._count
@@ -156,21 +186,11 @@ class SparseClassCounter:
             self.tally.element(2 * len(path) + 2)
             count[node] += 1
             return count[node]
-        self.tally.element(2 * len(path) + 1)
-        keys, left, right = self._key, self._left, self._right
-        node = len(keys)
-        keys.append(key)
         count.append(1)
-        left.append(0)
-        right.append(0)
-        self._height.append(1)
-        for parent in reversed(path):
-            if key < keys[parent]:
-                left[parent] = node
-            else:
-                right[parent] = node
-            node = self._rebalance(parent)
-        self._root = node
+        self._root, rotations = _insert(
+            key, path, self._key, self._left, self._right, self._height
+        )
+        self.tally.element(2 * len(path) + 1 + rotations)
         return 1
 
     def clear(self):
@@ -193,33 +213,75 @@ class SparseClassCounter:
             node = left[node] if key < keys[node] else right[node]
         return node, path
 
-    def _rebalance(self, node):
-        """Refreshes node's height and, if one side is two taller, rotates
-        that side's child up (after lifting the grandchild first when the
-        child leans the other way); returns the subtree's root."""
-        height, left, right = self._height, self._left, self._right
-        lean = height[left[node]] - height[right[node]]
-        if lean > 1:
+
+def _insert(key, path, keys, left, right, height):
+    """Puts a new node for key below path, the nodes a search for key
+    passed (root first), and rebalances bottom-up; returns (the tree's
+    root, the rotations made).
+
+    The new node is numbered len(keys); the caller appends to any other
+    per-node list. Each node on the path gets its height refreshed, and the
+    walk stops at the first whose height does not change, since none above
+    it can change either. A node two taller on one side has that side's
+    child rotated up, after lifting the grandchild first when the child
+    leans the other way; that gives the subtree back its height from
+    before the insert, so the walk stops there too. These are the rotations
+    a walk up the whole path would make (Adelson-Velsky and Landis 1962;
+    Knuth, TAOCP vol. 3, 6.2.3).
+    """
+    child = len(keys)
+    keys.append(key)
+    left.append(0)
+    right.append(0)
+    height.append(1)
+    if not path:
+        return child, 0
+    i = len(path) - 1
+    node = path[i]
+    if key < keys[node]:
+        left[node] = child
+    else:
+        right[node] = child
+    while True:
+        lower, upper = height[left[node]], height[right[node]]
+        if lower > upper + 1:
             near, far = left, right
-        elif lean < -1:
+        elif upper > lower + 1:
             near, far = right, left
         else:
-            height[node] = 1 + max(height[left[node]], height[right[node]])
-            return node
+            grown = 1 + (lower if lower > upper else upper)
+            if grown == height[node]:
+                return path[0], 0
+            height[node] = grown
+            if not i:
+                return node, 0
+            i -= 1
+            node = path[i]
+            continue
         child = near[node]
+        rotations = 1
         if height[far[child]] > height[near[child]]:
-            near[node] = self._lift(child, far, near)
-        return self._lift(node, near, far)
+            near[node] = _lift(child, far, near, height)
+            rotations = 2
+        top = _lift(node, near, far, height)
+        if not i:
+            return top, rotations
+        above = path[i - 1]
+        if left[above] == node:
+            left[above] = top
+        else:
+            right[above] = top
+        return path[0], rotations
 
-    def _lift(self, node, near, far):
-        """Rotates node's child on the near side into node's place and
-        returns it; near and far are the link lists (left, right) or
-        (right, left). Books one visit."""
-        self.tally.element()
-        height = self._height
-        child = near[node]
-        near[node] = far[child]
-        far[child] = node
-        height[node] = 1 + max(height[near[node]], height[far[node]])
-        height[child] = 1 + max(height[near[child]], height[far[child]])
-        return child
+
+def _lift(node, near, far, height):
+    """Rotates node's child on the near side into node's place and returns
+    it; near and far are the link lists (left, right) or (right, left)."""
+    child = near[node]
+    near[node] = far[child]
+    far[child] = node
+    lower, upper = height[near[node]], height[far[node]]
+    height[node] = grown = 1 + (lower if lower > upper else upper)
+    lower = height[near[child]]
+    height[child] = 1 + (lower if lower > grown else grown)
+    return child

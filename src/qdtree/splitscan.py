@@ -13,8 +13,13 @@ counts, one over branch sizes N_w and one over class-branch pair counts. The
 first gives the parent entropy, the second the split potential, and their
 weighted branch entropy sum_w (N_w/z) * I_w is (H_sizes - H_pairs) / z.
 Every discrete attribute of a view adds the same label stream to its class
-counter, so the class sum and its booked cost are made once per view and
-backend and charged again for each attribute, at the tally's current level.
+counter, so the class sum and the key cost of that stream (see counters)
+are made once per view and backend and charged again for each attribute, at
+the tally's current level. An attribute with one value v on the view (each
+ancestor's split attribute has one value below it) is booked from that pass
+alone: its pair keys (y - 1) * T + v order as the labels y do, and a policy
+costs a key stream only by its length and how its keys compare, so its pair
+stream costs what the label stream costs and is never built.
 The backend only books what its counting structure would have cost for the
 keys of each scan, so it changes operation tallies but never the
 arithmetic: the stream of floating-point operations is identical for every
@@ -36,8 +41,9 @@ steps are summed in sample order by cumsum along zero-padded rows. The
 loop's max(0.0, x) becomes np.maximum, log2(z) comes from the same table,
 and the ratio still goes through gain_ratio, so every score is the loop's
 to the bit. process_attribute then books for each (view, attribute) the
-cost the loop books, through the backend's cost on the view's slices of
-the same key streams. The batch pays a fixed cost per level and
+cost the loop books, through the backend's key cost on the view's slices of
+the same key streams, or of its class keys alone where the attribute is
+constant on the view. The batch pays a fixed cost per level and
 attribute, so small levels (see batch_level) keep the per-view loop.
 """
 
@@ -237,8 +243,7 @@ def scan_real_attribute(view, attr, backend):
 @lru_cache(maxsize=1)
 def _class_pass(view, backend):
     """The labels of a view as a list, the H sum of their class counts and
-    the (element, maintenance) cost of adding them to a fresh class counter
-    on backend.
+    the key part of the cost of adding them to a fresh counter on backend.
 
     Every discrete attribute of a view adds this same label stream to its
     class counter, so the scans of one view share one pass. The cost depends
@@ -252,7 +257,18 @@ def _class_pass(view, backend):
     for y in labels:
         c = counts[y] = counts[y] + 1
         class_h += step[c]
-    return labels, class_h, backend.cost(labels, m)
+    return labels, class_h, backend.key_cost(labels)
+
+
+def _charge_discrete(backend, m, t, class_keys, pair_keys):
+    """Books one discrete scan: the class counter and the class-branch
+    counter, given their key costs (on a constant attribute the pair key
+    cost is the class key cost), and the branch-size array, a plain dense
+    array on every backend, whose allocation and release cost T slots each."""
+    backend.charge(
+        class_keys[0] + pair_keys[0],
+        class_keys[1] + pair_keys[1] + backend.slot_cost(m) + backend.slot_cost(m * t) + 2 * t,
+    )
 
 
 def process_discrete_attribute(view, attr, backend):
@@ -260,18 +276,10 @@ def process_discrete_attribute(view, attr, backend):
     every sample carries the same value (a trivial partition)."""
     t = view.base.schema.domain_size(attr)
     m = view.base.schema.class_count
-    labels, class_h, class_cost = _class_pass(view, backend)
+    labels, class_h, class_keys = _class_pass(view, backend)
     values = view.values(attr).tolist()
     z = len(values)
     step = _TABLES.cover(z).step
-    pairs = [(y - 1) * t + v for v, y in zip(values, labels)]
-    # one charge for the scan's three structures: the class-branch counter,
-    # the class counter and the branch-size array, a plain dense array on
-    # every backend, whose allocation and release cost T slots each
-    pair_element, pair_maintenance = backend.cost(pairs, m * t)
-    backend.charge(
-        pair_element + class_cost[0], pair_maintenance + class_cost[1] + 2 * t
-    )
     sizes = [0] * (t + 1)
     size_h = 0.0
     for v in values:
@@ -279,7 +287,10 @@ def process_discrete_attribute(view, attr, backend):
         size_h += step[c]
     # sizes[0] stays 0, so t + 1 - sizes.count(0) branches are non-empty
     if t + 1 - sizes.count(0) <= 1:
+        _charge_discrete(backend, m, t, class_keys, class_keys)
         return None
+    pairs = [(y - 1) * t + v for v, y in zip(values, labels)]
+    _charge_discrete(backend, m, t, class_keys, backend.key_cost(pairs))
     pair_counts = [0] * (m * t + 1)
     pair_h = 0.0
     for k in pairs:
@@ -330,7 +341,7 @@ class LevelBatch:
         (class_h,) = self._sums(steps[running_counts(seg * (m + 1) + labels, k * (m + 1))])
         log2z = _TABLES.log2c_array[z]
         parent = np.maximum(0.0, log2z - class_h / z)
-        self._class_cost = {}
+        self._class_keys = {}
         self.scans = {}
         for attr, a in enumerate(schema.attributes):
             if a.kind != DISCRETE:
@@ -354,7 +365,7 @@ class LevelBatch:
             potential = np.maximum(0.0, log2z - size_h / z)
             gain = parent - (size_h - pair_h) / z
             self.scans[attr] = (
-                t, m * t, pairs.tolist(), split.tolist(), gain.tolist(), potential.tolist(), test
+                t, pairs.tolist(), split.tolist(), gain.tolist(), potential.tolist(), test
             )
 
     def _sums(self, steps):
@@ -378,17 +389,14 @@ class LevelBatch:
         key streams."""
         i = self.position[view]
         lo, hi = self.bounds[i], self.bounds[i + 1]
-        t, slots, pairs, split, gain, potential, test = self.scans[attr]
-        class_cost = self._class_cost.get((i, backend))
-        if class_cost is None:
-            class_cost = backend.cost(self.labels[lo:hi], self.m)
-            self._class_cost[i, backend] = class_cost
-        pair_element, pair_maintenance = backend.cost(pairs[lo:hi], slots)
-        backend.charge(
-            pair_element + class_cost[0], pair_maintenance + class_cost[1] + 2 * t
-        )
+        t, pairs, split, gain, potential, test = self.scans[attr]
+        class_keys = self._class_keys.get((i, backend))
+        if class_keys is None:
+            class_keys = self._class_keys[i, backend] = backend.key_cost(self.labels[lo:hi])
         if not split[i]:
+            _charge_discrete(backend, self.m, t, class_keys, class_keys)
             return None
+        _charge_discrete(backend, self.m, t, class_keys, backend.key_cost(pairs[lo:hi]))
         return gain_ratio(gain[i], potential[i]), test
 
 

@@ -41,8 +41,8 @@ class SparseClassCounter:
     probes measure. Keys may be any mutually ordered values (class indices,
     flat class-branch slots). get and add share one search loop, and add
     inserts by rebalancing each node on that search's path, bottom-up, so
-    no method recurses. The treemap ledger is this map: TreeMapBackend.cost
-    feeds a scan's keys to add on a fresh one and reads the tally.
+    no method recurses. The treemap ledger must book, for a scan's keys,
+    what adding them to a fresh one and clearing it books here.
     """
 
     def __init__(self, tally=None):

@@ -10,7 +10,6 @@ from avl_reference import SparseClassCounter as ReferenceCounter
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from qdtree import counters
 from qdtree.builder import BuildConfig, serialize_model, train
 from qdtree.counters import (
     BASELINE,
@@ -38,6 +37,11 @@ def _sparse_loop_ledger(keys, level):
         counter.add(key)
     counter.clear()
     return _ledger(tally)
+
+
+def _reference_cost(keys):
+    # the (element, maintenance) ops the object-node reference books for a scan
+    return _sparse_loop_ledger(keys, 0)[:2]
 
 
 def test_dense_counter_charges_size_for_sweeps():
@@ -212,6 +216,33 @@ def _view_ledger(view):
     return _ledger(tally)
 
 
+def _reference_view_ledger(view):
+    # the same scans written out key by key and costed by the object-node
+    # reference: a real scan adds the labels in the stable order of its
+    # values, then reversed; a discrete scan adds the labels and the
+    # class-branch pairs (y - 1) * T + v, and books 2T for its branch sizes
+    tally = OpTally(level=len(view) % 3)
+    if len(view) < 2:
+        return _ledger(tally)
+    schema = view.base.schema
+    labels = view.labels()
+    for attr in range(schema.attribute_count):
+        values = view.values(attr)
+        if schema.is_real(attr):
+            ordered = labels[np.argsort(values, kind="stable")].tolist()
+            streams, extra = [ordered, ordered[::-1]], 0
+        else:
+            t = schema.domain_size(attr)
+            streams = [labels.tolist(), ((labels - 1) * t + values).tolist()]
+            extra = 2 * t
+        for keys in streams:
+            element, maintenance = _reference_cost(keys)
+            tally.element(element)
+            tally.maintenance(maintenance)
+        tally.maintenance(extra)
+    return _ledger(tally)
+
+
 @settings(max_examples=60, deadline=None)
 @given(
     st.integers(min_value=1, max_value=5),
@@ -221,16 +252,73 @@ def _view_ledger(view):
     st.data(),
 )
 def test_treemap_views_book_what_the_reference_books(d, classes, rows, seed, data):
-    # the parallel-list counter and the object-node reference it replaced
-    # book the same ledger for every scan of a random mixed-attribute view
+    # every scan of a random mixed-attribute view, constant attributes
+    # included, books what its key streams cost on the object-node
+    # reference map
     base = random_dataset(random_schema(d, classes, seed), rows, seed)
     rows_strategy = st.integers(min_value=0, max_value=rows - 1)
     view = SubsetView(base, data.draw(st.lists(rows_strategy, unique=True, max_size=rows)))
-    got = _view_ledger(view)
-    with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(counters, "SparseClassCounter", ReferenceCounter)
-        want = _view_ledger(view)
-    assert got == want
+    assert _view_ledger(view) == _reference_view_ledger(view)
+
+
+def _runs(draw_keys):
+    # key streams made of runs: a few keys, each repeated in runs of 1 to
+    # 60, interleaved
+    return st.lists(
+        st.tuples(draw_keys, st.integers(min_value=1, max_value=60)), max_size=40
+    ).map(lambda runs: [key for key, n in runs for _ in range(n)])
+
+
+def _pair_streams():
+    # class-branch pair keys (y - 1) * T + v of a view sorted by class, as
+    # a real scan sorts its labels: runs of one class, values interleaved
+    return st.integers(min_value=2, max_value=6).flatmap(
+        lambda t: st.lists(
+            st.tuples(st.integers(min_value=1, max_value=64), st.integers(min_value=1, max_value=t)),
+            max_size=600,
+        ).map(lambda pairs: [(y - 1) * t + v for y, v in sorted(pairs, key=lambda p: p[0])])
+    )
+
+
+_SCAN_STREAMS = st.one_of(
+    st.lists(st.integers(min_value=-500, max_value=500), unique=True, max_size=400),
+    st.lists(st.integers(min_value=1, max_value=400), unique=True, max_size=400).map(sorted),
+    st.lists(st.integers(min_value=1, max_value=400), unique=True, max_size=400).map(
+        lambda keys: sorted(keys, reverse=True)
+    ),
+    st.lists(st.integers(min_value=1, max_value=6), min_size=100, max_size=900),
+    _runs(st.integers(min_value=1, max_value=12)),
+    _pair_streams(),
+)
+
+
+@settings(max_examples=200, deadline=None)
+@given(_SCAN_STREAMS, st.integers(min_value=1, max_value=4096))
+@example([3, 1, 2], 3)  # a double rotation at the root of a three-key tree
+@example([5, 2, 8, 1, 4, 3], 8)  # a double rotation at the root, subtrees below it
+@example([40] * 300 + [1] * 300 + [80] * 300, 80)  # a few keys, each repeated hundreds of times
+def test_treemap_cost_matches_the_reference_replay(keys, slots):
+    # all-distinct, ascending, descending and repeat-heavy streams, runs
+    # and sorted pair streams: the count-free replay books what the
+    # object-node reference does
+    assert TreeMapBackend().cost(keys, slots) == _reference_cost(keys)
+
+
+@pytest.mark.parametrize(
+    "keys, depth, root", [([3, 1, 2], 2, 2), ([5, 2, 8, 1, 4, 3], 3, 4)]
+)
+def test_a_double_rotation_at_the_root_is_booked_twice(keys, depth, root):
+    # the last key lands below depth nodes, on the inner side of the root's
+    # taller child: the root's inner grandchild is lifted twice and becomes
+    # the root, and both rotations are booked visits
+    counter = SparseClassCounter()
+    for key in keys[:-1]:
+        counter.add(key)
+    before = counter.tally.element_ops
+    counter.add(keys[-1])
+    assert counter.tally.element_ops - before == 2 * depth + 1 + 2
+    assert counter._key[counter._root] == root
+    assert TreeMapBackend().cost(keys, 1) == _reference_cost(keys)
 
 
 def test_treemap_build_with_long_scans_is_pinned():

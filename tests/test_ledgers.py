@@ -91,3 +91,35 @@ def test_quantum_no_split_build_ledger_is_pinned():
     assert sha256(serialize_report(report)) == (
         "2733b15530939d07d56f5ae9821bd2b83237087a23284352d332cfc7418d28d6"
     )
+
+
+def test_bushy_quantum_build_ledger_is_pinned():
+    # shaped like perfbench's quantum-bushy: 64 classes, so deep views
+    # replay long all-distinct pair streams on the treemap ledger, and
+    # views below a split hold constant attributes
+    schema = random_schema(12, 64, "pin-bushy", kinds="discrete", max_domain=4)
+    data = random_dataset(schema, 400, "pin-bushy")
+    report = q_train(data, BuildConfig(max_height=8, backend=QUANTUM, seed=0, verify=True))
+    assert ledger(report.tree) == (
+        278, 604, 3336, 408369, 62569,
+        {0: 2816, 1: 6157, 2: 8704, 3: 11133, 4: 14387, 5: 14195, 6: 4805, 7: 372},
+        "0ed89227536ca8ae869ff6dd5ba4367cb4312eb9da189b931875f2e7be827bf9",
+    )
+    assert (report.total_oracle_queries, report.nodes_correct, len(report.per_node)) == (
+        105640, 278, 278
+    )
+    assert sha256(serialize_report(report)) == (
+        "020bddf8068d3af094735d28707f4111fe8758bb062609d079662c46bcde7160"
+    )
+
+
+def test_batched_treemap_build_ledger_is_pinned():
+    # large enough that every scored level is one LevelBatch, whose views
+    # below the root hold constant attributes (994 of the 2160 scores)
+    schema = random_schema(8, 16, "pin-levels", kinds="discrete", max_domain=4)
+    data = random_dataset(schema, 1500, "pin-levels")
+    tree = train(data, BuildConfig(max_height=5, backend=TREEMAP))
+    assert ledger(tree) == (
+        270, 525, 2160, 842727, 54656, {0: 596, 1: 2189, 2: 7237, 3: 16599, 4: 28035},
+        "4295d1b81eaafa9242cadee3445ca667bed5dd184301cde42b6197ae321a5a71",
+    )

@@ -729,3 +729,41 @@ def test_only_levels_worth_it_are_batched():
         AttributeSchema((Attribute("x", REAL),), 2), [[0.5] * 4000], [1, 2] * 2000, ("a", "b")
     )
     assert splitscan.batch_level([real.full_view()]) is None
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    seed=st.integers(0, 2**32),
+    m=st.sampled_from([1, 2, 5, 64]),
+    lengths=st.lists(st.integers(2, 40), min_size=1, max_size=30),
+    pure_share=st.sampled_from([0.0, 0.5]),
+    level=st.integers(0, 3),
+)
+@example(seed=0, m=64, lengths=[40] * 30, pure_share=0.0, level=2)
+def test_a_constant_attribute_books_its_explicit_pair_keys(seed, m, lengths, pure_share, level):
+    # every discrete attribute is constant on every view, so no pair stream
+    # is built; the tally must still equal the one booked by feeding each
+    # view's labels and explicit pair keys (y - 1) * T + v to backend.cost,
+    # through the per-view scan and through a LevelBatch alike
+    views = _level(seed, m, lengths, pure_share, 1.0, False)
+    schema = views[0].base.schema
+    batch = LevelBatch(views)
+    for name in (BASELINE, TREEMAP):
+        want_tally = OpTally(level=level)
+        want = make_backend(name, want_tally)
+        for view in views:
+            labels = view.labels()
+            for attr in range(schema.attribute_count):
+                t = schema.domain_size(attr)
+                values = view.values(attr)
+                assert len(set(values.tolist())) == 1
+                want.book(labels, m)
+                want.book((labels - 1) * t + values, m * t)
+                want.charge(0, 2 * t)
+        for scan_batch in (None, batch):
+            got_tally = OpTally(level=level)
+            got = make_backend(name, got_tally)
+            for view in views:
+                for attr in range(schema.attribute_count):
+                    assert process_attribute(view, attr, got, scan_batch) is None
+            assert _ledger(got_tally) == _ledger(want_tally)
