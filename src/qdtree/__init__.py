@@ -18,7 +18,7 @@ from .builder import (
     train,
     training_accuracy,
 )
-from .counters import BASELINE, TREEMAP, OpTally, SparseClassCounter, make_backend
+from .counters import BASELINE, TREEMAP, OpTally, make_backend
 from .criteria import INVALID_SPLIT, SplitScore, gain_ratio
 from .dataset import (
     DISCRETE,
@@ -63,7 +63,6 @@ __all__ = [
     "REAL",
     "ScoringOracle",
     "SearchStats",
-    "SparseClassCounter",
     "SplitScore",
     "SplitTest",
     "SubsetView",

@@ -71,6 +71,8 @@ class BuildConfig:
             raise ValueError("the quantum backend needs an explicit seed")
         if self.seed is not None and not is_integer(self.seed):
             raise ValueError("seed must be an integer, got %r" % (self.seed,))
+        if not isinstance(self.verify, bool):
+            raise ValueError("verify must be a bool, got %r" % (self.verify,))
 
 
 @dataclass

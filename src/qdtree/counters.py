@@ -13,14 +13,14 @@ slot_cost(slots). The baseline policy is a dense array, so allocation and
 clearing touch every slot and each add one: len(keys) element ops, and
 2 * slots maintenance. The treemap policy is an AVL map whose costs follow
 the keys actually stored, so its slot cost is 0; its key cost replays the
-keys on a bare tree that keeps no counts, booking what the add of a fresh
-SparseClassCounter books for each key, and one maintenance op per stored
-key for the clear. Either policy costs a key stream only by its length and
-by how its keys compare, so two streams whose keys order alike have one key
-cost. The tree is parallel lists indexed by node number, with node 0 as
-the empty tree, and _insert, the one insert routine, serves both the
-counter and the replay: it rebalances bottom-up and stops at the first node
-whose height does not change, or after its one single or double rotation.
+keys on a bare tree that keeps no counts, booking what an add to a fresh
+AVL map would book for each key (every node visit and rotation), and one
+maintenance op per stored key for the clear. Either policy costs a key
+stream only by its length and by how its keys compare, so two streams
+whose keys order alike have one key cost. The tree is parallel lists
+indexed by node number, with node 0 as the empty tree, and _insert puts
+each new key in: it rebalances bottom-up and stops at the first node whose
+height does not change, or after its one single or double rotation.
 Nothing in this module recurses. These are the paper's two classical
 bounds, O(h·d·(NM + N log N)) and O(h·d·N log N). The backend changes
 operation counts but never the produced scores.
@@ -99,14 +99,15 @@ class TreeMapBackend(_LedgerPolicy):
     """Books a scan as an ordered map holding only the keys it saw."""
 
     def key_cost(self, keys):
-        """(element, maintenance) ops of adding every key to a fresh
-        SparseClassCounter and clearing it, visit for visit.
+        """(element, maintenance) ops of adding every key to a fresh AVL
+        map and clearing it, visit for visit.
 
-        The keys are replayed on a bare tree that keeps no counts: a stored
-        key costs what add books for it, 2(k + 1) visits at depth k, and a
-        new one is put in by the insert add uses. Only an insert changes
-        the tree's shape, so a stored key's cost holds until the next
-        insert; it is cached till then and summed without another walk.
+        An add is a search followed by a second walk: to a stored key at
+        depth k, 2(k + 1) visits; to insert a new key below k nodes,
+        k + (k + 1) visits plus one per rotation. The keys are replayed on
+        a bare tree that keeps no counts. Only an insert changes the tree's
+        shape, so a stored key's cost holds until the next insert; it is
+        cached till then and summed without another walk.
         """
         tree_keys, left, right, height = [None], [0], [0], [0]
         root = 0
@@ -148,86 +149,19 @@ def make_backend(name, tally=None):
     raise ValueError("unknown counter backend %r" % (name,))
 
 
-class SparseClassCounter:
-    """Ordered counter that stores only keys with non-zero counts.
-
-    Backed by an AVL tree, so add and get visit O(log s) nodes and clearing
-    visits exactly s nodes, where s is the number of stored keys. Every node
-    visit is recorded in the attached OpTally, which is what the complexity
-    probes measure. Keys may be any mutually ordered values (class indices,
-    flat class-branch slots). The tree lives in parallel lists indexed by
-    node number (key, count, left, right, height); node 0 is the empty
-    tree, with height 0, count 0 and no key, so a missing child is link 0
-    and node n holds the n-th key inserted since the last clear. get and add
-    share one search loop, and add puts a new key in through _insert, the
-    one insert routine, which TreeMapBackend's replay uses too; no method
-    recurses.
-    """
-
-    def __init__(self, tally=None):
-        self.tally = tally if tally is not None else OpTally()
-        self._empty()
-
-    def get(self, key):
-        node, path = self._search(key)
-        self.tally.element(len(path) + 1 if node else len(path))
-        return self._count[node]
-
-    def add(self, key):
-        """Adds 1 to key's count and returns the new count.
-
-        Books what a get followed by a second walk costs: to overwrite a
-        stored key at depth k, 2(k + 1) visits; to insert a new key below k
-        nodes, k + (k + 1) visits plus one per rotation.
-        """
-        node, path = self._search(key)
-        count = self._count
-        if node:
-            self.tally.element(2 * len(path) + 2)
-            count[node] += 1
-            return count[node]
-        count.append(1)
-        self._root, rotations = _insert(
-            key, path, self._key, self._left, self._right, self._height
-        )
-        self.tally.element(2 * len(path) + 1 + rotations)
-        return 1
-
-    def clear(self):
-        self.tally.maintenance(len(self._key) - 1)
-        self._empty()
-
-    def _empty(self):
-        self._key, self._count = [None], [0]
-        self._left, self._right, self._height = [0], [0], [0]
-        self._root = 0
-
-    def _search(self, key):
-        """(node holding key, or 0; the nodes above it, root first).
-        Books nothing."""
-        keys, left, right = self._key, self._left, self._right
-        path = []
-        node = self._root
-        while node and key != keys[node]:
-            path.append(node)
-            node = left[node] if key < keys[node] else right[node]
-        return node, path
-
-
 def _insert(key, path, keys, left, right, height):
     """Puts a new node for key below path, the nodes a search for key
     passed (root first), and rebalances bottom-up; returns (the tree's
     root, the rotations made).
 
-    The new node is numbered len(keys); the caller appends to any other
-    per-node list. Each node on the path gets its height refreshed, and the
-    walk stops at the first whose height does not change, since none above
-    it can change either. A node two taller on one side has that side's
-    child rotated up, after lifting the grandchild first when the child
-    leans the other way; that gives the subtree back its height from
-    before the insert, so the walk stops there too. These are the rotations
-    a walk up the whole path would make (Adelson-Velsky and Landis 1962;
-    Knuth, TAOCP vol. 3, 6.2.3).
+    The new node is numbered len(keys). Each node on the path gets its
+    height refreshed, and the walk stops at the first whose height does not
+    change, since none above it can change either. A node two taller on one
+    side has that side's child rotated up, after lifting the grandchild
+    first when the child leans the other way; that gives the subtree back
+    its height from before the insert, so the walk stops there too. These
+    are the rotations a walk up the whole path would make (Adelson-Velsky
+    and Landis 1962; Knuth, TAOCP vol. 3, 6.2.3).
     """
     child = len(keys)
     keys.append(key)

@@ -35,6 +35,8 @@ class Attribute:
     domain_size: int | None = None
 
     def __post_init__(self):
+        if not isinstance(self.name, str):
+            raise ValueError("attribute name must be a string, got %r" % (self.name,))
         # every reader strips names, so a padded one could not be read back
         if self.name != self.name.strip():
             raise ValueError("attribute name %r has leading or trailing whitespace" % (self.name,))
@@ -58,6 +60,9 @@ class AttributeSchema:
         object.__setattr__(self, "attributes", tuple(self.attributes))
         if not self.attributes:
             raise ValueError("a schema needs at least one attribute")
+        for a in self.attributes:
+            if not isinstance(a, Attribute):
+                raise ValueError("schema entries must be Attributes, got %r" % (a,))
         if not is_integer(self.class_count) or self.class_count < 1:
             raise ValueError("a schema needs an integer class count of at least 1")
         names = [a.name for a in self.attributes]
@@ -83,6 +88,14 @@ def _flat(values, what):
     return values
 
 
+def _not_complex(values, what):
+    """values, once none is complex: a cast to float would drop the
+    imaginary parts with only a ComplexWarning."""
+    if values.dtype.kind == "c":
+        raise DataFormatError("%s that are complex numbers" % (what,))
+    return values
+
+
 def _whole_numbers(values, high, what):
     """values as an int64 array, once each is a whole number in 1..high.
 
@@ -90,7 +103,7 @@ def _whole_numbers(values, high, what):
     the CSV reader does; so does a whole number outside 1..high, however
     large, with the message `<what> outside 1..<high>`.
     """
-    values = np.asarray(values)
+    values = _not_complex(np.asarray(values), what)
     if values.dtype.kind not in "iu":
         try:
             whole = np.asarray(values, dtype=np.float64)
@@ -120,10 +133,11 @@ class Dataset:
             _flat(col, "column %r" % (a.name,)) for a, col in zip(schema.attributes, columns)
         ]
         self.columns = [
-            np.asarray(col, dtype=np.float64)
+            np.asarray(_not_complex(col, what), dtype=np.float64)
             if a.kind == REAL
-            else _whole_numbers(col, a.domain_size, "attribute %r holds values" % (a.name,))
+            else _whole_numbers(col, a.domain_size, what)
             for a, col in zip(schema.attributes, columns)
+            for what in ["attribute %r holds values" % (a.name,)]
         ]
         self.labels = _whole_numbers(
             _flat(labels, "class indices"), schema.class_count, "class indices"
@@ -142,6 +156,10 @@ class Dataset:
                 raise DataFormatError("non-finite value in attribute %r" % (a.name,))
         if len(self.class_labels) != self.schema.class_count:
             raise ValueError("need one label name per class")
+        # a model file keeps only string labels
+        for label in self.class_labels:
+            if not isinstance(label, str):
+                raise ValueError("class labels must be strings, got %r" % (label,))
 
     @property
     def n_rows(self):

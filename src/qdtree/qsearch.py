@@ -4,12 +4,14 @@ The threshold search is simulated at the success-probability level, not the
 state-vector level. Each amplified inner search for "an index scoring above
 the current threshold" draws an iteration count m, is charged 2m+1 oracle
 queries, and succeeds with probability sin^2((2m+1)*asin(sqrt(t/K))) where t
-is the number of indices strictly above the threshold. The harness's
-measure() computes t, draws the hit and then draws the measured index
-uniformly from the marked set on a hit or from the rest otherwise; the
-algorithm itself sees only counted evaluate() results. This reproduces the
-observable contract of the search (success odds, query counts, budget) at
-classical cost. Sizing the marked set needs every score, so the oracle is a
+is the number of indices strictly above the threshold. durr_hoyer_max()
+plays the harness in its round loop: it sizes t by bisecting the sorted
+scores (again only when the threshold moves), draws the hit, and then draws
+the measured index uniformly from the marked set on a hit or from the rest
+otherwise. The algorithm itself sees only counted evaluate() results, and
+the rounds' 2m charges are booked as one charge() when the search ends.
+This reproduces the observable contract of the search (success odds, query
+counts, budget) at classical cost. Sizing the marked set needs every score, so the oracle is a
 counted view over a score list fixed before the search: the caller scores
 each index exactly once, however many queries the search then spends.
 
@@ -18,11 +20,6 @@ round, for the hit) and rng.getrandbits(), the latter through _below(), which
 draws a uniform index exactly as CPython's randrange() does. The hit odds
 come from a row per marked-set size that the oracle computes once and keeps,
 so every repeat over the same scores shares it.
-
-durr_hoyer_max() inlines three harness steps in its round loop: measure()'s
-bisection for t, redone only when the threshold moves; its hit and index
-draws; and the per-round charge(2m), booked as one charge() when the search
-ends. It still reads every measured index through evaluate().
 
 Indices run 0..K-1 throughout.
 """
@@ -80,7 +77,7 @@ class ScoringOracle:
     algorithmic work.
 
     Everything below the marked line is harness bookkeeping (ground truth,
-    measurement draws) and never touches the counter; reading `scores`
+    hit odds) and never touches the counter; reading `scores`
     directly charges nothing either.
     """
 
@@ -119,19 +116,6 @@ class ScoringOracle:
             row = self._odds[marked] = [math.sin((2 * m + 1) * angle) ** 2 for m in range(length)]
         return row
 
-    def measure(self, score, m, rng):
-        """Index read out after m amplification iterations marking scores[i] > score.
-
-        A hit (probability sin^2((2m+1)*asin(sqrt(t/K))), t the marked-set
-        size) yields a uniform marked index, a miss a uniform unmarked one.
-        """
-        pos = bisect_right(self._keys, score)
-        marked = self.size - pos
-        if rng.random() < self._hit_odds(marked, m + 1)[m]:
-            return self._order[pos + _below(rng.getrandbits, marked)]
-        # marking all K gives odds 1.0, so a miss leaves pos >= 1 to draw from
-        return self._order[_below(rng.getrandbits, pos)]
-
     def is_max_score(self, score):
         """Whether score order-equals the true maximum."""
         return not (score < self._keys[-1])
@@ -149,9 +133,6 @@ def durr_hoyer_max(oracle, rng):
     whatever the draws. Returns (best index seen, SearchStats); only strict
     improvements move the threshold, so the result is the best score the
     search evaluated and never worse than the starting index.
-
-    The round loop inlines measure() and the per-round charge() (see the
-    module docstring), with the same draws in the same order.
     """
     size = oracle.size
     budget = query_budget(size)
@@ -184,6 +165,7 @@ def durr_hoyer_max(oracle, rng):
         if rand() < odds[m]:
             measured = order[pos + _below(bits, marked)]
         else:
+            # marking all K gives odds 1.0, so a miss leaves pos >= 1 to draw from
             measured = order[_below(bits, pos)]
         score = evaluate(measured)
         if best_score < score:

@@ -1,9 +1,9 @@
-"""The object-node AVL counter that qdtree.counters.SparseClassCounter
-replaced, kept as the reference its parallel-list tree is checked against:
-each node is an object with key, value, left, right and height, and a
-missing child is None. It books every visit, rotation and cleared key the
-same way, so both must give the same counts and the same ledgers for any
-key stream.
+"""The object-node AVL counter that is the spec the treemap ledger's replay
+(qdtree.counters.TreeMapBackend.key_cost) is held to: each node is an
+object with key, value, left, right and height, and a missing child is
+None. It books every visit, rotation and cleared key, so for any key
+stream the replay must book what adding the keys to a fresh one and
+clearing it books here.
 """
 
 from qdtree.counters import OpTally

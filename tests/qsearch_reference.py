@@ -1,10 +1,10 @@
-"""The round-by-round search that qdtree.qsearch.durr_hoyer_max replaced,
-kept as the reference its tightened loop is checked against: every round
-calls charge(), measure() and randrange() through the oracle and the rng,
-and measure() bisects the sorted scores and reads a sin^2 hit odds from an
-eager table of marked-set angles. Both must return the same winner and
-SearchStats, spend the same queries, evaluate the same indices in the same
-order and leave the rng in the same state for any score list and seed.
+"""The round-by-round search that is the spec qdtree.qsearch.durr_hoyer_max's
+loop is held to: every round calls charge(), measure() and randrange()
+through the oracle and the rng, and measure() bisects the sorted scores and
+reads a sin^2 hit odds from an eager table of marked-set angles. Both must
+return the same winner and SearchStats, spend the same queries, evaluate
+the same indices in the same order and leave the rng in the same state for
+any score list and seed.
 """
 
 import math

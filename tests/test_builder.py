@@ -75,6 +75,13 @@ def test_config_validation():
     assert set(BACKENDS) == {"baseline", "treemap", "quantum"}
 
 
+@pytest.mark.parametrize("verify", ["no", 1, None])
+def test_config_rejects_a_verify_that_is_not_a_bool(verify):
+    # verify="no" used to turn verification on
+    with pytest.raises(ValueError, match="verify must be a bool"):
+        BuildConfig(backend="quantum", seed=0, verify=verify)
+
+
 def test_config_rejects_a_string_seed():
     # q_train would fail later formatting the seed with %d
     with pytest.raises(ValueError, match="seed must be an integer"):
@@ -398,6 +405,20 @@ def test_model_roundtrip_bytes_and_predictions(tmp_path):
     assert serialize_model(again) == serialize_model(tree)
     for i in range(data.n_rows):
         assert classify(again, data.row(i)) == classify(tree, data.row(i))
+
+
+def test_only_string_class_labels_reach_a_model(tmp_path):
+    # load_model reads string labels only, so a dataset refuses the others
+    # rather than train a tree whose saved model cannot be read back
+    schema = AttributeSchema((Attribute("x", REAL),), 2)
+    with pytest.raises(ValueError, match="class labels must be strings"):
+        Dataset(schema, [[1.0, 2.0]], [1, 2], (1, 2))
+    tree = train(Dataset(schema, [[1.0, 2.0]], [1, 2], ("1", "2")))
+    path = tmp_path / "model.json"
+    save_model(tree, path)
+    again = load_model(path)
+    assert again.class_labels == ("1", "2")
+    assert serialize_model(again) == serialize_model(tree)
 
 
 def test_document_to_tree_rejects_garbage():

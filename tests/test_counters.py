@@ -2,7 +2,6 @@
 
 import hashlib
 import random
-from collections import Counter
 
 import numpy as np
 import pytest
@@ -16,8 +15,8 @@ from qdtree.counters import (
     TREEMAP,
     DenseBackend,
     OpTally,
-    SparseClassCounter,
     TreeMapBackend,
+    _insert,
     make_backend,
 )
 from qdtree.dataset import SubsetView
@@ -157,16 +156,30 @@ def test_add_all_matches_add_loop(keys):
     _book_matches_loop(keys)
 
 
-def _in_order(counter):
-    # the counter's node numbers in key order, walked with an explicit stack
-    nodes, stack, node = [], [], counter._root
+def _put(key, root, tree):
+    # key put into the bare parallel-list tree (keys, left, right, height)
+    # through _insert, below the path a search for it passes; a stored key
+    # changes nothing. Returns (root, rotations).
+    keys, left, right, _ = tree
+    path, node = [], root
+    while node and key != keys[node]:
+        path.append(node)
+        node = left[node] if key < keys[node] else right[node]
+    if node:
+        return root, 0
+    return _insert(key, path, *tree)
+
+
+def _in_order(root, left, right):
+    # the tree's node numbers in key order, walked with an explicit stack
+    nodes, stack, node = [], [], root
     while stack or node:
         while node:
             stack.append(node)
-            node = counter._left[node]
+            node = left[node]
         node = stack.pop()
         nodes.append(node)
-        node = counter._right[node]
+        node = right[node]
     return nodes
 
 
@@ -174,37 +187,20 @@ def _in_order(counter):
 @given(st.lists(st.integers(min_value=-60, max_value=60), max_size=200))
 @example(list(range(64)) + list(range(-1, -64, -1)))
 def test_add_keeps_the_avl_invariants(keys):
-    counter = SparseClassCounter()
-    height = counter._height
+    tree = stored, left, right, height = [None], [0], [0], [0]
+    root = 0
     for i, key in enumerate(keys):
-        counter.add(key)
-        nodes = _in_order(counter)
-        order = [counter._key[node] for node in nodes]
-        assert all(a < b for a, b in zip(order, order[1:]))
+        root, _ = _put(key, root, tree)
+        nodes = _in_order(root, left, right)
+        order = [stored[node] for node in nodes]
+        assert order == sorted(set(keys[: i + 1]))
         for node in nodes:
-            left, right = height[counter._left[node]], height[counter._right[node]]
-            assert height[node] == 1 + max(left, right)
-            assert abs(left - right) <= 1
-        assert len(nodes) == len(counter._key) - 1
-        assert {counter._key[n]: counter._count[n] for n in nodes} == Counter(keys[: i + 1])
+            lower, upper = height[left[node]], height[right[node]]
+            assert height[node] == 1 + max(lower, upper)
+            assert abs(lower - upper) <= 1
+        assert len(nodes) == len(stored) - 1
     # node 0, the empty tree, is never written
-    assert (counter._key[0], counter._count[0], height[0]) == (None, 0, 0)
-    assert (counter._left[0], counter._right[0]) == (0, 0)
-
-
-@settings(max_examples=100, deadline=None)
-@given(
-    st.lists(st.integers(min_value=1, max_value=40), max_size=300),
-    st.lists(st.integers(min_value=0, max_value=41), max_size=20),
-)
-def test_counts_and_get_bookings_match_the_reference(keys, probes):
-    # every add returns and books what the reference's does, and so does
-    # every get, of a stored key or of a missing one
-    pair = SparseClassCounter(OpTally()), ReferenceCounter(OpTally())
-    for key in keys:
-        assert len({(c.add(key), c.tally.element_ops) for c in pair}) == 1
-    for key in probes:
-        assert len({(c.get(key), c.tally.element_ops) for c in pair}) == 1
+    assert (stored[0], height[0], left[0], right[0]) == (None, 0, 0, 0)
 
 
 def _view_ledger(view):
@@ -311,14 +307,16 @@ def test_a_double_rotation_at_the_root_is_booked_twice(keys, depth, root):
     # the last key lands below depth nodes, on the inner side of the root's
     # taller child: the root's inner grandchild is lifted twice and becomes
     # the root, and both rotations are booked visits
-    counter = SparseClassCounter()
+    tree = [None], [0], [0], [0]
+    top = 0
     for key in keys[:-1]:
-        counter.add(key)
-    before = counter.tally.element_ops
-    counter.add(keys[-1])
-    assert counter.tally.element_ops - before == 2 * depth + 1 + 2
-    assert counter._key[counter._root] == root
-    assert TreeMapBackend().cost(keys, 1) == _reference_cost(keys)
+        top, _ = _put(key, top, tree)
+    top, rotations = _put(keys[-1], top, tree)
+    assert (tree[0][top], rotations) == (root, 2)
+    ledger = TreeMapBackend()
+    booked = ledger.cost(keys, 1)[0] - ledger.cost(keys[:-1], 1)[0]
+    assert booked == 2 * depth + 1 + 2
+    assert ledger.cost(keys, 1) == _reference_cost(keys)
 
 
 def test_treemap_build_with_long_scans_is_pinned():

@@ -13,7 +13,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from qdtree.counters import OpTally, SparseClassCounter
+from qdtree.counters import OpTally, TreeMapBackend
 from qdtree.criteria import INVALID_SPLIT, SplitScore, gain_ratio, running_counts, xlog2x
 from qdtree.oracle import entropy, gain
 
@@ -184,75 +184,34 @@ def test_argmax_invariant_under_log_base():
         assert by_ratio == by_nat
 
 
-# --- ordered sparse counter ---
-
-
-def test_sparse_counter_basic_ops():
-    c = SparseClassCounter(OpTally())
-    assert c.get(5) == 0
-    c.add(5)
-    c.add(5)
-    c.add(1)
-    assert c.add(5) == 3
-    assert c.get(5) == 3
-    assert c.get(1) == 1
-    c.clear()
-    assert c.get(5) == 0
-    assert c.get(1) == 0
-
-
-@settings(max_examples=60, deadline=None)
-@given(
-    st.lists(
-        st.tuples(st.integers(min_value=1, max_value=40), st.integers(1, 3)),
-        max_size=120,
-    )
-)
-def test_sparse_counter_matches_dict(ops):
-    c = SparseClassCounter(OpTally())
-    shadow = {}
-    for key, times in ops:
-        for _ in range(times):
-            shadow[key] = shadow.get(key, 0) + 1
-            assert c.add(key) == shadow[key]
-        assert c.get(key) == shadow[key]
-    for key in range(1, 41):
-        assert c.get(key) == shadow.get(key, 0)
+# --- ordered-map ledger ---
 
 
 def test_sparse_counter_logarithmic_access_cost():
-    # element charges per access stay O(log s): generous constant, tight
-    # enough to catch a degenerate list-shaped tree
-    tally = OpTally()
-    c = SparseClassCounter(tally)
+    # the treemap ledger books O(log s) visits per add: generous constant,
+    # tight enough to catch a degenerate list-shaped tree
+    ledger = TreeMapBackend()
     n = 512
-    for key in range(1, n + 1):  # ascending inserts are the classic worst case
-        before = tally.element_ops
-        c.add(key)
-        assert tally.element_ops - before <= 4 * (math.log2(key + 1) + 1)
-    before = tally.element_ops
-    c.get(n)
-    assert tally.element_ops - before <= 3 * math.log2(n)
+    keys = list(range(1, n + 1))  # ascending inserts are the classic worst case
+    booked = [ledger.cost(keys[:k], 1)[0] for k in range(n + 1)]
+    for key in keys:
+        assert booked[key] - booked[key - 1] <= 4 * (math.log2(key + 1) + 1)
+    # adding a stored key again costs two walks to it
+    assert ledger.cost(keys + [n], 1)[0] - booked[n] <= 3 * math.log2(n)
 
 
 def test_sparse_counter_maintenance_charges_scale_with_size():
-    tally = OpTally()
-    c = SparseClassCounter(tally)
-    for key in range(1, 9):
-        c.add(key)
-    before = tally.maintenance_ops
-    c.get(4)
-    assert tally.maintenance_ops == before
-    c.clear()
-    assert tally.maintenance_ops - before == 8
+    # clearing costs one op per stored key, whatever the adds of stored keys
+    ledger = TreeMapBackend()
+    keys = list(range(1, 9))
+    assert ledger.cost(keys, 64)[1] == 8
+    assert ledger.cost(keys + [4, 4, 8], 64)[1] == 8
 
 
 def test_tally_levels_bucket_maintenance():
     tally = OpTally()
-    c = SparseClassCounter(tally)
-    c.add(1)
     tally.level = 3
-    c.clear()
+    TreeMapBackend(tally).book([1], 1)
     assert tally.by_level.get(3) == 1
 
 

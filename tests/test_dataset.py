@@ -52,6 +52,20 @@ def test_attribute_validation():
         Attribute("c", "ordinal", 2)
 
 
+@pytest.mark.parametrize(
+    "make, message",
+    [
+        (lambda: Attribute(3, REAL), "attribute name must be a string"),
+        (lambda: AttributeSchema(("a",), 2), "schema entries must be Attributes"),
+    ],
+    ids=["name-not-a-string", "entry-not-an-attribute"],
+)
+def test_attribute_and_schema_reject_wrong_types(make, message):
+    # both used to die on an attribute lookup, with an AttributeError
+    with pytest.raises(ValueError, match=message):
+        make()
+
+
 @pytest.mark.parametrize("name", [" x", "x ", "\tx", "x\n", "\x1cx", "x\u3000"])
 def test_attribute_rejects_a_name_with_outer_whitespace(name):
     # every reader strips names, so write_schema then read_schema would
@@ -104,14 +118,14 @@ def test_dataset_rejects_out_of_domain_discrete():
         Dataset(schema, [[0, 1]], [1, 2], ("a", "b"))
 
 
-@pytest.mark.parametrize("value", [1.5, 0.999, float("inf"), float("nan"), "x"])
+@pytest.mark.parametrize("value", [1.5, 0.999, float("inf"), float("nan"), "x", 1 + 5j])
 def test_dataset_rejects_discrete_values_that_are_not_whole(value):
     schema = AttributeSchema((Attribute("c", DISCRETE, 2),), 2)
     with pytest.raises(DataFormatError, match="attribute 'c'"):
         Dataset(schema, [[value, 1]], [1, 2], ("a", "b"))
 
 
-@pytest.mark.parametrize("label", [1.7, float("inf"), float("nan")])
+@pytest.mark.parametrize("label", [1.7, float("inf"), float("nan"), 1 + 2j])
 def test_dataset_rejects_labels_that_are_not_whole(label):
     schema = AttributeSchema((Attribute("c", DISCRETE, 2),), 2)
     with pytest.raises(DataFormatError, match="class indices"):
@@ -145,6 +159,9 @@ def test_dataset_rejects_non_finite_reals():
         Dataset(schema, [[1.0, float("nan")]], [1, 2], ("a", "b"))
     with pytest.raises(DataFormatError):
         Dataset(schema, [[float("inf"), 0.0]], [1, 2], ("a", "b"))
+    # a cast to float would keep 1.0 and drop the imaginary part
+    with pytest.raises(DataFormatError, match="attribute 'x' holds values that are complex"):
+        Dataset(schema, [[1 + 2j, 2]], [1, 2], ("a", "b"))
 
 
 def test_dataset_rejects_bad_labels_and_shapes():

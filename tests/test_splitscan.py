@@ -6,17 +6,12 @@ import warnings
 
 import numpy as np
 import pytest
+from avl_reference import SparseClassCounter as AvlReference
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from qdtree import oracle
-from qdtree.counters import (
-    BASELINE,
-    TREEMAP,
-    OpTally,
-    SparseClassCounter,
-    make_backend,
-)
+from qdtree.counters import BASELINE, TREEMAP, OpTally, make_backend
 from qdtree.criteria import gain_ratio, xlog2x
 from qdtree.dataset import (
     DISCRETE,
@@ -381,7 +376,7 @@ class _DenseReference:
 
 def _counter(name, size, tally):
     # the counting structure each backend's ledger stands for
-    return _DenseReference(size, tally) if name == BASELINE else SparseClassCounter(tally)
+    return _DenseReference(size, tally) if name == BASELINE else AvlReference(tally)
 
 
 def _counted_information_table(labels, counter):
