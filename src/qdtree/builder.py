@@ -36,6 +36,7 @@ from .dataset import (
     AttributeSchema,
     DataFormatError,
     branch_masks,
+    breaks_lines,
     is_integer,
     partition,
 )
@@ -371,6 +372,14 @@ def _node_layouts(dep):
     )
 
 
+class _Numerals(dict):
+    """The decimal text of each count, formatted on first use."""
+
+    def __missing__(self, count):
+        text = self[count] = str(count)
+        return text
+
+
 def _write_model(tree, fh):
     """Writes the model text of tree to the text file fh, in chunks of about
     _CHUNK characters, walking the tree in preorder on an explicit stack.
@@ -380,6 +389,11 @@ def _write_model(tree, fh):
     followed by the separator before its next sibling. A stack entry is
     (node, depth, text after it), or (None, 0, text) for the closing text
     of an internal node, pushed beneath its children.
+
+    Support counts are joined through one numeral table per write, so each
+    distinct count is formatted once, not once per occurrence: on a bushy
+    tree most of the M counts of most nodes are 0. The table holds only the
+    counts written, however large.
     """
     attrs = []
     for a in tree.schema.attributes:
@@ -397,6 +411,7 @@ def _write_model(tree, fh):
     out = [header[:-2], ',\n%s"root": ' % (" " * jsonio.INDENT,)]
     size = 0
     layouts = []
+    numeral = _Numerals().__getitem__
     stack = [(tree.root, 1, "\n}\n")]
     while stack:
         node, dep, after = stack.pop()
@@ -406,7 +421,7 @@ def _write_model(tree, fh):
             while len(layouts) <= dep:
                 layouts.append(_node_layouts(len(layouts)))
             leaf, real, discrete, sep, close = layouts[dep]
-            support = sep.join(map(str, node.support))
+            support = sep.join(map(numeral, node.support))
             if isinstance(node, Leaf):
                 piece = leaf % (node.class_index, support) + after
             else:
@@ -532,6 +547,9 @@ def document_to_tree(doc):
             )
         if countOf(map(type, class_labels), str) != len(class_labels):
             raise DataFormatError("class labels must be strings")
+        for label in class_labels:
+            if breaks_lines(label):
+                raise DataFormatError("class label %r holds a line break" % (label,))
         root = _node_from_document(doc["root"], schema)
     except (AttributeError, KeyError, OverflowError, TypeError) as exc:
         raise DataFormatError(

@@ -88,12 +88,29 @@ def _flat(values, what):
     return values
 
 
-def _not_complex(values, what):
-    """values, once none is complex: a cast to float would drop the
-    imaginary parts with only a ComplexWarning."""
-    if values.dtype.kind == "c":
-        raise DataFormatError("%s that are complex numbers" % (what,))
-    return values
+def _numbers(values, what):
+    """values as a float64 array, once each is a real number: the one
+    numeric conversion of real columns, discrete columns and labels.
+
+    A complex value raises DataFormatError `<what> that are complex
+    numbers`, since a cast would drop its imaginary part; any other value
+    float() refuses raises `<what> that are not numbers`. An object array
+    goes through float() value by value, because numpy's cast would make
+    None a NaN. Numeric strings are numbers. A number too large for a
+    float raises OverflowError.
+    """
+    values = np.asarray(values)
+    if values.dtype.kind != "c":
+        try:
+            if values.dtype.kind == "O":
+                return np.fromiter(map(float, values), np.float64, len(values))
+            return np.asarray(values, dtype=np.float64)
+        except (TypeError, ValueError):
+            pass
+    for v in values.tolist():
+        if isinstance(v, numbers.Complex) and not isinstance(v, numbers.Real):
+            raise DataFormatError("%s that are complex numbers" % (what,))
+    raise DataFormatError("%s that are not numbers" % (what,))
 
 
 def _whole_numbers(values, high, what):
@@ -103,20 +120,37 @@ def _whole_numbers(values, high, what):
     the CSV reader does; so does a whole number outside 1..high, however
     large, with the message `<what> outside 1..<high>`.
     """
-    values = _not_complex(np.asarray(values), what)
+    values = np.asarray(values)
     if values.dtype.kind not in "iu":
         try:
-            whole = np.asarray(values, dtype=np.float64)
+            values = _numbers(values, what)
         except OverflowError:
             raise DataFormatError("%s outside 1..%d" % (what, high)) from None
-        except (TypeError, ValueError):
-            raise DataFormatError("%s that are not numbers" % (what,)) from None
-        if not np.all(np.isfinite(whole) & (whole == np.floor(whole))):
+        if not np.all(np.isfinite(values) & (values == np.floor(values))):
             raise DataFormatError("%s that are not finite whole numbers" % (what,))
-        values = whole
     if len(values) and (values.min() < 1 or values.max() > high):
         raise DataFormatError("%s outside 1..%d" % (what, high))
     return values.astype(np.int64, copy=False)
+
+
+def _finite_numbers(values, what):
+    """values as a float64 array, once each is a finite real number. A
+    number too large for a float counts as not finite, as its digits do in
+    the CSV reader, where float() reads them as inf."""
+    try:
+        values = _numbers(values, what)
+    except OverflowError:
+        values = None
+    if values is None or not np.isfinite(values).all():
+        raise DataFormatError("%s that are not finite" % (what,))
+    return values
+
+
+def breaks_lines(text):
+    """Whether text holds a character at which str.splitlines breaks it:
+    \\n, \\r, \\v, \\f, \\x1c-\\x1e, \\x85, \\u2028 or \\u2029. Predict
+    prints each class label as one line."""
+    return "".join(text.splitlines()) != text
 
 
 class Dataset:
@@ -133,7 +167,7 @@ class Dataset:
             _flat(col, "column %r" % (a.name,)) for a, col in zip(schema.attributes, columns)
         ]
         self.columns = [
-            np.asarray(_not_complex(col, what), dtype=np.float64)
+            _finite_numbers(col, what)
             if a.kind == REAL
             else _whole_numbers(col, a.domain_size, what)
             for a, col in zip(schema.attributes, columns)
@@ -152,14 +186,15 @@ class Dataset:
         for a, col in zip(self.schema.attributes, self.columns):
             if len(col) != n:
                 raise ValueError("column %r has %d values for %d rows" % (a.name, len(col), n))
-            if a.kind == REAL and not np.all(np.isfinite(col)):
-                raise DataFormatError("non-finite value in attribute %r" % (a.name,))
         if len(self.class_labels) != self.schema.class_count:
             raise ValueError("need one label name per class")
-        # a model file keeps only string labels
+        # a model file keeps only string labels, and predict prints each
+        # as one line
         for label in self.class_labels:
             if not isinstance(label, str):
                 raise ValueError("class labels must be strings, got %r" % (label,))
+            if breaks_lines(label):
+                raise DataFormatError("class label %r holds a line break" % (label,))
 
     @property
     def n_rows(self):
@@ -358,10 +393,11 @@ def _parse_columns(rows, attributes):
     return columns
 
 
-def _parse_cells(block, attributes, width, path):
+def _parse_cells(block, attributes, width, path, labeled):
     """The block's columns parsed cell by cell, in row order: raises the
-    first bad width or cell with its line and column, and parses a token
-    that `float` or `int` accepts only once stripped."""
+    first bad width, cell or, when labeled, class label with a line break,
+    naming its line, and parses a token that `float` or `int` accepts only
+    once stripped."""
     cols = [[] for _ in attributes]
     for lineno, row in block:
         if len(row) != width:
@@ -370,6 +406,10 @@ def _parse_cells(block, attributes, width, path):
             )
         for col, a, token in zip(cols, attributes, row):
             col.append(_parse_value(token, a, path, lineno))
+        if labeled and breaks_lines(row[-1].strip()):
+            raise DataFormatError(
+                "%s line %d: class label %r holds a line break" % (path, lineno, row[-1].strip())
+            )
     return [np.array(col, _PARSERS[a.kind][1]) for a, col in zip(attributes, cols)]
 
 
@@ -377,6 +417,8 @@ def _read_csv(path, attributes, labeled):
     """The one CSV loop: returns an array of parsed values per attribute
     and, when labeled, every row's stripped label. The header is the
     attribute names plus `class`; an unlabeled read may also omit `class`.
+    A label with a line break is an error, since predict prints each label
+    as one line.
 
     Cells are parsed a block of rows at a time, one column per call; a
     block that fails goes through the per-cell path, which reports the
@@ -399,15 +441,15 @@ def _read_csv(path, attributes, labeled):
         width = len(header)
         for block in _blocks(reader):
             rows = [row for _, row in block]
+            tail = [row[-1].strip() for row in rows] if labeled else []
             columns = None
-            if all(len(row) == width for row in rows):
+            if all(len(row) == width for row in rows) and not any(map(breaks_lines, set(tail))):
                 columns = _parse_columns(rows, attributes)
             if columns is None:
-                columns = _parse_cells(block, attributes, width, path)
+                columns = _parse_cells(block, attributes, width, path, labeled)
             for part, values in zip(parts, columns):
                 part.append(values)
-            if labeled:
-                labels.extend(row[-1].strip() for row in rows)
+            labels.extend(tail)
             # free this block's strings before the next block is read
             del block, rows
     # with no rows, every column is an empty float64 array

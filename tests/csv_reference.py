@@ -1,14 +1,19 @@
 """The per-cell CSV reader that qdtree.dataset._read_csv replaced, kept as
 the reference its block reader is checked against: it parses every cell on
-its own with `_parse_value`, in row order, and returns a list of values per
-attribute. Both must give the same columns, the same labels, or the same
-DataFormatError message for any file.
+its own with `_parse_value`, in row order, refuses a class label that holds
+a line break, and returns a list of values per attribute. Both must give
+the same columns, the same labels, or the same DataFormatError message for
+any file.
 """
 
 import csv
 import math
 
 from qdtree.dataset import REAL, DataFormatError, _records
+
+
+# the characters str.splitlines breaks at; predict prints a label as one line
+LINE_BREAKS = "\n\r\v\f\x1c\x1d\x1e\x85\u2028\u2029"
 
 
 def _parse_value(token, attribute, path, lineno):
@@ -70,5 +75,10 @@ def read_csv(path, attributes, labeled):
             for col, a, token in zip(cols, attributes, row):
                 col.append(_parse_value(token, a, path, lineno))
             if labeled:
-                labels.append(row[-1].strip())
+                label = row[-1].strip()
+                if any(c in label for c in LINE_BREAKS):
+                    raise DataFormatError(
+                        "%s line %d: class label %r holds a line break" % (path, lineno, label)
+                    )
+                labels.append(label)
     return cols, labels

@@ -717,6 +717,83 @@ def test_level_order_hands_each_level_to_the_hook_before_stepping_it():
     assert stats == train(data).stats
 
 
+# support counts: absent entries are 0, so most of a wide support is zeros
+NONZERO_COUNTS = st.one_of(st.integers(1, 9), st.integers(1, 10**30), st.integers(2**63, 10**30))
+
+
+@st.composite
+def hand_built_trees(draw):
+    """A tree built node by node over a drawn schema with 1..70 classes.
+    Each support is drawn on its own, so a child may count more than its
+    root; real thresholds are k + 0.5, which JSON writes as format_float
+    does."""
+    m = draw(st.integers(1, 70))
+    kinds = draw(st.lists(st.sampled_from([0, 2, 3]), min_size=1, max_size=3))
+    schema = AttributeSchema(
+        tuple(
+            Attribute("a%d" % j, REAL) if t == 0 else Attribute("a%d" % j, DISCRETE, t)
+            for j, t in enumerate(kinds)
+        ),
+        m,
+    )
+
+    def node(height):
+        support = [0] * m
+        nonzero = draw(st.dictionaries(st.integers(0, m - 1), NONZERO_COUNTS, max_size=5))
+        for c, count in nonzero.items():
+            support[c] = count
+        if height == 0 or draw(st.booleans()):
+            return Leaf(draw(st.integers(1, m)), tuple(support))
+        attr = draw(st.integers(0, len(kinds) - 1))
+        if schema.is_real(attr):
+            test, arity = SplitTest(attr, REAL, theta=draw(st.integers(-1000, 1000)) + 0.5), 2
+        else:
+            arity = schema.domain_size(attr)
+            test = SplitTest(attr, DISCRETE, branch_count=arity)
+        return Internal(test, [node(height - 1) for _ in range(arity)], tuple(support))
+
+    labels = tuple("class %d" % c for c in range(1, m + 1))
+    return DecisionTree(node(draw(st.integers(0, 3))), schema, labels, BuildStats())
+
+
+def _plain_document(tree):
+    """The model document of tree, by a recursive walk in field order."""
+
+    def walk(node):
+        if isinstance(node, Leaf):
+            return {"kind": "leaf", "class": node.class_index, "support": list(node.support)}
+        doc = {"kind": "internal", "attr": node.test.attr}
+        if node.test.kind == REAL:
+            doc["theta"] = node.test.theta
+        else:
+            doc["branch_count"] = node.test.branch_count
+        doc["support"] = list(node.support)
+        doc["children"] = [walk(child) for child in node.children]
+        return doc
+
+    attrs = []
+    for a in tree.schema.attributes:
+        attrs.append({"name": a.name, "kind": a.kind})
+        if a.kind == DISCRETE:
+            attrs[-1]["domain_size"] = a.domain_size
+    return {
+        "schema": {"class_count": tree.schema.class_count, "attributes": attrs},
+        "class_label_mapping": list(tree.class_labels),
+        "root": walk(tree.root),
+    }
+
+
+@settings(max_examples=100, deadline=None)
+@given(tree=hand_built_trees())
+def test_writer_matches_a_plain_walk_on_hand_built_trees(tmp_path_factory, tree):
+    text = serialize_model(tree)
+    assert text == jsonio.dumps(_plain_document(tree)) + "\n"
+    path = tmp_path_factory.mktemp("model") / "m.json"
+    save_model(tree, path)
+    assert path.read_text(encoding="utf-8") == text
+    assert serialize_model(load_model(path)) == text
+
+
 ODD_LABELS = ("", 'say "hi"', "tab\there\x00nul", "café \U0001F333 back\\slash")
 ODD_NAMES = ("", 'x "q"\t\x00', "über \U0001F600 \\")
 

@@ -84,6 +84,19 @@ def test_train_bad_cell_names_the_line(tmp_path, capsys):
     assert "line 3" in capsys.readouterr().err
 
 
+def test_train_refuses_a_label_with_a_line_break(tmp_path, capsys):
+    # predict printed the label as two lines: four lines for three rows
+    sch = tmp_path / "s.schema"
+    sch.write_text("x1,real\n")
+    bad = tmp_path / "bad.csv"
+    bad.write_text('x1,class\n1,"a\nb"\n2,c\n3,c\n')
+    model = tmp_path / "m.json"
+    assert run(["train", "--data", bad, "--schema", sch, "--out", model]) == 2
+    err = capsys.readouterr().err
+    assert err == "error: %s line 3: class label 'a\\nb' holds a line break\n" % (bad,)
+    assert not model.exists()
+
+
 def test_train_quantum_requires_seed(tmp_path, capsys):
     csv, sch = write_xor(tmp_path)
     code = run(["train", "--data", csv, "--schema", sch,
@@ -269,6 +282,7 @@ def _theta_a_string(doc):
         _set("theta_bool", True, "root", "theta"),
         _set("theta_huge_int", 10**400, "root", "theta"),
         _set("class_label_null", None, "class_label_mapping", 0),
+        _set("class_label_line_break", "a\nb", "class_label_mapping", 0),
         _class_labels_as("string", str),
         _class_labels_as("object", lambda names: {c: i for i, c in enumerate(names, 1)}),
     ],

@@ -7,6 +7,7 @@ from unittest import mock
 
 import numpy as np
 import pytest
+from csv_reference import LINE_BREAKS
 from csv_reference import read_csv as reference_read_csv
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
@@ -159,9 +160,84 @@ def test_dataset_rejects_non_finite_reals():
         Dataset(schema, [[1.0, float("nan")]], [1, 2], ("a", "b"))
     with pytest.raises(DataFormatError):
         Dataset(schema, [[float("inf"), 0.0]], [1, 2], ("a", "b"))
+    # float() refuses this int, where numpy raised a bare OverflowError; the
+    # CSV reader reads its digits as inf
+    with pytest.raises(DataFormatError, match=r"^attribute 'x' holds values that are not finite$"):
+        Dataset(schema, [[10**400, 1.0]], [1, 2], ("a", "b"))
     # a cast to float would keep 1.0 and drop the imaginary part
     with pytest.raises(DataFormatError, match="attribute 'x' holds values that are complex"):
         Dataset(schema, [[1 + 2j, 2]], [1, 2], ("a", "b"))
+
+
+def _one_column_schema(kind):
+    attribute = Attribute("x", REAL) if kind == REAL else Attribute("x", DISCRETE, 2)
+    return AttributeSchema((attribute,), 2)
+
+
+# a real column raised a bare ValueError or TypeError for the first two and
+# took None for NaN; a discrete one called an object complex "not numbers"
+# and None "not finite whole numbers"
+@pytest.mark.parametrize(
+    "column, kind_of_value",
+    [
+        (["a", "b"], "not numbers"),
+        (np.array([1 + 2j, 2], dtype=object), "complex numbers"),
+        ([None, 1.0], "not numbers"),
+    ],
+    ids=["strings", "object_complex", "none"],
+)
+@pytest.mark.parametrize("kind", [REAL, DISCRETE])
+def test_dataset_names_values_that_are_not_numbers(kind, column, kind_of_value):
+    schema = _one_column_schema(kind)
+    want = r"^attribute 'x' holds values that are %s$" % kind_of_value
+    with pytest.raises(DataFormatError, match=want):
+        Dataset(schema, [column], [1, 2], ("a", "b"))
+    with pytest.raises(DataFormatError, match=r"^class indices that are %s$" % kind_of_value):
+        Dataset(schema, [[1, 2]], column, ("a", "b"))
+
+
+@pytest.mark.parametrize("kind", [REAL, DISCRETE])
+def test_dataset_reads_numeric_strings_as_numbers(kind):
+    labels = np.array(["1", 2.0], dtype=object)
+    for column in (["2", "1"], np.array(["2", 1], dtype=object)):
+        data = Dataset(_one_column_schema(kind), [column], labels, ("a", "b"))
+        assert data.columns[0].tolist() == [2, 1] and data.labels.tolist() == [1, 2]
+
+
+@pytest.mark.parametrize("line_break", sorted(LINE_BREAKS) + ["\r\n"], ids=ascii)
+def test_dataset_refuses_a_class_label_with_a_line_break(line_break):
+    # predict prints each label as one line of its output
+    label = "a%sb" % (line_break,)
+    with pytest.raises(DataFormatError) as e:
+        Dataset(_one_column_schema(REAL), [[1.0, 2.0]], [1, 2], ("c", label))
+    assert str(e.value) == "class label %r holds a line break" % (label,)
+
+
+def test_line_breaks_are_those_of_splitlines():
+    every = map(chr, range(sys.maxunicode + 1))
+    assert [c for c in every if dataset.breaks_lines(c)] == sorted(LINE_BREAKS)
+    assert not dataset.breaks_lines("") and not dataset.breaks_lines("tab\there\x00nul")
+
+
+def test_load_csv_names_the_line_of_a_label_with_a_line_break(tmp_path):
+    attrs = (Attribute("x", REAL),)
+    path = tmp_path / "train.csv"
+    # the quoted label ends on line 3
+    path.write_text('x,class\n1,"a\nb"\n2,c\n3,c\n')
+    with pytest.raises(DataFormatError) as e:
+        load_csv(path, attrs)
+    assert str(e.value) == "%s line 3: class label 'a\\nb' holds a line break" % (path,)
+    # a bad cell on an earlier row is reported first
+    path.write_text('x,class\noops,c\n1,"a\nb"\n')
+    with pytest.raises(DataFormatError, match="line 2, column 'x'"):
+        load_csv(path, attrs)
+    # a separator the csv module keeps in an unquoted field
+    path.write_text("x,class\n1,c\n2,a\x1cb\n", encoding="utf-8")
+    with pytest.raises(DataFormatError) as e:
+        load_csv(path, attrs)
+    assert str(e.value) == "%s line 3: class label 'a\\x1cb' holds a line break" % (path,)
+    # prediction ignores a trailing class column
+    assert load_feature_rows(path, attrs)[0].tolist() == [1.0, 2.0]
 
 
 def test_dataset_rejects_bad_labels_and_shapes():
@@ -337,9 +413,9 @@ def test_load_csv_names_bad_cell(tmp_path):
 
 
 def test_errors_after_a_multiline_field_name_the_physical_line(tmp_path):
-    # the quoted label spans lines 2 and 3, so `zzz` sits on line 4
+    # the quoted cell spans lines 2 and 3, so `zzz` sits on line 4
     path = tmp_path / "train.csv"
-    path.write_text('x1,x2,class\n1,2,"a\nb"\n1,zzz,c\n')
+    path.write_text('x1,x2,class\n1,"2\n",a\n1,zzz,c\n')
     attrs = (Attribute("x1", REAL), Attribute("x2", REAL))
     with pytest.raises(DataFormatError) as e:
         load_csv(path, attrs)
