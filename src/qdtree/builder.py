@@ -5,13 +5,13 @@ explicit queue, each asking a split chooser for one node's test. The
 classical chooser scores every attribute with the split scanners and takes
 the gain-ratio argmax; the quantum builder passes one that searches instead.
 Classical builds grow level by level, so that each level's discrete
-attributes can be scored by one batched kernel (`splitscan.LevelBatch`)
-before its first node is stepped; quantum builds grow in preorder, because
-their searches draw from one rng in the order the steps run. A node's
-result does not depend on the order, so both give the trees, counts and
-ledgers a preorder build gives. Two interchangeable counter backends (dense
-arrays, sparse ordered maps) feed the scanners, giving byte-identical trees
-that differ only in operation tallies.
+attributes can be scored and booked by one batched kernel
+(`splitscan.LevelBatch`) before its first node is stepped; quantum builds
+grow in preorder, because their searches draw from one rng in the order
+the steps run. A node's result does not depend on the order, so both give
+the trees, counts and ledgers a preorder build gives. Two interchangeable
+counter backends (dense arrays, sparse ordered maps) feed the scanners,
+giving byte-identical trees that differ only in operation tallies.
 """
 
 import contextlib
@@ -219,7 +219,8 @@ class _ArgmaxChooser:
 
     grow hands it each level before stepping it, and the views of the
     level that form_tree may split are scored in one batch when
-    splitscan.batch_level finds that worth it; a level it was never handed
+    splitscan.batch_level finds that worth it; the batch books their
+    discrete scans at the level as it is made. A level it was never handed
     is scored view by view.
     """
 
@@ -233,7 +234,8 @@ class _ArgmaxChooser:
         self.batch = None
         if level < self.config.max_height:
             min_split = self.config.min_split
-            self.batch = batch_level([view for view in views if len(view) >= min_split])
+            self.stats.tally.level = level
+            self.batch = batch_level([v for v in views if len(v) >= min_split], self.backend)
 
     def __call__(self, view):
         choice = choose_split(view, self.backend, self.stats, self.batch)

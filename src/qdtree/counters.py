@@ -9,7 +9,8 @@ adds one key stream several times computes its cost once and charges it
 each time. slots is the dense key range: M for a class counter, M * T for
 the class-branch table of a T-way attribute (keyed by the flat slot
 (j - 1) * T + w). A cost is the sum of two parts, key_cost(keys) and
-slot_cost(slots). The baseline policy is a dense array, so allocation and
+slot_cost(slots); sliced_key_cost sums the key costs of many slices of one
+key array. The baseline policy is a dense array, so allocation and
 clearing touch every slot and each add one: len(keys) element ops, and
 2 * slots maintenance. The treemap policy is an AVL map whose costs follow
 the keys actually stored, so its slot cost is 0; its key cost replays the
@@ -62,7 +63,8 @@ class OpTally:
 class _LedgerPolicy:
     """Charges a scan's cost to a shared tally. A subclass defines its two
     parts: key_cost(keys), the (element, maintenance) ops of the keys, and
-    slot_cost(slots), the maintenance of the dense key range."""
+    slot_cost(slots), the maintenance of the dense key range; and
+    sliced_key_cost(keys, starts, ends), their sum over many slices."""
 
     def __init__(self, tally=None):
         self.tally = tally if tally is not None else OpTally()
@@ -93,6 +95,11 @@ class DenseBackend(_LedgerPolicy):
     def slot_cost(self, slots):
         """Allocating and clearing every slot."""
         return 2 * slots
+
+    def sliced_key_cost(self, keys, starts, ends):
+        """The summed key cost of the slices keys[lo:hi], for lo and hi in
+        the index arrays starts and ends: one slot per key."""
+        return int((ends - starts).sum()), 0
 
 
 class TreeMapBackend(_LedgerPolicy):
@@ -135,6 +142,13 @@ class TreeMapBackend(_LedgerPolicy):
                 visits += 2 * len(path) + 1 + rotations
                 costs.clear()
         return visits, len(tree_keys) - 1
+
+    def sliced_key_cost(self, keys, starts, ends):
+        """The summed key cost of the slices keys[lo:hi], for lo and hi in
+        the index arrays starts and ends: key_cost, slice by slice."""
+        keys = keys.tolist()
+        costs = [self.key_cost(keys[lo:hi]) for lo, hi in zip(starts.tolist(), ends.tolist())]
+        return tuple(map(sum, zip(*costs))) or (0, 0)
 
     def slot_cost(self, slots):
         """Nothing: the map's costs follow the keys it stores."""

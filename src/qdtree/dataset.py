@@ -94,19 +94,21 @@ def _numbers(values, what):
 
     A complex value raises DataFormatError `<what> that are complex
     numbers`, since a cast would drop its imaginary part; any other value
-    float() refuses raises `<what> that are not numbers`. An object array
-    goes through float() value by value, because numpy's cast would make
-    None a NaN. Numeric strings are numbers. A number too large for a
-    float raises OverflowError.
+    float() refuses raises `<what> that are not numbers`, and so do bools,
+    dates and time spans, which a cast would read as 0 or 1 and as counts
+    of time units. An object array goes through float() value by value,
+    because numpy's cast would make None a NaN. Numeric strings are
+    numbers. A number too large for a float raises OverflowError.
     """
     values = np.asarray(values)
-    if values.dtype.kind != "c":
-        try:
-            if values.dtype.kind == "O":
-                return np.fromiter(map(float, values), np.float64, len(values))
+    kind = values.dtype.kind
+    try:
+        if kind == "O" and not any(isinstance(v, (bool, np.bool_)) for v in values):
+            return np.fromiter(map(float, values), np.float64, len(values))
+        if kind not in "bcmMO":
             return np.asarray(values, dtype=np.float64)
-        except (TypeError, ValueError):
-            pass
+    except (TypeError, ValueError):
+        pass
     for v in values.tolist():
         if isinstance(v, numbers.Complex) and not isinstance(v, numbers.Real):
             raise DataFormatError("%s that are complex numbers" % (what,))

@@ -40,11 +40,14 @@ count the per-view loop reaches, so it adds the same step; each view's
 steps are summed in sample order by cumsum along zero-padded rows. The
 loop's max(0.0, x) becomes np.maximum, log2(z) comes from the same table,
 and the ratio still goes through gain_ratio, so every score is the loop's
-to the bit. process_attribute then books for each (view, attribute) the
-cost the loop books, through the backend's key cost on the view's slices of
-the same key streams, or of its class keys alone where the attribute is
-constant on the view. The batch pays a fixed cost per level and
-attribute, so small levels (see batch_level) keep the per-view loop.
+to the bit. The batch also books its level: the views holding two classes
+or more are the ones the builder scores, so it charges their scans once
+per discrete attribute, what the loop would book for them, costed by the
+backend's sliced_key_cost on the views' slices of the same key streams; a
+constant attribute's pair keys cost what the view's class keys cost.
+process_attribute then reads a (view, attribute) score from the batch and
+books nothing. The batch pays a fixed cost per level and attribute, so
+small levels (see batch_level) keep the per-view loop.
 """
 
 import math
@@ -260,15 +263,14 @@ def _class_pass(view, backend):
     return labels, class_h, backend.key_cost(labels)
 
 
-def _charge_discrete(backend, m, t, class_keys, pair_keys):
-    """Books one discrete scan: the class counter and the class-branch
-    counter, given their key costs (on a constant attribute the pair key
-    cost is the class key cost), and the branch-size array, a plain dense
-    array on every backend, whose allocation and release cost T slots each."""
-    backend.charge(
-        class_keys[0] + pair_keys[0],
-        class_keys[1] + pair_keys[1] + backend.slot_cost(m) + backend.slot_cost(m * t) + 2 * t,
-    )
+def _charge_discrete(backend, m, t, class_keys, pair_keys, scans=1):
+    """Books scans discrete scans of one attribute: the class counters and
+    the class-branch counters, given their summed key costs (on a constant
+    attribute the pair key cost is the class key cost), and the branch-size
+    arrays, plain dense arrays on every backend, whose allocation and
+    release cost T slots each."""
+    slots = backend.slot_cost(m) + backend.slot_cost(m * t) + 2 * t
+    backend.charge(class_keys[0] + pair_keys[0], class_keys[1] + pair_keys[1] + scans * slots)
 
 
 def process_discrete_attribute(view, attr, backend):
@@ -303,13 +305,15 @@ def process_discrete_attribute(view, attr, backend):
 
 
 # A level is batched when rows + BATCH_VIEW_ROWS * views reaches
-# BATCH_MIN_ROWS. Scoring 12 discrete attributes over 64 classes (on a
-# 2-vCPU Xeon VM, numpy 2.4), the per-view loop took about 80 us per view
-# plus 2.0 us per row, and the batch about 650 us per level plus 30 us per
-# view plus 1.1 us per row; every term scales with the attribute count.
-# A single 3-row view took 0.07 ms in the loop and 0.69 ms batched; 16
-# views of 3 rows took 1.31 ms and 1.17 ms, one 1000-row view 1.96 ms and
-# 1.71 ms.
+# BATCH_MIN_ROWS. Scoring 12 discrete attributes over 64 classes and
+# reading out every (view, attribute) score (best of 80 on a shared 2-vCPU
+# Xeon VM, numpy 2.4), the per-view loop took about 90 us per view plus 2
+# to 3 us per row, and the batch, which books its level as it is made,
+# about 800 us per level plus 20 us per view plus 1.4 us per row; every
+# term scales with the attribute count. A single 3-row view took 0.10 ms
+# in the loop and 0.83 ms batched; 16 views of 3 rows took 1.48 ms and
+# 1.22 ms, 256 views of 3 rows 23.7 ms and 6.0 ms, one 1000-row view
+# 2.3 ms and 1.8 ms.
 BATCH_VIEW_ROWS = 50
 BATCH_MIN_ROWS = 700
 
@@ -320,28 +324,33 @@ class LevelBatch:
     """The discrete-attribute scores of every view of one tree level, each
     attribute scanned over the whole level by one numpy kernel.
 
-    process_attribute reads a view's scores from here instead of scanning
-    the view, and books what the scan would have booked, from the same key
-    streams. The class sum is made once for the level.
+    form_tree scores every discrete attribute of each view that holds two
+    classes or more, so the batch books those scans as it is made, at the
+    tally's current level, with one charge per attribute over the views'
+    slices of the key streams (none where no view is scored).
+    process_attribute then reads a view's scores from here, booking nothing.
     """
 
-    def __init__(self, views):
+    def __init__(self, views, backend):
         schema = views[0].base.schema
-        m = self.m = schema.class_count
+        m = schema.class_count
         k = len(views)
         self.position = {view: i for i, view in enumerate(views)}
         z = np.array([len(view) for view in views], dtype=np.int64)
-        self.bounds = np.concatenate(([0], np.cumsum(z))).tolist()
+        bounds = np.concatenate(([0], np.cumsum(z)))
         rows = np.concatenate([view.indices for view in views])
         labels = views[0].base.labels[rows]
-        self.labels = labels.tolist()
         seg = np.repeat(np.arange(k, dtype=np.int64), z)
-        self.gathers = _length_buckets(z, self.bounds)
+        self.gathers = _length_buckets(z, bounds)
         steps = _TABLES.cover(int(z.max())).step_array
-        (class_h,) = self._sums(steps[running_counts(seg * (m + 1) + labels, k * (m + 1))])
+        counts = running_counts(seg * (m + 1) + labels, k * (m + 1))
+        (class_h,) = self._sums(steps[counts])
         log2z = _TABLES.log2c_array[z]
         parent = np.maximum(0.0, log2z - class_h / z)
-        self._class_keys = {}
+        # the views form_tree scores, and their slices of the level
+        scored = np.bincount(seg[counts == 1], minlength=k) > 1
+        starts, ends = bounds[:-1][scored], bounds[1:][scored]
+        class_keys = backend.sliced_key_cost(labels, starts, ends)
         self.scans = {}
         for attr, a in enumerate(schema.attributes):
             if a.kind != DISCRETE:
@@ -364,9 +373,10 @@ class LevelBatch:
             size_h, pair_h = self._sums(steps[np.stack((sizes, pair_counts))])
             potential = np.maximum(0.0, log2z - size_h / z)
             gain = parent - (size_h - pair_h) / z
-            self.scans[attr] = (
-                t, pairs.tolist(), split.tolist(), gain.tolist(), potential.tolist(), test
-            )
+            self.scans[attr] = (split.tolist(), gain.tolist(), potential.tolist(), test)
+            if len(starts):
+                pair_keys = backend.sliced_key_cost(pairs, starts, ends)
+                _charge_discrete(backend, m, t, class_keys, pair_keys, len(starts))
 
     def _sums(self, steps):
         """Each view's sum of each row of steps, added in sample order.
@@ -378,25 +388,18 @@ class LevelBatch:
         """
         steps = np.atleast_2d(steps)
         padded = np.concatenate((steps, np.zeros((len(steps), 1))), axis=1)
-        out = np.empty((len(steps), len(self.bounds) - 1))
+        out = np.empty((len(steps), len(self.position)))
         for ids, gather in self.gathers:
             out[:, ids] = np.cumsum(padded[:, gather], axis=2)[:, :, -1]
         return out
 
-    def score(self, view, attr, backend):
-        """What process_discrete_attribute returns for view and attr, with
-        the same ledger charge, made from the view's slices of the level's
-        key streams."""
+    def score(self, view, attr):
+        """What process_discrete_attribute returns for view and attr, read
+        from the batch; the batch booked its cost when it was made."""
         i = self.position[view]
-        lo, hi = self.bounds[i], self.bounds[i + 1]
-        t, pairs, split, gain, potential, test = self.scans[attr]
-        class_keys = self._class_keys.get((i, backend))
-        if class_keys is None:
-            class_keys = self._class_keys[i, backend] = backend.key_cost(self.labels[lo:hi])
+        split, gain, potential, test = self.scans[attr]
         if not split[i]:
-            _charge_discrete(backend, self.m, t, class_keys, class_keys)
             return None
-        _charge_discrete(backend, self.m, t, class_keys, backend.key_cost(pairs[lo:hi]))
         return gain_ratio(gain[i], potential[i]), test
 
 
@@ -416,15 +419,15 @@ def _length_buckets(z, bounds):
     return gathers
 
 
-def batch_level(views):
-    """A LevelBatch over the views of one level, or None when the schema has
-    no discrete attribute or the level is small enough that the per-view
-    scans are faster."""
+def batch_level(views, backend):
+    """A LevelBatch over the views of one level, booked on backend, or None
+    when the schema has no discrete attribute or the level is small enough
+    that the per-view scans are faster."""
     if not views or all(a.kind != DISCRETE for a in views[0].base.schema.attributes):
         return None
     if sum(map(len, views)) + BATCH_VIEW_ROWS * len(views) < BATCH_MIN_ROWS:
         return None
-    return LevelBatch(views)
+    return LevelBatch(views, backend)
 
 
 def process_attribute(view, attr, backend, batch=None):
@@ -433,12 +436,13 @@ def process_attribute(view, attr, backend, batch=None):
     This is the scoring function handed both to the classical argmax and to
     the quantum-search chooser. Returns (SplitScore, SplitTest) or None when
     the attribute admits no candidate split on this view. A discrete score
-    is read from batch, a LevelBatch, when it holds the view.
+    is read from batch, a LevelBatch, when it holds the view; the batch
+    booked its cost already, so reading it books nothing.
     """
+    if batch is not None and attr in batch.scans and view in batch.position:
+        return batch.score(view, attr)
     if len(view) < 2:
         return None
-    if batch is not None and attr in batch.scans and view in batch.position:
-        return batch.score(view, attr, backend)
     if view.base.schema.is_real(attr):
         return scan_real_attribute(view, attr, backend)
     return process_discrete_attribute(view, attr, backend)

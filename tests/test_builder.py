@@ -10,7 +10,7 @@ import tracemalloc
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from qdtree import builder, jsonio, oracle, qbuilder, splitscan
@@ -671,6 +671,8 @@ def test_grower_matches_recursive_growth(seed, d, m, n, height, backend):
     min_split=st.integers(2, 5),
     backend=st.sampled_from([BASELINE, TREEMAP]),
 )
+# a batched level with no view to score books nothing, not a 0 at its level
+@example(seed=0, d=2, m=1, n=2, height=1, min_split=2, backend=BASELINE)
 def test_every_level_batched_matches_the_per_view_loop(seed, d, m, n, height, min_split, backend):
     # with the cutoff at zero every level is batched, and with it out of
     # reach none is; small builds rarely reach the batch otherwise

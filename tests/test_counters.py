@@ -300,6 +300,24 @@ def test_treemap_cost_matches_the_reference_replay(keys, slots):
     assert TreeMapBackend().cost(keys, slots) == _reference_cost(keys)
 
 
+@settings(max_examples=100, deadline=None)
+@given(
+    st.lists(st.integers(min_value=1, max_value=40), max_size=200),
+    st.lists(st.integers(min_value=0, max_value=200), max_size=12),
+)
+def test_sliced_key_cost_sums_the_key_cost_of_each_slice(keys, cuts):
+    # slices of any length, empty ones and overlapping ones included
+    n = len(keys)
+    starts = np.array([min(c, n) for c in cuts[0::2]], dtype=np.int64)
+    ends = np.array([max(min(c, n), lo) for c, lo in zip(cuts[1::2], starts)], dtype=np.int64)
+    starts = starts[: len(ends)]
+    for backend in (DenseBackend(), TreeMapBackend()):
+        want = [backend.key_cost(keys[lo:hi]) for lo, hi in zip(starts.tolist(), ends.tolist())]
+        got = backend.sliced_key_cost(np.array(keys, dtype=np.int64), starts, ends)
+        assert got == (tuple(map(sum, zip(*want))) or (0, 0))
+        assert all(type(part) is int for part in got)
+
+
 @pytest.mark.parametrize(
     "keys, depth, root", [([3, 1, 2], 2, 2), ([5, 2, 8, 1, 4, 3], 3, 4)]
 )

@@ -196,6 +196,28 @@ def test_dataset_names_values_that_are_not_numbers(kind, column, kind_of_value):
         Dataset(schema, [[1, 2]], column, ("a", "b"))
 
 
+# each was cast to a number: a date to its day count, a time span to its
+# count of units and a bool to 0 or 1
+@pytest.mark.parametrize(
+    "column",
+    [
+        np.array(["2020-01-01", "2020-01-02"], dtype="datetime64[D]"),
+        np.array([1, 2], dtype="timedelta64[s]"),
+        np.array([True, True]),
+        np.array([True, 2], dtype=object),
+        np.array([np.True_, 2.0], dtype=object),
+    ],
+    ids=["datetime64", "timedelta64", "bool", "object_bool", "object_numpy_bool"],
+)
+@pytest.mark.parametrize("kind", [REAL, DISCRETE])
+def test_dataset_refuses_bools_dates_and_time_spans(kind, column):
+    schema = _one_column_schema(kind)
+    with pytest.raises(DataFormatError, match=r"^attribute 'x' holds values that are not numbers$"):
+        Dataset(schema, [column], [1, 2], ("a", "b"))
+    with pytest.raises(DataFormatError, match=r"^class indices that are not numbers$"):
+        Dataset(schema, [[1, 2]], column, ("a", "b"))
+
+
 @pytest.mark.parametrize("kind", [REAL, DISCRETE])
 def test_dataset_reads_numeric_strings_as_numbers(kind):
     labels = np.array(["1", 2.0], dtype=object)

@@ -11,6 +11,7 @@ import importlib.util
 from collections import Counter
 from pathlib import Path
 
+from qdtree import splitscan
 from qdtree.builder import BuildConfig, train
 from qdtree.qbuilder import q_train
 from qdtree.synth import random_dataset, random_schema
@@ -60,14 +61,30 @@ def test_one_traced_growth_node_per_split_attempt():
         assert len(tracer.node_times(traced.recorder)) == stats.evaluations // d > 1
 
 
-def test_each_chooser_span_holds_d_scoring_spans():
+def test_each_chooser_span_holds_d_scoring_spans(monkeypatch):
     # perfbench checks evals against the number of scoring spans, so every
-    # split attempt must score each attribute exactly once under its chooser
+    # split attempt must score each attribute exactly once under its chooser,
+    # also where its discrete scores are read from a LevelBatch
     tracer = load_tracer()
     d = 4
     data = random_dataset(random_schema(d, 3, "trace-scans"), 60, "trace-scans")
+    batches = []
+
+    class CountedBatch(splitscan.LevelBatch):
+        def __init__(self, views, backend):
+            super().__init__(views, backend)
+            batches.append(len(views))
+
+    def batched():
+        with monkeypatch.context() as patch:
+            patch.setattr(splitscan, "BATCH_MIN_ROWS", 0)
+            patch.setattr(splitscan, "LevelBatch", CountedBatch)
+            train(data, BuildConfig(backend="baseline"))
+        assert len(batches) > 1
+
     builds = (
         lambda: train(data, BuildConfig(backend="baseline")),
+        batched,
         lambda: q_train(data, BuildConfig(backend="quantum", seed=0)),
     )
     for build in builds:

@@ -663,8 +663,10 @@ def test_level_batch_matches_per_view_scans(
     seed, m, long_view, short_views, pure_share, constant_share, real, level
 ):
     # one long view among many short ones (2 to 5 rows), pure views and
-    # constant attributes: every (view, attribute) result and both ledgers
-    # of the batch equal those of process_attribute scanning each view
+    # constant attributes: every (view, attribute) result of the batch
+    # equals that of process_attribute scanning the view, and the batch's
+    # booking equals both ledgers of the per-view scans of the discrete
+    # attributes of every view holding two classes or more
     rng = random.Random(seed)
     lengths = [rng.randint(2, 5) for _ in range(short_views)]
     if long_view:
@@ -673,19 +675,26 @@ def test_level_batch_matches_per_view_scans(
         lengths = [2]
     views = _level(seed, m, lengths, pure_share, constant_share, real)
     schema = views[0].base.schema
-    batch = LevelBatch(views)
-    assert set(batch.scans) == {a for a in range(schema.attribute_count) if not schema.is_real(a)}
+    discrete = [a for a in range(schema.attribute_count) if not schema.is_real(a)]
     for name in (BASELINE, TREEMAP):
         got_tally, want_tally = OpTally(level=level), OpTally(level=level)
         got_backend, want_backend = make_backend(name, got_tally), make_backend(name, want_tally)
+        batch = LevelBatch(views, got_backend)
+        assert set(batch.scans) == set(discrete)
         for view in views:
-            for attr in range(schema.attribute_count):
+            if len(set(view.labels().tolist())) > 1:
+                for attr in discrete:
+                    process_attribute(view, attr, want_backend)
+        assert _ledger(got_tally) == _ledger(want_tally)
+        for view in views:
+            for attr in discrete:
                 got = process_attribute(view, attr, got_backend, batch)
-                want = process_attribute(view, attr, want_backend)
+                want = process_attribute(view, attr, make_backend(name))
                 if want is None:
                     assert got is None
                 else:
                     assert (_exact(got[0]), got[1]) == (_exact(want[0]), want[1])
+        # reading the batch books nothing
         assert _ledger(got_tally) == _ledger(want_tally)
 
 
@@ -700,7 +709,7 @@ def test_level_batch_refuses_the_domains_the_per_view_scan_refuses(t, spread):
     with pytest.raises((MemoryError, OverflowError)) as per_view:
         process_discrete_attribute(views[0], 0, make_backend(BASELINE))
     with pytest.raises(type(per_view.value)):
-        LevelBatch(views)
+        LevelBatch(views, make_backend(BASELINE))
 
 
 def test_level_batch_refuses_keys_that_would_wrap(monkeypatch):
@@ -710,20 +719,38 @@ def test_level_batch_refuses_keys_that_would_wrap(monkeypatch):
     t = max(a.domain_size for a in views[0].base.schema.attributes)
     monkeypatch.setattr(splitscan, "_INT64_MAX", 10 * (4 * t + 1) - 1)
     with pytest.raises(OverflowError):
-        LevelBatch(views)
+        LevelBatch(views, make_backend(BASELINE))
     monkeypatch.setattr(splitscan, "_INT64_MAX", 10 * (4 * t + 1))
-    LevelBatch(views)
+    LevelBatch(views, make_backend(BASELINE))
 
 
 def test_only_levels_worth_it_are_batched():
     views = _level(4, 5, [3] * 20 + [600], 0.0, 0.0, True)
-    assert splitscan.batch_level(views[-1:]) is None  # 650 < 700
-    assert isinstance(splitscan.batch_level(views[:14]), LevelBatch)  # 42 + 700
-    assert splitscan.batch_level(views[:13]) is None  # 39 + 650
+    backend = make_backend(BASELINE)
+    assert splitscan.batch_level(views[-1:], backend) is None  # 650 < 700
+    assert isinstance(splitscan.batch_level(views[:14], backend), LevelBatch)  # 42 + 700
+    assert splitscan.batch_level(views[:13], backend) is None  # 39 + 650
     real = Dataset(
         AttributeSchema((Attribute("x", REAL),), 2), [[0.5] * 4000], [1, 2] * 2000, ("a", "b")
     )
-    assert splitscan.batch_level([real.full_view()]) is None
+    assert splitscan.batch_level([real.full_view()], backend) is None
+
+
+@pytest.mark.parametrize("name", [BASELINE, TREEMAP])
+def test_a_level_of_pure_views_books_nothing(name):
+    # form_tree scores no pure view, so a batch of them books nothing and
+    # adds no by_level key, though it still holds every view's scores
+    views = _level(5, 4, [1, 2, 5, 40], 1.0, 0.0, False)
+    tally = OpTally(level=3)
+    batch = LevelBatch(views, make_backend(name, tally))
+    assert _ledger(tally) == (0, 0, {})
+    for view in views:
+        assert len(set(view.labels().tolist())) == 1
+        for attr in batch.scans:
+            got = process_attribute(view, attr, make_backend(name), batch)
+            want = process_attribute(view, attr, make_backend(name))
+            assert got == want
+    assert _ledger(tally) == (0, 0, {})
 
 
 @settings(max_examples=40, deadline=None)
@@ -742,23 +769,27 @@ def test_a_constant_attribute_books_its_explicit_pair_keys(seed, m, lengths, pur
     # through the per-view scan and through a LevelBatch alike
     views = _level(seed, m, lengths, pure_share, 1.0, False)
     schema = views[0].base.schema
-    batch = LevelBatch(views)
     for name in (BASELINE, TREEMAP):
-        want_tally = OpTally(level=level)
-        want = make_backend(name, want_tally)
+        # the per-view scans book every view; the batch books the views
+        # that hold two classes or more, the only ones form_tree scores
+        want_tally, mixed_tally = OpTally(level=level), OpTally(level=level)
+        want, mixed = make_backend(name, want_tally), make_backend(name, mixed_tally)
         for view in views:
             labels = view.labels()
             for attr in range(schema.attribute_count):
                 t = schema.domain_size(attr)
                 values = view.values(attr)
                 assert len(set(values.tolist())) == 1
-                want.book(labels, m)
-                want.book((labels - 1) * t + values, m * t)
-                want.charge(0, 2 * t)
-        for scan_batch in (None, batch):
-            got_tally = OpTally(level=level)
-            got = make_backend(name, got_tally)
-            for view in views:
-                for attr in range(schema.attribute_count):
-                    assert process_attribute(view, attr, got, scan_batch) is None
-            assert _ledger(got_tally) == _ledger(want_tally)
+                for target in (want, mixed) if len(set(labels.tolist())) > 1 else (want,):
+                    target.book(labels, m)
+                    target.book((labels - 1) * t + values, m * t)
+                    target.charge(0, 2 * t)
+        got_tally, batch_tally = OpTally(level=level), OpTally(level=level)
+        got = make_backend(name, got_tally)
+        batch = LevelBatch(views, make_backend(name, batch_tally))
+        for view in views:
+            for attr in range(schema.attribute_count):
+                assert process_attribute(view, attr, got, None) is None
+                assert process_attribute(view, attr, got, batch) is None
+        assert _ledger(got_tally) == _ledger(want_tally)
+        assert _ledger(batch_tally) == _ledger(mixed_tally)
