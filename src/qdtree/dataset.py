@@ -81,11 +81,14 @@ class AttributeSchema:
 
 
 def _flat(values, what):
-    """values as an array, once it is one-dimensional."""
-    values = np.asarray(values)
-    if values.ndim != 1:
-        raise ValueError("%s must be one-dimensional, got shape %s" % (what, values.shape))
-    return values
+    """values as an array, once it is one-dimensional; an object array if
+    values is a sequence holding a bool, which np.asarray would make 0 or 1."""
+    array = np.asarray(values)
+    if array.ndim != 1:
+        raise ValueError("%s must be one-dimensional, got shape %s" % (what, array.shape))
+    if not isinstance(values, np.ndarray) and not {bool, np.bool_}.isdisjoint(map(type, values)):
+        return np.asarray(values, dtype=object)
+    return array
 
 
 def _numbers(values, what):

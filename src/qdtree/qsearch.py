@@ -5,21 +5,24 @@ state-vector level. Each amplified inner search for "an index scoring above
 the current threshold" draws an iteration count m, is charged 2m+1 oracle
 queries, and succeeds with probability sin^2((2m+1)*asin(sqrt(t/K))) where t
 is the number of indices strictly above the threshold. durr_hoyer_max()
-plays the harness in its round loop: it sizes t by bisecting the sorted
+plays the harness in one flat round loop: it sizes t by bisecting the sorted
 scores (again only when the threshold moves), draws the hit, and then draws
 the measured index uniformly from the marked set on a hit or from the rest
-otherwise. The algorithm itself sees only counted evaluate() results, and
-the rounds' 2m charges are booked as one charge() when the search ends.
-This reproduces the observable contract of the search (success odds, query
-counts, budget) at classical cost. Sizing the marked set needs every score, so the oracle is a
-counted view over a score list fixed before the search: the caller scores
-each index exactly once, however many queries the search then spends.
+otherwise. Each round reads m_max from a schedule computed once per K, and
+the budget is counted in whole queries. The algorithm itself sees only
+counted evaluate() results, and the rounds' 2m charges are booked as one
+charge() when the search ends. This reproduces the observable contract of
+the search (success odds, query counts, budget) at classical cost. Sizing
+the marked set needs every score, so the oracle is a counted view over a
+score list fixed before the search: the caller scores each index exactly
+once, however many queries the search then spends.
 
 Draw contract: a search reads its rng only through rng.random() (one per
-round, for the hit) and rng.getrandbits(), the latter through _below(), which
-draws a uniform index exactly as CPython's randrange() does. The hit odds
-come from a row per marked-set size that the oracle computes once and keeps,
-so every repeat over the same scores shares it.
+round, for the hit) and rng.getrandbits(), drawing every uniform index
+exactly as CPython's randrange() does: _below() for the start index, inline
+in the rounds. The hit odds come from a row per marked-set size that the
+oracle computes once and keeps, so every repeat over the same scores shares
+it.
 
 Indices run 0..K-1 throughout.
 """
@@ -27,6 +30,7 @@ Indices run 0..K-1 throughout.
 import math
 from bisect import bisect_right
 from dataclasses import dataclass
+from functools import lru_cache
 
 #: m_max growth factor per failed inner search.
 GROWTH = 8.0 / 7.0
@@ -121,63 +125,84 @@ class ScoringOracle:
         return not (score < self._keys[-1])
 
 
+@lru_cache(maxsize=1)
+def _m_schedule(size):
+    """(int(m_max), its bit length) after j straight failed rounds, for j = 0,
+    1, ... up to the first j at which m_max, grown by GROWTH per failure,
+    reaches its cap sqrt(K), where it stays. A power of GROWTH would round
+    differently from the search's own float recurrence."""
+    m_cap = math.sqrt(size)
+    m_max = 1.0
+    schedule = [(1, 1)]
+    while m_max < m_cap:
+        m_max *= GROWTH
+        if m_cap < m_max:
+            m_max = m_cap
+        n = int(m_max)
+        schedule.append((n, n.bit_length()))
+    return tuple(schedule)
+
+
 def durr_hoyer_max(oracle, rng):
     """Threshold-walk maximum finding over oracle's index range.
 
     Starts from a uniform random index, repeatedly runs the amplified
-    above-threshold search with the exponential m_max schedule (reset to 1 on
-    every improvement, grown by 8/7 on failure, capped at sqrt(K)), and stops
-    when the next round no longer fits the query budget. A round costs at
-    most what is left and the walk stops only with less than one query
-    left, so every search spends exactly floor(query_budget(K)) queries,
-    whatever the draws. Returns (best index seen, SearchStats); only strict
-    improvements move the threshold, so the result is the best score the
-    search evaluated and never worse than the starting index.
+    above-threshold search with m_max read from _m_schedule(K) by the count
+    of straight failures (1 after every improvement), and stops when the
+    next round no longer fits the floor(query_budget(K)) whole queries. A
+    round costs at most what is left and the walk stops only with no query
+    left, so every search spends exactly that many, whatever the draws.
+    Returns (best index seen, SearchStats); only strict improvements move
+    the threshold, so the result is the best score the search evaluated
+    and never worse than the starting index.
     """
     size = oracle.size
-    budget = query_budget(size)
     start = oracle.queries
     rand = rng.random
     bits = rng.getrandbits
     evaluate = oracle.evaluate
     keys = oracle._keys
     order = oracle._order
-    m_cap = math.sqrt(size)
-    # 1 <= m_max <= m_cap, so every m is below int(m_cap)
-    longest = int(m_cap)
+    schedule = _m_schedule(size)
+    last = len(schedule) - 1
+    # 1 <= m_max <= sqrt(K), so every m is below the last entry's int(m_max)
+    longest = schedule[last][0]
     best_index = _below(bits, size)
     best_score = evaluate(best_index)
     pos = bisect_right(keys, best_score)
     marked = size - pos
+    # (offset, n, n.bit_length()) of the index draw on a hit and on a miss;
+    # marking all K gives odds 1.0, so a miss leaves pos >= 1 to draw from
+    hit, miss = (pos, marked, marked.bit_length()), (0, pos, pos.bit_length())
     odds = oracle._hit_odds(marked, longest)
-    spent = 1
+    left = int(query_budget(size)) - 1
     iterations = 0
-    m_max = 1.0
-    while True:
-        affordable = int((budget - spent - 1) // 2)
-        if affordable < 0:
-            break
-        m = _below(bits, int(m_max))
+    failures = 0
+    while left >= 1:
+        n, k = schedule[failures]
+        m = bits(k)
+        while m >= n:
+            m = bits(k)
+        affordable = (left - 1) >> 1
         if affordable < m:
             m = affordable
         iterations += m
-        spent += 2 * m + 1
-        if rand() < odds[m]:
-            measured = order[pos + _below(bits, marked)]
-        else:
-            # marking all K gives odds 1.0, so a miss leaves pos >= 1 to draw from
-            measured = order[_below(bits, pos)]
+        left -= 2 * m + 1
+        offset, n, k = hit if rand() < odds[m] else miss
+        r = bits(k)
+        while r >= n:
+            r = bits(k)
+        measured = order[offset + r]
         score = evaluate(measured)
         if best_score < score:
             best_index, best_score = measured, score
-            m_max = 1.0
+            failures = 0
             pos = bisect_right(keys, score)
             marked = size - pos
+            hit, miss = (pos, marked, marked.bit_length()), (0, pos, pos.bit_length())
             odds = oracle._hit_odds(marked, longest)
-        else:
-            m_max *= GROWTH
-            if m_cap < m_max:
-                m_max = m_cap
+        elif failures < last:
+            failures += 1
     oracle.charge(2 * iterations)
     stats = SearchStats(
         oracle_queries=oracle.queries - start,

@@ -218,6 +218,21 @@ def test_dataset_refuses_bools_dates_and_time_spans(kind, column):
         Dataset(schema, [[1, 2]], column, ("a", "b"))
 
 
+# np.asarray promoted each bool among numbers to 0 or 1 before any check saw it
+@pytest.mark.parametrize(
+    "column",
+    [[True, 2], [2.5, False], [np.True_, 2], (np.False_, 1.0)],
+    ids=["bool_int", "float_bool", "numpy_bool_int", "tuple_numpy_bool_float"],
+)
+@pytest.mark.parametrize("kind", [REAL, DISCRETE])
+def test_dataset_refuses_bools_among_numbers_in_a_sequence(kind, column):
+    schema = _one_column_schema(kind)
+    with pytest.raises(DataFormatError, match=r"^attribute 'x' holds values that are not numbers$"):
+        Dataset(schema, [column], [1, 2], ("a", "b"))
+    with pytest.raises(DataFormatError, match=r"^class indices that are not numbers$"):
+        Dataset(schema, [[1, 2]], column, ("a", "b"))
+
+
 @pytest.mark.parametrize("kind", [REAL, DISCRETE])
 def test_dataset_reads_numeric_strings_as_numbers(kind):
     labels = np.array(["1", 2.0], dtype=object)
@@ -320,6 +335,13 @@ def test_subset_view_rejects_bad_indices():
     with pytest.raises(ValueError, match="integers"):
         SubsetView(data, [True, False])
     assert len(SubsetView(data, [])) == 0
+
+
+@pytest.mark.parametrize("indices", [[True, 2], [np.True_, 2], (0, np.False_)])
+def test_subset_view_refuses_bools_among_row_indices(indices):
+    # [True, 2] selected rows [1, 2]
+    with pytest.raises(ValueError, match="row indices must be integers"):
+        SubsetView(two_column_data(), indices)
 
 
 def test_partition_real_keeps_row_order():

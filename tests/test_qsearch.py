@@ -5,13 +5,15 @@ import random
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import qsearch_reference as reference
 from qdtree.qsearch import (
+    GROWTH,
     ScoringOracle,
     _below,
+    _m_schedule,
     default_repeats,
     durr_hoyer_max,
     query_budget,
@@ -172,7 +174,8 @@ def test_search_never_exceeds_budget():
     # round overdraws it, so the spend is exact whatever the draws
     rng = random.Random("budget")
     for _ in range(300):
-        k = rng.choice([*range(1, 70), 128, 256])
+        # 1024 is the one K <= 200 000 whose budget is whole (860.0)
+        k = rng.choice([*range(1, 70), 128, 256, 1024])
         draw = rng.choice((rng.random, lambda: rng.randrange(3), lambda: 1.0))
         vals = [draw() for _ in range(k)]
         o = ScoringOracle(vals)
@@ -326,6 +329,10 @@ def search_cases(draw):
 
 @settings(max_examples=300, deadline=None)
 @given(case=search_cases())
+# the whole-number budget, a schedule of one entry, and m_max landing on its cap
+@example(case=([(i * 37 % 1024) / 1024 for i in range(1024)], 2, 5))
+@example(case=([0.5], 3, 0))
+@example(case=(PIN_SCORES, 4, 1))
 def test_search_matches_the_reference_draw_for_draw(case):
     scores, repeats, seed = case
     new_oracle, ref_oracle = CountingOracle(scores), CountingReferenceOracle(scores)
@@ -336,6 +343,22 @@ def test_search_matches_the_reference_draw_for_draw(case):
     assert new_oracle.queries == ref_oracle.queries
     assert new_oracle.evaluated == ref_oracle.evaluated
     assert new_rng.getstate() == ref_rng.getstate()
+
+
+def test_m_schedule_follows_the_reference_recurrence():
+    # each entry is int(m_max) after j straight failures, computed as
+    # qsearch_reference.durr_hoyer_max computes it, and the last is the cap
+    for size in range(1, 4097):
+        m_cap = math.sqrt(size)
+        m_max = 1.0
+        want = [int(m_max)]
+        while m_max < m_cap:
+            m_max = min(m_max * GROWTH, m_cap)
+            want.append(int(m_max))
+        schedule = _m_schedule(size)
+        assert [n for n, _ in schedule] == want
+        assert [k for _, k in schedule] == [n.bit_length() for n in want]
+        assert schedule[-1][0] == int(m_cap)
 
 
 @pytest.mark.parametrize(
