@@ -35,8 +35,8 @@ from .dataset import (
     Attribute,
     AttributeSchema,
     DataFormatError,
-    branch_masks,
     breaks_lines,
+    holds_bool,
     is_integer,
     partition,
 )
@@ -260,20 +260,38 @@ def train(data, config=None):
 def route(tree, columns):
     """Leaf class index of every row, given one value array per attribute.
 
-    Row-index arrays go down the tree on an explicit stack, split by
-    `branch_masks`; subtrees no row reaches are skipped. Discrete values
-    must lie in their domains, as the reader, Dataset and load_model ensure.
+    The nodes go breadth-first into arrays, a node's children side by side,
+    and each pass moves every row in play one level down by whole-array ops,
+    under the rule of `branch_masks`: to its node's base plus x > theta at a
+    real test, or plus x at a discrete test, whose base is one below its
+    first child. A leaf is its own base, with theta inf; rows at leaves are
+    dropped once they are half of those in play. Discrete values must lie
+    in their domains, as the reader, Dataset and load_model ensure.
     """
-    classes = np.zeros(len(columns[0]), dtype=np.int64)
-    stack = [(tree.root, np.arange(len(classes)))]
-    while stack:
-        node, rows = stack.pop()
+    nodes, table = [tree.root], []
+    # the loop reads nodes as it extends them, so it visits them breadth-first
+    for node in nodes:
         if isinstance(node, Leaf):
-            classes[rows] = node.class_index
-        elif len(rows):
-            masks = branch_masks(columns[node.test.attr][rows], node.test)
-            stack.extend(zip(node.children, (rows[mask] for mask in masks)))
-    return classes
+            table.append((0, math.inf, len(table), node.class_index))
+        else:
+            test = node.test
+            table.append((test.attr, test.theta, len(nodes) - (test.kind == DISCRETE), 0))
+            nodes.extend(node.children)
+    # a discrete test's theta, None, becomes NaN
+    attrs, thetas, bases, leaf_classes = map(np.array, zip(*table), (int, float, int, int))
+    n = len(columns[0])
+    values = np.stack(columns).astype(np.float64, copy=False).ravel()
+    offsets, discrete = attrs * n, np.isnan(thetas)
+    rows, at, leaves = np.arange(n), np.zeros(n, np.int64), np.zeros(n, np.int64)
+    while len(rows):
+        x = values[offsets[at] + rows]
+        after = bases[at] + np.where(discrete[at], x, x > thetas[at]).astype(np.int64)
+        moved = after != at
+        if 2 * np.count_nonzero(moved) <= len(rows):
+            leaves[rows] = after
+            rows, after = rows[moved], after[moved]
+        at = after
+    return leaf_classes[leaves]
 
 
 def classify(tree, x):
@@ -290,11 +308,11 @@ def classify(tree, x):
         )
     if len(x) != d:
         raise DataFormatError("expected %d attribute values, got %d" % (d, len(x)))
-    columns = []
+    numbers = []
     for attr, a in enumerate(tree.schema.attributes):
         value = x[attr]
         try:
-            if isinstance(value, (bool, np.bool_)):
+            if holds_bool((value,)):
                 raise TypeError
             number = float(value)
         except (TypeError, ValueError):
@@ -315,8 +333,12 @@ def classify(tree, x):
                     "value %r of attribute index %d outside 1..%d" % (value, attr, a.domain_size)
                 )
             number = int(number)
-        columns.append(np.array([number]))
-    return int(route(tree, columns)[0])
+        numbers.append(number)
+    node = tree.root
+    while isinstance(node, Internal):
+        number = numbers[node.test.attr]
+        node = node.children[number > node.test.theta if node.test.kind == REAL else number - 1]
+    return node.class_index
 
 
 def training_accuracy(tree, data):

@@ -80,13 +80,24 @@ class AttributeSchema:
         return self.attributes[attr].domain_size
 
 
+def holds_bool(values):
+    """Whether a sequence or object array holds a bool, which numpy reads
+    as 0 or 1: a Python or numpy bool, or an array holding one, such as a
+    0-d array in a list. Arrays are looked for by type first, in C."""
+    types = set(map(type, values))
+    if not {bool, np.bool_}.isdisjoint(types):
+        return True
+    arrays = any(issubclass(t, np.ndarray) for t in types)
+    return arrays and any(holds_bool(v.ravel()) for v in values if isinstance(v, np.ndarray))
+
+
 def _flat(values, what):
     """values as an array, once it is one-dimensional; an object array if
     values is a sequence holding a bool, which np.asarray would make 0 or 1."""
     array = np.asarray(values)
     if array.ndim != 1:
         raise ValueError("%s must be one-dimensional, got shape %s" % (what, array.shape))
-    if not isinstance(values, np.ndarray) and not {bool, np.bool_}.isdisjoint(map(type, values)):
+    if not isinstance(values, np.ndarray) and holds_bool(values):
         return np.asarray(values, dtype=object)
     return array
 
@@ -106,7 +117,7 @@ def _numbers(values, what):
     values = np.asarray(values)
     kind = values.dtype.kind
     try:
-        if kind == "O" and not any(isinstance(v, (bool, np.bool_)) for v in values):
+        if kind == "O" and not holds_bool(values):
             return np.fromiter(map(float, values), np.float64, len(values))
         if kind not in "bcmMO":
             return np.asarray(values, dtype=np.float64)

@@ -44,6 +44,7 @@ from qdtree.dataset import (
     AttributeSchema,
     DataFormatError,
     Dataset,
+    branch_masks,
     partition,
 )
 from qdtree.qbuilder import q_train, serialize_report
@@ -283,7 +284,8 @@ def test_classify_rejects_non_integral_discrete():
         with pytest.raises(DataFormatError) as e:
             classify(tree, (value,))
         assert str(e.value) == "value %r of attribute index 0 is not finite" % (value,)
-    for value in (True, None, "two", np.bool_(False)):
+    # float(np.array(True)) is 1.0, so a 0-d bool array routed as the value 1
+    for value in (True, None, "two", np.bool_(False), np.array(True)):
         with pytest.raises(DataFormatError) as e:
             classify(tree, (value,))
         assert str(e.value) == "value %r of attribute index 0 is not a number" % (value,)
@@ -300,7 +302,7 @@ def test_classify_rejects_non_finite_real():
             classify(tree, (value,))
         assert str(e.value) == "value %r of attribute index 0 is not finite" % (value,)
     assert classify(tree, ("1e300",)) == 2
-    for value in ("abc", None, False):
+    for value in ("abc", None, False, np.array(False, dtype=object)):
         with pytest.raises(DataFormatError) as e:
             classify(tree, (value,))
         assert str(e.value) == "value %r of attribute index 0 is not a number" % (value,)
@@ -909,6 +911,109 @@ def test_model_too_deep_for_the_stdlib_decoder_writes_and_loads(tmp_path):
     assert serialize_model(again) == text == serialize_model(tree)
     assert classify(again, (1e9,)) == 2 and classify(again, (234.0,)) == 1
     assert len(format_tree(again).splitlines()) == 2 * 600
+
+
+def assert_routes_as_the_per_row_walk(tree, columns):
+    rows = list(zip(*(column.tolist() for column in columns)))
+    expected = [reference_classify(tree, row) for row in rows]
+    assert route(tree, columns).tolist() == expected
+    assert [classify(tree, row) for row in rows] == expected
+
+
+def _thresholds(tree):
+    """The thresholds of tree's real tests, by attribute."""
+    found = {}
+    stack = [tree.root]
+    while stack:
+        node = stack.pop()
+        if isinstance(node, Internal):
+            if node.test.kind == REAL:
+                found.setdefault(node.test.attr, []).append(node.test.theta)
+            stack.extend(node.children)
+    return found
+
+
+def _near(thetas):
+    """Each threshold and the floats on either side of it."""
+    return [math.nextafter(t, toward) for t in thetas for toward in (-math.inf, t, math.inf)]
+
+
+@st.composite
+def routed_columns(draw):
+    """A hand-built tree and 0..40 rows for it, one array per attribute. A
+    real value is often a threshold of the tree or a float next to one."""
+    tree = draw(hand_built_trees())
+    near = _thresholds(tree)
+    n = draw(st.integers(0, 40))
+    columns = []
+    for attr, a in enumerate(tree.schema.attributes):
+        if a.kind == DISCRETE:
+            values = st.integers(1, a.domain_size)
+        else:
+            values = st.floats(-1100, 1100)
+            if attr in near:
+                values = st.one_of(st.sampled_from(_near(near[attr])), values)
+        columns.append(np.array(draw(st.lists(values, min_size=n, max_size=n)), float))
+    return tree, columns
+
+
+@settings(max_examples=150, deadline=None)
+@given(case=routed_columns())
+@example(case=(_chain_tree(0), [np.array([0.5, 3.0])]))
+@example(case=(_chain_tree(2), [np.empty(0)]))
+def test_route_and_classify_match_the_per_row_walk_on_hand_built_trees(case):
+    assert_routes_as_the_per_row_walk(*case)
+
+
+def test_route_and_classify_match_the_per_row_walk_on_a_bushy_discrete_tree():
+    # 64 classes over domains of up to 4 values, as on discrete-bushy, so
+    # over 200 branches are leaves no training row reached
+    schema = random_schema(12, 64, 7, kinds="discrete", max_domain=4)
+    data = random_dataset(schema, 600, 7)
+    tree = train(data, BuildConfig(max_height=8))
+    empty, stack = 0, [tree.root]
+    while stack:
+        node = stack.pop()
+        if isinstance(node, Internal):
+            empty += sum(child.support is node.support for child in node.children)
+            stack.extend(node.children)
+    assert empty > 200
+    for rows in (data, random_dataset(schema, 600, 8)):
+        assert_routes_as_the_per_row_walk(tree, rows.columns)
+
+
+def test_route_and_classify_match_the_per_row_walk_on_a_600_level_chain():
+    tree = _chain_tree(600)
+    values = _near([k + 0.5 for k in range(0, 600, 7)]) + [-1e300, 1e9, 599.75]
+    assert_routes_as_the_per_row_walk(tree, [np.array(values)])
+
+
+@settings(max_examples=100, deadline=None)
+@given(
+    test=st.one_of(
+        st.floats(-1e300, 1e300).map(lambda theta: SplitTest(0, REAL, theta=theta)),
+        st.integers(2, 6).map(lambda t: SplitTest(0, DISCRETE, branch_count=t)),
+    ),
+    data=st.data(),
+)
+def test_route_classify_and_branch_masks_share_one_branch_rule(test, data):
+    # route and classify each restate the rule of branch_masks; a one-node
+    # tree whose child i is class i + 1 holds all three to the same child
+    if test.kind == REAL:
+        attribute, arity = Attribute("x", REAL), 2
+        values = st.one_of(st.sampled_from(_near([test.theta])), st.floats(-1e300, 1e300))
+    else:
+        attribute, arity = Attribute("x", DISCRETE, test.branch_count), test.branch_count
+        values = st.integers(1, arity)
+    values = np.array(data.draw(st.lists(values, max_size=30)), float)
+    schema = AttributeSchema((attribute,), arity)
+    leaves = [Leaf(i + 1, (0,) * arity) for i in range(arity)]
+    tree = DecisionTree(Internal(test, leaves, (0,) * arity), schema, ("c",) * arity, BuildStats())
+    masks = np.array(branch_masks(values, test)).reshape(arity, len(values))
+    assert (masks.sum(axis=0) == 1).all()
+    expected = (masks.argmax(axis=0) + 1).tolist()
+    assert route(tree, [values]).tolist() == expected
+    assert [classify(tree, (v,)) for v in values.tolist()] == expected
 
 
 def test_loader_reports_the_first_bad_node_in_preorder():

@@ -206,8 +206,9 @@ def test_dataset_names_values_that_are_not_numbers(kind, column, kind_of_value):
         np.array([True, True]),
         np.array([True, 2], dtype=object),
         np.array([np.True_, 2.0], dtype=object),
+        np.array([np.array(True), 2.0], dtype=object),
     ],
-    ids=["datetime64", "timedelta64", "bool", "object_bool", "object_numpy_bool"],
+    ids=["datetime64", "timedelta64", "bool", "object_bool", "object_numpy_bool", "object_0d_bool"],
 )
 @pytest.mark.parametrize("kind", [REAL, DISCRETE])
 def test_dataset_refuses_bools_dates_and_time_spans(kind, column):
@@ -218,11 +219,26 @@ def test_dataset_refuses_bools_dates_and_time_spans(kind, column):
         Dataset(schema, [[1, 2]], column, ("a", "b"))
 
 
-# np.asarray promoted each bool among numbers to 0 or 1 before any check saw it
+# np.asarray promoted each bool among numbers to 0 or 1 before any check
+# saw it, also a bool in a 0-d array
 @pytest.mark.parametrize(
     "column",
-    [[True, 2], [2.5, False], [np.True_, 2], (np.False_, 1.0)],
-    ids=["bool_int", "float_bool", "numpy_bool_int", "tuple_numpy_bool_float"],
+    [
+        [True, 2],
+        [2.5, False],
+        [np.True_, 2],
+        (np.False_, 1.0),
+        [np.array(True), 2],
+        (2.5, np.array(False, dtype=object)),
+    ],
+    ids=[
+        "bool_int",
+        "float_bool",
+        "numpy_bool_int",
+        "tuple_numpy_bool_float",
+        "0d_bool_int",
+        "tuple_float_0d_object_bool",
+    ],
 )
 @pytest.mark.parametrize("kind", [REAL, DISCRETE])
 def test_dataset_refuses_bools_among_numbers_in_a_sequence(kind, column):
@@ -337,9 +353,11 @@ def test_subset_view_rejects_bad_indices():
     assert len(SubsetView(data, [])) == 0
 
 
-@pytest.mark.parametrize("indices", [[True, 2], [np.True_, 2], (0, np.False_)])
+@pytest.mark.parametrize(
+    "indices", [[True, 2], [np.True_, 2], (0, np.False_), [np.array(True), 0]]
+)
 def test_subset_view_refuses_bools_among_row_indices(indices):
-    # [True, 2] selected rows [1, 2]
+    # [True, 2] selected rows [1, 2], and [np.array(True), 0] rows [1, 0]
     with pytest.raises(ValueError, match="row indices must be integers"):
         SubsetView(two_column_data(), indices)
 
