@@ -35,8 +35,8 @@ from .dataset import (
     Attribute,
     AttributeSchema,
     DataFormatError,
-    breaks_lines,
-    holds_bool,
+    check_class_labels,
+    checked_values,
     is_integer,
     partition,
 )
@@ -296,9 +296,9 @@ def route(tree, columns):
 
 def classify(tree, x):
     """Routes one attribute vector: a sequence (not a string) or 1-D array
-    of exactly d values. Each value must convert to a finite float, and a
-    discrete one must also be a whole number inside its domain; anything
-    else raises DataFormatError, as the CSV reader would."""
+    of exactly d values. Each value is held to dataset.checked_values as a
+    one-value column, so a value that Dataset would refuse in its
+    attribute's column raises DataFormatError with Dataset's message."""
     d = tree.schema.attribute_count
     if isinstance(x, (str, bytes, bytearray)) or not (
         isinstance(x, Sequence) or (isinstance(x, np.ndarray) and x.ndim == 1)
@@ -309,31 +309,11 @@ def classify(tree, x):
     if len(x) != d:
         raise DataFormatError("expected %d attribute values, got %d" % (d, len(x)))
     numbers = []
-    for attr, a in enumerate(tree.schema.attributes):
-        value = x[attr]
-        try:
-            if holds_bool((value,)):
-                raise TypeError
-            number = float(value)
-        except (TypeError, ValueError):
-            raise DataFormatError(
-                "value %r of attribute index %d is not a number" % (value, attr)
-            ) from None
-        except OverflowError:
-            number = math.inf
-        if not math.isfinite(number):
-            raise DataFormatError("value %r of attribute index %d is not finite" % (value, attr))
-        if a.kind == DISCRETE:
-            if not number.is_integer():
-                raise DataFormatError(
-                    "value %r of attribute index %d is not a whole number" % (value, attr)
-                )
-            if not 1 <= number <= a.domain_size:
-                raise DataFormatError(
-                    "value %r of attribute index %d outside 1..%d" % (value, attr, a.domain_size)
-                )
-            number = int(number)
-        numbers.append(number)
+    for a, value in zip(tree.schema.attributes, x):
+        column = np.empty(1, object)
+        column[0] = value
+        what = "attribute %r holds values" % (a.name,)
+        numbers += checked_values(column, a.domain_size, what).tolist()
     node = tree.root
     while isinstance(node, Internal):
         number = numbers[node.test.attr]
@@ -564,16 +544,9 @@ def document_to_tree(doc):
         schema = AttributeSchema(
             tuple(attrs), _typed(doc["schema"]["class_count"], (int,), "class_count")
         )
-        class_labels = tuple(_typed(doc["class_label_mapping"], (list,), "class_label_mapping"))
-        if len(class_labels) != schema.class_count:
-            raise DataFormatError(
-                "%d class labels for %d classes" % (len(class_labels), schema.class_count)
-            )
-        if countOf(map(type, class_labels), str) != len(class_labels):
-            raise DataFormatError("class labels must be strings")
-        for label in class_labels:
-            if breaks_lines(label):
-                raise DataFormatError("class label %r holds a line break" % (label,))
+        class_labels = check_class_labels(
+            _typed(doc["class_label_mapping"], (list,), "class_label_mapping"), schema.class_count
+        )
         root = _node_from_document(doc["root"], schema)
     except (AttributeError, KeyError, OverflowError, TypeError) as exc:
         raise DataFormatError(

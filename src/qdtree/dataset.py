@@ -47,6 +47,8 @@ class Attribute:
                 raise ValueError(
                     "discrete attribute %r needs an integer domain size of at least 2" % (self.name,)
                 )
+            # a numpy integer would reach the model writer, which json refuses
+            object.__setattr__(self, "domain_size", int(self.domain_size))
         elif self.domain_size is not None:
             raise ValueError("real attribute %r cannot declare a domain size" % (self.name,))
 
@@ -65,6 +67,7 @@ class AttributeSchema:
                 raise ValueError("schema entries must be Attributes, got %r" % (a,))
         if not is_integer(self.class_count) or self.class_count < 1:
             raise ValueError("a schema needs an integer class count of at least 1")
+        object.__setattr__(self, "class_count", int(self.class_count))
         names = [a.name for a in self.attributes]
         if len(set(names)) != len(names):
             raise ValueError("attribute names must be unique")
@@ -80,31 +83,42 @@ class AttributeSchema:
         return self.attributes[attr].domain_size
 
 
+_BOOLS = (bool, np.bool_)
+_COMPLEX = (complex, np.complexfloating)
+
+
+def _holds(values, types):
+    """Whether a sequence or object array holds a value of one of types, or
+    an array holding one, such as a 0-d array in a list. Arrays are looked
+    for by type first, in C."""
+    found = set(map(type, values))
+    if any(issubclass(t, types) for t in found):
+        return True
+    arrays = any(issubclass(t, np.ndarray) for t in found)
+    return arrays and any(_holds(v.ravel(), types) for v in values if isinstance(v, np.ndarray))
+
+
 def holds_bool(values):
     """Whether a sequence or object array holds a bool, which numpy reads
-    as 0 or 1: a Python or numpy bool, or an array holding one, such as a
-    0-d array in a list. Arrays are looked for by type first, in C."""
-    types = set(map(type, values))
-    if not {bool, np.bool_}.isdisjoint(types):
-        return True
-    arrays = any(issubclass(t, np.ndarray) for t in types)
-    return arrays and any(holds_bool(v.ravel()) for v in values if isinstance(v, np.ndarray))
+    as 0 or 1: a Python or numpy bool, or an array holding one."""
+    return _holds(values, _BOOLS)
 
 
 def _flat(values, what):
-    """values as an array, once it is one-dimensional; an object array if
-    values is a sequence holding a bool, which np.asarray would make 0 or 1."""
+    """values as an array, once it is one-dimensional. A sequence holding a
+    bool, which np.asarray would make 0 or 1, or a string, whose trailing
+    NULs it would drop, becomes an object array, so that each value reaches
+    float() as it stands."""
     array = np.asarray(values)
     if array.ndim != 1:
         raise ValueError("%s must be one-dimensional, got shape %s" % (what, array.shape))
-    if not isinstance(values, np.ndarray) and holds_bool(values):
+    if not isinstance(values, np.ndarray) and (array.dtype.kind in "SU" or holds_bool(values)):
         return np.asarray(values, dtype=object)
     return array
 
 
 def _numbers(values, what):
-    """values as a float64 array, once each is a real number: the one
-    numeric conversion of real columns, discrete columns and labels.
+    """values as a float64 array, once each is a real number.
 
     A complex value raises DataFormatError `<what> that are complex
     numbers`, since a cast would drop its imaginary part; any other value
@@ -117,49 +131,46 @@ def _numbers(values, what):
     values = np.asarray(values)
     kind = values.dtype.kind
     try:
-        if kind == "O" and not holds_bool(values):
+        if kind == "O" and not _holds(values, _BOOLS + _COMPLEX):
             return np.fromiter(map(float, values), np.float64, len(values))
         if kind not in "bcmMO":
             return np.asarray(values, dtype=np.float64)
     except (TypeError, ValueError):
         pass
-    for v in values.tolist():
-        if isinstance(v, numbers.Complex) and not isinstance(v, numbers.Real):
-            raise DataFormatError("%s that are complex numbers" % (what,))
+    if kind == "c" or (kind == "O" and _holds(values, _COMPLEX)):
+        raise DataFormatError("%s that are complex numbers" % (what,))
     raise DataFormatError("%s that are not numbers" % (what,))
 
 
-def _whole_numbers(values, high, what):
-    """values as an int64 array, once each is a whole number in 1..high.
+def checked_values(values, high, what):
+    """values as a float64 array of finite numbers when high is None, or as
+    an int64 array of whole numbers in 1..high: the one value rule of
+    Dataset columns and labels, classify and the CSV reader's block parse.
 
-    A value that is not a finite whole number raises DataFormatError, as
-    the CSV reader does; so does a whole number outside 1..high, however
-    large, with the message `<what> outside 1..<high>`.
+    Any other value raises DataFormatError, with one message per kind of
+    failure: `<what> that are not numbers` or `... that are complex
+    numbers` (see _numbers), `... that are not finite`, `... that are not
+    whole numbers` or `<what> outside 1..<high>`. A whole number too large
+    for a float is outside the domain; a real one is not finite, as its
+    digits are in the CSV reader, where float() reads them as inf.
     """
     values = np.asarray(values)
-    if values.dtype.kind not in "iu":
+    if high is None or values.dtype.kind not in "iu":
         try:
             values = _numbers(values, what)
         except OverflowError:
+            if high is None:
+                raise DataFormatError("%s that are not finite" % (what,)) from None
             raise DataFormatError("%s outside 1..%d" % (what, high)) from None
-        if not np.all(np.isfinite(values) & (values == np.floor(values))):
-            raise DataFormatError("%s that are not finite whole numbers" % (what,))
+        if not np.isfinite(values).all():
+            raise DataFormatError("%s that are not finite" % (what,))
+        if high is None:
+            return values
+        if not (values == np.floor(values)).all():
+            raise DataFormatError("%s that are not whole numbers" % (what,))
     if len(values) and (values.min() < 1 or values.max() > high):
         raise DataFormatError("%s outside 1..%d" % (what, high))
     return values.astype(np.int64, copy=False)
-
-
-def _finite_numbers(values, what):
-    """values as a float64 array, once each is a finite real number. A
-    number too large for a float counts as not finite, as its digits do in
-    the CSV reader, where float() reads them as inf."""
-    try:
-        values = _numbers(values, what)
-    except OverflowError:
-        values = None
-    if values is None or not np.isfinite(values).all():
-        raise DataFormatError("%s that are not finite" % (what,))
-    return values
 
 
 def breaks_lines(text):
@@ -167,6 +178,25 @@ def breaks_lines(text):
     \\n, \\r, \\v, \\f, \\x1c-\\x1e, \\x85, \\u2028 or \\u2029. Predict
     prints each class label as one line."""
     return "".join(text.splitlines()) != text
+
+
+def check_class_labels(labels, count):
+    """labels as a tuple, once it is a sequence (not one string) of count
+    strings, none holding a line break: the one class-label rule of Dataset
+    and the model loader. A model file keeps only string labels, and
+    predict prints each as one line. Any other labels raise DataFormatError.
+    """
+    if isinstance(labels, (str, bytes)):
+        raise DataFormatError("class labels must be a sequence of strings, got %r" % (labels,))
+    labels = tuple(labels)
+    if len(labels) != count:
+        raise DataFormatError("%d class labels for %d classes" % (len(labels), count))
+    for label in labels:
+        if not isinstance(label, str):
+            raise DataFormatError("class labels must be strings, got %r" % (label,))
+        if breaks_lines(label):
+            raise DataFormatError("class label %r holds a line break" % (label,))
+    return labels
 
 
 class Dataset:
@@ -183,17 +213,14 @@ class Dataset:
             _flat(col, "column %r" % (a.name,)) for a, col in zip(schema.attributes, columns)
         ]
         self.columns = [
-            _finite_numbers(col, what)
-            if a.kind == REAL
-            else _whole_numbers(col, a.domain_size, what)
+            checked_values(col, a.domain_size, "attribute %r holds values" % (a.name,))
             for a, col in zip(schema.attributes, columns)
-            for what in ["attribute %r holds values" % (a.name,)]
         ]
-        self.labels = _whole_numbers(
+        self.labels = checked_values(
             _flat(labels, "class indices"), schema.class_count, "class indices"
         )
-        self.class_labels = tuple(class_labels)
         self._validate()
+        self.class_labels = check_class_labels(class_labels, schema.class_count)
 
     def _validate(self):
         n = len(self.labels)
@@ -202,15 +229,6 @@ class Dataset:
         for a, col in zip(self.schema.attributes, self.columns):
             if len(col) != n:
                 raise ValueError("column %r has %d values for %d rows" % (a.name, len(col), n))
-        if len(self.class_labels) != self.schema.class_count:
-            raise ValueError("need one label name per class")
-        # a model file keeps only string labels, and predict prints each
-        # as one line
-        for label in self.class_labels:
-            if not isinstance(label, str):
-                raise ValueError("class labels must be strings, got %r" % (label,))
-            if breaks_lines(label):
-                raise DataFormatError("class label %r holds a line break" % (label,))
 
     @property
     def n_rows(self):
@@ -391,22 +409,15 @@ def _blocks(records):
 def _parse_columns(rows, attributes):
     """One array per attribute for rows of the right width, parsed a column
     at a time, or None when a token does not parse as it stands or a value
-    is not finite or is outside its domain."""
-    columns = []
+    breaks the rule of checked_values."""
     try:
-        for a, tokens in zip(attributes, zip(*rows)):
-            parse, dtype = _PARSERS[a.kind]
-            values = np.fromiter(map(parse, tokens), dtype, len(rows))
-            if a.kind == REAL:
-                valid = np.isfinite(values).all()
-            else:
-                valid = values.min() >= 1 and values.max() <= a.domain_size
-            if not valid:
-                return None
-            columns.append(values)
+        return [
+            checked_values(np.fromiter(map(parse, tokens), dtype, len(rows)), a.domain_size, a.name)
+            for a, tokens in zip(attributes, zip(*rows))
+            for parse, dtype in [_PARSERS[a.kind]]
+        ]
     except (ValueError, OverflowError):
         return None
-    return columns
 
 
 def _parse_cells(block, attributes, width, path, labeled):

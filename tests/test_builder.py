@@ -264,10 +264,10 @@ def test_classify_rejects_out_of_domain_discrete():
     schema = AttributeSchema((Attribute("c1", DISCRETE, 2),), 2)
     data = Dataset(schema, [[1, 1, 2, 2]], [1, 1, 2, 2], ("a", "b"))
     tree = train(data)
-    for value in (3, 0, 7.0):
+    for value in (3, 0, 7.0, 10**400):
         with pytest.raises(DataFormatError) as e:
             classify(tree, (value,))
-        assert str(e.value) == "value %r of attribute index 0 outside 1..2" % (value,)
+        assert str(e.value) == "attribute 'c1' holds values outside 1..2"
 
 
 def test_classify_rejects_non_integral_discrete():
@@ -279,16 +279,16 @@ def test_classify_rejects_non_integral_discrete():
     for value in (1.5, 0.5, "1.5"):
         with pytest.raises(DataFormatError) as e:
             classify(tree, (value,))
-        assert str(e.value) == "value %r of attribute index 0 is not a whole number" % (value,)
-    for value in (math.inf, -math.inf, math.nan, "nan", 10**400):
+        assert str(e.value) == "attribute 'c1' holds values that are not whole numbers"
+    for value in (math.inf, -math.inf, math.nan, "nan"):
         with pytest.raises(DataFormatError) as e:
             classify(tree, (value,))
-        assert str(e.value) == "value %r of attribute index 0 is not finite" % (value,)
+        assert str(e.value) == "attribute 'c1' holds values that are not finite"
     # float(np.array(True)) is 1.0, so a 0-d bool array routed as the value 1
     for value in (True, None, "two", np.bool_(False), np.array(True)):
         with pytest.raises(DataFormatError) as e:
             classify(tree, (value,))
-        assert str(e.value) == "value %r of attribute index 0 is not a number" % (value,)
+        assert str(e.value) == "attribute 'c1' holds values that are not numbers"
     assert [classify(tree, (v,)) for v in (2.0, 1.0, 2, np.int64(1), "2")] == [2, 1, 2, 1, 2]
 
 
@@ -297,15 +297,15 @@ def test_classify_rejects_non_finite_real():
     schema = AttributeSchema((Attribute("x1", REAL),), 2)
     data = Dataset(schema, [[1.0, 2.0]], [1, 2], ("a", "b"))
     tree = train(data)
-    for value in (math.nan, math.inf, -math.inf, "nan", "inf", "-inf", "1e400"):
+    for value in (math.nan, math.inf, -math.inf, "nan", "inf", "-inf", "1e400", 10**400):
         with pytest.raises(DataFormatError) as e:
             classify(tree, (value,))
-        assert str(e.value) == "value %r of attribute index 0 is not finite" % (value,)
+        assert str(e.value) == "attribute 'x1' holds values that are not finite"
     assert classify(tree, ("1e300",)) == 2
     for value in ("abc", None, False, np.array(False, dtype=object)):
         with pytest.raises(DataFormatError) as e:
             classify(tree, (value,))
-        assert str(e.value) == "value %r of attribute index 0 is not a number" % (value,)
+        assert str(e.value) == "attribute 'x1' holds values that are not numbers"
 
 
 def test_classify_rejects_malformed_vectors():
@@ -421,6 +421,18 @@ def test_only_string_class_labels_reach_a_model(tmp_path):
     again = load_model(path)
     assert again.class_labels == ("1", "2")
     assert serialize_model(again) == serialize_model(tree)
+
+
+def test_numpy_integer_sizes_reach_the_model_as_ints(tmp_path):
+    # Attribute and AttributeSchema kept the np.int64, and the model writer
+    # failed on it with json's bare TypeError
+    attrs = (Attribute("c", DISCRETE, np.int64(3)), Attribute("x", REAL))
+    schema = AttributeSchema(attrs, np.int64(2))
+    assert type(schema.domain_size(0)) is int and type(schema.class_count) is int
+    data = Dataset(schema, [[1, 2, 3, 1], [0.5, 1.5, 2.5, 3.5]], [1, 2, 2, 1], ("a", "b"))
+    tree = train(data)
+    save_model(tree, tmp_path / "m.json")
+    assert serialize_model(load_model(tmp_path / "m.json")) == serialize_model(tree)
 
 
 def test_document_to_tree_rejects_garbage():
@@ -1014,6 +1026,48 @@ def test_route_classify_and_branch_masks_share_one_branch_rule(test, data):
     expected = (masks.argmax(axis=0) + 1).tolist()
     assert route(tree, [values]).tolist() == expected
     assert [classify(tree, (v,)) for v in values.tolist()] == expected
+
+
+# values of every kind that classify or Dataset may be handed
+ODD_VALUES = st.one_of(
+    st.floats(),
+    st.floats(width=32).map(np.float32),
+    st.integers(),
+    st.integers(-2, 8).map(np.int64),
+    st.sampled_from([10**400, -(10**400), 2**63, 2**64, np.uint64(2**64 - 1)]),
+    st.one_of(st.integers(-2, 8), st.floats()).map(str),
+    st.text(max_size=4),
+    st.binary(max_size=3),
+    st.none(),
+    st.booleans(),
+    st.booleans().map(np.bool_),
+    st.complex_numbers(),
+    st.complex_numbers().map(np.complex128),
+)
+
+
+@settings(max_examples=400, deadline=None)
+@given(high=st.one_of(st.none(), st.integers(2, 6)), value=ODD_VALUES)
+@example(high=None, value=1 + 2j)
+@example(high=2, value=10**400)
+@example(high=None, value="1\x00")  # numpy drops trailing NULs from a string array
+def test_classify_and_dataset_share_one_value_rule(high, value):
+    # both hold a value to dataset.checked_values: they accept the same
+    # values, and refuse the others with the same message
+    attribute = Attribute("x", REAL) if high is None else Attribute("x", DISCRETE, high)
+    schema = AttributeSchema((attribute,), 2)
+    tree = DecisionTree(Leaf(1, (0, 0)), schema, ("a", "b"), BuildStats())
+    outcomes = []
+    for call in (
+        lambda: classify(tree, (value,)),
+        lambda: Dataset(schema, [[value, value]], [1, 2], ("a", "b")),
+    ):
+        try:
+            call()
+            outcomes.append("accepted")
+        except DataFormatError as e:
+            outcomes.append(str(e))
+    assert outcomes[0] == outcomes[1]
 
 
 def test_loader_reports_the_first_bad_node_in_preorder():

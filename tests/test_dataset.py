@@ -13,6 +13,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from qdtree import dataset
+from qdtree.builder import document_to_tree, train, tree_to_document
 from qdtree.dataset import (
     DISCRETE,
     REAL,
@@ -257,13 +258,50 @@ def test_dataset_reads_numeric_strings_as_numbers(kind):
         assert data.columns[0].tolist() == [2, 1] and data.labels.tolist() == [1, 2]
 
 
+def _label_refusals(labels):
+    """The messages with which Dataset and the model loader refuse labels
+    for two classes."""
+    schema = _one_column_schema(REAL)
+    with pytest.raises(DataFormatError) as made:
+        Dataset(schema, [[1.0, 2.0]], [1, 2], labels)
+    doc = tree_to_document(train(Dataset(schema, [[1.0, 2.0]], [1, 2], ("a", "b"))))
+    doc["class_label_mapping"] = list(labels)
+    with pytest.raises(DataFormatError) as loaded:
+        document_to_tree(doc)
+    return str(made.value), str(loaded.value)
+
+
 @pytest.mark.parametrize("line_break", sorted(LINE_BREAKS) + ["\r\n"], ids=ascii)
 def test_dataset_refuses_a_class_label_with_a_line_break(line_break):
     # predict prints each label as one line of its output
     label = "a%sb" % (line_break,)
+    message = "class label %r holds a line break" % (label,)
+    assert _label_refusals(("c", label)) == (message, message)
+
+
+# Dataset raised a bare ValueError with messages of its own for the first
+# three, where the model loader raised DataFormatError
+@pytest.mark.parametrize(
+    "labels, message",
+    [
+        (("a",), "1 class labels for 2 classes"),
+        (("a", "b", "c"), "3 class labels for 2 classes"),
+        (("a", 2), "class labels must be strings, got 2"),
+        (("a", None), "class labels must be strings, got None"),
+        (("a", "b\nc"), "class label 'b\\nc' holds a line break"),
+    ],
+    ids=["too_few", "too_many", "int", "none", "line_break"],
+)
+def test_dataset_and_model_loader_share_one_class_label_rule(labels, message):
+    assert _label_refusals(labels) == (message, message)
+
+
+@pytest.mark.parametrize("names", ["ab", b"ab"], ids=["str", "bytes"])
+def test_dataset_refuses_class_labels_given_as_one_string(names):
+    # tuple("ab") named the two classes 'a' and 'b'
     with pytest.raises(DataFormatError) as e:
-        Dataset(_one_column_schema(REAL), [[1.0, 2.0]], [1, 2], ("c", label))
-    assert str(e.value) == "class label %r holds a line break" % (label,)
+        Dataset(_one_column_schema(REAL), [[1.0, 2.0]], [1, 2], names)
+    assert str(e.value) == "class labels must be a sequence of strings, got %r" % (names,)
 
 
 def test_line_breaks_are_those_of_splitlines():

@@ -285,3 +285,19 @@ def test_the_oracle_shares_no_code_with_the_scanners():
         assert "oracle" not in package_imports(module), module
     # the parse sees every import form the package uses
     assert package_imports("verify") >= {"oracle", "builder", "criteria", "dataset"}
+
+
+def test_the_builder_restates_no_value_or_label_rule():
+    # dataset.checked_values and dataset.check_class_labels are the rules;
+    # a builder that used their parts would be growing a second copy
+    tree = ast.parse((PACKAGE / "builder.py").read_text())
+    names = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom):
+            names.update(a.name for a in node.names)
+        elif isinstance(node, ast.Attribute):
+            names.add(node.attr)
+        elif isinstance(node, ast.Name):
+            names.add(node.id)
+    assert not names & {"holds_bool", "breaks_lines"}
+    assert {"checked_values", "check_class_labels"} <= names
