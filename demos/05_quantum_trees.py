@@ -4,7 +4,9 @@ Each internal node's attribute is picked by the repeated maximum search
 instead of a classical sweep. The build logs every search attempt: queries
 spent, the attribute chosen, and (when asked to verify) whether that choice's
 gain ratio equals the classical optimum's. A run whose every node verifies
-reproduces the classical tree byte for byte.
+reproduces the classical tree byte for byte when every attempt's argmax is
+unique; under ties each split is still a classical optimum, but the tree can
+differ.
 """
 
 import random

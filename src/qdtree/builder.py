@@ -19,7 +19,6 @@ import io
 import math
 import os
 from collections import deque
-from collections.abc import Sequence
 from dataclasses import dataclass, field
 from itertools import repeat
 from operator import countOf
@@ -38,6 +37,7 @@ from .dataset import (
     check_class_labels,
     checked_values,
     is_integer,
+    is_vector,
     partition,
 )
 from .splitscan import SplitTest, batch_level, process_attribute
@@ -295,14 +295,12 @@ def route(tree, columns):
 
 
 def classify(tree, x):
-    """Routes one attribute vector: a sequence (not a string) or 1-D array
-    of exactly d values. Each value is held to dataset.checked_values as a
-    one-value column, so a value that Dataset would refuse in its
-    attribute's column raises DataFormatError with Dataset's message."""
+    """Routes one attribute vector (see dataset.is_vector) of exactly d
+    values. Each value is held to dataset.checked_values as a one-value
+    column, so a value that Dataset would refuse in its attribute's column
+    raises DataFormatError with Dataset's message."""
     d = tree.schema.attribute_count
-    if isinstance(x, (str, bytes, bytearray)) or not (
-        isinstance(x, Sequence) or (isinstance(x, np.ndarray) and x.ndim == 1)
-    ):
+    if not is_vector(x):
         raise DataFormatError(
             "expected a sequence of %d attribute values, got %s" % (d, type(x).__name__)
         )

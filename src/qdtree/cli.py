@@ -13,6 +13,7 @@ opt-in (--timing) precisely because real timestamps would break that.
 import argparse
 import sys
 import time
+from itertools import product
 
 from . import verify as verify_suites
 from .builder import (
@@ -108,6 +109,15 @@ def build_parser():
     return parser
 
 
+def _build(data, config):
+    """(tree, report) of one build, with report None unless the backend is
+    quantum: the one place the CLI chooses between train and q_train."""
+    if config.backend == QUANTUM:
+        report = q_train(data, config)
+        return report.tree, report
+    return train(data, config), None
+
+
 def cmd_train(args):
     try:
         attributes = read_schema(args.schema)
@@ -123,12 +133,7 @@ def cmd_train(args):
         print("error: %s" % (exc,), file=sys.stderr)
         return 2
     try:
-        if args.backend == QUANTUM:
-            report = q_train(data, config)
-            tree = report.tree
-        else:
-            report = None
-            tree = train(data, config)
+        tree, report = _build(data, config)
         # the model goes last, so a failed write leaves no new model behind
         if report is not None and args.report:
             save_report(report, args.report)
@@ -170,48 +175,32 @@ def cmd_predict(args):
 
 
 def _bench_rows(args, backends):
-    rows = []
-    for backend in backends:
-        for d in args.d:
-            for m in args.m:
-                for seed in args.seeds:
-                    data = grid_dataset(args.n, d, seed, class_count=m)
-                    started = time.perf_counter()
-                    if backend == QUANTUM:
-                        config = BuildConfig(
-                            max_height=args.max_height,
-                            backend=QUANTUM,
-                            seed=seed,
-                            verify=True,
-                        )
-                        report = q_train(data, config)
-                        stats = report.tree.stats
-                        queries = report.total_oracle_queries
-                        k = stats.internal_nodes
-                        success = report.nodes_correct / k if k else 1.0
-                    else:
-                        tree = train(data, BuildConfig(max_height=args.max_height, backend=backend))
-                        stats = tree.stats
-                        queries = 0
-                        success = 1.0
-                    elapsed = time.perf_counter() - started
-                    wall_ms = int(round(elapsed * 1000.0)) if args.timing else 0
-                    rows.append(
-                        "%s,%d,%d,%d,%d,%d,%d,%d,%.6f,%d"
-                        % (
-                            backend,
-                            args.n,
-                            d,
-                            m,
-                            seed,
-                            stats.evaluations,
-                            stats.tally.maintenance_ops,
-                            queries,
-                            success,
-                            wall_ms,
-                        )
-                    )
-    return rows
+    for backend, d, m, seed in product(backends, args.d, args.m, args.seeds):
+        data = grid_dataset(args.n, d, seed, class_count=m)
+        # a classical build ignores seed and verify
+        config = BuildConfig(max_height=args.max_height, backend=backend, seed=seed, verify=True)
+        started = time.perf_counter()
+        tree, report = _build(data, config)
+        elapsed = time.perf_counter() - started
+        stats = tree.stats
+        queries, success = 0, 1.0
+        if report is not None:
+            queries = report.total_oracle_queries
+            k = stats.internal_nodes
+            success = report.nodes_correct / k if k else 1.0
+        wall_ms = int(round(elapsed * 1000.0)) if args.timing else 0
+        yield "%s,%d,%d,%d,%d,%d,%d,%d,%.6f,%d" % (
+            backend,
+            args.n,
+            d,
+            m,
+            seed,
+            stats.evaluations,
+            stats.tally.maintenance_ops,
+            queries,
+            success,
+            wall_ms,
+        )
 
 
 def cmd_bench(args):

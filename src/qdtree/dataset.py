@@ -9,6 +9,7 @@ original names.
 import csv
 import math
 import numbers
+from collections.abc import Sequence
 from dataclasses import dataclass
 
 import numpy as np
@@ -24,6 +25,14 @@ class DataFormatError(ValueError):
 def is_integer(value):
     """Whether value is an integer of any integral type other than bool."""
     return isinstance(value, numbers.Integral) and not isinstance(value, bool)
+
+
+def is_vector(x):
+    """Whether x is a sequence (not a str, bytes or bytearray) or a 1-D
+    array: the shape of an attribute row and of a class-label list."""
+    return not isinstance(x, (str, bytes, bytearray)) and (
+        isinstance(x, Sequence) or (isinstance(x, np.ndarray) and x.ndim == 1)
+    )
 
 
 @dataclass(frozen=True)
@@ -181,12 +190,13 @@ def breaks_lines(text):
 
 
 def check_class_labels(labels, count):
-    """labels as a tuple, once it is a sequence (not one string) of count
-    strings, none holding a line break: the one class-label rule of Dataset
-    and the model loader. A model file keeps only string labels, and
-    predict prints each as one line. Any other labels raise DataFormatError.
+    """labels as a tuple, once it is a vector (see is_vector; a set's order
+    can change between runs) of count strings, none holding a line break:
+    the one class-label rule of Dataset and the model loader. A model file
+    keeps only string labels, and predict prints each as one line. Any
+    other labels raise DataFormatError.
     """
-    if isinstance(labels, (str, bytes)):
+    if not is_vector(labels):
         raise DataFormatError("class labels must be a sequence of strings, got %r" % (labels,))
     labels = tuple(labels)
     if len(labels) != count:

@@ -118,9 +118,10 @@ def q_train(data, config, rng=None):
 
     Deterministic for a fixed config.seed (or a caller-supplied rng). The
     scanners are the classical ones, with the treemap backend booking their
-    counter ops, so scoring arithmetic is identical to the classical build
-    and a fully successful search sequence reproduces the classical tree
-    byte for byte.
+    counter ops, so scoring arithmetic is identical to the classical build.
+    A run whose every attempt verifies reproduces the classical tree byte
+    for byte when each attempt's argmax is unique; under ties each split is
+    still a classical optimum, but the tree can differ.
     """
     if config.backend != QUANTUM:
         raise ValueError("q_train grows quantum-searched trees only")

@@ -8,6 +8,7 @@ import sys
 import pytest
 
 from qdtree import builder
+from qdtree import verify as verify_suites
 from qdtree.builder import load_model, serialize_model
 from qdtree.cli import BENCH_HEADER, main
 from qdtree.dataset import Attribute, AttributeSchema, Dataset, save_csv, write_schema
@@ -121,6 +122,20 @@ def test_train_quantum_writes_model_and_report(tmp_path):
          "--report", report, "--max-height", 4]
     ) == 0
     assert (model.read_bytes(), report.read_bytes()) == first
+
+
+def test_train_classical_with_report_warns_and_writes_no_report(tmp_path, capsys):
+    csv, sch = write_xor(tmp_path)
+    model = tmp_path / "m.json"
+    report = tmp_path / "r.json"
+    assert run(
+        ["train", "--data", csv, "--schema", sch, "--out", model,
+         "--backend", "baseline", "--report", report]
+    ) == 0
+    assert model.exists() and not report.exists()
+    captured = capsys.readouterr()
+    assert captured.err == "warning: only the quantum backend produces a report\n"
+    assert "queries=" not in captured.out
 
 
 def test_predict_round_trips_training_labels(tmp_path, capsys):
@@ -302,6 +317,18 @@ def test_predict_rejects_malformed_model(tmp_path, capsys, mutate):
     assert "Traceback" not in err
 
 
+def test_predict_rejects_an_unknown_node_kind(tmp_path, capsys):
+    csv, sch = write_planted(tmp_path, n=60, d=3, depth=1, seed=2)
+    model = tmp_path / "m.json"
+    assert run(["train", "--data", csv, "--schema", sch, "--out", model]) == 0
+    doc = json.loads(model.read_text())
+    doc["root"]["kind"] = "branch"
+    model.write_text(json.dumps(doc))
+    capsys.readouterr()
+    assert run(["predict", "--model", model, "--data", csv]) == 2
+    assert capsys.readouterr().err == "error: unknown node kind 'branch'\n"
+
+
 def test_predict_rejects_a_padded_attribute_name(tmp_path, capsys):
     # no reader could match a name with outer whitespace to a header
     csv, sch = write_planted(tmp_path, n=60, d=3, depth=1, seed=2)
@@ -443,6 +470,17 @@ def test_verify_quantum_suite_small_sizes(capsys):
     out = capsys.readouterr().out
     assert out.count("[PASS]") >= 4
     assert "[FAIL]" not in out
+
+
+def test_verify_exits_one_when_a_suite_fails(capsys, monkeypatch):
+    def broken(seed):
+        return {"name": "broken", "passed": False, "seed": seed}
+
+    monkeypatch.setitem(verify_suites.SUITES, "backend", ((broken, {}),))
+    assert run(["verify", "--suite", "backend"]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == "[FAIL] broken: seed=0\n"
+    assert captured.err == "1 suite(s) failed\n"
 
 
 @pytest.mark.parametrize(

@@ -304,6 +304,33 @@ def test_dataset_refuses_class_labels_given_as_one_string(names):
     assert str(e.value) == "class labels must be a sequence of strings, got %r" % (names,)
 
 
+# tuple() took any iterable: a set named the classes in string-hash order,
+# which changes from one process to the next, and None ended in a bare
+# TypeError
+@pytest.mark.parametrize(
+    "make",
+    [lambda: {"a", "b"}, lambda: (c for c in ("a", "b")), lambda: None],
+    ids=["set", "generator", "none"],
+)
+def test_dataset_refuses_class_labels_that_are_not_a_sequence(make):
+    with pytest.raises(DataFormatError) as e:
+        Dataset(_one_column_schema(REAL), [[1.0, 2.0]], [1, 2], make())
+    assert re.fullmatch(r"class labels must be a sequence of strings, got .+", str(e.value))
+
+
+@pytest.mark.parametrize(
+    "names", [["a", "b"], ("a", "b"), np.array(["a", "b"])], ids=["list", "tuple", "array"]
+)
+def test_dataset_takes_class_labels_as_a_list_tuple_or_1d_array(names):
+    data = Dataset(_one_column_schema(REAL), [[1.0, 2.0]], [1, 2], names)
+    assert data.class_labels == ("a", "b")
+
+
+def test_dataset_refuses_a_column_too_many():
+    with pytest.raises(ValueError, match="^2 columns for 1 attributes$"):
+        Dataset(_one_column_schema(REAL), [[1.0, 2.0], [1.0, 2.0]], [1, 2], ("a", "b"))
+
+
 def test_line_breaks_are_those_of_splitlines():
     every = map(chr, range(sys.maxunicode + 1))
     assert [c for c in every if dataset.breaks_lines(c)] == sorted(LINE_BREAKS)
@@ -456,6 +483,16 @@ def test_schema_file_quotes_names_like_save_csv(tmp_path):
     write_schema(attrs, path)
     assert read_schema(path) == attrs
     assert path.read_bytes().endswith(b"\nx1,real\nc,discrete,3\n")
+
+
+def test_schema_file_skips_blank_lines_between_attributes(tmp_path):
+    path = tmp_path / "schema.csv"
+    path.write_text("x1,real\n\ncolor,discrete,3\n   \nx2,real\n\n")
+    assert read_schema(path) == (
+        Attribute("x1", REAL),
+        Attribute("color", DISCRETE, 3),
+        Attribute("x2", REAL),
+    )
 
 
 def test_read_schema_reports_offending_line(tmp_path):

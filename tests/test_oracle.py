@@ -301,3 +301,16 @@ def test_the_builder_restates_no_value_or_label_rule():
             names.add(node.id)
     assert not names & {"holds_bool", "breaks_lines"}
     assert {"checked_values", "check_class_labels"} <= names
+
+
+def test_the_cli_chooses_a_builder_only_in_build():
+    # every command builds through cli._build; a second call site would be
+    # a second place to choose between the classical and quantum builders
+    callers = {}
+    for function in ast.parse((PACKAGE / "cli.py").read_text()).body:
+        for node in ast.walk(function):
+            if isinstance(node, ast.Call):
+                name = getattr(node.func, "id", getattr(node.func, "attr", None))
+                if name in ("train", "q_train"):
+                    callers.setdefault(name, set()).add(getattr(function, "name", None))
+    assert callers == {"train": {"_build"}, "q_train": {"_build"}}

@@ -6,9 +6,16 @@ import random
 import pytest
 
 from qdtree import jsonio
-from qdtree.builder import BuildConfig, BuildStats, Leaf, serialize_model, train
+from qdtree.builder import (
+    BuildConfig,
+    BuildStats,
+    Leaf,
+    score_attributes,
+    serialize_model,
+    train,
+)
 from qdtree.counters import TREEMAP, make_backend
-from qdtree.dataset import REAL, Attribute, AttributeSchema, Dataset
+from qdtree.dataset import REAL, Attribute, AttributeSchema, Dataset, partition
 from qdtree.oracle import argmax_attributes
 from qdtree.qbuilder import (
     q_choose_split,
@@ -109,6 +116,31 @@ def test_fully_correct_run_reproduces_classical_tree():
         assert serialize_model(report.tree) == serialize_model(classical)
         assert report.tree.stats == classical.stats
     assert _has_empty_branch(classical.root)
+
+
+def test_a_verified_run_can_differ_from_the_classical_tree_under_ties():
+    # every attempt verifies, yet one picks a tied attribute other than the
+    # classical sweep's first one: each split is still a classical optimum
+    data = random_dataset(
+        random_schema(4, 3, "ties", kinds="discrete", max_domain=3), 40, "ties"
+    )
+    classical = train(data, BuildConfig(max_height=3, backend=TREEMAP))
+    report = q_train(data, qconfig(seed=0, max_height=3, verify=True))
+    assert all(r.correct for r in report.per_node)
+    assert any(r.chosen_attr != r.true_best_attr for r in report.per_node)
+    assert serialize_model(report.tree) != serialize_model(classical)
+    backend = make_backend(TREEMAP, BuildStats().tally)
+    stack = [(report.tree.root, data.full_view())]
+    internal = 0
+    while stack:
+        node, view = stack.pop()
+        if isinstance(node, Leaf):
+            continue
+        internal += 1
+        ratios = [score.ratio for score, _ in score_attributes(view, backend)]
+        assert ratios[node.test.attr] == max(ratios) > -math.inf
+        stack.extend(zip(node.children, partition(view, node.test)))
+    assert internal == report.tree.stats.internal_nodes
 
 
 def test_qtrain_is_deterministic_per_seed():
