@@ -21,7 +21,7 @@ for m in (4, 16, 64, 256, 1024):
     same = serialize_model(dense) == serialize_model(sparse)
     print(
         "%9d %15d %15d %8s"
-        % (m, dense.stats.counter_ops, sparse.stats.counter_ops, same)
+        % (m, dense.stats.tally.maintenance_ops, sparse.stats.tally.maintenance_ops, same)
     )
 
 print()

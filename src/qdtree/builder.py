@@ -90,10 +90,6 @@ class BuildStats:
     evaluations: int = 0
     tally: OpTally = field(default_factory=OpTally)
 
-    @property
-    def counter_ops(self):
-        return self.tally.maintenance_ops
-
 
 @dataclass
 class Leaf:
@@ -296,22 +292,31 @@ def route(tree, columns):
 
 def classify(tree, x):
     """Routes one attribute vector (see dataset.is_vector) of exactly d
-    values. Each value is held to dataset.checked_values as a one-value
-    column, so a value that Dataset would refuse in its attribute's column
-    raises DataFormatError with Dataset's message."""
-    d = tree.schema.attribute_count
+    values. The values are held to dataset.checked_values, the real ones in
+    one call and the discrete ones in another, so a value that Dataset
+    would refuse in its attribute's column raises DataFormatError with
+    Dataset's message, for the first such attribute in schema order."""
+    attributes = tree.schema.attributes
+    d = len(attributes)
     if not is_vector(x):
         raise DataFormatError(
             "expected a sequence of %d attribute values, got %s" % (d, type(x).__name__)
         )
     if len(x) != d:
         raise DataFormatError("expected %d attribute values, got %d" % (d, len(x)))
-    numbers = []
-    for a, value in zip(tree.schema.attributes, x):
-        column = np.empty(1, object)
-        column[0] = value
-        what = "attribute %r holds values" % (a.name,)
-        numbers += checked_values(column, a.domain_size, what).tolist()
+    values = np.fromiter(x, object, d)
+    reals = [j for j, a in enumerate(attributes) if a.kind == REAL]
+    discrete = [j for j, a in enumerate(attributes) if a.kind == DISCRETE]
+    numbers = np.empty(d, object)
+    try:
+        for at, high in ((reals, None), (discrete, [attributes[j].domain_size for j in discrete])):
+            if at:
+                numbers[at] = checked_values(values[at], high, "values").tolist()
+    except DataFormatError:
+        for j, a in enumerate(attributes):
+            what = "attribute %r holds values" % (a.name,)
+            checked_values(values[j : j + 1], a.domain_size, what)
+        raise
     node = tree.root
     while isinstance(node, Internal):
         number = numbers[node.test.attr]

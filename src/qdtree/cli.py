@@ -8,6 +8,9 @@
 Every command is deterministic given its seed arguments. Bench output is a
 fixed-header CSV that is byte-stable across runs; wall-clock timing is
 opt-in (--timing) precisely because real timestamps would break that.
+
+Commands raise and main reports: a refusal, unreadable input, unwritable
+output or an out-of-memory build prints one `error:` line and exits 2.
 """
 
 import argparse
@@ -29,7 +32,7 @@ from .builder import (
     write_atomically,
 )
 from .counters import BASELINE
-from .dataset import DataFormatError, load_csv, load_feature_rows, read_schema
+from .dataset import load_csv, load_feature_rows, read_schema
 from .qbuilder import q_train, save_report
 from .synth import grid_dataset
 
@@ -119,32 +122,20 @@ def _build(data, config):
 
 
 def cmd_train(args):
-    try:
-        attributes = read_schema(args.schema)
-        data = load_csv(args.data, attributes)
-        config = BuildConfig(
-            max_height=args.max_height,
-            min_split=args.min_split,
-            backend=args.backend,
-            seed=args.seed,
-            verify=args.verify,
-        )
-    except (DataFormatError, OSError, ValueError) as exc:
-        print("error: %s" % (exc,), file=sys.stderr)
-        return 2
-    try:
-        tree, report = _build(data, config)
-        # the model goes last, so a failed write leaves no new model behind
-        if report is not None and args.report:
-            save_report(report, args.report)
-        save_model(tree, args.out)
-    except (MemoryError, OverflowError):
-        # a discrete scan allocates one count per value of the declared domain
-        print("error: out of memory; is a discrete domain size too large?", file=sys.stderr)
-        return 2
-    except OSError as exc:
-        print("error: %s" % (exc,), file=sys.stderr)
-        return 2
+    attributes = read_schema(args.schema)
+    data = load_csv(args.data, attributes)
+    config = BuildConfig(
+        max_height=args.max_height,
+        min_split=args.min_split,
+        backend=args.backend,
+        seed=args.seed,
+        verify=args.verify,
+    )
+    tree, report = _build(data, config)
+    # the model goes last, so a failed write leaves no new model behind
+    if report is not None and args.report:
+        save_report(report, args.report)
+    save_model(tree, args.out)
     extra = "" if report is None else " queries=%d" % (report.total_oracle_queries,)
     if report is None and args.report:
         print("warning: only the quantum backend produces a report", file=sys.stderr)
@@ -163,12 +154,8 @@ def cmd_train(args):
 
 
 def cmd_predict(args):
-    try:
-        tree = load_model(args.model)
-        columns = load_feature_rows(args.data, tree.schema.attributes)
-    except (DataFormatError, OSError, ValueError) as exc:
-        print("error: %s" % (exc,), file=sys.stderr)
-        return 2
+    tree = load_model(args.model)
+    columns = load_feature_rows(args.data, tree.schema.attributes)
     lines = ["%s\n" % (label,) for label in tree.class_labels]
     sys.stdout.write("".join(lines[c - 1] for c in route(tree, columns).tolist()))
     return 0
@@ -207,21 +194,15 @@ def cmd_bench(args):
     backends = [b.strip() for b in args.backends.split(",") if b.strip()]
     for backend in backends:
         if backend not in BACKENDS:
-            print("error: unknown backend %r" % (backend,), file=sys.stderr)
-            return 2
+            raise ValueError("unknown backend %r" % (backend,))
     if min(args.m) < 4 or min(args.d) < 2 or args.n < 4:
-        print("error: bench needs n >= 4, d >= 2 and M >= 4", file=sys.stderr)
-        return 2
+        raise ValueError("bench needs n >= 4, d >= 2 and M >= 4")
     lines = [BENCH_HEADER]
     lines.extend(_bench_rows(args, backends))
     text = "\n".join(lines) + "\n"
     if args.out:
-        try:
-            with write_atomically(args.out) as fh:
-                fh.write(text)
-        except OSError as exc:
-            print("error: %s" % (exc,), file=sys.stderr)
-            return 2
+        with write_atomically(args.out) as fh:
+            fh.write(text)
     else:
         sys.stdout.write(text)
     return 0
@@ -270,7 +251,14 @@ def cmd_verify(args):
 def main(argv=None):
     parser = build_parser()
     args = parser.parse_args(argv)
-    return args.func(args)
+    try:
+        return args.func(args)
+    except (MemoryError, OverflowError):
+        # a discrete scan allocates one count per value of the declared domain
+        print("error: out of memory; is a discrete domain size too large?", file=sys.stderr)
+    except (OSError, ValueError) as exc:  # a DataFormatError is a ValueError
+        print("error: %s" % (exc,), file=sys.stderr)
+    return 2
 
 
 if __name__ == "__main__":

@@ -99,12 +99,19 @@ _COMPLEX = (complex, np.complexfloating)
 def _holds(values, types):
     """Whether a sequence or object array holds a value of one of types, or
     an array holding one, such as a 0-d array in a list. Arrays are looked
-    for by type first, in C."""
-    found = set(map(type, values))
-    if any(issubclass(t, types) for t in found):
-        return True
-    arrays = any(issubclass(t, np.ndarray) for t in found)
-    return arrays and any(_holds(v.ravel(), types) for v in values if isinstance(v, np.ndarray))
+    for by type first, in C, and walked on an explicit stack that visits
+    each array once, so an array nested in itself ends the walk."""
+    stack, seen = [values], set()
+    while stack:
+        values = stack.pop()
+        found = set(map(type, values))
+        if any(issubclass(t, types) for t in found):
+            return True
+        if any(issubclass(t, np.ndarray) for t in found):
+            arrays = [v for v in values if isinstance(v, np.ndarray) and id(v) not in seen]
+            seen.update(map(id, arrays))
+            stack.extend(v.ravel() for v in arrays)
+    return False
 
 
 def holds_bool(values):
@@ -135,7 +142,9 @@ def _numbers(values, what):
     dates and time spans, which a cast would read as 0 or 1 and as counts
     of time units. An object array goes through float() value by value,
     because numpy's cast would make None a NaN. Numeric strings are
-    numbers. A number too large for a float raises OverflowError.
+    numbers. A number too large for a float raises OverflowError. float()
+    recurses once per level of arrays nested in an object array, so one
+    nested too deep, or in itself, is not a number either.
     """
     values = np.asarray(values)
     kind = values.dtype.kind
@@ -144,7 +153,7 @@ def _numbers(values, what):
             return np.fromiter(map(float, values), np.float64, len(values))
         if kind not in "bcmMO":
             return np.asarray(values, dtype=np.float64)
-    except (TypeError, ValueError):
+    except (TypeError, ValueError, RecursionError):
         pass
     if kind == "c" or (kind == "O" and _holds(values, _COMPLEX)):
         raise DataFormatError("%s that are complex numbers" % (what,))
@@ -153,8 +162,9 @@ def _numbers(values, what):
 
 def checked_values(values, high, what):
     """values as a float64 array of finite numbers when high is None, or as
-    an int64 array of whole numbers in 1..high: the one value rule of
-    Dataset columns and labels, classify and the CSV reader's block parse.
+    an int64 array of whole numbers in 1..high, where high is one bound or
+    a sequence of one bound per value: the one value rule of Dataset
+    columns and labels, classify and the CSV reader's block parse.
 
     Any other value raises DataFormatError, with one message per kind of
     failure: `<what> that are not numbers` or `... that are complex
@@ -170,15 +180,15 @@ def checked_values(values, high, what):
         except OverflowError:
             if high is None:
                 raise DataFormatError("%s that are not finite" % (what,)) from None
-            raise DataFormatError("%s outside 1..%d" % (what, high)) from None
+            raise DataFormatError("%s outside 1..%s" % (what, high)) from None
         if not np.isfinite(values).all():
             raise DataFormatError("%s that are not finite" % (what,))
         if high is None:
             return values
         if not (values == np.floor(values)).all():
             raise DataFormatError("%s that are not whole numbers" % (what,))
-    if len(values) and (values.min() < 1 or values.max() > high):
-        raise DataFormatError("%s outside 1..%d" % (what, high))
+    if len(values) and (values.min() < 1 or (values > high).any()):
+        raise DataFormatError("%s outside 1..%s" % (what, high))
     return values.astype(np.int64, copy=False)
 
 
@@ -506,17 +516,13 @@ def load_csv(path, attributes):
 
 
 def save_csv(data, path):
-    """Writes a dataset back out in the load_csv format."""
+    """Writes a dataset back out in the load_csv format. csv.writer writes
+    a float as its repr and an int as its str, which load_csv reads back."""
+    labels = [data.class_labels[c - 1] for c in data.labels.tolist()]
     with open(path, "w", newline="", encoding="utf-8") as fh:
         writer = csv.writer(fh, lineterminator="\n")
         writer.writerow([a.name for a in data.schema.attributes] + ["class"])
-        for i in range(data.n_rows):
-            row = []
-            for j, a in enumerate(data.schema.attributes):
-                v = data.columns[j][i]
-                row.append(repr(float(v)) if a.kind == REAL else str(int(v)))
-            row.append(data.label_name(int(data.labels[i])))
-            writer.writerow(row)
+        writer.writerows(zip(*[column.tolist() for column in data.columns], labels))
 
 
 def load_feature_rows(path, attributes):

@@ -12,6 +12,7 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
+from nested_arrays import nested, nested_in_itself
 
 from qdtree import builder, jsonio, oracle, qbuilder, splitscan
 from qdtree.builder import (
@@ -327,6 +328,39 @@ def test_classify_rejects_malformed_vectors():
     assert [classify(tree, x) for x in ((2.0, 1), [2.0, 1], np.array([2.0, 1]))] == [2, 2, 2]
 
 
+def test_classify_names_the_first_refused_attribute_in_schema_order():
+    # the real and discrete values are checked in separate calls; either
+    # may hold the first bad value
+    schema = AttributeSchema(
+        (Attribute("c1", DISCRETE, 2), Attribute("x1", REAL), Attribute("c2", DISCRETE, 3)), 2
+    )
+    tree = DecisionTree(Leaf(1, (0, 0)), schema, ("a", "b"), BuildStats())
+    for row, message in (
+        ((1, "abc", 4), "attribute 'x1' holds values that are not numbers"),
+        ((0, math.nan, 1), "attribute 'c1' holds values outside 1..2"),
+        ((2, 1.0, 3.5), "attribute 'c2' holds values that are not whole numbers"),
+        ((3, 1.0, 4), "attribute 'c1' holds values outside 1..2"),
+    ):
+        with pytest.raises(DataFormatError) as e:
+            classify(tree, row)
+        assert str(e.value) == message
+    assert classify(tree, (2, 1.0, 3)) == 1
+
+
+def test_classify_refuses_arrays_nested_past_float_recursion():
+    # float() recursed once per level and ended in a bare RecursionError;
+    # numpy's own repr of the deep array recurses, so it cannot be an
+    # explicit Hypothesis example
+    schema = AttributeSchema((Attribute("x1", REAL), Attribute("c1", DISCRETE, 2)), 2)
+    tree = DecisionTree(Leaf(1, (0, 0)), schema, ("a", "b"), BuildStats())
+    for value in (nested_in_itself(), nested(np.array(1.0), 3000)):
+        for row, name in (((value, 1), "x1"), ((1.0, value), "c1")):
+            with pytest.raises(DataFormatError) as e:
+                classify(tree, row)
+            assert str(e.value) == "attribute %r holds values that are not numbers" % (name,)
+    assert classify(tree, (nested(np.array(1.0), 50), nested(np.array(2), 50))) == 1
+
+
 def test_classify_xor_exactly():
     data = xor_data()
     tree = train(data, BuildConfig(max_height=2))
@@ -373,8 +407,8 @@ def test_counter_ops_flat_for_treemap_growing_for_baseline():
         data = grid_dataset(128, 4, seed=0, class_count=m)
         t = train(data, BuildConfig(max_height=4, backend=TREEMAP))
         b = train(data, BuildConfig(max_height=4, backend=BASELINE))
-        flat.append(t.stats.counter_ops)
-        growing.append(b.stats.counter_ops)
+        flat.append(t.stats.tally.maintenance_ops)
+        growing.append(b.stats.tally.maintenance_ops)
     assert flat[0] == flat[1]
     assert growing[1] >= 8 * growing[0]
 
@@ -1051,6 +1085,7 @@ ODD_VALUES = st.one_of(
 @example(high=None, value=1 + 2j)
 @example(high=2, value=10**400)
 @example(high=None, value="1\x00")  # numpy drops trailing NULs from a string array
+@example(high=None, value=nested_in_itself())  # float() recursed without end
 def test_classify_and_dataset_share_one_value_rule(high, value):
     # both hold a value to dataset.checked_values: they accept the same
     # values, and refuse the others with the same message

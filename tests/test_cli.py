@@ -682,6 +682,35 @@ def test_predict_field_over_csv_limit_exits_two(tmp_path, capsys):
     )
 
 
+def test_a_build_that_raises_value_error_exits_two_and_writes_nothing(
+    tmp_path, capsys, monkeypatch
+):
+    # main reports every command's ValueError, not only the reader's
+    def boom(data, config):
+        raise ValueError("boom")
+
+    monkeypatch.setattr("qdtree.cli._build", boom)
+    csv, sch = write_xor(tmp_path)
+    out = tmp_path / "m.json"
+    assert run(["train", "--data", csv, "--schema", sch, "--out", out]) == 2
+    assert capsys.readouterr().err == "error: boom\n"
+    assert not out.exists()
+
+
+def test_running_out_of_memory_while_reading_exits_two(tmp_path, capsys, monkeypatch):
+    def exhausted(path, attributes):
+        raise MemoryError
+
+    monkeypatch.setattr("qdtree.cli.load_csv", exhausted)
+    csv, sch = write_xor(tmp_path)
+    out = tmp_path / "m.json"
+    assert run(["train", "--data", csv, "--schema", sch, "--out", out]) == 2
+    assert capsys.readouterr().err == (
+        "error: out of memory; is a discrete domain size too large?\n"
+    )
+    assert not out.exists()
+
+
 def _unwritable_model(tmp_path, csv, sch):
     return ["train", "--data", csv, "--schema", sch, "--out", tmp_path / "no" / "m.json"]
 

@@ -11,6 +11,7 @@ from csv_reference import LINE_BREAKS
 from csv_reference import read_csv as reference_read_csv
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
+from nested_arrays import nested, nested_in_itself
 
 from qdtree import dataset
 from qdtree.builder import document_to_tree, train, tree_to_document
@@ -22,6 +23,7 @@ from qdtree.dataset import (
     DataFormatError,
     Dataset,
     SubsetView,
+    checked_values,
     load_csv,
     load_feature_rows,
     partition,
@@ -184,8 +186,11 @@ def _one_column_schema(kind):
         (["a", "b"], "not numbers"),
         (np.array([1 + 2j, 2], dtype=object), "complex numbers"),
         ([None, 1.0], "not numbers"),
+        # float() recursed once per level, and so did the bool check
+        ([nested_in_itself(), 1.0], "not numbers"),
+        ([nested(np.array(1.0), 3000), 1.0], "not numbers"),
     ],
-    ids=["strings", "object_complex", "none"],
+    ids=["strings", "object_complex", "none", "nested_in_itself", "nested_3000_deep"],
 )
 @pytest.mark.parametrize("kind", [REAL, DISCRETE])
 def test_dataset_names_values_that_are_not_numbers(kind, column, kind_of_value):
@@ -195,6 +200,15 @@ def test_dataset_names_values_that_are_not_numbers(kind, column, kind_of_value):
         Dataset(schema, [column], [1, 2], ("a", "b"))
     with pytest.raises(DataFormatError, match=r"^class indices that are %s$" % kind_of_value):
         Dataset(schema, [[1, 2]], column, ("a", "b"))
+
+
+def test_checked_values_takes_one_bound_per_value():
+    bounds = [2, 3, 2]
+    values = checked_values(np.array([2, 3.0, "1"], object), bounds, "values")
+    assert values.dtype == np.int64 and values.tolist() == [2, 3, 1]
+    for row in ([3, 3, 1], [2, 3, 3], [0, 1, 1]):
+        with pytest.raises(DataFormatError, match=r"^values outside 1\.\."):
+            checked_values(np.array(row), bounds, "values")
 
 
 # each was cast to a number: a date to its day count, a time span to its
@@ -415,6 +429,10 @@ def test_subset_view_rejects_bad_indices():
         SubsetView(data, [0.5, 1])
     with pytest.raises(ValueError, match="integers"):
         SubsetView(data, [True, False])
+    with pytest.raises(ValueError, match="row indices must be integers"):
+        SubsetView(data, [nested_in_itself(), 0])
+    with pytest.raises(ValueError, match="row indices must be integers"):
+        SubsetView(data, [nested(np.array(1), 3000), 0])
     assert len(SubsetView(data, [])) == 0
 
 

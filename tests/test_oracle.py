@@ -314,3 +314,19 @@ def test_the_cli_chooses_a_builder_only_in_build():
                 if name in ("train", "q_train"):
                     callers.setdefault(name, set()).add(getattr(function, "name", None))
     assert callers == {"train": {"_build"}, "q_train": {"_build"}}
+
+
+def test_only_main_turns_an_exception_into_an_exit_code():
+    # commands raise and main reports: a try in a command would be a second
+    # statement of which exceptions end in `error:` and exit 2
+    functions = {
+        node.name: node
+        for node in ast.parse((PACKAGE / "cli.py").read_text()).body
+        if isinstance(node, ast.FunctionDef)
+    }
+    tries = {
+        name: sum(isinstance(node, ast.Try) for node in ast.walk(function))
+        for name, function in functions.items()
+    }
+    assert [name for name in tries if name.startswith("cmd_") and tries[name]] == []
+    assert tries["main"] == 1
