@@ -40,7 +40,7 @@ from .dataset import (
     is_vector,
     partition,
 )
-from .splitscan import SplitTest, batch_level, process_attribute
+from .splitscan import SplitTest, batch_level, process_attribute, scan_view
 
 QUANTUM = "quantum"
 BACKENDS = (BASELINE, TREEMAP, QUANTUM)
@@ -119,10 +119,12 @@ def score_attributes(view, backend, stats=None, batch=None):
     for attributes 0..d-1, with (INVALID_SPLIT, None) for an attribute that
     has no candidate split. Both choosers read this list, and it is the only
     place where stats.evaluations grows. batch is the view's LevelBatch, if
-    its level was batched."""
+    its level was batched, or else one splitscan.ViewScan made here."""
     d = view.base.schema.attribute_count
     if stats is not None:
         stats.evaluations += d
+    if batch is None or view not in batch.position:
+        batch = scan_view(view, backend)
     return [
         process_attribute(view, attr, backend, batch) or (INVALID_SPLIT, None)
         for attr in range(d)

@@ -94,24 +94,30 @@ class AttributeSchema:
 
 _BOOLS = (bool, np.bool_)
 _COMPLEX = (complex, np.complexfloating)
+# float() recurses once per level of arrays nested in an object array, so a
+# value nested deeper than this is not a number, at any stack depth
+MAX_NESTING = 100
 
 
-def _holds(values, types):
+def _holds(values, types, too_deep=False):
     """Whether a sequence or object array holds a value of one of types, or
     an array holding one, such as a 0-d array in a list. Arrays are looked
-    for by type first, in C, and walked on an explicit stack that visits
-    each array once, so an array nested in itself ends the walk."""
-    stack, seen = [values], set()
-    while stack:
-        values = stack.pop()
-        found = set(map(type, values))
-        if any(issubclass(t, types) for t in found):
-            return True
-        if any(issubclass(t, np.ndarray) for t in found):
-            arrays = [v for v in values if isinstance(v, np.ndarray) and id(v) not in seen]
-            seen.update(map(id, arrays))
-            stack.extend(v.ravel() for v in arrays)
-    return False
+    for by type first, in C, and walked one nesting level at a time, each
+    distinct array once per level. A walk that goes past MAX_NESTING
+    levels, as in an array that holds itself, stops and returns too_deep."""
+    level = [values]
+    for _ in range(MAX_NESTING + 1):
+        arrays = {}
+        for values in level:
+            found = set(map(type, values))
+            if any(issubclass(t, types) for t in found):
+                return True
+            if any(issubclass(t, np.ndarray) for t in found):
+                arrays.update((id(v), v) for v in values if isinstance(v, np.ndarray))
+        if not arrays:
+            return False
+        level = [v.ravel() for v in arrays.values()]
+    return too_deep
 
 
 def holds_bool(values):
@@ -142,18 +148,18 @@ def _numbers(values, what):
     dates and time spans, which a cast would read as 0 or 1 and as counts
     of time units. An object array goes through float() value by value,
     because numpy's cast would make None a NaN. Numeric strings are
-    numbers. A number too large for a float raises OverflowError. float()
-    recurses once per level of arrays nested in an object array, so one
-    nested too deep, or in itself, is not a number either.
+    numbers. A number too large for a float raises OverflowError. A value
+    inside arrays nested more than MAX_NESTING deep, or in itself, is not
+    a number either.
     """
     values = np.asarray(values)
     kind = values.dtype.kind
     try:
-        if kind == "O" and not _holds(values, _BOOLS + _COMPLEX):
+        if kind == "O" and not _holds(values, _BOOLS + _COMPLEX, too_deep=True):
             return np.fromiter(map(float, values), np.float64, len(values))
         if kind not in "bcmMO":
             return np.asarray(values, dtype=np.float64)
-    except (TypeError, ValueError, RecursionError):
+    except (TypeError, ValueError):
         pass
     if kind == "c" or (kind == "O" and _holds(values, _COMPLEX)):
         raise DataFormatError("%s that are complex numbers" % (what,))

@@ -12,14 +12,15 @@ The discrete pass keeps three such sums over the z samples: one over class
 counts, one over branch sizes N_w and one over class-branch pair counts. The
 first gives the parent entropy, the second the split potential, and their
 weighted branch entropy sum_w (N_w/z) * I_w is (H_sizes - H_pairs) / z.
-Every discrete attribute of a view adds the same label stream to its class
-counter, so the class sum and the key cost of that stream (see counters)
-are made once per view and backend and charged again for each attribute, at
-the tally's current level. An attribute with one value v on the view (each
-ancestor's split attribute has one value below it) is booked from that pass
-alone: its pair keys (y - 1) * T + v order as the labels y do, and a policy
-costs a key stream only by its length and how its keys compare, so its pair
-stream costs what the label stream costs and is never built.
+A view no level batch holds has all its discrete attributes scored in one
+pass (ViewScan), booked with one charge at the tally's current level: one
+gather of their stacked columns, and one class sum and label key cost (see
+counters), which the charge counts once per attribute. Where an attribute
+has one value v on the view (as each ancestor's split attribute has) or
+the labels y are all distinct (class sum 0.0), the pair keys
+(y - 1) * T + v order as the labels do, and a policy costs keys only by
+their number and order: the pairs cost what the labels cost and are never
+built, and distinct labels' pair sum is 0.0.
 The backend only books what its counting structure would have cost for the
 keys of each scan, so it changes operation tallies but never the
 arithmetic: the stream of floating-point operations is identical for every
@@ -45,12 +46,13 @@ or more are the ones the builder scores, so it charges their scans once
 per discrete attribute, what the loop would book for them, costed by the
 backend's sliced_key_cost on the views' slices of the same key streams; a
 constant attribute's pair keys cost what the view's class keys cost.
-process_attribute then reads a (view, attribute) score from the batch and
-books nothing. The batch pays a fixed cost per level and attribute, so
-small levels (see batch_level) keep the per-view loop.
+process_attribute then reads a (view, attribute) score from the batch, as
+from a ViewScan, and books nothing. The batch pays a fixed cost per level
+and attribute, so small levels (see batch_level) are scored view by view.
 """
 
 import math
+import weakref
 from dataclasses import dataclass
 from functools import lru_cache
 
@@ -243,77 +245,109 @@ def scan_real_attribute(view, attr, backend):
     return score, SplitTest(attr, REAL, theta=float(thetas[best]))
 
 
-@lru_cache(maxsize=1)
-def _class_pass(view, backend):
-    """The labels of a view as a list, the H sum of their class counts and
-    the key part of the cost of adding them to a fresh counter on backend.
+def _discrete_cost(backend, m, t, class_keys, pair_keys, scans=1):
+    """(element, maintenance) ops of scans scans of one discrete attribute,
+    given summed class and pair key costs; its T branch sizes are dense."""
+    slots = backend.slot_cost(m) + backend.slot_cost(m * t) + 2 * t
+    return class_keys[0] + pair_keys[0], class_keys[1] + pair_keys[1] + scans * slots
 
-    Every discrete attribute of a view adds this same label stream to its
-    class counter, so the scans of one view share one pass. The cost depends
-    on the backend's policy, so the pass is keyed on the backend as well.
-    """
-    labels = view.labels().tolist()
+
+_COLUMNS = weakref.WeakKeyDictionary()
+
+
+def _discrete_columns(base):
+    """The discrete attributes of a dataset, the SplitTest of each, and their
+    columns stacked one per row for one gather per view, kept while it lives."""
+    if base not in _COLUMNS:
+        attrs = [j for j, a in enumerate(base.schema.attributes) if a.kind == DISCRETE]
+        tests = [SplitTest(j, DISCRETE, branch_count=base.schema.domain_size(j)) for j in attrs]
+        _COLUMNS[base] = attrs, tests, np.stack([base.columns[j] for j in attrs])
+    return _COLUMNS[base]
+
+
+def _scan_discrete(view, backend, pick=slice(None)):
+    """{attr: process_discrete_attribute's result} for the discrete
+    attributes that pick slices out of _discrete_columns, on one view, all
+    booked with one charge at the tally's current level."""
+    attrs, tests, matrix = _discrete_columns(view.base)
     m = view.base.schema.class_count
-    step = _TABLES.cover(len(labels)).step
+    labels = view.labels().tolist()
+    z = len(labels)
+    step = _TABLES.cover(z).step
     counts = [0] * (m + 1)
     class_h = 0.0
     for y in labels:
         c = counts[y] = counts[y] + 1
         class_h += step[c]
-    return labels, class_h, backend.key_cost(labels)
-
-
-def _charge_discrete(backend, m, t, class_keys, pair_keys, scans=1):
-    """Books scans discrete scans of one attribute: the class counters and
-    the class-branch counters, given their summed key costs (on a constant
-    attribute the pair key cost is the class key cost), and the branch-size
-    arrays, plain dense arrays on every backend, whose allocation and
-    release cost T slots each."""
-    slots = backend.slot_cost(m) + backend.slot_cost(m * t) + 2 * t
-    backend.charge(class_keys[0] + pair_keys[0], class_keys[1] + pair_keys[1] + scans * slots)
+    class_keys = backend.key_cost(labels)
+    costs, scans = [], {}
+    for attr, test, values in zip(attrs[pick], tests[pick], matrix[pick, view.indices].tolist()):
+        t = test.branch_count
+        sizes = [0] * (t + 1)
+        size_h = 0.0
+        for v in values:
+            c = sizes[v] = sizes[v] + 1
+            size_h += step[c]
+        # sizes[0] stays 0, so t + 1 - sizes.count(0) branches are non-empty
+        split = t + 1 - sizes.count(0) > 1
+        # the pair keys of a constant attribute order as the labels do, and
+        # so do those of labels that are all distinct (class_h 0.0), whose
+        # pair counts are all 1: their pairs cost what the labels cost
+        pair_keys, pair_h = class_keys, 0.0
+        if split and class_h:
+            pairs = [(y - 1) * t + v for v, y in zip(values, labels)]
+            pair_keys = backend.key_cost(pairs)
+            pair_counts = [0] * (m * t + 1)
+            for k in pairs:
+                c = pair_counts[k] = pair_counts[k] + 1
+                pair_h += step[c]
+        costs.append(_discrete_cost(backend, m, t, class_keys, pair_keys))
+        scans[attr] = None
+        if split:
+            parent = max(0.0, math.log2(z) - class_h / z)
+            potential = max(0.0, math.log2(z) - size_h / z)
+            scans[attr] = gain_ratio(parent - (size_h - pair_h) / z, potential), test
+    backend.charge(*map(sum, zip(*costs)))
+    return scans
 
 
 def process_discrete_attribute(view, attr, backend):
-    """One-pass multiway evaluation of a discrete attribute, or None when
-    every sample carries the same value (a trivial partition)."""
-    t = view.base.schema.domain_size(attr)
-    m = view.base.schema.class_count
-    labels, class_h, class_keys = _class_pass(view, backend)
-    values = view.values(attr).tolist()
-    z = len(values)
-    step = _TABLES.cover(z).step
-    sizes = [0] * (t + 1)
-    size_h = 0.0
-    for v in values:
-        c = sizes[v] = sizes[v] + 1
-        size_h += step[c]
-    # sizes[0] stays 0, so t + 1 - sizes.count(0) branches are non-empty
-    if t + 1 - sizes.count(0) <= 1:
-        _charge_discrete(backend, m, t, class_keys, class_keys)
+    """ViewScan's one-attribute case: the multiway evaluation of a discrete
+    attribute, or None when every sample carries the same value."""
+    i = _discrete_columns(view.base)[0].index(attr)
+    return _scan_discrete(view, backend, slice(i, i + 1))[attr]
+
+
+class ViewScan:
+    """The discrete-attribute scores of one view, all scanned and booked
+    with one charge as it is made, and read as a LevelBatch is read."""
+
+    def __init__(self, view, backend):
+        self.position, self.scans = {view: 0}, _scan_discrete(view, backend)
+
+    def score(self, view, attr):
+        return self.scans[attr]
+
+
+def scan_view(view, backend):
+    """A ViewScan of view, booked on backend, or None when the view holds
+    fewer than two rows or its schema no discrete attribute."""
+    if len(view) < 2 or all(a.kind != DISCRETE for a in view.base.schema.attributes):
         return None
-    pairs = [(y - 1) * t + v for v, y in zip(values, labels)]
-    _charge_discrete(backend, m, t, class_keys, backend.key_cost(pairs))
-    pair_counts = [0] * (m * t + 1)
-    pair_h = 0.0
-    for k in pairs:
-        c = pair_counts[k] = pair_counts[k] + 1
-        pair_h += step[c]
-    parent = max(0.0, math.log2(z) - class_h / z)
-    potential = max(0.0, math.log2(z) - size_h / z)
-    score = gain_ratio(parent - (size_h - pair_h) / z, potential)
-    return score, SplitTest(attr, DISCRETE, branch_count=t)
+    return ViewScan(view, backend)
 
 
 # A level is batched when rows + BATCH_VIEW_ROWS * views reaches
 # BATCH_MIN_ROWS. Scoring 12 discrete attributes over 64 classes and
-# reading out every (view, attribute) score (best of 80 on a shared 2-vCPU
-# Xeon VM, numpy 2.4), the per-view loop took about 90 us per view plus 2
-# to 3 us per row, and the batch, which books its level as it is made,
-# about 800 us per level plus 20 us per view plus 1.4 us per row; every
-# term scales with the attribute count. A single 3-row view took 0.10 ms
-# in the loop and 0.83 ms batched; 16 views of 3 rows took 1.48 ms and
-# 1.22 ms, 256 views of 3 rows 23.7 ms and 6.0 ms, one 1000-row view
-# 2.3 ms and 1.8 ms.
+# reading out every (view, attribute) score (best of 40 to 80 on a shared
+# 2-vCPU Xeon VM, numpy 2.4), a ViewScan per view took about 30 us per view
+# plus 1.6 to 1.8 us per row, and the batch, which books its level as it is
+# made, about 590 us per level plus 12 us per view plus 0.8 us per row;
+# every term scales with the attribute count. A single 3-row view took
+# 0.03 ms view by view and 0.59 ms batched; 16 views of 3 rows took
+# 0.52 ms and 0.80 ms, 256 views of 3 rows 8.2 ms and 4.2 ms, one
+# 1000-row view 1.6 ms and 1.3 ms. That puts the crossover near rows +
+# 18 * views = 700; the constants were set for a 90 us per-view loop.
 BATCH_VIEW_ROWS = 50
 BATCH_MIN_ROWS = 700
 
@@ -352,22 +386,18 @@ class LevelBatch:
         starts, ends = bounds[:-1][scored], bounds[1:][scored]
         class_keys = backend.sliced_key_cost(labels, starts, ends)
         self.scans = {}
-        for attr, a in enumerate(schema.attributes):
-            if a.kind != DISCRETE:
-                continue
-            t = a.domain_size
+        attrs, tests, matrix = _discrete_columns(views[0].base)
+        for attr, test, values in zip(attrs, tests, matrix[:, rows]):
+            t = test.branch_count
             # the dense counts a per-view scan keeps: a domain too large to
             # allocate or index them is refused here, before any partition
             [0] * (t + 1)
             if k * (m * t + 1) > _INT64_MAX:
                 raise OverflowError("a discrete domain of %d values is too large" % (t,))
-            values = views[0].base.columns[attr][rows]
             sizes = running_counts(seg * (t + 1) + values, k * (t + 1))
             split = np.bincount(seg[sizes == 1], minlength=k) > 1
-            test = None
             if split.any():
                 [0] * (m * t + 1)
-                test = SplitTest(attr, DISCRETE, branch_count=t)
             pairs = (labels - 1) * t + values
             pair_counts = running_counts(seg * (m * t + 1) + pairs, k * (m * t + 1))
             size_h, pair_h = self._sums(steps[np.stack((sizes, pair_counts))])
@@ -376,7 +406,7 @@ class LevelBatch:
             self.scans[attr] = (split.tolist(), gain.tolist(), potential.tolist(), test)
             if len(starts):
                 pair_keys = backend.sliced_key_cost(pairs, starts, ends)
-                _charge_discrete(backend, m, t, class_keys, pair_keys, len(starts))
+                backend.charge(*_discrete_cost(backend, m, t, class_keys, pair_keys, len(starts)))
 
     def _sums(self, steps):
         """Each view's sum of each row of steps, added in sample order.
@@ -436,8 +466,8 @@ def process_attribute(view, attr, backend, batch=None):
     This is the scoring function handed both to the classical argmax and to
     the quantum-search chooser. Returns (SplitScore, SplitTest) or None when
     the attribute admits no candidate split on this view. A discrete score
-    is read from batch, a LevelBatch, when it holds the view; the batch
-    booked its cost already, so reading it books nothing.
+    is read from batch, a LevelBatch or ViewScan, when it holds the view;
+    the batch booked its cost already, so reading it books nothing.
     """
     if batch is not None and attr in batch.scans and view in batch.position:
         return batch.score(view, attr)

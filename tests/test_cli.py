@@ -625,6 +625,25 @@ def test_huge_discrete_domain_exits_two_and_writes_nothing(tmp_path, capsys, siz
     assert sorted(p.name for p in tmp_path.iterdir()) == ["d.csv", "d.schema"]
 
 
+@pytest.mark.parametrize("size", [10**30, 10**15])  # too large to index, to allocate
+@pytest.mark.parametrize(
+    "backend", [["--backend", "treemap"], ["--backend", "quantum", "--seed", 0]],
+    ids=["treemap", "quantum"],
+)
+def test_huge_discrete_domain_exits_two_on_the_one_view_pass(tmp_path, capsys, size, backend):
+    # 4 rows make one small view, which every backend scores in one pass
+    # over its discrete attributes
+    csv = tmp_path / "d.csv"
+    csv.write_text("c,class\n1,a\n2,b\n1,a\n2,b\n")
+    sch = tmp_path / "d.schema"
+    sch.write_text("c,discrete,%d\n" % (size,))
+    args = ["train", "--data", csv, "--schema", sch, "--out", tmp_path / "m.json"]
+    assert run(args + backend) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["d.csv", "d.schema"]
+
+
 def test_train_has_no_repeats_override(tmp_path, capsys):
     csv, sch = write_xor(tmp_path)
     args = ["train", "--data", csv, "--schema", sch, "--out", tmp_path / "m.json",

@@ -3,6 +3,7 @@
 import csv
 import re
 import sys
+import threading
 from unittest import mock
 
 import numpy as np
@@ -200,6 +201,43 @@ def test_dataset_names_values_that_are_not_numbers(kind, column, kind_of_value):
         Dataset(schema, [column], [1, 2], ("a", "b"))
     with pytest.raises(DataFormatError, match=r"^class indices that are %s$" % kind_of_value):
         Dataset(schema, [[1, 2]], column, ("a", "b"))
+
+
+def _frames_down(frames, call):
+    """What call() returns or raises, run frames Python frames below the top
+    of a new thread's stack, so that the test runner's frames do not count."""
+    out = {}
+
+    def down(depth):
+        return call() if depth == 0 else down(depth - 1)
+
+    def run():
+        try:
+            out["value"] = down(frames)
+        except Exception as exc:
+            out["error"] = exc
+
+    thread = threading.Thread(target=run)
+    thread.start()
+    thread.join()
+    if "error" in out:
+        raise out["error"]
+    return out["value"]
+
+
+@pytest.mark.parametrize("frames", [0, 400])
+def test_nesting_verdict_does_not_depend_on_the_stack(frames):
+    # float() recursed once per level of nesting, and a RecursionError it
+    # raised was read as "not numbers": 900 levels read as 1.0 at the top
+    # of a stack and were refused from 400 frames down
+    def check(depth):
+        column = np.empty(1, object)
+        column[0] = nested(np.array(1.0), depth)
+        return _frames_down(frames, lambda: checked_values(column, None, "values"))
+
+    assert check(50).tolist() == [1.0]
+    with pytest.raises(DataFormatError, match=r"^values that are not numbers$"):
+        check(900)
 
 
 def test_checked_values_takes_one_bound_per_value():

@@ -7,10 +7,12 @@ import warnings
 import numpy as np
 import pytest
 from avl_reference import SparseClassCounter as AvlReference
+from discrete_reference import discrete_attribute
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from qdtree import oracle
+from qdtree.builder import BuildStats, score_attributes
 from qdtree.counters import BASELINE, TREEMAP, OpTally, make_backend
 from qdtree.criteria import gain_ratio, xlog2x
 from qdtree.dataset import (
@@ -793,3 +795,89 @@ def test_a_constant_attribute_books_its_explicit_pair_keys(seed, m, lengths, pur
                 assert process_attribute(view, attr, got, batch) is None
         assert _ledger(got_tally) == _ledger(want_tally)
         assert _ledger(batch_tally) == _ledger(mixed_tally)
+
+
+def _mixed_view(seed, m, z, reals, domains, constant_share, distinct):
+    """A view of z rows of a dataset with reals real attributes (placed at
+    random among the discrete ones), the given discrete domains, each
+    constant on the view with odds constant_share, and labels that are
+    all distinct on the view when distinct holds (z <= m then)."""
+    rng = random.Random(seed)
+    n = z + rng.randint(0, 10)
+    kinds = [DISCRETE] * len(domains) + [REAL] * reals
+    rng.shuffle(kinds)
+    rows = sorted(rng.sample(range(n), z))
+    labels = [rng.randint(1, m) for _ in range(n)]
+    if distinct:
+        for r, y in zip(rows, rng.sample(range(1, m + 1), z)):
+            labels[r] = y
+    attributes, columns, left = [], [], iter(domains)
+    for a, kind in enumerate(kinds):
+        if kind == REAL:
+            attributes.append(Attribute("x%d" % a, REAL))
+            columns.append([rng.randint(0, 5) / 4.0 for _ in range(n)])
+            continue
+        t = next(left)
+        column = [rng.randint(1, t) for _ in range(n)]
+        if rng.random() < constant_share:
+            v = rng.randint(1, t)
+            for r in rows:
+                column[r] = v
+        attributes.append(Attribute("c%d" % a, DISCRETE, t))
+        columns.append(column)
+    data = Dataset(
+        AttributeSchema(tuple(attributes), m), columns, labels,
+        tuple("k%d" % (j + 1) for j in range(m)),
+    )
+    return SubsetView(data, rows)
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    seed=st.integers(0, 2**32),
+    m=st.sampled_from([2, 3, 7, 64]),
+    z=st.one_of(st.just(2), st.integers(2, 60)),
+    reals=st.integers(0, 2),
+    domains=st.lists(
+        st.one_of(st.sampled_from([2, 3, 4, 50]), st.integers(2, 50)), min_size=1, max_size=5
+    ),
+    constant_share=st.sampled_from([0.0, 0.3, 1.0]),
+    distinct=st.booleans(),
+    level=st.integers(0, 5),
+)
+@example(seed=0, m=64, z=2, reals=0, domains=[2], constant_share=0.0, distinct=True, level=0)
+@example(seed=1, m=2, z=2, reals=1, domains=[50, 2], constant_share=1.0, distinct=False, level=3)
+@example(seed=2, m=64, z=40, reals=2, domains=[4] * 5, constant_share=0.3, distinct=True, level=1)
+@example(seed=3, m=3, z=60, reals=1, domains=[2, 3, 50], constant_share=0.3, distinct=False,
+         level=2)
+def test_one_view_pass_matches_per_attribute_scans(
+    seed, m, z, reals, domains, constant_share, distinct, level
+):
+    # score_attributes scores a view no batch holds in one pass over its
+    # discrete attributes, booked with one charge; that must score, test
+    # and book what d separate scans do: process_attribute on the real
+    # attributes and the old per-attribute loop on the discrete ones, and
+    # process_attribute on each attribute, the pass's one-attribute case
+    z = min(z, m) if distinct else z
+    view = _mixed_view(seed, m, z, reals, domains, constant_share, distinct)
+    schema = view.base.schema
+    d = schema.attribute_count
+    for name in (BASELINE, TREEMAP):
+        tallies = [OpTally(level=level) for _ in range(3)]
+        got_backend, want_backend, single_backend = (make_backend(name, t) for t in tallies)
+        stats = BuildStats()
+        got = score_attributes(view, got_backend, stats)
+        assert stats.evaluations == d
+        for attr in range(d):
+            if schema.is_real(attr):
+                want = process_attribute(view, attr, want_backend)
+            else:
+                want = discrete_attribute(view, attr, want_backend)
+            single = process_attribute(view, attr, single_backend)
+            for other in (want, single):
+                if other is None:
+                    assert got[attr][1] is None and not got[attr][0].valid
+                else:
+                    assert (_exact(got[attr][0]), got[attr][1]) == (_exact(other[0]), other[1])
+        assert _ledger(tallies[0]) == _ledger(tallies[1]) == _ledger(tallies[2])
+        assert set(tallies[0].by_level) == {level}
