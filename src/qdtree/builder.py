@@ -40,7 +40,7 @@ from .dataset import (
     is_vector,
     partition,
 )
-from .splitscan import SplitTest, batch_level, process_attribute, scan_view
+from .splitscan import SplitTest, batch_level, discrete_scores, process_attribute
 
 QUANTUM = "quantum"
 BACKENDS = (BASELINE, TREEMAP, QUANTUM)
@@ -118,15 +118,17 @@ def score_attributes(view, backend, stats=None, batch=None):
     """One scoring pass per attribute of a view: [(SplitScore, SplitTest)]
     for attributes 0..d-1, with (INVALID_SPLIT, None) for an attribute that
     has no candidate split. Both choosers read this list, and it is the only
-    place where stats.evaluations grows. batch is the view's LevelBatch, if
-    its level was batched, or else one splitscan.ViewScan made here."""
+    place where stats.evaluations grows. The view's discrete scores are read
+    from batch, its level's LevelBatch, when that holds the view, or else
+    from one splitscan.discrete_scores pass made here."""
     d = view.base.schema.attribute_count
     if stats is not None:
         stats.evaluations += d
-    if batch is None or view not in batch.position:
-        batch = scan_view(view, backend)
+    scores = None if batch is None else batch.scores(view)
+    if scores is None:
+        scores = discrete_scores(view, backend)
     return [
-        process_attribute(view, attr, backend, batch) or (INVALID_SPLIT, None)
+        process_attribute(view, attr, backend, scores) or (INVALID_SPLIT, None)
         for attr in range(d)
     ]
 
@@ -218,8 +220,9 @@ class _ArgmaxChooser:
     grow hands it each level before stepping it, and the views of the
     level that form_tree may split are scored in one batch when
     splitscan.batch_level finds that worth it; the batch books their
-    discrete scans at the level as it is made. A level it was never handed
-    is scored view by view.
+    discrete scans at the level as it is made, and score_attributes reads
+    each view's score table from it. A view no batch holds, as on a level
+    it was never handed, is scored by its own discrete_scores pass.
     """
 
     def __init__(self, config, backend, stats):

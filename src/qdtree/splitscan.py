@@ -13,11 +13,11 @@ counts, one over branch sizes N_w and one over class-branch pair counts. The
 first gives the parent entropy, the second the split potential, and their
 weighted branch entropy sum_w (N_w/z) * I_w is (H_sizes - H_pairs) / z.
 A view no level batch holds has all its discrete attributes scored in one
-pass (ViewScan), booked with one charge at the tally's current level: one
-gather of their stacked columns, and one class sum and label key cost (see
-counters), which the charge counts once per attribute. Where an attribute
-has one value v on the view (as each ancestor's split attribute has) or
-the labels y are all distinct (class sum 0.0), the pair keys
+pass (discrete_scores), booked with one charge at the tally's current
+level: one gather of their stacked columns, and one class sum and label key
+cost (see counters), which the charge counts once per attribute. Where an
+attribute has one value v on the view (as each ancestor's split attribute
+has) or the labels y are all distinct (class sum 0.0), the pair keys
 (y - 1) * T + v order as the labels do, and a policy costs keys only by
 their number and order: the pairs cost what the labels cost and are never
 built, and distinct labels' pair sum is 0.0.
@@ -37,18 +37,21 @@ A classical build can also score the discrete attributes of a whole tree
 level at once (LevelBatch), one attribute at a time over the level's
 concatenated rows. Stable sorts on segment-offset keys, (view, class),
 (view, value) and (view, class-branch pair), give each sample the running
-count the per-view loop reaches, so it adds the same step; each view's
-steps are summed in sample order by cumsum along zero-padded rows. The
-loop's max(0.0, x) becomes np.maximum, log2(z) comes from the same table,
-and the ratio still goes through gain_ratio, so every score is the loop's
-to the bit. The batch also books its level: the views holding two classes
-or more are the ones the builder scores, so it charges their scans once
-per discrete attribute, what the loop would book for them, costed by the
-backend's sliced_key_cost on the views' slices of the same key streams; a
-constant attribute's pair keys cost what the view's class keys cost.
-process_attribute then reads a (view, attribute) score from the batch, as
-from a ViewScan, and books nothing. The batch pays a fixed cost per level
-and attribute, so small levels (see batch_level) are scored view by view.
+count the per-view loop reaches, so it adds the same step; a weighted
+bincount sums each view's steps in sample order from 0.0, as the loop
+does. The loop's max(0.0, x) becomes np.maximum, log2(z) comes from the
+same table, and the ratio still goes through gain_ratio, so every score is
+the loop's to the bit. The batch also books its level: the views holding
+two classes or more are the ones the builder scores, so it charges their
+scans once per discrete attribute, what the loop would book for them,
+costed by the backend's sliced_key_cost on the views' slices of the same
+key streams; a constant attribute's pair keys cost what the view's class
+keys cost.
+Both kernels give the same table, {attribute: (SplitScore, SplitTest) or
+None}: discrete_scores returns it, and LevelBatch.scores returns it for
+each view the batch holds; process_attribute reads a score from it and
+books nothing. The batch pays a fixed cost per level and attribute, so
+small levels (see batch_level) are scored view by view.
 """
 
 import math
@@ -312,42 +315,34 @@ def _scan_discrete(view, backend, pick=slice(None)):
 
 
 def process_discrete_attribute(view, attr, backend):
-    """ViewScan's one-attribute case: the multiway evaluation of a discrete
-    attribute, or None when every sample carries the same value."""
+    """discrete_scores' one-attribute case: the multiway evaluation of a
+    discrete attribute, or None when every sample carries the same value."""
     i = _discrete_columns(view.base)[0].index(attr)
     return _scan_discrete(view, backend, slice(i, i + 1))[attr]
 
 
-class ViewScan:
-    """The discrete-attribute scores of one view, all scanned and booked
-    with one charge as it is made, and read as a LevelBatch is read."""
-
-    def __init__(self, view, backend):
-        self.position, self.scans = {view: 0}, _scan_discrete(view, backend)
-
-    def score(self, view, attr):
-        return self.scans[attr]
-
-
-def scan_view(view, backend):
-    """A ViewScan of view, booked on backend, or None when the view holds
-    fewer than two rows or its schema no discrete attribute."""
+def discrete_scores(view, backend):
+    """{attr: (SplitScore, SplitTest) or None} for every discrete attribute
+    of view, scanned in one pass and booked with one charge, or {} when the
+    view holds fewer than two rows or its schema no discrete attribute."""
     if len(view) < 2 or all(a.kind != DISCRETE for a in view.base.schema.attributes):
-        return None
-    return ViewScan(view, backend)
+        return {}
+    return _scan_discrete(view, backend)
 
 
 # A level is batched when rows + BATCH_VIEW_ROWS * views reaches
 # BATCH_MIN_ROWS. Scoring 12 discrete attributes over 64 classes and
-# reading out every (view, attribute) score (best of 40 to 80 on a shared
-# 2-vCPU Xeon VM, numpy 2.4), a ViewScan per view took about 30 us per view
-# plus 1.6 to 1.8 us per row, and the batch, which books its level as it is
-# made, about 590 us per level plus 12 us per view plus 0.8 us per row;
-# every term scales with the attribute count. A single 3-row view took
-# 0.03 ms view by view and 0.59 ms batched; 16 views of 3 rows took
-# 0.52 ms and 0.80 ms, 256 views of 3 rows 8.2 ms and 4.2 ms, one
-# 1000-row view 1.6 ms and 1.3 ms. That puts the crossover near rows +
-# 18 * views = 700; the constants were set for a 90 us per-view loop.
+# reading out every view's score table (best of 30 to 60 on a shared
+# 2-vCPU Xeon VM, numpy 2.4), the one-view pass took about 28 us per view
+# plus 1.6 us per row, and the batch, which books its level as it is made,
+# 410 to 530 us per level plus 10 us per view plus 0.55 us per row; every
+# term scales with the attribute count. A single 3-row view took 0.03 to
+# 0.07 ms view by view and 0.36 to 0.73 ms batched; 16 views of 3 rows
+# took 0.41 to 0.58 ms and 0.50 to 0.82 ms, 256 views of 3 rows 7.4 to
+# 8.0 ms and 3.3 to 3.5 ms, one 1000-row view 1.6 ms and 0.95 ms. That
+# puts the crossover near rows + 17 * views = 450; the constants were set
+# for a 90 us per-view loop and a batch that summed each view's steps
+# over zero-padded power-of-two rows.
 BATCH_VIEW_ROWS = 50
 BATCH_MIN_ROWS = 700
 
@@ -362,30 +357,30 @@ class LevelBatch:
     classes or more, so the batch books those scans as it is made, at the
     tally's current level, with one charge per attribute over the views'
     slices of the key streams (none where no view is scored).
-    process_attribute then reads a view's scores from here, booking nothing.
     """
 
     def __init__(self, views, backend):
         schema = views[0].base.schema
         m = schema.class_count
         k = len(views)
-        self.position = {view: i for i, view in enumerate(views)}
+        self._position = {view: i for i, view in enumerate(views)}
         z = np.array([len(view) for view in views], dtype=np.int64)
         bounds = np.concatenate(([0], np.cumsum(z)))
         rows = np.concatenate([view.indices for view in views])
         labels = views[0].base.labels[rows]
         seg = np.repeat(np.arange(k, dtype=np.int64), z)
-        self.gathers = _length_buckets(z, bounds)
         steps = _TABLES.cover(int(z.max())).step_array
         counts = running_counts(seg * (m + 1) + labels, k * (m + 1))
-        (class_h,) = self._sums(steps[counts])
+        # bincount adds each weight to its view's zeroed double in sample
+        # order, as the per-view loop adds h += step from 0.0
+        class_h = np.bincount(seg, steps[counts], k)
         log2z = _TABLES.log2c_array[z]
         parent = np.maximum(0.0, log2z - class_h / z)
         # the views form_tree scores, and their slices of the level
         scored = np.bincount(seg[counts == 1], minlength=k) > 1
         starts, ends = bounds[:-1][scored], bounds[1:][scored]
         class_keys = backend.sliced_key_cost(labels, starts, ends)
-        self.scans = {}
+        self._scans = {}
         attrs, tests, matrix = _discrete_columns(views[0].base)
         for attr, test, values in zip(attrs, tests, matrix[:, rows]):
             t = test.branch_count
@@ -400,53 +395,27 @@ class LevelBatch:
                 [0] * (m * t + 1)
             pairs = (labels - 1) * t + values
             pair_counts = running_counts(seg * (m * t + 1) + pairs, k * (m * t + 1))
-            size_h, pair_h = self._sums(steps[np.stack((sizes, pair_counts))])
+            size_h = np.bincount(seg, steps[sizes], k)
+            pair_h = np.bincount(seg, steps[pair_counts], k)
             potential = np.maximum(0.0, log2z - size_h / z)
             gain = parent - (size_h - pair_h) / z
-            self.scans[attr] = (split.tolist(), gain.tolist(), potential.tolist(), test)
+            self._scans[attr] = (split.tolist(), gain.tolist(), potential.tolist(), test)
             if len(starts):
                 pair_keys = backend.sliced_key_cost(pairs, starts, ends)
                 backend.charge(*_discrete_cost(backend, m, t, class_keys, pair_keys, len(starts)))
 
-    def _sums(self, steps):
-        """Each view's sum of each row of steps, added in sample order.
-
-        The views are bucketed by length rounded up to a power of two, and
-        each bucket's steps, padded with zeros to that length, are
-        accumulated along the samples: cumsum adds in order, and adding 0.0
-        is exact, so each sum is the per-view loop's to the bit.
-        """
-        steps = np.atleast_2d(steps)
-        padded = np.concatenate((steps, np.zeros((len(steps), 1))), axis=1)
-        out = np.empty((len(steps), len(self.position)))
-        for ids, gather in self.gathers:
-            out[:, ids] = np.cumsum(padded[:, gather], axis=2)[:, :, -1]
-        return out
-
-    def score(self, view, attr):
-        """What process_discrete_attribute returns for view and attr, read
-        from the batch; the batch booked its cost when it was made."""
-        i = self.position[view]
-        split, gain, potential, test = self.scans[attr]
-        if not split[i]:
+    def scores(self, view):
+        """The score table of view, {attr: (SplitScore, SplitTest) or None}
+        over its discrete attributes as discrete_scores gives it, read from
+        the batch, which booked its cost when it was made; None when the
+        batch does not hold view."""
+        i = self._position.get(view)
+        if i is None:
             return None
-        return gain_ratio(gain[i], potential[i]), test
-
-
-def _length_buckets(z, bounds):
-    """(view ids, gather matrix) per power-of-two length bucket: row r of a
-    gather matrix lists the positions of its view's samples in the
-    concatenated level, padded with the level's length, one past the end."""
-    total = bounds[-1]
-    widths = np.frexp((z - 1).astype(np.float64))[1]  # (z - 1).bit_length()
-    starts = np.asarray(bounds[:-1], dtype=np.int64)
-    gathers = []
-    for width in np.unique(widths).tolist():
-        ids = np.flatnonzero(widths == width)
-        cols = np.arange(1 << width, dtype=np.int64)
-        gather = np.where(cols < z[ids, None], starts[ids, None] + cols, total)
-        gathers.append((ids, gather))
-    return gathers
+        return {
+            attr: (gain_ratio(gain[i], potential[i]), test) if split[i] else None
+            for attr, (split, gain, potential, test) in self._scans.items()
+        }
 
 
 def batch_level(views, backend):
@@ -460,17 +429,18 @@ def batch_level(views, backend):
     return LevelBatch(views, backend)
 
 
-def process_attribute(view, attr, backend, batch=None):
+def process_attribute(view, attr, backend, scores=None):
     """Scores one attribute on a view.
 
     This is the scoring function handed both to the classical argmax and to
     the quantum-search chooser. Returns (SplitScore, SplitTest) or None when
     the attribute admits no candidate split on this view. A discrete score
-    is read from batch, a LevelBatch or ViewScan, when it holds the view;
-    the batch booked its cost already, so reading it books nothing.
+    is read from scores, the table of discrete_scores or LevelBatch.scores,
+    when it holds attr; that table was booked as it was made, so reading it
+    books nothing.
     """
-    if batch is not None and attr in batch.scans and view in batch.position:
-        return batch.score(view, attr)
+    if scores and attr in scores:
+        return scores[attr]
     if len(view) < 2:
         return None
     if view.base.schema.is_real(attr):

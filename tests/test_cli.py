@@ -517,6 +517,46 @@ def test_module_entry_point_runs(tmp_path, src_env):
     assert model.exists()
 
 
+def test_every_output_byte_is_the_same_under_two_string_hash_seeds(tmp_path, src_env):
+    # A9 reruns inside one process, where the string hash is fixed; a path
+    # whose output followed it (set or dict order of strings) shows only
+    # across processes. Each run works in its own directory under the same
+    # relative paths, because train's stdout names --out.
+    schema = random_schema(5, 4, "hash-seed")
+    base = random_dataset(schema, 120, "hash-seed")
+    labels = ("yes", "no", "maybe", "rarely")
+    data = Dataset(schema, base.columns, base.labels, labels)
+    commands = [
+        ["train", "--data", "d.csv", "--schema", "d.schema", "--out", "b.json",
+         "--max-height", "4"],
+        ["train", "--data", "d.csv", "--schema", "d.schema", "--out", "q.json",
+         "--backend", "quantum", "--seed", "7", "--verify", "--report", "r.json",
+         "--max-height", "4"],
+        ["predict", "--model", "b.json", "--data", "d.csv"],
+        ["bench", "--backends", "baseline,treemap,quantum", "--n", "48", "--d", "3",
+         "--m", "4,16", "--max-height", "3"],
+    ]
+    outputs = []
+    for hash_seed in ("0", "1"):
+        cwd = tmp_path / hash_seed
+        cwd.mkdir()
+        save_csv(data, cwd / "d.csv")
+        write_schema(schema.attributes, cwd / "d.schema")
+        streams = []
+        for command in commands:
+            proc = subprocess.run(
+                [sys.executable, "-m", "qdtree", *command],
+                cwd=cwd, capture_output=True, env=dict(src_env, PYTHONHASHSEED=hash_seed),
+            )
+            assert proc.returncode == 0, proc.stderr
+            assert proc.stdout
+            streams.append((proc.stdout, proc.stderr))
+        files = {path.name: path.read_bytes() for path in sorted(cwd.iterdir())}
+        assert set(files) == {"d.csv", "d.schema", "b.json", "q.json", "r.json"}
+        outputs.append((streams, files))
+    assert outputs[0] == outputs[1]
+
+
 def test_unknown_subcommand_fails():
     with pytest.raises(SystemExit):
         main(["explain"])

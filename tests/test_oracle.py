@@ -316,6 +316,25 @@ def test_the_cli_chooses_a_builder_only_in_build():
     assert callers == {"train": {"_build"}, "q_train": {"_build"}}
 
 
+def test_only_score_attributes_picks_a_discrete_kernel():
+    # a view's discrete scores come from its level's LevelBatch or from its
+    # own discrete_scores pass; a second place choosing between them could
+    # score or book a view twice
+    callers = {}
+    for path in sorted(PACKAGE.glob("*.py")):
+        for top in ast.parse(path.read_text()).body:
+            for node in ast.walk(top):
+                if isinstance(node, ast.Call):
+                    name = getattr(node.func, "id", getattr(node.func, "attr", None))
+                    if name in ("discrete_scores", "scores"):
+                        owner = "%s.%s" % (path.stem, getattr(top, "name", None))
+                        callers.setdefault(name, set()).add(owner)
+    assert callers == {
+        "discrete_scores": {"builder.score_attributes"},
+        "scores": {"builder.score_attributes"},
+    }
+
+
 def test_only_main_turns_an_exception_into_an_exit_code():
     # commands raise and main reports: a try in a command would be a second
     # statement of which exceptions end in `error:` and exit 2

@@ -682,7 +682,7 @@ def test_level_batch_matches_per_view_scans(
         got_tally, want_tally = OpTally(level=level), OpTally(level=level)
         got_backend, want_backend = make_backend(name, got_tally), make_backend(name, want_tally)
         batch = LevelBatch(views, got_backend)
-        assert set(batch.scans) == set(discrete)
+        assert all(set(batch.scores(view)) == set(discrete) for view in views)
         for view in views:
             if len(set(view.labels().tolist())) > 1:
                 for attr in discrete:
@@ -690,7 +690,7 @@ def test_level_batch_matches_per_view_scans(
         assert _ledger(got_tally) == _ledger(want_tally)
         for view in views:
             for attr in discrete:
-                got = process_attribute(view, attr, got_backend, batch)
+                got = process_attribute(view, attr, got_backend, batch.scores(view))
                 want = process_attribute(view, attr, make_backend(name))
                 if want is None:
                     assert got is None
@@ -748,11 +748,31 @@ def test_a_level_of_pure_views_books_nothing(name):
     assert _ledger(tally) == (0, 0, {})
     for view in views:
         assert len(set(view.labels().tolist())) == 1
-        for attr in batch.scans:
-            got = process_attribute(view, attr, make_backend(name), batch)
+        table = batch.scores(view)
+        for attr in table:
+            got = process_attribute(view, attr, make_backend(name), table)
             want = process_attribute(view, attr, make_backend(name))
             assert got == want
     assert _ledger(tally) == (0, 0, {})
+
+
+@pytest.mark.parametrize("name", [BASELINE, TREEMAP])
+def test_a_view_the_batch_does_not_hold_is_scored_as_without_a_batch(name):
+    # the batch holds no score table for a view outside its level, so
+    # score_attributes scores and books that view as if no batch were given
+    views = _level(6, 5, [3] * 10 + [40], 0.0, 0.3, True)
+    batch = LevelBatch(views[:-1], make_backend(name))
+    outside = views[-1]
+    assert batch.scores(views[0]) is not None
+    assert batch.scores(outside) is None
+    got_tally, want_tally = OpTally(level=2), OpTally(level=2)
+    got_stats, want_stats = BuildStats(), BuildStats()
+    got = score_attributes(outside, make_backend(name, got_tally), got_stats, batch)
+    want = score_attributes(outside, make_backend(name, want_tally), want_stats)
+    assert [(_exact(s), t) for s, t in got] == [(_exact(s), t) for s, t in want]
+    assert got_stats.evaluations == want_stats.evaluations
+    assert _ledger(got_tally) == _ledger(want_tally)
+    assert got_tally.element_ops > 0
 
 
 @settings(max_examples=40, deadline=None)
@@ -792,7 +812,7 @@ def test_a_constant_attribute_books_its_explicit_pair_keys(seed, m, lengths, pur
         for view in views:
             for attr in range(schema.attribute_count):
                 assert process_attribute(view, attr, got, None) is None
-                assert process_attribute(view, attr, got, batch) is None
+                assert process_attribute(view, attr, got, batch.scores(view)) is None
         assert _ledger(got_tally) == _ledger(want_tally)
         assert _ledger(batch_tally) == _ledger(mixed_tally)
 
