@@ -153,24 +153,32 @@ def choose_split(view, backend, stats=None, batch=None):
     return None if attr is None else (attr, results[attr][1], results[attr][0])
 
 
-def form_tree(view, level, config, stats, choose):
-    """One growth step: view's node (a leaf on purity, height, size, or no
-    split found) and the (slot, child view) pairs still to grow into its
-    children, in branch order. choose(view) returns the node's SplitTest or
-    None. A branch no training sample takes becomes a leaf labeled with the
-    parent majority; its recorded support is the parent distribution the
-    label came from.
-    """
+def support_of(view):
+    """The view's M class counts, class 1 first."""
     m = view.base.schema.class_count
-    support = tuple(np.bincount(view.labels(), minlength=m + 1)[1:].tolist())
+    return tuple(np.bincount(view.labels(), minlength=m + 1)[1:].tolist())
+
+
+def splits(view, support, level, config):
+    """The stopping rule, tested once per node before any attribute is
+    scored: a view is split only if it holds two classes or more, sits
+    above level max_height and has at least min_split rows."""
+    classes = len(support) - support.count(0)
+    return classes > 1 and level < config.max_height and len(view) >= config.min_split
+
+
+def form_tree(view, support, level, config, stats, choose):
+    """One growth step: view's node (a leaf where splits says stop or no
+    split is found) and the (slot, child view, child support) triples
+    still to grow into its children, in branch order. choose(view) returns
+    the node's SplitTest or None. A branch no training sample takes becomes
+    a leaf labeled with the parent majority; its recorded support is the
+    parent distribution the label came from.
+    """
     # the lowest class wins a tie
     majority = support.index(max(support)) + 1
     test = None
-    if (
-        m - support.count(0) > 1
-        and level < config.max_height
-        and len(view) >= config.min_split
-    ):
+    if splits(view, support, level, config):
         stats.tally.level = level
         test = choose(view)
     if test is None:
@@ -178,7 +186,7 @@ def form_tree(view, level, config, stats, choose):
         return Leaf(majority, support), ()
     stats.internal_nodes += 1
     parts = partition(view, test)
-    todo = [(slot, part) for slot, part in enumerate(parts) if len(part)]
+    todo = [(slot, part, support_of(part)) for slot, part in enumerate(parts) if len(part)]
     stats.leaves += len(parts) - len(todo)
     children = [None if len(part) else Leaf(majority, support) for part in parts]
     return Internal(test, children, support), todo
@@ -186,57 +194,51 @@ def form_tree(view, level, config, stats, choose):
 
 def grow(view, config, stats, choose):
     """Grows the tree under view in form_tree steps on an explicit queue,
-    queueing each node's children in branch order.
+    queueing each node's children in branch order with their supports.
 
     A chooser with a start_level(views, level) hook grows in level order:
     the queue is popped first in, first out, and when the first view of a
-    level is popped the queue holds exactly that level, which the hook gets
-    before any of it is stepped. Any other chooser grows in preorder, with
-    the queue popped last in, first out.
+    level is popped the queue holds exactly that level; the hook gets the
+    views of it that splits passes before any of it is stepped. Any other
+    chooser grows in preorder, with the queue popped last in, first out.
     """
     start_level = getattr(choose, "start_level", None)
     preorder = start_level is None
     top = [None]
-    queue = deque([(top, 0, view, 0)])
+    queue = deque([(top, 0, view, support_of(view), 0)])
     pop = queue.pop if preorder else queue.popleft
     level = -1
     while queue:
-        if not preorder and queue[0][3] > level:
-            level = queue[0][3]
-            start_level([entry[2] for entry in queue], level)
-        siblings, slot, part, depth = pop()
-        node, todo = form_tree(part, depth, config, stats, choose)
+        if not preorder and queue[0][4] > level:
+            level = queue[0][4]
+            start_level([v for _, _, v, s, _ in queue if splits(v, s, level, config)], level)
+        siblings, slot, part, support, depth = pop()
+        node, todo = form_tree(part, support, depth, config, stats, choose)
         siblings[slot] = node
-        queue.extend(
-            (node.children, i, child, depth + 1)
-            for i, child in (reversed(todo) if preorder else todo)
-        )
+        for entry in reversed(todo) if preorder else todo:
+            queue.append((node.children, *entry, depth + 1))
     return top[0]
 
 
 class _ArgmaxChooser:
     """The classical chooser: the SplitTest of choose_split on a view.
 
-    grow hands it each level before stepping it, and the views of the
-    level that form_tree may split are scored in one batch when
-    splitscan.batch_level finds that worth it; the batch books their
+    grow hands it the views of each level that form_tree will ask it to
+    split, before stepping the level, and they are scored in one batch
+    when splitscan.batch_level finds that worth it; the batch books their
     discrete scans at the level as it is made, and score_attributes reads
     each view's score table from it. A view no batch holds, as on a level
     it was never handed, is scored by its own discrete_scores pass.
     """
 
-    def __init__(self, config, backend, stats):
-        self.config = config
+    def __init__(self, backend, stats):
         self.backend = backend
         self.stats = stats
         self.batch = None
 
     def start_level(self, views, level):
-        self.batch = None
-        if level < self.config.max_height:
-            min_split = self.config.min_split
-            self.stats.tally.level = level
-            self.batch = batch_level([v for v in views if len(v) >= min_split], self.backend)
+        self.stats.tally.level = level
+        self.batch = batch_level(views, self.backend)
 
     def __call__(self, view):
         choice = choose_split(view, self.backend, self.stats, self.batch)
@@ -254,7 +256,7 @@ def train(data, config=None):
         raise ValueError("use the quantum builder for quantum-searched trees")
     stats = BuildStats()
     backend = make_backend(config.backend, stats.tally)
-    root = grow(data.full_view(), config, stats, _ArgmaxChooser(config, backend, stats))
+    root = grow(data.full_view(), config, stats, _ArgmaxChooser(backend, stats))
     return DecisionTree(root, data.schema, data.class_labels, stats)
 
 

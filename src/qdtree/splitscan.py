@@ -41,12 +41,12 @@ count the per-view loop reaches, so it adds the same step; a weighted
 bincount sums each view's steps in sample order from 0.0, as the loop
 does. The loop's max(0.0, x) becomes np.maximum, log2(z) comes from the
 same table, and the ratio still goes through gain_ratio, so every score is
-the loop's to the bit. The batch also books its level: the views holding
-two classes or more are the ones the builder scores, so it charges their
-scans once per discrete attribute, what the loop would book for them,
-costed by the backend's sliced_key_cost on the views' slices of the same
-key streams; a constant attribute's pair keys cost what the view's class
-keys cost.
+the loop's to the bit. The batch also books its level: it charges the
+scans of every view it holds once per discrete attribute, what the loop
+would book for them, costed by the backend's sliced_key_cost on the views'
+slices of the same key streams; a constant attribute's pair keys cost what
+the view's class keys cost. Which views a level hands it is the builder's
+stopping rule, not the batch's.
 Both kernels give the same table, {attribute: (SplitScore, SplitTest) or
 None}: discrete_scores returns it, and LevelBatch.scores returns it for
 each view the batch holds; process_attribute reads a score from it and
@@ -350,13 +350,12 @@ _INT64_MAX = np.iinfo(np.int64).max
 
 
 class LevelBatch:
-    """The discrete-attribute scores of every view of one tree level, each
-    attribute scanned over the whole level by one numpy kernel.
+    """The discrete-attribute scores of views of one tree level, each
+    attribute scanned over all of them by one numpy kernel.
 
-    form_tree scores every discrete attribute of each view that holds two
-    classes or more, so the batch books those scans as it is made, at the
-    tally's current level, with one charge per attribute over the views'
-    slices of the key streams (none where no view is scored).
+    The batch books the scans of every view it holds as it is made, as
+    discrete_scores books one view's, at the tally's current level, with
+    one charge per attribute over the views' slices of the key streams.
     """
 
     def __init__(self, views, backend):
@@ -376,9 +375,7 @@ class LevelBatch:
         class_h = np.bincount(seg, steps[counts], k)
         log2z = _TABLES.log2c_array[z]
         parent = np.maximum(0.0, log2z - class_h / z)
-        # the views form_tree scores, and their slices of the level
-        scored = np.bincount(seg[counts == 1], minlength=k) > 1
-        starts, ends = bounds[:-1][scored], bounds[1:][scored]
+        starts, ends = bounds[:-1], bounds[1:]
         class_keys = backend.sliced_key_cost(labels, starts, ends)
         self._scans = {}
         attrs, tests, matrix = _discrete_columns(views[0].base)
@@ -400,9 +397,8 @@ class LevelBatch:
             potential = np.maximum(0.0, log2z - size_h / z)
             gain = parent - (size_h - pair_h) / z
             self._scans[attr] = (split.tolist(), gain.tolist(), potential.tolist(), test)
-            if len(starts):
-                pair_keys = backend.sliced_key_cost(pairs, starts, ends)
-                backend.charge(*_discrete_cost(backend, m, t, class_keys, pair_keys, len(starts)))
+            pair_keys = backend.sliced_key_cost(pairs, starts, ends)
+            backend.charge(*_discrete_cost(backend, m, t, class_keys, pair_keys, k))
 
     def scores(self, view):
         """The score table of view, {attr: (SplitScore, SplitTest) or None}

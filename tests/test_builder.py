@@ -666,11 +666,14 @@ def test_writer_matches_recursive_emitter_on_a_leaf_root(tmp_path):
     assert serialize_model(load_model(tmp_path / "m.json")) == text
 
 
-def _recursive_grow(view, config, stats, choose, level=0):
-    """The recursive growth that grow replaced, over the same form_tree step."""
-    node, todo = builder.form_tree(view, level, config, stats, choose)
-    for slot, part in todo:
-        node.children[slot] = _recursive_grow(part, config, stats, choose, level + 1)
+def _recursive_grow(view, config, stats, choose, level=0, support=None):
+    """The recursive growth that grow replaced, over the same form_tree step,
+    passing each child the support form_tree counted for it."""
+    if support is None:
+        support = builder.support_of(view)
+    node, todo = builder.form_tree(view, support, level, config, stats, choose)
+    for slot, part, part_support in todo:
+        node.children[slot] = _recursive_grow(part, config, stats, choose, level + 1, part_support)
     return node
 
 
@@ -719,7 +722,8 @@ def test_grower_matches_recursive_growth(seed, d, m, n, height, backend):
     min_split=st.integers(2, 5),
     backend=st.sampled_from([BASELINE, TREEMAP]),
 )
-# a batched level with no view to score books nothing, not a 0 at its level
+# a level with no view to score is handed no view and books nothing, not a
+# 0 at its level
 @example(seed=0, d=2, m=1, n=2, height=1, min_split=2, backend=BASELINE)
 def test_every_level_batched_matches_the_per_view_loop(seed, d, m, n, height, min_split, backend):
     # with the cutoff at zero every level is batched, and with it out of
@@ -756,15 +760,72 @@ def test_level_order_hands_each_level_to_the_hook_before_stepping_it():
             return None if choice is None else choice[1]
 
     tree = grow(data.full_view(), BuildConfig(), stats, Chooser())
+    # level 2's nine 1-row views are pure, so the hook gets none of them
     assert steps == [
         ("level", 0, [9]), ("choose", 9),
         ("level", 1, [3, 3, 3]), ("choose", 3), ("choose", 3), ("choose", 3),
-        ("level", 2, [1] * 9),
+        ("level", 2, []),
     ]
     assert serialize_model(DecisionTree(tree, schema, data.class_labels, stats)) == (
         serialize_model(train(data))
     )
     assert stats == train(data).stats
+
+
+def _stopping_kind(node, min_split):
+    """Why a node of a tree grown with min_split stopped or went on: "split",
+    "pure" (one class on min_split rows or more), "small" (two classes or
+    more on fewer rows), or None."""
+    rows, classes = sum(node.support), sum(map(bool, node.support))
+    if isinstance(node, Internal):
+        return "split"
+    if classes == 1 and rows >= min_split:
+        return "pure"
+    return "small" if classes > 1 and rows < min_split else None
+
+
+@pytest.mark.parametrize("backend", [BASELINE, TREEMAP])
+def test_each_level_batch_holds_exactly_the_views_form_tree_scores(backend):
+    # with every level batched, on levels that mix pure views, views under
+    # min_split and views that form_tree splits, each batch holds the views
+    # its level scores, in step order: it books no view twice or never, and
+    # the batched views number evaluations / d
+    rng = random.Random("batch-scored")
+    # a0 = 1 is pure, a0 = 2 holds 3 mixed rows, a0 = 3 splits the same way
+    # again on a1; a2 and the labels left None are noise
+    rows = [(1, None, 1)] * 20 + [(2, None, y) for y in (1, 2, 3)]
+    rows += [(3, 1, 2)] * 20 + [(3, 2, y) for y in (1, 2, 3)] + [(3, 3, None)] * 40
+    rows = [(a0, a1 or rng.randint(1, 3), rng.randint(1, 3), y or rng.randint(1, 3))
+            for a0, a1, y in rows]
+    *columns, labels = map(list, zip(*rows))
+    schema = AttributeSchema(tuple(Attribute("a%d" % j, DISCRETE, 3) for j in range(3)), 3)
+    data = Dataset(schema, columns, labels, ("x", "y", "z"))
+    config = BuildConfig(max_height=5, min_split=6, backend=backend)
+    batched, scored = {}, {}
+
+    class RecordedBatch(splitscan.LevelBatch):
+        def __init__(self, views, backend):
+            super().__init__(views, backend)
+            assert backend.tally.level not in batched
+            batched[backend.tally.level] = list(views)
+
+    def recorded_choose_split(view, backend, stats=None, batch=None):
+        scored.setdefault(stats.tally.level, []).append(view)
+        return choose_split(view, backend, stats, batch)
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(splitscan, "BATCH_MIN_ROWS", 0)
+        patch.setattr(splitscan, "LevelBatch", RecordedBatch)
+        patch.setattr(builder, "choose_split", recorded_choose_split)
+        tree = train(data, config)
+    # the premise: levels 1 and 2 each hold all three kinds of view
+    kinds, level = [], [tree.root]
+    while level:
+        kinds.append({_stopping_kind(node, config.min_split) for node in level})
+        level = [child for node in level if isinstance(node, Internal) for child in node.children]
+    assert kinds[1] >= {"split", "pure", "small"} <= kinds[2]
+    assert batched == scored
+    assert sum(map(len, batched.values())) == tree.stats.evaluations // schema.attribute_count
 
 
 # support counts: absent entries are 0, so most of a wide support is zeros

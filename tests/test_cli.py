@@ -535,6 +535,8 @@ def test_every_output_byte_is_the_same_under_two_string_hash_seeds(tmp_path, src
         ["predict", "--model", "b.json", "--data", "d.csv"],
         ["bench", "--backends", "baseline,treemap,quantum", "--n", "48", "--d", "3",
          "--m", "4,16", "--max-height", "3"],
+        ["verify", "--suite", "oracle", "--instances", "5"],
+        ["verify", "--suite", "backend", "--instances", "5"],
     ]
     outputs = []
     for hash_seed in ("0", "1"):

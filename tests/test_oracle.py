@@ -6,13 +6,18 @@ hand.
 """
 
 import ast
+import math
 import random
+import sys
 from collections import Counter
+from dataclasses import replace
+from itertools import product
 from pathlib import Path
 
 import pytest
 
 import qdtree
+from qdtree import splitscan
 from qdtree.builder import BuildConfig, Leaf, train
 from qdtree.counters import BASELINE, TREEMAP
 from qdtree.dataset import (
@@ -199,6 +204,34 @@ def coarse_mixed_data(rng):
     return Dataset(AttributeSchema(tuple(attributes), m), columns, labels, names)
 
 
+# (base, direction) of the runs of adjacent floats that adjacent_float_data
+# draws real columns from: midpoints that round onto a value, subnormals,
+# the subnormal-normal boundary, a signed zero, and sums that overflow
+ADJACENT_RUNS = (
+    (1.0, math.inf),
+    (math.ulp(0.0), math.inf),
+    (sys.float_info.min, math.inf),
+    (-0.0, math.inf),
+    (sys.float_info.max, -math.inf),
+)
+
+
+def adjacent_float_data(rng):
+    """coarse_mixed_data with each real column drawn from a run of 2 to 5
+    adjacent floats, stepped by math.nextafter from one of ADJACENT_RUNS."""
+    data = coarse_mixed_data(rng)
+    columns = []
+    for attribute, column in zip(data.schema.attributes, data.columns):
+        if attribute.kind == REAL:
+            value, toward = rng.choice(ADJACENT_RUNS)
+            run = [value]
+            for _ in range(rng.randint(1, 4)):
+                run.append(math.nextafter(run[-1], toward))
+            column = [rng.choice(run) for _ in column]
+        columns.append(column)
+    return Dataset(data.schema, columns, data.labels, data.class_labels)
+
+
 def reference_ratio(view, attr, theta):
     """The reference's gain ratio of the one split (attr, theta) on view."""
     (cand,) = [c for c in candidates_for_attribute(view, attr) if c.theta == theta]
@@ -238,19 +271,28 @@ def tree_mismatches(node, ref, view):
     return out
 
 
-def test_whole_trees_match_the_reference_up_to_near_ties():
-    rng = random.Random("whole-tree-reference")
+def test_whole_trees_match_the_reference_up_to_near_ties(monkeypatch):
+    # on coarse grids and on runs of adjacent floats, with levels scored
+    # view by view as these small builds are, and with every level batched
     kinds = Counter()
-    for _ in range(600):
-        data = coarse_mixed_data(rng)
-        height = rng.randint(0, 4)
-        min_split = rng.randint(2, 4)
-        ref = reference_tree(data.full_view(), height, min_split)
-        for backend in (BASELINE, TREEMAP):
-            tree = train(data, BuildConfig(max_height=height, min_split=min_split, backend=backend))
-            found = tree_mismatches(tree.root, ref, data.full_view())
-            assert [f for f in found if f[0] == "mismatch"] == []
-            kinds.update(f[0] for f in found)
+    for make_data, seed in (
+        (coarse_mixed_data, "whole-tree-reference"),
+        (adjacent_float_data, "whole-tree-adjacent-floats"),
+    ):
+        rng = random.Random(seed)
+        for _ in range(600):
+            data = make_data(rng)
+            height = rng.randint(0, 4)
+            min_split = rng.randint(2, 4)
+            ref = reference_tree(data.full_view(), height, min_split)
+            config = BuildConfig(max_height=height, min_split=min_split)
+            for backend, cutoff in product((BASELINE, TREEMAP), (splitscan.BATCH_MIN_ROWS, 0)):
+                with monkeypatch.context() as patch:
+                    patch.setattr(splitscan, "BATCH_MIN_ROWS", cutoff)
+                    tree = train(data, replace(config, backend=backend))
+                found = tree_mismatches(tree.root, ref, data.full_view())
+                assert [f for f in found if f[0] == "mismatch"] == [], make_data.__name__
+                kinds.update(f[0] for f in found)
     # the coarse grid does make ties, so the near-tie rule is exercised
     assert kinds["near-tie"] > 0
 
@@ -333,6 +375,39 @@ def test_only_score_attributes_picks_a_discrete_kernel():
         "discrete_scores": {"builder.score_attributes"},
         "scores": {"builder.score_attributes"},
     }
+
+
+def test_the_stopping_rule_is_stated_once():
+    # builder.splits is the one statement of when a view is split: outside
+    # BuildConfig's own checks and the CLI handing its options to
+    # BuildConfig, no code reads max_height or min_split, and only the
+    # growth step and the loop that hands a level to its chooser ask it
+    reads, callers = set(), set()
+    for path in sorted(PACKAGE.glob("*.py")):
+        for top in ast.parse(path.read_text()).body:
+            for function in top.body if isinstance(top, ast.ClassDef) else [top]:
+                scope = path.stem if top is function else "%s.%s" % (path.stem, top.name)
+                owner = "%s.%s" % (scope, getattr(function, "name", None))
+                plumbed = {
+                    id(keyword.value)
+                    for node in ast.walk(function)
+                    if isinstance(node, ast.Call) and getattr(node.func, "id", None) == "BuildConfig"
+                    for keyword in node.keywords
+                    if isinstance(keyword.value, ast.Attribute) and keyword.arg == keyword.value.attr
+                    and getattr(keyword.value.value, "id", None) == "args"
+                }
+                for node in ast.walk(function):
+                    if isinstance(node, ast.Attribute) and node.attr in ("max_height", "min_split"):
+                        reads.add(owner if id(node) not in plumbed else "%s (plumbing)" % owner)
+                    elif isinstance(node, ast.Call) and getattr(node.func, "id", None) == "splits":
+                        callers.add(owner)
+    assert reads == {
+        "builder.BuildConfig.__post_init__",
+        "builder.splits",
+        "cli.cmd_train (plumbing)",
+        "cli._bench_rows (plumbing)",
+    }
+    assert callers == {"builder.form_tree", "builder.grow"}
 
 
 def test_only_main_turns_an_exception_into_an_exit_code():

@@ -668,7 +668,7 @@ def test_level_batch_matches_per_view_scans(
     # constant attributes: every (view, attribute) result of the batch
     # equals that of process_attribute scanning the view, and the batch's
     # booking equals both ledgers of the per-view scans of the discrete
-    # attributes of every view holding two classes or more
+    # attributes of every view it holds
     rng = random.Random(seed)
     lengths = [rng.randint(2, 5) for _ in range(short_views)]
     if long_view:
@@ -684,9 +684,8 @@ def test_level_batch_matches_per_view_scans(
         batch = LevelBatch(views, got_backend)
         assert all(set(batch.scores(view)) == set(discrete) for view in views)
         for view in views:
-            if len(set(view.labels().tolist())) > 1:
-                for attr in discrete:
-                    process_attribute(view, attr, want_backend)
+            for attr in discrete:
+                process_attribute(view, attr, want_backend)
         assert _ledger(got_tally) == _ledger(want_tally)
         for view in views:
             for attr in discrete:
@@ -739,24 +738,6 @@ def test_only_levels_worth_it_are_batched():
 
 
 @pytest.mark.parametrize("name", [BASELINE, TREEMAP])
-def test_a_level_of_pure_views_books_nothing(name):
-    # form_tree scores no pure view, so a batch of them books nothing and
-    # adds no by_level key, though it still holds every view's scores
-    views = _level(5, 4, [1, 2, 5, 40], 1.0, 0.0, False)
-    tally = OpTally(level=3)
-    batch = LevelBatch(views, make_backend(name, tally))
-    assert _ledger(tally) == (0, 0, {})
-    for view in views:
-        assert len(set(view.labels().tolist())) == 1
-        table = batch.scores(view)
-        for attr in table:
-            got = process_attribute(view, attr, make_backend(name), table)
-            want = process_attribute(view, attr, make_backend(name))
-            assert got == want
-    assert _ledger(tally) == (0, 0, {})
-
-
-@pytest.mark.parametrize("name", [BASELINE, TREEMAP])
 def test_a_view_the_batch_does_not_hold_is_scored_as_without_a_batch(name):
     # the batch holds no score table for a view outside its level, so
     # score_attributes scores and books that view as if no batch were given
@@ -788,24 +769,22 @@ def test_a_constant_attribute_books_its_explicit_pair_keys(seed, m, lengths, pur
     # every discrete attribute is constant on every view, so no pair stream
     # is built; the tally must still equal the one booked by feeding each
     # view's labels and explicit pair keys (y - 1) * T + v to backend.cost,
-    # through the per-view scan and through a LevelBatch alike
+    # through the per-view scan and through a LevelBatch alike, which books
+    # every view it holds, pure or not
     views = _level(seed, m, lengths, pure_share, 1.0, False)
     schema = views[0].base.schema
     for name in (BASELINE, TREEMAP):
-        # the per-view scans book every view; the batch books the views
-        # that hold two classes or more, the only ones form_tree scores
-        want_tally, mixed_tally = OpTally(level=level), OpTally(level=level)
-        want, mixed = make_backend(name, want_tally), make_backend(name, mixed_tally)
+        want_tally = OpTally(level=level)
+        want = make_backend(name, want_tally)
         for view in views:
             labels = view.labels()
             for attr in range(schema.attribute_count):
                 t = schema.domain_size(attr)
                 values = view.values(attr)
                 assert len(set(values.tolist())) == 1
-                for target in (want, mixed) if len(set(labels.tolist())) > 1 else (want,):
-                    target.book(labels, m)
-                    target.book((labels - 1) * t + values, m * t)
-                    target.charge(0, 2 * t)
+                want.book(labels, m)
+                want.book((labels - 1) * t + values, m * t)
+                want.charge(0, 2 * t)
         got_tally, batch_tally = OpTally(level=level), OpTally(level=level)
         got = make_backend(name, got_tally)
         batch = LevelBatch(views, make_backend(name, batch_tally))
@@ -814,7 +793,7 @@ def test_a_constant_attribute_books_its_explicit_pair_keys(seed, m, lengths, pur
                 assert process_attribute(view, attr, got, None) is None
                 assert process_attribute(view, attr, got, batch.scores(view)) is None
         assert _ledger(got_tally) == _ledger(want_tally)
-        assert _ledger(batch_tally) == _ledger(mixed_tally)
+        assert _ledger(batch_tally) == _ledger(want_tally)
 
 
 def _mixed_view(seed, m, z, reals, domains, constant_share, distinct):
