@@ -10,15 +10,22 @@ each time. slots is the dense key range: M for a class counter, M * T for
 the class-branch table of a T-way attribute (keyed by the flat slot
 (j - 1) * T + w). A cost is the sum of two parts, key_cost(keys) and
 slot_cost(slots); sliced_key_cost sums the key costs of many slices of one
-key array. The baseline policy is a dense array, so allocation and
-clearing touch every slot and each add one: len(keys) element ops, and
-2 * slots maintenance. The treemap policy is an AVL map whose costs follow
-the keys actually stored, so its slot cost is 0; its key cost replays the
-keys on a bare tree that keeps no counts, booking what an add to a fresh
-AVL map would book for each key (every node visit and rotation), and one
-maintenance op per stored key for the clear. Either policy costs a key
-stream only by its length and by how its keys compare, so two streams
-whose keys order alike have one key cost. The tree is parallel lists
+key array. A scanner that has the keys' running counts (how often each key
+has occurred so far) may pass them along with the keys. The baseline
+policy is a dense array, so allocation and clearing touch every slot and
+each add one: len(keys) element ops, and 2 * slots maintenance. The
+treemap policy is an AVL map whose costs follow the keys actually stored,
+so its slot cost is 0; its key cost replays the keys on a bare tree that
+keeps no counts, booking what an add to a fresh AVL map would book for
+each key (every node visit and rotation), and one maintenance op per
+stored key for the clear. Given running counts, it replays only the head
+of the stream, up to the last key whose count is 1 (the last insert): the
+tree stops changing there, so each later key costs 2(depth + 1) at its
+depth in the final tree, and the tail is summed with one gather from a
+table of those costs, made by one walk of that tree. Either policy costs a
+key stream only by its length and by how its keys compare, so two streams
+whose keys order alike have one key cost; the running counts are a
+function of the keys, so they change no cost. The tree is parallel lists
 indexed by node number, with node 0 as the empty tree, and _insert puts
 each new key in: it rebalances bottom-up and stops at the first node whose
 height does not change, or after its one single or double rotation.
@@ -62,21 +69,23 @@ class OpTally:
 
 class _LedgerPolicy:
     """Charges a scan's cost to a shared tally. A subclass defines its two
-    parts: key_cost(keys), the (element, maintenance) ops of the keys, and
+    parts: key_cost(keys, counts=None), the (element, maintenance) ops of
+    the keys, given their running counts when the caller has them, and
     slot_cost(slots), the maintenance of the dense key range; and
     sliced_key_cost(keys, starts, ends), their sum over many slices."""
 
     def __init__(self, tally=None):
         self.tally = tally if tally is not None else OpTally()
 
-    def cost(self, keys, slots):
-        """(element, maintenance) ops of one scan."""
-        element, maintenance = self.key_cost(keys)
+    def cost(self, keys, slots, counts=None):
+        """(element, maintenance) ops of one scan; counts, when the caller
+        has them, are the keys' running counts (see key_cost)."""
+        element, maintenance = self.key_cost(keys, counts)
         return element, maintenance + self.slot_cost(slots)
 
-    def book(self, keys, slots):
+    def book(self, keys, slots, counts=None):
         """Books a scan's cost at the tally's current level."""
-        self.charge(*self.cost(keys, slots))
+        self.charge(*self.cost(keys, slots, counts))
 
     def charge(self, element, maintenance):
         """Books a cost that cost() computed earlier, possibly for another
@@ -88,8 +97,8 @@ class _LedgerPolicy:
 class DenseBackend(_LedgerPolicy):
     """Books a scan as a dense array of `slots` counters."""
 
-    def key_cost(self, keys):
-        """One slot touched per key."""
+    def key_cost(self, keys, counts=None):
+        """One slot touched per key; the counts are not needed."""
         return len(keys), 0
 
     def slot_cost(self, slots):
@@ -105,7 +114,7 @@ class DenseBackend(_LedgerPolicy):
 class TreeMapBackend(_LedgerPolicy):
     """Books a scan as an ordered map holding only the keys it saw."""
 
-    def key_cost(self, keys):
+    def key_cost(self, keys, counts=None):
         """(element, maintenance) ops of adding every key to a fresh AVL
         map and clearing it, visit for visit.
 
@@ -115,13 +124,26 @@ class TreeMapBackend(_LedgerPolicy):
         a bare tree that keeps no counts. Only an insert changes the tree's
         shape, so a stored key's cost holds until the next insert; it is
         cached till then and summed without another walk.
+
+        counts, when the caller has them, are the keys' running counts
+        (criteria.running_counts: counts[i] is how often keys[i] occurs in
+        keys[:i + 1]), so they add nothing the keys do not say. A count of
+        1 is an insert, so after the last one the tree stops changing:
+        only the head up to that key is replayed, and each key of the tail
+        costs 2(depth + 1) at its depth in the final tree, summed by one
+        gather from a table indexed by key (keys passed with counts are
+        integer counter slots).
         """
+        n = len(keys)
+        head = n
+        if counts is not None and n:
+            head = n - int(np.argmax(np.asarray(counts)[::-1] == 1))
         tree_keys, left, right, height = [None], [0], [0], [0]
         root = 0
         costs = {}
         get = costs.get
         visits = 0
-        for key in keys.tolist() if isinstance(keys, np.ndarray) else keys:
+        for key in keys[:head].tolist() if isinstance(keys, np.ndarray) else keys[:head]:
             cost = get(key)
             if cost is not None:
                 visits += cost
@@ -141,6 +163,9 @@ class TreeMapBackend(_LedgerPolicy):
                 root, rotations = _insert(key, path, tree_keys, left, right, height)
                 visits += 2 * len(path) + 1 + rotations
                 costs.clear()
+        if head < n:
+            lo, table = _depth_costs(root, tree_keys, left, right)
+            visits += int(table[np.asarray(keys[head:]) - lo].sum())
         return visits, len(tree_keys) - 1
 
     def sliced_key_cost(self, keys, starts, ends):
@@ -220,6 +245,24 @@ def _insert(key, path, keys, left, right, height):
         else:
             right[above] = top
         return path[0], rotations
+
+
+def _depth_costs(root, keys, left, right):
+    """(lo, table): table[key - lo] is the 2(depth + 1) visits an add to a
+    key stored in the tree below root costs, for integer keys; one walk,
+    level by level."""
+    stored, costs = [], []
+    level, cost = [root], 2
+    while level:
+        stored += [keys[node] for node in level]
+        costs += [cost] * len(level)
+        level = [child for node in level for child in (left[node], right[node]) if child]
+        cost += 2
+    stored = np.array(stored)
+    lo = stored.min()
+    table = np.zeros(stored.max() - lo + 1, dtype=np.int64)
+    table[stored - lo] = costs
+    return lo, table
 
 
 def _lift(node, near, far, height):

@@ -27,7 +27,9 @@ arithmetic: the stream of floating-point operations is identical for every
 backend.
 
 The real scan is array code. One stable sort gives every sample's running
-class count, and the suffix scan's counts are those mirrored. The step,
+class count, and the suffix scan's counts are those mirrored; each scan
+direction's labels are booked with their counts, which spare the treemap
+ledger most of its replay (see counters). The step,
 log2(u) and split potential tables are built with math.log2, because
 np.log2 differs from it in the last bit for some inputs. The steps are
 accumulated with cumsum, which adds left to right as a per-sample loop does,
@@ -179,16 +181,16 @@ def build_real_scan(view, attr, backend):
 
     The suffix table reads the labels backwards, and the running count of
     a sample seen from the end is its class total minus its count from the
-    front, plus one.
+    front, plus one. Each scan direction is booked with its running counts.
     """
     values = view.values(attr)
     order = np.argsort(values, kind="stable")
     labels = view.labels()[order]
     m = view.base.schema.class_count
-    backend.book(labels, m)
-    backend.book(labels[::-1], m)
-    counts = running_counts(labels)
+    counts = running_counts(labels, m + 1)
     backwards = (np.bincount(labels)[labels] - counts + 1)[::-1]
+    backend.book(labels, m, counts)
+    backend.book(labels[::-1], m, backwards)
     return RealScanState(
         values=values[order],
         labels=labels,

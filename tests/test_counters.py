@@ -19,9 +19,10 @@ from qdtree.counters import (
     _insert,
     make_backend,
 )
-from qdtree.dataset import SubsetView
-from qdtree.splitscan import process_attribute
-from qdtree.synth import planted_dataset, random_dataset, random_schema
+from qdtree.criteria import running_counts
+from qdtree.dataset import REAL, Attribute, AttributeSchema, Dataset, SubsetView
+from qdtree.splitscan import build_real_scan, process_attribute
+from qdtree.synth import class_names, planted_dataset, random_dataset, random_schema
 
 
 def _ledger(tally):
@@ -298,6 +299,79 @@ def test_treemap_cost_matches_the_reference_replay(keys, slots):
     # and sorted pair streams: the count-free replay books what the
     # object-node reference does
     assert TreeMapBackend().cost(keys, slots) == _reference_cost(keys)
+
+
+def _counted_streams():
+    # class keys in 1..M for M up to 200: any stream, all keys distinct, one
+    # key repeated, and a stream whose last key is new (0, below every key)
+    return st.integers(min_value=1, max_value=200).flatmap(
+        lambda m: st.one_of(
+            st.lists(st.integers(min_value=1, max_value=m), max_size=600),
+            st.permutations(range(1, m + 1)),
+            st.integers(min_value=0, max_value=300).map(lambda n: [m] * n),
+            st.lists(st.integers(min_value=1, max_value=m), max_size=300).map(
+                lambda keys: keys + [0]
+            ),
+        )
+    )
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.one_of(_counted_streams(), _SCAN_STREAMS))
+@example([])
+@example([5] * 40 + [3])  # the last key is the only other one
+def test_treemap_key_cost_from_running_counts_matches_the_replay(keys):
+    # replaying only the head, up to the last count of 1, and gathering the
+    # tail's costs from the final tree books what the full replay and the
+    # object-node reference book, for lists and arrays alike
+    want = _reference_cost(keys)
+    counts = running_counts(np.array(keys, dtype=np.int64))
+    ledger = TreeMapBackend()
+    got = ledger.key_cost(keys, counts)
+    assert got == ledger.key_cost(keys) == want
+    assert all(type(part) is int for part in got)
+    assert ledger.key_cost(np.array(keys, dtype=np.int64), counts) == want
+    assert ledger.cost(keys, 7, counts) == ledger.cost(keys, 7)
+    assert DenseBackend().key_cost(keys, counts) == DenseBackend().key_cost(keys)
+
+
+class _CountedBooks(TreeMapBackend):
+    # records every stream it is asked to book, with the counts given
+    def __init__(self):
+        super().__init__()
+        self.books = []
+
+    def book(self, keys, slots, counts=None):
+        self.books.append((np.array(keys), slots, counts))
+        super().book(keys, slots, counts)
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.sampled_from([2, 7, 70, (1 << 16) - 1, 1 << 16, (1 << 16) + 3]), st.data())
+def test_a_real_scan_books_each_direction_with_its_running_counts(classes, data):
+    # the forward counts a real scan books with, counted under the bound
+    # M + 1, and the mirrored backward ones are the running counts of the
+    # streams they go with; past M + 1 = 2**16 the labels must be sorted as
+    # they come, since 16 bits would fold label M onto label M - 2**16
+    pool = st.sampled_from(sorted({1, 2, classes, max(1, classes - (1 << 16))}))
+    rows = data.draw(
+        st.lists(
+            st.tuples(st.integers(min_value=0, max_value=5), pool | st.integers(1, classes)),
+            min_size=2,
+            max_size=300,
+        )
+    )
+    schema = AttributeSchema((Attribute("x", REAL),), classes)
+    values, labels = zip(*rows)
+    view = Dataset(schema, [values], labels, class_names(classes)).full_view()
+    backend = _CountedBooks()
+    build_real_scan(view, 0, backend)
+    labels = view.labels()[np.argsort(view.values(0), kind="stable")]
+    assert len(backend.books) == 2
+    for (keys, slots, counts), want in zip(backend.books, (labels, labels[::-1])):
+        assert slots == classes
+        assert keys.tolist() == want.tolist()
+        assert counts.tolist() == running_counts(want).tolist()
 
 
 @settings(max_examples=100, deadline=None)

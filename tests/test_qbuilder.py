@@ -1,5 +1,6 @@
 """Quantum-searched tree growth: reports, determinism, and success rates."""
 
+import itertools
 import math
 import random
 
@@ -263,3 +264,15 @@ def test_per_node_queries_grow_like_sqrt_of_attribute_count():
         for t in range(10):
             choice = q_choose_split(view, backend, random.Random("slope-%d-%d" % (d, t)))
             assert choice.oracle_queries == cost
+
+
+def test_a_quantum_attempt_costs_fewer_queries_than_d_from_d_179011():
+    # an attempt's ceil(log2 d) searches of floor(22.5 sqrt(d) + 1.4 log2(d)^2)
+    # queries first cost less than a classical attempt's d scoring passes at
+    # d = 179 011, and stay below from there, also just past each power of
+    # two, where one more search is made
+    def queries(d):
+        return default_repeats(d) * math.floor(query_budget(d))
+
+    assert next(d for d in itertools.count(1) if queries(d) < d) == 179_011
+    assert all(queries(2**k + 1) < 2**k + 1 for k in range(18, 48))
