@@ -30,7 +30,11 @@ def running_counts(keys, bound=None):
     A stable sort groups equal keys in their original order, so each
     position's count is its rank within its group. That order is unique,
     so keys known to lie in 0..bound - 1 for a bound of at most 2**16 are
-    sorted as 16-bit integers, which numpy sorts stably by radix.
+    sorted as 16-bit integers, which numpy sorts stably by radix. Larger
+    keys keep numpy's stable sort, a timsort, rather than two 16-bit radix
+    passes: a level batch's keys are segment-major runs, and on 3000 of
+    them over 256 to 1000 views, timsort took 13 to 27 us and the two
+    passes 41 to 50 us (numpy 2.4, shared 2-vCPU VM).
     """
     keys = np.asarray(keys)
     if bound is not None and bound <= 1 << 16:

@@ -225,8 +225,26 @@ def check_class_labels(labels, count):
     return labels
 
 
+def _read_only(stored, given):
+    """stored, the array a Dataset keeps for the caller's given, made
+    read-only. When the caller could still write to stored, because it is
+    given itself or a view of memory it does not own, as np.asarray makes
+    of a buffer, a copy is frozen instead. An array that is already
+    read-only is kept as it stands."""
+    if stored.flags.writeable:
+        if stored is given or not stored.flags.owndata:
+            stored = stored.copy()
+        stored.flags.writeable = False
+    return stored
+
+
 class Dataset:
-    """Immutable training matrix with labels, stored column-wise."""
+    """Immutable training matrix with labels, stored column-wise.
+
+    The columns and labels are read-only arrays, so what the scanners derive
+    from them once per dataset stays true. A writeable array passed in is
+    copied, and one passed in read-only is kept, so its memory must not
+    change while the dataset lives."""
 
     def __init__(self, schema, columns, labels, class_labels):
         self.schema = schema
@@ -235,15 +253,16 @@ class Dataset:
             raise ValueError(
                 "%d columns for %d attributes" % (len(columns), schema.attribute_count)
             )
-        columns = [
-            _flat(col, "column %r" % (a.name,)) for a, col in zip(schema.attributes, columns)
-        ]
+        flat = [_flat(col, "column %r" % (a.name,)) for a, col in zip(schema.attributes, columns)]
         self.columns = [
-            checked_values(col, a.domain_size, "attribute %r holds values" % (a.name,))
-            for a, col in zip(schema.attributes, columns)
+            _read_only(
+                checked_values(col, a.domain_size, "attribute %r holds values" % (a.name,)), given
+            )
+            for a, col, given in zip(schema.attributes, flat, columns)
         ]
-        self.labels = checked_values(
-            _flat(labels, "class indices"), schema.class_count, "class indices"
+        self.labels = _read_only(
+            checked_values(_flat(labels, "class indices"), schema.class_count, "class indices"),
+            labels,
         )
         self._validate()
         self.class_labels = check_class_labels(class_labels, schema.class_count)
@@ -515,6 +534,9 @@ def load_csv(path, attributes):
     cols, labels = _read_csv(path, attributes, labeled=True)
     if not labels:
         raise DataFormatError("%s: empty training set" % (path,))
+    # the reader's arrays are its own: frozen, Dataset keeps them uncopied
+    for col in cols:
+        col.flags.writeable = False
     mapping = {}
     indices = [mapping.setdefault(label, len(mapping) + 1) for label in labels]
     schema = AttributeSchema(attributes, class_count=len(mapping))

@@ -26,14 +26,21 @@ keys of each scan, so it changes operation tallies but never the
 arithmetic: the stream of floating-point operations is identical for every
 backend.
 
-The real scan is array code. One stable sort gives every sample's running
-class count, and the suffix scan's counts are those mirrored; each scan
-direction's labels are booked with their counts, which spare the treemap
-ledger most of its replay (see counters). The step,
-log2(u) and split potential tables are built with math.log2, because
-np.log2 differs from it in the last bit for some inputs. The steps are
-accumulated with cumsum, which adds left to right as a per-sample loop does,
-so every score is bit-identical to that loop's.
+The real scan is array code. Each real column is ranked once per dataset,
+densely (equal values share a rank), in the narrowest unsigned dtype, and
+kept beside the stacked discrete columns in one per-dataset cache, as SLIQ
+and SPRINT sort each attribute once per dataset. A view is ordered by its
+rows' ranks with one stable 16-bit radix pass per 16 bits of that dtype,
+low bits first: one pass up to 2**16 distinct values. That is the stable
+order of the view's values, ties in view order, with no comparison sort
+per node. One more stable sort gives every sample's running class count,
+and the suffix scan's counts are those mirrored; each scan direction's
+labels are booked with their counts, which spare the treemap ledger most
+of its replay (see counters). The step, log2(u) and split potential tables
+are built with math.log2, because np.log2 differs from it in the last bit
+for some inputs. The steps are accumulated with cumsum, which adds left to
+right as a per-sample loop does, so every score is bit-identical to that
+loop's.
 
 A classical build can also score the discrete attributes of a whole tree
 level at once (LevelBatch), one attribute at a time over the level's
@@ -157,8 +164,10 @@ def _scan_tables(z):
     -(u/z log2(u/z) + (1 - u/z) log2(1 - u/z))."""
     left = np.arange(1, z) / z
     right = 1.0 - left
-    pairs = zip(left.tolist(), right.tolist())
-    potential = [-(f * math.log2(f) + r * math.log2(r)) for f, r in pairs]
+    log_left, log_right = (
+        np.fromiter(map(math.log2, f.tolist()), np.float64, z - 1) for f in (left, right)
+    )
+    potential = -(left * log_left + right * log_right)
     return _frozen(left), _frozen(right), _frozen(potential)
 
 
@@ -176,23 +185,63 @@ def _information_table(counts):
     return np.concatenate(([0.0], np.where(info > 0.0, info, 0.0)))
 
 
+_DERIVED = weakref.WeakKeyDictionary()
+
+
+def _derived(base, key, make):
+    """make(), computed once per dataset and key and kept while the dataset
+    lives. A Dataset's arrays are read-only, so what is derived from them
+    cannot go stale."""
+    entry = _DERIVED.setdefault(base, {})
+    if key not in entry:
+        entry[key] = make()
+    return entry[key]
+
+
+def _value_ranks(base, attr):
+    """Each row's dense rank among the distinct values of real attribute
+    attr, 0 for the smallest, in the narrowest unsigned dtype that holds
+    them. Equal values, -0.0 and 0.0 among them, share a rank."""
+
+    def ranks():
+        distinct, inverse = np.unique(base.columns[attr], return_inverse=True)
+        return inverse.astype(np.min_scalar_type(len(distinct) - 1))
+
+    return _derived(base, attr, ranks)
+
+
+def _rank_order(ranks):
+    """np.argsort(ranks, kind="stable") for unsigned integer ranks, by one
+    stable sort of 16-bit digits per 16 bits of their dtype, low digits
+    first: numpy sorts 16-bit integers stably by radix, and each pass keeps
+    the order of the passes before it among equal digits."""
+    order = np.argsort(ranks.astype(np.uint16, copy=False), kind="stable")
+    for shift in range(16, 8 * ranks.itemsize, 16):
+        digits = (ranks[order] >> shift).astype(np.uint16)
+        order = order[np.argsort(digits, kind="stable")]
+    return order
+
+
 def build_real_scan(view, attr, backend):
     """Sorts the view by one real attribute and fills the entropy tables.
 
+    The view's rows are ordered by their values' dense ranks in the dataset
+    (see _value_ranks and _rank_order). Equal values share a rank and keep
+    their view order, so this is np.argsort(view.values(attr),
+    kind="stable") for any view, whatever the order of its indices.
     The suffix table reads the labels backwards, and the running count of
     a sample seen from the end is its class total minus its count from the
     front, plus one. Each scan direction is booked with its running counts.
     """
-    values = view.values(attr)
-    order = np.argsort(values, kind="stable")
-    labels = view.labels()[order]
+    rows = view.indices[_rank_order(_value_ranks(view.base, attr)[view.indices])]
+    labels = view.base.labels[rows]
     m = view.base.schema.class_count
     counts = running_counts(labels, m + 1)
     backwards = (np.bincount(labels)[labels] - counts + 1)[::-1]
     backend.book(labels, m, counts)
     backend.book(labels[::-1], m, backwards)
     return RealScanState(
-        values=values[order],
+        values=view.base.columns[attr][rows],
         labels=labels,
         prefix_info=_information_table(counts),
         suffix_info=np.concatenate(([0.0], _information_table(backwards)[::-1])),
@@ -257,17 +306,16 @@ def _discrete_cost(backend, m, t, class_keys, pair_keys, scans=1):
     return class_keys[0] + pair_keys[0], class_keys[1] + pair_keys[1] + scans * slots
 
 
-_COLUMNS = weakref.WeakKeyDictionary()
-
-
 def _discrete_columns(base):
     """The discrete attributes of a dataset, the SplitTest of each, and their
-    columns stacked one per row for one gather per view, kept while it lives."""
-    if base not in _COLUMNS:
+    columns stacked one per row for one gather per view."""
+
+    def stack():
         attrs = [j for j, a in enumerate(base.schema.attributes) if a.kind == DISCRETE]
         tests = [SplitTest(j, DISCRETE, branch_count=base.schema.domain_size(j)) for j in attrs]
-        _COLUMNS[base] = attrs, tests, np.stack([base.columns[j] for j in attrs])
-    return _COLUMNS[base]
+        return attrs, tests, np.stack([base.columns[j] for j in attrs])
+
+    return _derived(base, DISCRETE, stack)
 
 
 def _scan_discrete(view, backend, pick=slice(None)):

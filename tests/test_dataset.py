@@ -1,9 +1,11 @@
 """Schema, column-store dataset, subset views, partitioning, and file IO."""
 
+import array
 import csv
 import re
 import sys
 import threading
+from functools import partial
 from unittest import mock
 
 import numpy as np
@@ -16,6 +18,7 @@ from nested_arrays import nested, nested_in_itself
 
 from qdtree import dataset
 from qdtree.builder import document_to_tree, train, tree_to_document
+from qdtree.counters import TREEMAP, make_backend
 from qdtree.dataset import (
     DISCRETE,
     REAL,
@@ -32,7 +35,7 @@ from qdtree.dataset import (
     save_csv,
     write_schema,
 )
-from qdtree.splitscan import SplitTest
+from qdtree.splitscan import SplitTest, process_attribute
 
 
 def two_column_data():
@@ -113,6 +116,49 @@ def test_dataset_column_types():
     assert data.n_rows == 4
     assert data.row(2) == (2.5, 2)
     assert data.label_name(1) == "yes"
+
+
+def test_dataset_arrays_are_read_only(tmp_path):
+    data = two_column_data()
+    save_csv(data, tmp_path / "d.csv")
+    loaded = load_csv(tmp_path / "d.csv", data.schema.attributes)
+    for array in (*data.columns, data.labels, *loaded.columns, loaded.labels):
+        with pytest.raises(ValueError, match="read-only"):
+            array[0] = 1
+
+
+def _scores(data):
+    view = data.full_view()
+    return [process_attribute(view, j, make_backend(TREEMAP)) for j in range(2)]
+
+
+@pytest.mark.parametrize(
+    "floats, ints",
+    [(np.array, np.array), (partial(array.array, "d"), partial(array.array, "q"))],
+    ids=["ndarray", "buffer"],
+)
+def test_a_later_write_to_the_callers_arrays_changes_no_score(floats, ints):
+    # a discrete column [1, 1, 2, 2] under labels [1, 1, 2, 2] has gain 1.0,
+    # and rewritten to [1, 2, 1, 2] it would have gain 0.0
+    schema = two_column_data().schema
+    real, color, labels = [0.5, 1.5, 2.5, 3.5], [1, 1, 2, 2], [1, 1, 2, 2]
+    given = [floats(real), ints(color), ints(labels)]
+    data = Dataset(schema, given[:2], given[2], ("yes", "no"))
+    for array, new in zip(given, ([0.5, 2.5, 1.5, 3.5], [1, 2, 1, 2], [2, 1, 1, 2])):
+        for i, value in enumerate(new):
+            array[i] = value
+    scores = _scores(data)
+    assert scores == _scores(Dataset(schema, [real, color], labels, ("yes", "no")))
+    assert scores[1][0].gain == 1.0
+
+
+def test_dataset_keeps_a_read_only_array_as_it_stands():
+    frozen = [np.array([0.5, 1.5, 2.5, 3.5]), np.array([1, 2, 2, 3]), np.array([1, 1, 2, 2])]
+    for array in frozen:
+        array.flags.writeable = False
+    data = Dataset(two_column_data().schema, frozen[:2], frozen[2], ("yes", "no"))
+    assert data.columns[0] is frozen[0] and data.columns[1] is frozen[1]
+    assert data.labels is frozen[2]
 
 
 def test_dataset_rejects_out_of_domain_discrete():

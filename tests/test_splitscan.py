@@ -1,8 +1,10 @@
 """Fast split scanners vs the brute-force reference, plus pinned tallies."""
 
+import gc
 import math
 import random
 import warnings
+import weakref
 
 import numpy as np
 import pytest
@@ -185,6 +187,109 @@ def test_real_scan_uses_stable_order():
     state = build_real_scan(data.full_view(), 0, backend_for(data))
     assert state.labels.tolist() == [1, 2, 1, 2]
     assert list(state.values) == [1.0, 1.0, 2.0, 2.0]
+
+
+def _adjacent(start, count):
+    # a run of count adjacent floats from start upwards
+    run = [start]
+    for _ in range(count - 1):
+        run.append(math.nextafter(run[-1], math.inf))
+    return run
+
+
+# signed zeros, subnormals, the extremes, and runs of adjacent floats: drawn
+# from this short list, values tie heavily
+AWKWARD = (
+    [0.0, -0.0, 1e308, -1e308, 1.7976931348623157e308, -1.7976931348623157e308, 0.1]
+    + _adjacent(-1.5e-323, 7)
+    + _adjacent(2.225073858507201e-308, 3)
+    + _adjacent(1.0, 4)
+    + _adjacent(-1e300, 3)
+)
+
+
+def _reference_scan(view, attr, name):
+    # the real scan's state from one stable float sort per view and the
+    # counted per-sample loop, with the loop's ledger
+    order = np.argsort(view.values(attr), kind="stable")
+    labels = view.labels()[order]
+    tally = OpTally()
+    m = view.base.schema.class_count
+    prefix = _counted_information_table(labels.tolist(), _counter(name, m, tally))
+    suffix = _counted_information_table(labels[::-1].tolist(), _counter(name, m, tally))
+    return order, labels, view.values(attr)[order], prefix, [0.0] + suffix[::-1], tally
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    values=st.lists(
+        st.one_of(st.sampled_from(AWKWARD), st.floats(allow_nan=False, allow_infinity=False)),
+        min_size=1,
+        max_size=80,
+    ),
+    seed=st.integers(0, 2**32),
+    size=st.integers(0, 80),
+    m=st.sampled_from([1, 2, 3, 16]),
+    name=st.sampled_from([BASELINE, TREEMAP]),
+)
+@example(values=[-0.0, 0.0, -0.0, 0.0, 5e-324, -5e-324], seed=0, size=6, m=2, name=TREEMAP)
+@example(values=[1e308, -1e308, 1.0], seed=1, size=0, m=2, name=TREEMAP)  # empty view
+@example(values=[1e308, -1e308, 1.0], seed=2, size=1, m=2, name=BASELINE)  # one row
+def test_rank_order_is_the_stable_value_order(values, seed, size, m, name):
+    # any view, its indices in any order: the rank order is the stable
+    # argsort of its values, and the scan's state and ledger are the loop's
+    rng = random.Random(seed)
+    labels = [rng.randint(1, m) for _ in values]
+    labels[0] = m
+    data = real_data(values, labels)
+    view = SubsetView(data, rng.sample(range(len(values)), min(size, len(values))))
+    order, want_labels, want_values, prefix, suffix, want_tally = _reference_scan(view, 0, name)
+    ranks = splitscan._value_ranks(data, 0)
+    assert ranks.dtype == np.uint8
+    assert splitscan._rank_order(ranks[view.indices]).tolist() == order.tolist()
+    tally = OpTally()
+    state = build_real_scan(view, 0, make_backend(name, tally))
+    assert state.labels.tolist() == want_labels.tolist()
+    assert state.values.tobytes() == want_values.tobytes()
+    assert state.prefix_info.tobytes() == np.array(prefix).tobytes()
+    assert state.suffix_info.tobytes() == np.array(suffix).tobytes()
+    assert _ledger(tally) == _ledger(want_tally)
+
+
+def test_rank_order_past_two_to_the_sixteen_distinct_values():
+    # 80 000 rows, 2 of every 8 tied, 70 000 distinct values: the ranks
+    # are 32-bit, and the second 16-bit pass decides the order of ranks
+    # that share their low 16 bits
+    n = 80_000
+    values = np.random.default_rng(0).permutation(n) / 7.0
+    values[::8] = values[1::8]
+    labels = (np.arange(n) % 3 + 1).tolist()
+    data = real_data(values, labels)
+    ranks = splitscan._value_ranks(data, 0)
+    assert ranks.dtype == np.uint32 and int(ranks.max()) == 69_999
+    rows = np.random.default_rng(1).permutation(n)[: n - 5]
+    for view in (data.full_view(), SubsetView(data, rows)):
+        order = np.argsort(view.values(0), kind="stable")
+        assert np.array_equal(splitscan._rank_order(ranks[view.indices]), order)
+        state = build_real_scan(view, 0, make_backend(BASELINE))
+        assert np.array_equal(state.labels, view.labels()[order])
+        assert state.values.tobytes() == view.values(0)[order].tobytes()
+
+
+def test_derived_arrays_go_with_their_dataset():
+    schema = AttributeSchema((Attribute("x", REAL), Attribute("c", DISCRETE, 3)), class_count=2)
+    data = Dataset(schema, [[0.5, 0.25, 0.5], [1, 3, 2]], [1, 2, 2], ("a", "b"))
+    splitscan.discrete_scores(data.full_view(), make_backend(TREEMAP))
+    build_real_scan(data.full_view(), 0, make_backend(TREEMAP))
+    assert set(splitscan._DERIVED[data]) == {0, DISCRETE}
+    assert splitscan._value_ranks(data, 0).tolist() == [1, 0, 1]
+    gc.collect()
+    held = len(splitscan._DERIVED)
+    gone = weakref.ref(data)
+    del data
+    gc.collect()
+    assert gone() is None
+    assert len(splitscan._DERIVED) == held - 1
 
 
 def test_discrete_two_blocks_scores_one():
