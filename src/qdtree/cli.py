@@ -192,6 +192,8 @@ def _bench_rows(args, backends):
 
 def cmd_bench(args):
     backends = [b.strip() for b in args.backends.split(",") if b.strip()]
+    if not backends:
+        raise ValueError("bench needs at least one backend")
     for backend in backends:
         if backend not in BACKENDS:
             raise ValueError("unknown backend %r" % (backend,))

@@ -94,48 +94,29 @@ class AttributeSchema:
 
 _BOOLS = (bool, np.bool_)
 _COMPLEX = (complex, np.complexfloating)
-# float() recurses once per level of arrays nested in an object array, so a
-# value nested deeper than this is not a number, at any stack depth
-MAX_NESTING = 100
 
 
-def _holds(values, types, too_deep=False):
-    """Whether a sequence or object array holds a value of one of types, or
-    an array holding one, such as a 0-d array in a list. Arrays are looked
-    for by type first, in C, and walked one nesting level at a time, each
-    distinct array once per level. A walk that goes past MAX_NESTING
-    levels, as in an array that holds itself, stops and returns too_deep."""
-    level = [values]
-    for _ in range(MAX_NESTING + 1):
-        arrays = {}
-        for values in level:
-            found = set(map(type, values))
-            if any(issubclass(t, types) for t in found):
-                return True
-            if any(issubclass(t, np.ndarray) for t in found):
-                arrays.update((id(v), v) for v in values if isinstance(v, np.ndarray))
-        if not arrays:
-            return False
-        level = [v.ravel() for v in arrays.values()]
-    return too_deep
-
-
-def holds_bool(values):
-    """Whether a sequence or object array holds a bool, which numpy reads
-    as 0 or 1: a Python or numpy bool, or an array holding one."""
-    return _holds(values, _BOOLS)
+def _holds(values, types):
+    """Whether a sequence or object array holds a value of one of types."""
+    return any(issubclass(t, types) for t in set(map(type, values)))
 
 
 def _flat(values, what):
     """values as an array, once it is one-dimensional. A sequence holding a
-    bool, which np.asarray would make 0 or 1, or a string, whose trailing
-    NULs it would drop, becomes an object array, so that each value reaches
-    float() as it stands."""
-    array = np.asarray(values)
+    bool, which np.asarray would make 0 or 1, an array, which it would
+    unwrap, or a string, whose trailing NULs it would drop, becomes an
+    object array, and so does a ragged sequence, which np.asarray refuses,
+    so that each value reaches _numbers as it stands."""
+    try:
+        array = np.asarray(values)
+    except ValueError:
+        return np.fromiter(values, object)
     if array.ndim != 1:
         raise ValueError("%s must be one-dimensional, got shape %s" % (what, array.shape))
-    if not isinstance(values, np.ndarray) and (array.dtype.kind in "SU" or holds_bool(values)):
-        return np.asarray(values, dtype=object)
+    if not isinstance(values, np.ndarray) and (
+        array.dtype.kind in "SU" or _holds(values, _BOOLS + (np.ndarray,))
+    ):
+        return np.fromiter(values, object, len(array))
     return array
 
 
@@ -146,16 +127,15 @@ def _numbers(values, what):
     numbers`, since a cast would drop its imaginary part; any other value
     float() refuses raises `<what> that are not numbers`, and so do bools,
     dates and time spans, which a cast would read as 0 or 1 and as counts
-    of time units. An object array goes through float() value by value,
-    because numpy's cast would make None a NaN. Numeric strings are
-    numbers. A number too large for a float raises OverflowError. A value
-    inside arrays nested more than MAX_NESTING deep, or in itself, is not
-    a number either.
+    of time units, and arrays, which are not numbers at any depth. An
+    object array goes through float() value by value, because numpy's cast
+    would make None a NaN. Numeric strings are numbers. A number too large
+    for a float raises OverflowError.
     """
     values = np.asarray(values)
     kind = values.dtype.kind
     try:
-        if kind == "O" and not _holds(values, _BOOLS + _COMPLEX, too_deep=True):
+        if kind == "O" and not _holds(values, _BOOLS + _COMPLEX + (np.ndarray,)):
             return np.fromiter(map(float, values), np.float64, len(values))
         if kind not in "bcmMO":
             return np.asarray(values, dtype=np.float64)

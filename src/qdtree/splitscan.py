@@ -390,9 +390,9 @@ def discrete_scores(view, backend):
 # 0.07 ms view by view and 0.36 to 0.73 ms batched; 16 views of 3 rows
 # took 0.41 to 0.58 ms and 0.50 to 0.82 ms, 256 views of 3 rows 7.4 to
 # 8.0 ms and 3.3 to 3.5 ms, one 1000-row view 1.6 ms and 0.95 ms. That
-# puts the crossover near rows + 17 * views = 450; the constants were set
-# for a 90 us per-view loop and a batch that summed each view's steps
-# over zero-padded power-of-two rows.
+# puts the crossover near rows + 17 * views = 450, but in interleaved
+# in-process runs those constants built no faster than these, and always
+# batching cost 40 to 60% on small builds.
 BATCH_VIEW_ROWS = 50
 BATCH_MIN_ROWS = 700
 

@@ -1,4 +1,4 @@
-"""Object arrays nested past the depth at which float() recurses."""
+"""0-d object arrays nested in one another, or in themselves."""
 
 import numpy as np
 

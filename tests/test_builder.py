@@ -350,15 +350,23 @@ def test_classify_names_the_first_refused_attribute_in_schema_order():
 def test_classify_refuses_arrays_nested_past_float_recursion():
     # float() recursed once per level and ended in a bare RecursionError;
     # numpy's own repr of the deep array recurses, so it cannot be an
-    # explicit Hypothesis example
+    # explicit Hypothesis example. An array is not a number at any depth:
+    # float() read a 0-d one, or one nested 50 deep, as the number it held
     schema = AttributeSchema((Attribute("x1", REAL), Attribute("c1", DISCRETE, 2)), 2)
     tree = DecisionTree(Leaf(1, (0, 0)), schema, ("a", "b"), BuildStats())
-    for value in (nested_in_itself(), nested(np.array(1.0), 3000)):
+    for value in (
+        nested_in_itself(),
+        nested(np.array(1.0), 3000),
+        nested(np.array(1), 50),
+        np.array(1.0),
+        np.array(1 + 2j),
+        np.array([1]),
+        [1.0],
+    ):
         for row, name in (((value, 1), "x1"), ((1.0, value), "c1")):
             with pytest.raises(DataFormatError) as e:
                 classify(tree, row)
             assert str(e.value) == "attribute %r holds values that are not numbers" % (name,)
-    assert classify(tree, (nested(np.array(1.0), 50), nested(np.array(2), 50))) == 1
 
 
 def test_classify_xor_exactly():

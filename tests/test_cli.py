@@ -449,6 +449,10 @@ def test_bench_writes_file_when_asked(tmp_path, capsys):
 def test_bench_rejects_bad_grid(capsys):
     assert run(["bench", "--m", "3"]) == 2
     assert run(["bench", "--backends", "baseline,btree"]) == 2
+    # an empty backend list printed the header alone and exited 0
+    capsys.readouterr()
+    assert run(["bench", "--backends", ","]) == 2
+    assert capsys.readouterr() == ("", "error: bench needs at least one backend\n")
 
 
 def test_verify_oracle_suite_reports_pass(capsys):

@@ -17,7 +17,15 @@ from hypothesis import strategies as st
 from nested_arrays import nested, nested_in_itself
 
 from qdtree import dataset
-from qdtree.builder import document_to_tree, train, tree_to_document
+from qdtree.builder import (
+    BuildStats,
+    DecisionTree,
+    Leaf,
+    classify,
+    document_to_tree,
+    train,
+    tree_to_document,
+)
 from qdtree.counters import TREEMAP, make_backend
 from qdtree.dataset import (
     DISCRETE,
@@ -226,18 +234,33 @@ def _one_column_schema(kind):
 
 # a real column raised a bare ValueError or TypeError for the first two and
 # took None for NaN; a discrete one called an object complex "not numbers"
-# and None "not finite whole numbers"
+# and None "not finite whole numbers". An array among the values is not a
+# number at any depth: np.asarray unwrapped a 0-d one to the number it
+# held, and a ragged sequence raised numpy's own "inhomogeneous shape"
 @pytest.mark.parametrize(
     "column, kind_of_value",
     [
         (["a", "b"], "not numbers"),
         (np.array([1 + 2j, 2], dtype=object), "complex numbers"),
         ([None, 1.0], "not numbers"),
-        # float() recursed once per level, and so did the bool check
         ([nested_in_itself(), 1.0], "not numbers"),
         ([nested(np.array(1.0), 3000), 1.0], "not numbers"),
+        ([np.array(1.0), 2.0], "not numbers"),
+        ([np.array(1 + 2j), 2.0], "not numbers"),
+        ([[1.0], 2.0], "not numbers"),
+        ([np.array([1.0]), 2.0], "not numbers"),
     ],
-    ids=["strings", "object_complex", "none", "nested_in_itself", "nested_3000_deep"],
+    ids=[
+        "strings",
+        "object_complex",
+        "none",
+        "nested_in_itself",
+        "nested_3000_deep",
+        "0d_array",
+        "complex_in_0d_array",
+        "ragged_list",
+        "ragged_array",
+    ],
 )
 @pytest.mark.parametrize("kind", [REAL, DISCRETE])
 def test_dataset_names_values_that_are_not_numbers(kind, column, kind_of_value):
@@ -275,15 +298,24 @@ def _frames_down(frames, call):
 def test_nesting_verdict_does_not_depend_on_the_stack(frames):
     # float() recursed once per level of nesting, and a RecursionError it
     # raised was read as "not numbers": 900 levels read as 1.0 at the top
-    # of a stack and were refused from 400 frames down
-    def check(depth):
+    # of a stack and were refused from 400 frames down. An array is not a
+    # number at any depth, so no value rule looks inside one
+    schema = _one_column_schema(REAL)
+    tree = DecisionTree(Leaf(1, (0, 0)), schema, ("a", "b"), BuildStats())
+    data = two_column_data()
+    for value in (nested(np.array(1.0), 50), nested(np.array(1.0), 3000), nested_in_itself()):
         column = np.empty(1, object)
-        column[0] = nested(np.array(1.0), depth)
-        return _frames_down(frames, lambda: checked_values(column, None, "values"))
-
-    assert check(50).tolist() == [1.0]
-    with pytest.raises(DataFormatError, match=r"^values that are not numbers$"):
-        check(900)
+        column[0] = value
+        for call in (
+            lambda: checked_values(column, None, "values"),
+            lambda: Dataset(schema, [[value, 1.0]], [1, 2], ("a", "b")),
+            lambda: Dataset(schema, [[1.0, 2.0]], [value, 1], ("a", "b")),
+            lambda: classify(tree, (value,)),
+        ):
+            with pytest.raises(DataFormatError, match=r" that are not numbers$"):
+                _frames_down(frames, call)
+        with pytest.raises(ValueError, match=r"^row indices must be integers"):
+            _frames_down(frames, lambda: SubsetView(data, [value, 0]))
 
 
 def test_checked_values_takes_one_bound_per_value():
@@ -517,6 +549,11 @@ def test_subset_view_rejects_bad_indices():
         SubsetView(data, [nested_in_itself(), 0])
     with pytest.raises(ValueError, match="row indices must be integers"):
         SubsetView(data, [nested(np.array(1), 3000), 0])
+    # np.asarray unwrapped the 0-d array, which selected row 1, and a
+    # ragged list raised numpy's own "inhomogeneous shape"
+    for indices in ([np.array(1), 0], [[1], 0], [np.array([1]), 0]):
+        with pytest.raises(ValueError, match="row indices must be integers"):
+            SubsetView(data, indices)
     assert len(SubsetView(data, [])) == 0
 
 

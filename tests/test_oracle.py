@@ -341,7 +341,7 @@ def test_the_builder_restates_no_value_or_label_rule():
             names.add(node.attr)
         elif isinstance(node, ast.Name):
             names.add(node.id)
-    assert not names & {"holds_bool", "breaks_lines"}
+    assert not names & {"_holds", "_flat", "_numbers", "breaks_lines"}
     assert {"checked_values", "check_class_labels"} <= names
 
 

@@ -100,6 +100,25 @@ def test_oracle_marked_set_queries():
     assert o.queries == 0  # the harness side never spends queries
 
 
+def test_hit_odds_match_a_state_vector_grover_iteration():
+    # an independent check of the search's physics: m iterations of "flip
+    # the signs of the t marked amplitudes, then reflect about the mean",
+    # from the uniform state over K amplitudes, leave the marked states
+    # with probability sin^2((2m+1) asin sqrt(t/K)) (Boyer, Brassard,
+    # Hoyer & Tapp 1998, Lemma 1), which _hit_odds tabulates
+    for size in (1, 2, 3, 4, 5, 8, 12, 16, 33, 64):
+        oracle = ScoringOracle(list(range(size)))
+        iterations = math.isqrt(size) + 2
+        for marked in range(size + 1):
+            odds = oracle._hit_odds(marked, iterations)
+            state = np.full(size, 1 / math.sqrt(size))
+            for m in range(iterations):
+                assert abs(np.sum(state[:marked] ** 2) - odds[m]) <= 1e-12, (size, marked, m)
+                state[:marked] *= -1
+                state = 2 * state.mean() - state
+        assert oracle.queries == 0
+
+
 def test_oracle_handles_comparable_nonnumeric_scores():
     # the search only ever compares scores, so tuples work too
     scores = [(i % 2, i) for i in range(5)]
