@@ -20,7 +20,7 @@ import math
 import os
 from collections import deque
 from dataclasses import dataclass, field
-from itertools import repeat
+from itertools import compress, repeat
 from operator import countOf
 
 import numpy as np
@@ -336,15 +336,13 @@ def training_accuracy(tree, data):
 
 
 def tree_height(node):
-    """Edges on the longest root-to-leaf path, walked without recursion."""
-    height = 0
-    stack = [(node, 0)]
-    while stack:
-        node, depth = stack.pop()
-        if isinstance(node, Leaf):
-            height = max(height, depth)
-        else:
-            stack.extend((child, depth + 1) for child in node.children)
+    """Edges on the longest root-to-leaf path, walked one level at a time
+    without recursion: the height is the number of levels below the root."""
+    height = -1
+    level = [node]
+    while level:
+        height += 1
+        level = [child for n in level if isinstance(n, Internal) for child in n.children]
     return height
 
 
@@ -364,24 +362,26 @@ _CHUNK = 1 << 16
 
 def _node_layouts(dep):
     """Text of one node written at JSON depth dep, fields in document
-    order: the leaf template, the real and discrete internal heads (each
-    ending where the first child starts), the separator between support
-    entries or children, and the closing text of an internal node."""
+    order, cut where its support entries go: the leaf head and the real
+    and discrete internal heads (each ending where the first entry
+    starts), the separator between support entries or children, the text
+    from an internal node's last entry to its first child, and the
+    closing text of a node, which also ends a leaf's support."""
     p0, p1, p2 = (" " * (jsonio.INDENT * k) for k in (dep, dep + 1, dep + 2))
-    support = p1 + '"support": [\n' + p2 + "%s\n" + p1 + "]"
+    support = p1 + '"support": [\n' + p2
 
     def head(test_field):
         return (
             "{\n" + p1 + '"kind": "internal",\n' + p1 + '"attr": %d,\n'
-            + p1 + '"' + test_field + '": %s,\n' + support + ",\n"
-            + p1 + '"children": [\n' + p2
+            + p1 + '"' + test_field + '": %s,\n' + support
         )
 
     return (
-        "{\n" + p1 + '"kind": "leaf",\n' + p1 + '"class": %d,\n' + support + "\n" + p0 + "}",
+        "{\n" + p1 + '"kind": "leaf",\n' + p1 + '"class": %d,\n' + support,
         head("theta"),
         head("branch_count"),
         ",\n" + p2,
+        "\n" + p1 + "],\n" + p1 + '"children": [\n' + p2,
         "\n" + p1 + "]\n" + p0 + "}",
     )
 
@@ -404,9 +404,10 @@ def _write_model(tree, fh):
     (node, depth, text after it), or (None, 0, text) for the closing text
     of an internal node, pushed beneath its children.
 
-    Support counts are joined through one numeral table per write, so each
-    distinct count is formatted once, not once per occurrence: on a bushy
-    tree most of the M counts of most nodes are 0. The table holds only the
+    A support is written from its non-zero counts: on a bushy tree most of
+    the M counts of most nodes are 0. Each run of k zeros is one repeated
+    string, and each non-zero count goes through one numeral table per
+    write, so a distinct count is formatted once. The table holds only the
     counts written, however large.
     """
     attrs = []
@@ -415,41 +416,67 @@ def _write_model(tree, fh):
         if a.kind == DISCRETE:
             entry["domain_size"] = a.domain_size
         attrs.append(entry)
-    header = jsonio.dumps(
-        {
-            "schema": {"class_count": tree.schema.class_count, "attributes": attrs},
-            "class_label_mapping": list(tree.class_labels),
-        }
-    )
-    # the header object without its closing "\n}", then the root field
-    out = [header[:-2], ',\n%s"root": ' % (" " * jsonio.INDENT,)]
+    # the header object without its closing "\n}", then the root field; only
+    # the chunk holds the header's text, so the first write frees it
+    out = [
+        jsonio.dumps(
+            {
+                "schema": {"class_count": tree.schema.class_count, "attributes": attrs},
+                "class_label_mapping": list(tree.class_labels),
+            }
+        )[:-2],
+        ',\n%s"root": ' % (" " * jsonio.INDENT,),
+    ]
+    append = out.append
     size = 0
     layouts = []
     numeral = _Numerals().__getitem__
+    m = tree.schema.class_count
     stack = [(tree.root, 1, "\n}\n")]
     while stack:
         node, dep, after = stack.pop()
         if node is None:
-            piece = after
+            append(after)
+            size += len(after)
         else:
             while len(layouts) <= dep:
                 layouts.append(_node_layouts(len(layouts)))
-            leaf, real, discrete, sep, close = layouts[dep]
-            support = sep.join(map(numeral, node.support))
+            leaf, real, discrete, sep, middle, close = layouts[dep]
             if isinstance(node, Leaf):
-                piece = leaf % (node.class_index, support) + after
+                head = leaf % node.class_index
+                tail = close + after
             else:
                 test = node.test
                 if test.kind == REAL:
-                    piece = real % (test.attr, jsonio.format_float(test.theta), support)
+                    head = real % (test.attr, jsonio.format_float(test.theta))
                 else:
-                    piece = discrete % (test.attr, test.branch_count, support)
+                    head = discrete % (test.attr, test.branch_count)
+                tail = middle
                 children = node.children
                 stack.append((None, 0, close + after))
                 stack.append((children[-1], dep + 2, ""))
                 stack.extend((child, dep + 2, sep) for child in reversed(children[:-1]))
-        out.append(piece)
-        size += len(piece)
+            append(head)
+            # the node's text, counting each support entry as one digit
+            size += len(head) + len(tail) + (m - 1) * len(sep) + m
+            # entries before `start` are written, each followed by sep,
+            # which the last entry drops
+            support = node.support
+            zero, start = "0" + sep, 0
+            for i in compress(range(m), support):
+                if i > start:
+                    append(zero * (i - start))
+                text = numeral(support[i])
+                append(text)
+                append(sep)
+                size += len(text) - 1
+                start = i + 1
+            if start < m:
+                append(zero * (m - 1 - start))
+                append("0")
+            else:
+                out.pop()  # the separator after entry m - 1
+            append(tail)
         if size >= _CHUNK:
             fh.write("".join(out))
             out.clear()
@@ -600,9 +627,15 @@ def save_model(tree, path):
 def load_model(path):
     """Reads a model file of any depth; a document whose checks still
     exceed the interpreter's recursion limit raises DataFormatError like
-    any other malformed one."""
-    with open(path, "r", encoding="utf-8") as fh:
-        text = fh.read()
+    any other malformed one. The file's bytes are decoded once, so a byte
+    that is not UTF-8 raises DataFormatError with the file's own offset."""
+    with open(path, "rb") as fh:
+        try:
+            text = fh.read().decode("utf-8")
+        except UnicodeDecodeError as exc:
+            raise DataFormatError(
+                "%s is not UTF-8 text: %s at byte %d" % (path, exc.reason, exc.start)
+            ) from None
     try:
         return document_to_tree(jsonio.loads(text))
     except RecursionError:

@@ -14,6 +14,7 @@ output or an out-of-memory build prints one `error:` line and exits 2.
 """
 
 import argparse
+import os
 import sys
 import time
 from itertools import product
@@ -122,6 +123,9 @@ def _build(data, config):
 
 
 def cmd_train(args):
+    # the report is written before the model, which would replace it
+    if args.report and os.path.realpath(args.report) == os.path.realpath(args.out):
+        raise ValueError("--report and --out name the same file %s" % (args.out,))
     attributes = read_schema(args.schema)
     data = load_csv(args.data, attributes)
     config = BuildConfig(

@@ -331,12 +331,16 @@ def _records(reader, path):
     line the record ends on, so a quoted field that spans lines does not
     shift the numbers of later records. A record the csv module rejects,
     such as a field over its size limit, raises DataFormatError naming the
-    line."""
+    line. So does a byte that is not UTF-8, naming only the file: the
+    decoder reads ahead of the records, so neither its line nor its offset
+    is the file's."""
     try:
         for row in reader:
             yield reader.line_num, row
     except csv.Error as e:
         raise DataFormatError("%s line %d: %s" % (path, reader.line_num, e)) from None
+    except UnicodeDecodeError as e:
+        raise DataFormatError("%s is not UTF-8 text: %s" % (path, e.reason)) from None
 
 
 def read_schema(path):

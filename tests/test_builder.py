@@ -1,5 +1,6 @@
 """Classical tree growth, prediction, serialization, and cost accounting."""
 
+import contextlib
 import hashlib
 import json
 import math
@@ -1026,6 +1027,143 @@ def test_model_too_deep_for_the_stdlib_decoder_writes_and_loads(tmp_path):
     assert serialize_model(again) == text == serialize_model(tree)
     assert classify(again, (1e9,)) == 2 and classify(again, (234.0,)) == 1
     assert len(format_tree(again).splitlines()) == 2 * 600
+
+
+def test_tree_height_walks_a_100000_level_chain():
+    # the leaves are shared, so the chain costs one Internal per level
+    left, node = Leaf(1, (1, 0)), Leaf(2, (0, 1))
+    for k in range(100_000):
+        node = Internal(SplitTest(0, REAL, theta=k + 0.5), [left, node], (1, 1))
+    assert tree_height(node) == 100_000
+    assert tree_height(left) == 0
+
+
+def _recursive_height(node):
+    if isinstance(node, Leaf):
+        return 0
+    return 1 + max(map(_recursive_height, node.children))
+
+
+@settings(max_examples=30, deadline=None)
+@given(tree=hand_built_trees())
+def test_tree_height_matches_a_recursive_walk_on_hand_built_trees(tree):
+    assert tree_height(tree.root) == _recursive_height(tree.root)
+
+
+def _edge_supports(m):
+    """Supports over m classes with no non-zero count, or with non-zero
+    counts at slot 0, at slot m - 1 and in adjacent slots; slots outside
+    0..m-1 are dropped."""
+    patterns = [
+        {0: 3, 1: 10**20},
+        {m - 2: 4, m - 1: 1},
+        {},
+        {0: 1, m - 1: 2},
+        {m // 2: 1, m // 2 + 1: 2, m // 2 + 2: 3},
+        {0: 5},
+        {m - 1: 7},
+    ]
+    return [
+        tuple(pattern.get(c, 0) for c in range(m))
+        for pattern in patterns
+        if all(0 <= c < m for c in pattern)
+    ]
+
+
+def _spine_tree(m, levels):
+    """A spine of `levels` internal nodes, alternating a three-way discrete
+    test and a real one, whose other children are leaves. Node supports
+    cycle through _edge_supports(m) in the order the nodes are made."""
+    schema = AttributeSchema((Attribute("x", REAL), Attribute("c", DISCRETE, 3)), m)
+    supports = _edge_supports(m)
+    made = []
+
+    def support():
+        made.append(supports[len(made) % len(supports)])
+        return made[-1]
+
+    node = Leaf(m, support())
+    for k in range(levels):
+        if k % 2:
+            node = Internal(SplitTest(0, REAL, theta=k + 0.5), [Leaf(1, support()), node], support())
+        else:
+            children = [Leaf(1, support()), node, Leaf(m, support())]
+            node = Internal(SplitTest(1, DISCRETE, branch_count=3), children, support())
+    labels = tuple("class %d" % c for c in range(1, m + 1))
+    return DecisionTree(node, schema, labels, BuildStats())
+
+
+@pytest.mark.parametrize(
+    "m, levels",
+    [(65_536, 1), (1, 4), (2, 3), (5, 10), (64, 12)],
+    ids=["wide", "one-class", "two-class", "deep", "deep-64"],
+)
+def test_writer_matches_both_references_on_edge_supports(tmp_path, m, levels):
+    # the writer skips zero counts, so pin where the skipping can go wrong:
+    # runs at either end, adjacent counts, an all-zero support, M = 1 and
+    # the long separators of nodes 8 or more levels down
+    tree = _spine_tree(m, levels)
+    text = assert_written_as_reference(tree, tmp_path / "m.json")
+    assert text == jsonio.dumps(_plain_document(tree)) + "\n"
+    assert serialize_model(load_model(tmp_path / "m.json")) == text
+
+
+class _PeakPerWrite:
+    """A text file that records, after each write, the tracemalloc peak
+    since the previous write ended, or since tracing started."""
+
+    def __init__(self, fh):
+        self.fh = fh
+        self.peaks = []
+
+    def write(self, text):
+        self.fh.write(text)
+        self.peaks.append(tracemalloc.get_traced_memory()[1])
+        tracemalloc.reset_peak()
+
+
+def test_writing_a_65536_class_model_holds_about_one_chunk_and_one_support(
+    tmp_path, monkeypatch
+):
+    tree = _spine_tree(65_536, 1)
+    path = tmp_path / "m.json"
+    files = []
+    atomically = builder.write_atomically
+
+    @contextlib.contextmanager
+    def recorded(path):
+        with atomically(path) as fh:
+            files.append(_PeakPerWrite(fh))
+            yield files[-1]
+
+    monkeypatch.setattr(builder, "write_atomically", recorded)
+    tracemalloc.start()
+    try:
+        save_model(tree, path)
+    finally:
+        tracemalloc.stop()
+    text = path.read_text(encoding="utf-8")
+    assert text == serialize_model(tree)
+    supports = re.findall(r'"support": \[[^\]]*\]', text)
+    longest = max(map(len, supports))
+    assert len(supports) == 4 and longest > 8 * _CHUNK
+    # a chunk ends with at most one node, and its write holds the chunk's
+    # pieces, its text and its encoded bytes. The first chunk carries the
+    # header, whose jsonio.dumps of M labels costs O(M) on its own, and is
+    # freed only after its write, so the peaks from the third node on show
+    # what a node costs. A memo of the support texts, or of the zero runs
+    # per depth, would not fit.
+    peaks = files[0].peaks
+    assert len(peaks) == 5
+    assert max(peaks[2:]) < 4 * _CHUNK + 3 * longest
+
+
+def test_a_model_with_crlf_line_endings_loads_the_same_tree(tmp_path):
+    tree = _spine_tree(5, 4)
+    text = serialize_model(tree)
+    path = tmp_path / "m.json"
+    path.write_bytes(text.replace("\n", "\r\n").encode("utf-8"))
+    assert serialize_model(load_model(path)) == text
 
 
 def assert_routes_as_the_per_row_walk(tree, columns):

@@ -138,6 +138,57 @@ def test_train_classical_with_report_warns_and_writes_no_report(tmp_path, capsys
     assert "queries=" not in captured.out
 
 
+@pytest.mark.parametrize("out", ["m.json", "./m.json"])
+def test_train_refuses_a_report_at_the_model_path(tmp_path, monkeypatch, capsys, out):
+    # train writes the report before the model, so one path would keep
+    # only the model
+    csv, sch = write_planted(tmp_path)
+    monkeypatch.chdir(tmp_path)
+    code = run(["train", "--data", csv, "--schema", sch, "--out", out,
+                "--backend", "quantum", "--seed", 1, "--report", "m.json"])
+    assert code == 2
+    assert capsys.readouterr().err == "error: --report and --out name the same file %s\n" % (out,)
+    assert not (tmp_path / "m.json").exists()
+
+
+def _with_byte(path, at):
+    data = path.read_bytes()
+    path.write_bytes(data[:at] + b"\xff" + data[at:])
+
+
+def test_predict_names_a_model_that_is_not_utf8_and_its_offset(tmp_path, capsys):
+    csv, sch = write_xor(tmp_path)
+    model = tmp_path / "m.json"
+    assert run(["train", "--data", csv, "--schema", sch, "--out", model]) == 0
+    capsys.readouterr()
+    at = model.stat().st_size - 10
+    _with_byte(model, at)
+    assert run(["predict", "--model", model, "--data", csv]) == 2
+    assert capsys.readouterr().err == (
+        "error: %s is not UTF-8 text: invalid start byte at byte %d\n" % (model, at)
+    )
+
+
+def test_train_names_a_csv_that_is_not_utf8(tmp_path, capsys):
+    # the decoder reads ahead in chunks, so its offset is not the file's
+    sch = tmp_path / "s.schema"
+    sch.write_text("x1,real\n")
+    bad = tmp_path / "t.csv"
+    bad.write_text("x1,class\n" + "1.0,a\n" * 10_000)
+    _with_byte(bad, 50_000)
+    model = tmp_path / "m.json"
+    assert run(["train", "--data", bad, "--schema", sch, "--out", model]) == 2
+    assert capsys.readouterr().err == "error: %s is not UTF-8 text: invalid start byte\n" % (bad,)
+    assert not model.exists()
+
+
+def test_train_names_a_schema_that_is_not_utf8(tmp_path, capsys):
+    csv, sch = write_xor(tmp_path)
+    _with_byte(sch, 1)
+    assert run(["train", "--data", csv, "--schema", sch, "--out", tmp_path / "m.json"]) == 2
+    assert capsys.readouterr().err == "error: %s is not UTF-8 text: invalid start byte\n" % (sch,)
+
+
 def test_predict_round_trips_training_labels(tmp_path, capsys):
     csv, sch = write_xor(tmp_path)
     model = tmp_path / "m.json"
