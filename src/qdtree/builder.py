@@ -16,6 +16,7 @@ giving byte-identical trees that differ only in operation tallies.
 
 import contextlib
 import io
+import json
 import math
 import os
 from collections import deque
@@ -398,8 +399,9 @@ def _write_model(tree, fh):
     """Writes the model text of tree to the text file fh, in chunks of about
     _CHUNK characters, walking the tree in preorder on an explicit stack.
 
-    This is the one statement of the node layout. The header goes through
-    jsonio.dumps; each node is written at two JSON levels below its parent,
+    This is the one statement of the node layout. The header's schema goes
+    through jsonio.dumps and its class labels one at a time through
+    json.dumps; each node is written at two JSON levels below its parent,
     followed by the separator before its next sibling. A stack entry is
     (node, depth, text after it), or (None, 0, text) for the closing text
     of an internal node, pushed beneath its children.
@@ -416,19 +418,32 @@ def _write_model(tree, fh):
         if a.kind == DISCRETE:
             entry["domain_size"] = a.domain_size
         attrs.append(entry)
-    # the header object without its closing "\n}", then the root field; only
-    # the chunk holds the header's text, so the first write frees it
+    # the header object without its closing "\n}": the M class labels
+    # follow the schema in the layout jsonio.dumps gives a list, each one
+    # through the C string encoder of json.dumps, and go out in chunks like
+    # the nodes, so that the header costs about a chunk, not O(M)
+    p1, p2 = (" " * (jsonio.INDENT * k) for k in (1, 2))
     out = [
         jsonio.dumps(
-            {
-                "schema": {"class_count": tree.schema.class_count, "attributes": attrs},
-                "class_label_mapping": list(tree.class_labels),
-            }
+            {"schema": {"class_count": tree.schema.class_count, "attributes": attrs}}
         )[:-2],
-        ',\n%s"root": ' % (" " * jsonio.INDENT,),
+        ",\n%s\"class_label_mapping\": [" % (p1,),
     ]
     append = out.append
-    size = 0
+    size = len(out[0]) + len(out[1])
+    sep, comma = "\n" + p2, ",\n" + p2
+    for label in tree.class_labels:
+        text = json.dumps(label)
+        append(sep)
+        append(text)
+        size += len(sep) + len(text)
+        sep = comma
+        if size >= _CHUNK:
+            fh.write("".join(out))
+            out.clear()
+            size = 0
+    append("\n%s],\n%s\"root\": " % (p1, p1))
+    size += len(out[-1])
     layouts = []
     numeral = _Numerals().__getitem__
     m = tree.schema.class_count
@@ -628,7 +643,8 @@ def load_model(path):
     """Reads a model file of any depth; a document whose checks still
     exceed the interpreter's recursion limit raises DataFormatError like
     any other malformed one. The file's bytes are decoded once, so a byte
-    that is not UTF-8 raises DataFormatError with the file's own offset."""
+    that is not UTF-8 raises DataFormatError with the file's own offset,
+    and text that is not JSON one with JSON's message and position."""
     with open(path, "rb") as fh:
         try:
             text = fh.read().decode("utf-8")
@@ -637,7 +653,11 @@ def load_model(path):
                 "%s is not UTF-8 text: %s at byte %d" % (path, exc.reason, exc.start)
             ) from None
     try:
-        return document_to_tree(jsonio.loads(text))
+        document = jsonio.loads(text)
+    except json.JSONDecodeError as exc:
+        raise DataFormatError("%s is not a JSON document: %s" % (path, exc)) from None
+    try:
+        return document_to_tree(document)
     except RecursionError:
         raise DataFormatError("model document nested too deeply") from None
 

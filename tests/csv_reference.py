@@ -9,7 +9,7 @@ any file.
 import csv
 import math
 
-from qdtree.dataset import REAL, DataFormatError, _records
+from qdtree.dataset import REAL, DataFormatError
 
 
 # the characters str.splitlines breaks at; predict prints a label as one line
@@ -43,6 +43,20 @@ def _parse_value(token, attribute, path, lineno):
             % (path, lineno, attribute.name, v, attribute.domain_size)
         )
     return v
+
+
+def _records(reader, path):
+    """(line, row) for each record of a csv.reader, where line is the
+    physical line the record ends on. A record the csv module rejects
+    raises DataFormatError naming that line, and a byte that is not UTF-8
+    one naming only the file."""
+    try:
+        for row in reader:
+            yield reader.line_num, row
+    except csv.Error as e:
+        raise DataFormatError("%s line %d: %s" % (path, reader.line_num, e)) from None
+    except UnicodeDecodeError as e:
+        raise DataFormatError("%s is not UTF-8 text: %s" % (path, e.reason)) from None
 
 
 def read_csv(path, attributes, labeled):

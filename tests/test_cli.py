@@ -169,6 +169,22 @@ def test_predict_names_a_model_that_is_not_utf8_and_its_offset(tmp_path, capsys)
     )
 
 
+@pytest.mark.parametrize(
+    "keep,position",
+    [(0, "Expecting value: line 1 column 1 (char 0)"),
+     (11, "Unterminated string starting at: line 2 column 3 (char 4)")],
+    ids=["empty", "truncated"],
+)
+def test_predict_names_a_model_that_is_not_json(tmp_path, capsys, keep, position):
+    csv, sch = write_xor(tmp_path)
+    model = tmp_path / "m.json"
+    assert run(["train", "--data", csv, "--schema", sch, "--out", model]) == 0
+    capsys.readouterr()
+    model.write_bytes(model.read_bytes()[:keep])
+    assert run(["predict", "--model", model, "--data", csv]) == 2
+    assert capsys.readouterr().err == "error: %s is not a JSON document: %s\n" % (model, position)
+
+
 def test_train_names_a_csv_that_is_not_utf8(tmp_path, capsys):
     # the decoder reads ahead in chunks, so its offset is not the file's
     sch = tmp_path / "s.schema"
@@ -419,6 +435,23 @@ def test_predict_reads_deeply_nested_model(tmp_path, capsys):
     rows.write_text("x\n0.25\n")
     assert run(["predict", "--model", model, "--data", rows]) == 0
     assert capsys.readouterr().out == "A\n"
+
+
+def test_predict_names_a_deeply_nested_model_that_is_not_json(tmp_path, capsys):
+    # too deep for the recursive decoder: the iterative parse finds the
+    # document's closing brace where the innermost list expects ',' or ']'
+    leaf = '{"kind": "leaf", "class": 1, "support": [1, 0]}'
+    text = _model_text('{"kind": "internal", "children": [' * 1000 + leaf)
+    model = tmp_path / "deep.json"
+    model.write_text(text)
+    rows = tmp_path / "rows.csv"
+    rows.write_text("x\n0.25\n")
+    assert run(["predict", "--model", model, "--data", rows]) == 2
+    at = len(text) - 1
+    assert capsys.readouterr().err == (
+        "error: %s is not a JSON document: Expecting ',' delimiter: line 1 column %d (char %d)\n"
+        % (model, at + 1, at)
+    )
 
 
 def test_predict_rejects_hostile_nesting(tmp_path, capsys):

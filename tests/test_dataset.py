@@ -776,6 +776,19 @@ READER_CASES = [
         "%(p)s line 2, column 'x1': values must be finite",
         "%(p)s line 2, column 'x1': values must be finite",
     ),
+    # the header is the first record even when it is blank
+    (
+        "blank-first-line",
+        "\n%(h)s\n1.0,2%(c)s\n",
+        "%(p)s: header [] does not match schema columns ['x1', 'color', 'class']",
+        "%(p)s: header [] does not match schema columns ['x1', 'color']",
+    ),
+    (
+        "header-field-over-the-limit",
+        "7" * (csv.field_size_limit() + 1) + ",color%(c)s\n1.0,2%(c)s\n",
+        "%(p)s line 1: field larger than field limit (" + str(csv.field_size_limit()) + ")",
+        "%(p)s line 1: field larger than field limit (" + str(csv.field_size_limit()) + ")",
+    ),
 ]
 
 
@@ -797,6 +810,15 @@ def test_reader_messages_are_pinned(tmp_path, content, csv_message, rows_message
         assert str(e.value) == rows_message % {"p": path, "want": want, "got": want - 1}
 
 
+def test_a_header_that_is_not_utf8_names_the_file(tmp_path):
+    path = tmp_path / "in.csv"
+    for read, header in ((load_csv, b"x1,col\xffor,class"), (load_feature_rows, b"x1,col\xffor")):
+        path.write_bytes(header + b"\n1.0,2\n")
+        with pytest.raises(DataFormatError) as e:
+            read(path, READER_ATTRS)
+        assert str(e.value) == "%s is not UTF-8 text: invalid start byte" % (path,)
+
+
 def test_empty_training_set_message_is_pinned(tmp_path):
     path = tmp_path / "in.csv"
     path.write_text("x1,color,class\n\n")
@@ -806,8 +828,8 @@ def test_empty_training_set_message_is_pinned(tmp_path):
 
 
 def _first_error_file(path, labeled):
-    # a bad cell on line 4102 sits in the second block, ahead of a field
-    # the csv module rejects on line 4153
+    # a bad cell on line 4102 sits in the block that a field the csv
+    # module rejects on line 4153 cuts short
     tail = ",a" if labeled else ""
     lines = ["x1,color,class" if labeled else "x1,color"]
     lines += ["1.0,1" + tail] * 4100 + ["oops,1" + tail] + ["1.0,1" + tail] * 50
@@ -920,6 +942,8 @@ def _read_both(path, labeled):
 # separator characters that only str.strip removes, in a block that parses
 @example(text="x1,color\n\x1c1.5\x1f,\x1e2\x1d\n1,1\n", labeled=False, block_rows=1)
 @example(text="x1,color,class\n", labeled=True, block_rows=1)
+# a blank first line, which is the header
+@example(text="\nx1,color\n1,1\n", labeled=False, block_rows=1)
 # int64 overflow, which numpy raises as OverflowError
 @example(text="x1,color\n1,%d\n" % 2**63, labeled=False, block_rows=1)
 def test_block_reader_matches_the_per_cell_reader(reader_path, text, labeled, block_rows):
