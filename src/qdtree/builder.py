@@ -640,26 +640,26 @@ def save_model(tree, path):
 
 
 def load_model(path):
-    """Reads a model file of any depth; a document whose checks still
-    exceed the interpreter's recursion limit raises DataFormatError like
-    any other malformed one. The file's bytes are decoded once, so a byte
-    that is not UTF-8 raises DataFormatError with the file's own offset,
-    and text that is not JSON one with JSON's message and position."""
-    with open(path, "rb") as fh:
-        try:
-            text = fh.read().decode("utf-8")
-        except UnicodeDecodeError as exc:
-            raise DataFormatError(
-                "%s is not UTF-8 text: %s at byte %d" % (path, exc.reason, exc.start)
-            ) from None
+    """Reads a model file of any depth. Every refusal is a DataFormatError
+    that names the file: a byte that is not UTF-8 gives the file's own
+    offset, text that is not JSON gives JSON's message and position, and a
+    document that is not a model, or whose checks still exceed the
+    interpreter's recursion limit, gives the check's message. The file's
+    bytes are decoded once and dropped before the parse."""
     try:
-        document = jsonio.loads(text)
+        with open(path, "rb") as fh:
+            text = fh.read().decode("utf-8")
+        return document_to_tree(jsonio.loads(text))
+    except UnicodeDecodeError as exc:
+        raise DataFormatError(
+            "%s is not UTF-8 text: %s at byte %d" % (path, exc.reason, exc.start)
+        ) from None
     except json.JSONDecodeError as exc:
         raise DataFormatError("%s is not a JSON document: %s" % (path, exc)) from None
-    try:
-        return document_to_tree(document)
     except RecursionError:
-        raise DataFormatError("model document nested too deeply") from None
+        raise DataFormatError("%s: model document nested too deeply" % (path,)) from None
+    except ValueError as exc:  # after its subclasses above
+        raise DataFormatError("%s: %s" % (path, exc)) from None
 
 
 def format_tree(tree):

@@ -372,8 +372,11 @@ def _blocks(reader, path):
 
 
 def read_schema(path):
-    """Parses the sidecar schema: one `name,real` or `name,discrete,T` line per attribute."""
+    """Parses the sidecar schema: one `name,real` or `name,discrete,T` line
+    per attribute. A line that Attribute refuses, or that repeats a name,
+    raises DataFormatError naming the file and the line."""
     attrs = []
+    declared = {}
     with open(path, newline="", encoding="utf-8-sig") as fh:
         for lines, rows in _blocks(csv.reader(fh), path):
             for lineno, row in zip(lines, rows):
@@ -382,7 +385,7 @@ def read_schema(path):
                 name = row[0].strip()
                 kind = row[1].strip().lower() if len(row) > 1 else ""
                 if kind == REAL and len(row) == 2:
-                    attrs.append(Attribute(name, REAL))
+                    t = None
                 elif kind == DISCRETE and len(row) == 3:
                     try:
                         t = int(row[2])
@@ -390,11 +393,20 @@ def read_schema(path):
                         raise DataFormatError(
                             "%s line %d: %r is not a domain size" % (path, lineno, row[2])
                         ) from None
-                    attrs.append(Attribute(name, DISCRETE, t))
                 else:
                     raise DataFormatError(
                         "%s line %d: expected 'name,real' or 'name,discrete,T'" % (path, lineno)
                     )
+                if name in declared:
+                    raise DataFormatError(
+                        "%s line %d: attribute %r is already declared on line %d"
+                        % (path, lineno, name, declared[name])
+                    )
+                declared[name] = lineno
+                try:
+                    attrs.append(Attribute(name, kind, t))
+                except ValueError as exc:
+                    raise DataFormatError("%s line %d: %s" % (path, lineno, exc)) from None
     if not attrs:
         raise DataFormatError("%s declares no attributes" % (path,))
     return tuple(attrs)

@@ -1,16 +1,23 @@
 """Command-line entry points: train, predict, bench, verify."""
 
+import contextlib
+import copy
 import errno
+import io
 import json
+import math
 import subprocess
 import sys
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
-from qdtree import builder
+from qdtree import builder, splitscan
 from qdtree import verify as verify_suites
-from qdtree.builder import load_model, serialize_model
+from qdtree.builder import BuildConfig, load_model, serialize_model, train
 from qdtree.cli import BENCH_HEADER, main
+from qdtree.criteria import INVALID_SPLIT
 from qdtree.dataset import Attribute, AttributeSchema, Dataset, save_csv, write_schema
 from qdtree.synth import planted_dataset, random_dataset, random_schema
 
@@ -205,6 +212,27 @@ def test_train_names_a_schema_that_is_not_utf8(tmp_path, capsys):
     assert capsys.readouterr().err == "error: %s is not UTF-8 text: invalid start byte\n" % (sch,)
 
 
+@pytest.mark.parametrize(
+    "schema, message",
+    [
+        ("a,discrete,1\nb,real\n",
+         "line 1: discrete attribute 'a' needs an integer domain size of at least 2"),
+        # the data file's header repeats the name too, so only the schema can name it
+        ("a,real\na,real\n", "line 2: attribute 'a' is already declared on line 1"),
+    ],
+    ids=["domain-size", "repeated-name"],
+)
+def test_train_names_the_schema_line_it_refuses(tmp_path, capsys, schema, message):
+    data = tmp_path / "d.csv"
+    data.write_text("a,a,class\n1,2,x\n2,1,y\n")
+    sch = tmp_path / "d.schema"
+    sch.write_text(schema)
+    model = tmp_path / "m.json"
+    assert run(["train", "--data", data, "--schema", sch, "--out", model]) == 2
+    assert capsys.readouterr() == ("", "error: %s %s\n" % (sch, message))
+    assert not model.exists()
+
+
 def test_predict_round_trips_training_labels(tmp_path, capsys):
     csv, sch = write_xor(tmp_path)
     model = tmp_path / "m.json"
@@ -393,7 +421,7 @@ def test_predict_rejects_an_unknown_node_kind(tmp_path, capsys):
     model.write_text(json.dumps(doc))
     capsys.readouterr()
     assert run(["predict", "--model", model, "--data", csv]) == 2
-    assert capsys.readouterr().err == "error: unknown node kind 'branch'\n"
+    assert capsys.readouterr().err == "error: %s: unknown node kind 'branch'\n" % (model,)
 
 
 def test_predict_rejects_a_padded_attribute_name(tmp_path, capsys):
@@ -407,8 +435,111 @@ def test_predict_rejects_a_padded_attribute_name(tmp_path, capsys):
     capsys.readouterr()
     assert run(["predict", "--model", model, "--data", csv]) == 2
     assert capsys.readouterr().err == (
-        "error: attribute name ' a0' has leading or trailing whitespace\n"
+        "error: %s: attribute name ' a0' has leading or trailing whitespace\n" % (model,)
     )
+
+
+@pytest.mark.parametrize(
+    "edit, message",
+    [
+        (lambda doc: doc["root"]["support"].pop(), "node support has 1 entries for 2 classes"),
+        (
+            lambda doc: doc["schema"]["attributes"][1].update(name="a0"),
+            "attribute names must be unique",
+        ),
+        (
+            lambda doc: doc["class_label_mapping"].__setitem__(0, "x\ny"),
+            "class label 'x\\ny' holds a line break",
+        ),
+    ],
+    ids=["support-length", "repeated-name", "label-line-break"],
+)
+def test_predict_names_the_model_file_it_refuses(tmp_path, capsys, edit, message):
+    csv, sch = write_planted(tmp_path, n=60, d=3, depth=1, seed=2)
+    model = tmp_path / "m.json"
+    assert run(["train", "--data", csv, "--schema", sch, "--out", model]) == 0
+    doc = json.loads(model.read_text())
+    edit(doc)
+    model.write_text(json.dumps(doc))
+    capsys.readouterr()
+    assert run(["predict", "--model", model, "--data", csv]) == 2
+    assert capsys.readouterr() == ("", "error: %s: %s\n" % (model, message))
+
+
+# the values a model field may be replaced with
+MODEL_VALUES = {
+    "null": None,
+    "true": True,
+    "string": "x",
+    "list": [],
+    "object": {},
+    "huge": 10**400,
+    "minus-one": -1,
+    "nan": math.nan,
+    "infinity": math.inf,
+}
+MODEL_EDITS = sorted(MODEL_VALUES) + ["delete", "wrap"]
+
+
+def _fields(value):
+    """(container, key) of every value inside a document, in preorder."""
+    items = value.items() if isinstance(value, dict) else enumerate(value)
+    out = []
+    for key, inner in items:
+        out.append((value, key))
+        if isinstance(inner, (dict, list)):
+            out.extend(_fields(inner))
+    return out
+
+
+@pytest.fixture(scope="module")
+def mixed_model(tmp_path_factory):
+    """The document of a model over a real and a discrete attribute, the
+    rows it was trained on, and a path for its mutations."""
+    schema = AttributeSchema((Attribute("r", "real"), Attribute("d", "discrete", 3)), 3)
+    r = [i / 24 for i in range(24)]
+    d = [1 + i % 3 for i in range(24)]
+    labels = [1 if v == 1 else 2 if x < 0.5 else 3 for x, v in zip(r, d)]
+    data = Dataset(schema, [r, d], labels, ("A", "B", "C"))
+    directory = tmp_path_factory.mktemp("mutations")
+    save_csv(data, directory / "rows.csv")
+    doc = json.loads(serialize_model(train(data, BuildConfig(max_height=3))))
+    # the model splits on both attributes, so edits reach both node kinds
+    assert {c["attr"] for c, k in _fields(doc) if k == "attr"} == {0, 1}
+    return doc, directory / "rows.csv", directory / "m.json"
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.lists(st.tuples(st.integers(0, 10**4), st.sampled_from(MODEL_EDITS)),
+                min_size=1, max_size=3))
+@example([(9, "huge")])  # the discrete attribute's domain size
+@example([(7, "string")])  # its name, which the rows' header no longer matches
+def test_predict_survives_model_mutations(mixed_model, edits):
+    # a mutated model predicts, or exits 2 with one error line naming the
+    # model; a model that loads may still refuse the rows, naming them
+    doc, rows, model = mixed_model
+    doc = copy.deepcopy(doc)
+    for pick, edit in edits:
+        fields = _fields(doc)
+        container, key = fields[pick % len(fields)]
+        if edit == "delete":
+            del container[key]
+        elif edit == "wrap":
+            container[key] = [container[key]]
+        else:
+            container[key] = copy.deepcopy(MODEL_VALUES[edit])
+    model.write_text(json.dumps(doc))
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = run(["predict", "--model", model, "--data", rows])
+    err = err.getvalue()
+    if code == 0:
+        assert err == ""
+        return
+    assert code == 2 and err.count("\n") == 1 and err.endswith("\n"), err
+    if not err.startswith("error: %s" % (model,)):
+        assert err.startswith("error: %s" % (rows,)), err
+        load_model(model)
 
 
 def _model_text(root):
@@ -464,7 +595,7 @@ def test_predict_rejects_hostile_nesting(tmp_path, capsys):
     rows.write_text("x\n0.25\n")
     assert run(["predict", "--model", model, "--data", rows]) == 2
     err = capsys.readouterr().err
-    assert err == "error: model document nested too deeply\n"
+    assert err == "error: %s: model document nested too deeply\n" % (model,)
 
 
 def test_bench_emits_stable_table(tmp_path, capsys):
@@ -569,6 +700,22 @@ def test_verify_exits_one_when_a_suite_fails(capsys, monkeypatch):
     captured = capsys.readouterr()
     assert captured.out == "[FAIL] broken: seed=0\n"
     assert captured.err == "1 suite(s) failed\n"
+
+
+def test_verify_reports_a_failed_check_as_a_failed_suite(capsys, monkeypatch):
+    # a scanner that calls small-potential splits trivial fails A1's check
+    # that both sides agree on validity; verify reports it, not a traceback
+    original = splitscan.gain_ratio
+
+    def strict(g, p):
+        return original(g, p) if p > 0.5 else INVALID_SPLIT
+
+    monkeypatch.setattr(splitscan, "gain_ratio", strict)
+    assert run(["verify", "--suite", "oracle", "--instances", 20]) == 1
+    captured = capsys.readouterr()
+    assert captured.out.splitlines()[0] == "[FAIL] oracle-equivalence: check=validity mismatch"
+    assert "[PASS] prefix-consistency: " in captured.out
+    assert captured.err.endswith("suite(s) failed\n") and "Traceback" not in captured.err
 
 
 @pytest.mark.parametrize(

@@ -648,6 +648,65 @@ def test_read_schema_reports_offending_line(tmp_path):
         read_schema(path)
 
 
+def test_read_schema_names_the_line_of_a_refused_attribute(tmp_path):
+    path = tmp_path / "schema.csv"
+    path.write_text("x1,real\na,discrete,1\n")
+    with pytest.raises(DataFormatError) as e:
+        read_schema(path)
+    assert str(e.value) == (
+        "%s line 2: discrete attribute 'a' needs an integer domain size of at least 2" % (path,)
+    )
+
+
+def test_read_schema_names_the_line_of_a_repeated_name(tmp_path):
+    path = tmp_path / "schema.csv"
+    path.write_text("a,real\nb,real\n\n a ,discrete,3\n")
+    with pytest.raises(DataFormatError) as e:
+        read_schema(path)
+    assert str(e.value) == "%s line 4: attribute 'a' is already declared on line 1" % (path,)
+
+
+SCHEMA_TEXT = st.text(st.sampled_from('ab ,"\t\r\x00\u00e9\u0130\u00a0'), max_size=6)
+SCHEMA_NAME = st.one_of(st.sampled_from(["a", "b", " a", "b "]), SCHEMA_TEXT)
+
+
+def _any_case(word):
+    return st.tuples(*[st.sampled_from([c, c.upper()]) for c in word]).map("".join)
+
+
+SCHEMA_DOMAIN = st.one_of(
+    st.integers(-1, 10**30).map(str),
+    st.sampled_from(["1.5", "3e2", " 4 ", "+5", "1_000", "9" * 5000]),
+    SCHEMA_TEXT,
+)
+SCHEMA_ENTRY = st.one_of(
+    st.tuples(SCHEMA_NAME, _any_case("real")),
+    st.tuples(SCHEMA_NAME, _any_case("discrete"), SCHEMA_DOMAIN),
+    # four fields, one more than any schema line has
+    st.tuples(SCHEMA_NAME, SCHEMA_TEXT, *[SCHEMA_DOMAIN] * 2),
+).map(",".join)
+SCHEMA_LINE = st.one_of(SCHEMA_ENTRY, st.sampled_from(["", "  ", "\t"]), SCHEMA_TEXT)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.lists(SCHEMA_LINE, max_size=6), SCHEMA_ENTRY, st.integers(0, 6))
+@example(["a,real", "b,discrete,2"], "a,REAL", 2)
+@example([], "a,discrete,1", 0)
+@example(["x,discrete,999999999999999999999"], "y,Discrete, -1 ", 1)
+def test_read_schema_reads_or_names_the_file_and_a_line(tmp_path_factory, lines, entry, at):
+    # every file holds one entry line, so a refusal always has a line to name
+    lines.insert(at, entry)
+    path = tmp_path_factory.mktemp("schema") / "s.schema"
+    path.write_text("\n".join(lines) + "\n", encoding="utf-8", newline="")
+    try:
+        attrs = read_schema(path)
+    except DataFormatError as exc:
+        assert re.match(r"%s line \d+: " % (re.escape(str(path)),), str(exc)), str(exc)
+    else:
+        # a schema of unique names, as load_csv builds from them
+        assert AttributeSchema(attrs, 2).attributes == attrs
+
+
 def test_csv_roundtrip(tmp_path):
     data = two_column_data()
     path = tmp_path / "train.csv"

@@ -17,9 +17,10 @@ from pathlib import Path
 import pytest
 
 import qdtree
-from qdtree import splitscan
+from qdtree import criteria, splitscan, verify
 from qdtree.builder import BuildConfig, Leaf, train
 from qdtree.counters import BASELINE, TREEMAP
+from qdtree.criteria import SplitScore
 from qdtree.dataset import (
     DISCRETE,
     REAL,
@@ -326,7 +327,26 @@ def test_the_oracle_shares_no_code_with_the_scanners():
     for module in ("criteria", "counters", "splitscan", "builder", "qsearch", "qbuilder", "dataset"):
         assert "oracle" not in package_imports(module), module
     # the parse sees every import form the package uses
-    assert package_imports("verify") >= {"oracle", "builder", "criteria", "dataset"}
+    assert package_imports("verify") >= {"oracle", "builder", "splitscan", "dataset"}
+    # verify scores against the oracle alone, never with the scanners' arithmetic
+    assert "criteria" not in package_imports("verify")
+
+
+def test_a3_fails_when_gain_ratio_is_off(monkeypatch):
+    # a fault in the ratio that every scanner score goes through must fail
+    # A3 wherever that function is imported, which holds only while A3's
+    # reference shares no code with it
+    original = criteria.gain_ratio
+
+    def skewed(g, p):
+        score = original(g, p)
+        return SplitScore(g, p, g / (p + 1e-6)) if score.valid else score
+
+    for name, module in list(sys.modules.items()):
+        if name.startswith("qdtree") and getattr(module, "gain_ratio", None) is original:
+            monkeypatch.setattr(module, "gain_ratio", skewed)
+    res = verify.incremental_discrete(instances=50, seed=3)
+    assert not res["passed"] and res["max_delta"] > 1e-7
 
 
 def test_the_builder_restates_no_value_or_label_rule():
